@@ -20,6 +20,7 @@ from .datasets import (
     read_dataset,
     true_density,
     write_dataset,
+    write_provenance,
 )
 from .diagnostics import (
     ConcentrationProfile,
@@ -51,11 +52,8 @@ from .geometry import (
     build_forest,
     build_tree,
     cell_contains,
-    count_leaves,
     leaf_cell,
-    leaf_index,
     leaf_indices,
-    path_split_counts,
 )
 from .theory import RecommendedParams, TheoryInputs, gammas, recommend
 
@@ -67,12 +65,9 @@ __all__ = [
     "Forest",
     "build_tree",
     "build_forest",
-    "leaf_index",
     "leaf_indices",
     "leaf_cell",
     "cell_contains",
-    "count_leaves",
-    "path_split_counts",
     "Quadrature",
     "EstimatorConfig",
     "BlockAssignment",
@@ -104,6 +99,7 @@ __all__ = [
     "true_density",
     "read_dataset",
     "write_dataset",
+    "write_provenance",
     "EvalGrid",
     "EvalReport",
     "BenchmarkConfig",

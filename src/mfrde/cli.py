@@ -73,17 +73,10 @@ def _cmd_generate(args) -> None:
 
 def _cmd_fit(args) -> None:
     data = read_dataset(args.input)
-    if args.m is not None and args.m_ratio is not None:
-        raise UsageError("set only one of --m and --m-ratio")
-    m = args.m
-    if args.m_ratio is not None:
-        m = int(round(args.m_ratio * data.n))
-    if m is None:
-        raise UsageError("one of --m and --m-ratio is required")
-    if m < 1:
-        raise UsageError("block size must be at least 1")
-    if m > data.n:
-        raise UsageError("block size exceeds sample size")
+    try:
+        m = EstimatorConfig(m=args.m, m_ratio=args.m_ratio).resolve_m(data.n)
+    except ValueError as exc:  # an infeasible --m or --m-ratio
+        raise UsageError(str(exc)) from None
     config = EstimatorConfig(
         m=m,
         trees=args.trees,

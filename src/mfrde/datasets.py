@@ -37,6 +37,7 @@ __all__ = [
     "true_density",
     "read_dataset",
     "write_dataset",
+    "write_provenance",
 ]
 
 DOMAIN = Box((0.0, 0.0), (5.0, 5.0))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import BlockAssignment
-from .geometry import Box, Forest, leaf_index, leaf_indices
+from .geometry import Box, Forest, leaf_indices
 
 __all__ = [
     "ConcentrationProfile",
@@ -37,13 +37,9 @@ def local_outliers(forest: Forest, x, outlier_points) -> np.ndarray:
     if pts.size == 0:
         return np.zeros(0, dtype=np.int64)
     pts = np.atleast_2d(pts)
-    inside = forest.box.contains_batch(pts)
-    hit = np.zeros(pts.shape[0], dtype=bool)
-    ids = np.full(pts.shape[0], -1, dtype=np.int64)
-    for tree in forest.trees:
-        ids[inside] = leaf_indices(tree, forest.box, pts[inside])
-        hit |= ids == leaf_index(tree, forest.box, x)
-    return np.flatnonzero(hit)
+    inside = np.flatnonzero(forest.box.contains_batch(pts))
+    ids = leaf_indices(forest, pts[inside])
+    return inside[(ids == leaf_indices(forest, x)).any(axis=1)]
 
 
 def clean_block_fraction(assignment: BlockAssignment, outlier_indices) -> float:

@@ -12,6 +12,13 @@ smallest block value with ``k = ceil(S / 2)``, the lower median.  All
 evaluation paths accumulate per-tree terms left to right and divide once
 by the tree count, so scalar and batched queries are bit-identical.
 
+Leaf counts are stored leaf-major: one C-contiguous int32 array of shape
+``(T, 2**p, S)``, so a query's lookup in one tree reads one contiguous
+row of ``S`` block counts.  ``FittedMFRDE.counts`` is the ``(S, T, 2**p)``
+transposed view of that storage; it indexes like the block-major layout
+and serializes to the same nested lists.  Every count is at most ``m``,
+so int32 sums over the trees are exact while ``T * m < 2**31``.
+
 Fitted models are immutable; evaluation is safe for concurrent readers.
 Fitting itself is deterministic given the config seed: trees, the block
 permutation and any Monte Carlo quadrature draws come from separate
@@ -22,13 +29,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import uuid
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
 
 from .datasets import Dataset
-from .geometry import Box, Forest, SplitTree, build_forest, leaf_index, leaf_indices
+from .geometry import Box, Forest, SplitTree, build_forest, leaf_indices
 
 __all__ = [
     "Quadrature",
@@ -52,6 +61,14 @@ MODEL_FORMAT_VERSION = 1
 # Fixed chunk sizes keep quadrature results independent of available memory.
 _QUAD_CHUNK = 1 << 15
 _EVAL_TARGET_ELEMS = 4_000_000
+
+
+def _check_count_range(trees: int, m: int) -> None:
+    """Sums of ``trees`` counts of at most ``m`` each must fit in int32."""
+    if trees * m >= 2**31:
+        raise ValueError(
+            f"trees * m = {trees * m} must stay below 2**31 for int32 leaf counts"
+        )
 
 
 @dataclass(frozen=True)
@@ -185,15 +202,16 @@ class FittedMFRDE:
     n: int
     m: int
     dropped: int
-    counts: np.ndarray  # (S, T, 2**p) non-negative int64
+    # (S, T, 2**p) non-negative counts; stored as the view of ``leaf_counts``
+    counts: np.ndarray
     normalizer: float
     median_rank: int
     quadrature: Quadrature  # resolved method actually used for the normalizer
+    # (T, 2**p, S) C-contiguous int32: the storage behind ``counts``
+    leaf_counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
         s, t, leaves = counts.shape
         if t != self.forest.n_trees or leaves != 2**self.forest.depth:
             raise ValueError("count array shape does not match the forest")
@@ -201,10 +219,15 @@ class FittedMFRDE:
             raise ValueError("leaf counts must be non-negative")
         if counts.size and counts.sum(axis=2).max() > self.m:
             raise ValueError("a block holds more points than its size")
-        if not self.normalizer > 0:
-            raise ValueError("normalizer must be strictly positive")
+        _check_count_range(t, self.m)
+        if not (self.normalizer > 0 and math.isfinite(self.normalizer)):
+            raise ValueError("normalizer must be finite and strictly positive")
         if self.median_rank != (s + 1) // 2:
             raise ValueError("median rank must be ceil(S/2)")
+        leaf_counts = np.ascontiguousarray(counts.transpose(1, 2, 0), dtype=np.int32)
+        leaf_counts.setflags(write=False)
+        object.__setattr__(self, "leaf_counts", leaf_counts)
+        object.__setattr__(self, "counts", leaf_counts.transpose(2, 0, 1))
 
     @property
     def box(self) -> Box:
@@ -239,24 +262,31 @@ class FittedMFRDE:
 def stde_at(counts_t: np.ndarray, tree: SplitTree, box: Box, m: int, x) -> float:
     """Single-tree density: leaf count over ``m`` times the leaf volume."""
     denom = m * (box.volume * 2.0**-tree.depth)
-    return float(counts_t[leaf_index(tree, box, x)] / denom)
+    leaf = leaf_indices(Forest(box=box, trees=(tree,)), points=x)[0, 0]
+    return float(counts_t[leaf] / denom)
 
 
 def _block_density_matrix(
     forest: Forest, counts: np.ndarray, m: int, points: np.ndarray
 ) -> np.ndarray:
-    """Per-block forest densities at in-box points, shape ``(S, n)``.
+    """Per-block forest densities at in-box points, shape ``(n, S)``.
 
+    ``counts`` is ``(S, T, 2**p)``; for a model's ``counts`` view the
+    per-tree gathers read contiguous rows of the leaf-major storage.
     Sums the integer leaf counts over the trees first (exact), then
     divides once by ``m`` times the leaf volume and once by the tree
     count.  Every query path shares this float expression, so scalar and
     batched evaluation are bit-identical.
     """
     denom = m * (forest.box.volume * 2.0**-forest.depth)
-    acc = np.zeros((counts.shape[0], points.shape[0]), dtype=np.int64)
-    for t, tree in enumerate(forest.trees):
-        ids = leaf_indices(tree, forest.box, points)
-        acc += counts[:, t, :][:, ids]
+    ids = leaf_indices(forest, points=points)
+    leaf_major = counts.transpose(1, 2, 0)
+    # Leaf ids are in range by construction; "wrap" skips the bounds check.
+    acc = leaf_major[0].take(ids[:, 0], axis=0, mode="wrap")
+    rows = np.empty_like(acc)
+    for t in range(1, forest.n_trees):
+        leaf_major[t].take(ids[:, t], axis=0, out=rows, mode="wrap")
+        acc += rows
     return acc / denom / forest.n_trees
 
 
@@ -265,7 +295,7 @@ def _median_values(
 ) -> np.ndarray:
     """Lower median (k-th smallest, k=rank) of the block densities."""
     dens = _block_density_matrix(forest, counts, m, points)
-    return np.partition(dens, rank - 1, axis=0)[rank - 1]
+    return np.partition(dens, rank - 1, axis=1)[:, rank - 1]
 
 
 def sfde_at(model: FittedMFRDE, s: int, x) -> float:
@@ -276,7 +306,7 @@ def sfde_at(model: FittedMFRDE, s: int, x) -> float:
     if not model.box.contains(x):
         raise ValueError("point outside domain")
     return float(
-        _block_density_matrix(model.forest, model.counts, model.m, x[None, :])[s, 0]
+        _block_density_matrix(model.forest, model.counts, model.m, x[None, :])[0, s]
     )
 
 
@@ -433,16 +463,24 @@ def integrate_estimate(model: FittedMFRDE) -> float:
 def fit(data, config: EstimatorConfig) -> FittedMFRDE:
     """Fit the median-of-forests estimator.
 
-    ``data`` is a :class:`~mfrde.datasets.Dataset` or an ``(n, d)`` array.
-    Points outside the box are excluded from the leaf counts (each block
-    still divides by its nominal size ``m``); their number per block is
-    visible as ``m - counts[s, t].sum()``.
+    ``data`` is a :class:`~mfrde.datasets.Dataset` or an ``(n, d)`` array
+    of finite values; a row holding NaN or an infinity raises
+    ``ValueError``.  Points outside the box are excluded from the leaf
+    counts (each block still divides by its nominal size ``m``); their
+    number per block is visible as ``m - counts[s, t].sum()``.
     """
     pts = data.points if isinstance(data, Dataset) else np.atleast_2d(
         np.asarray(data, dtype=float)
     )
+    bad_rows = int(np.count_nonzero(~np.isfinite(pts).all(axis=1)))
+    if bad_rows:
+        raise ValueError(
+            f"{bad_rows} data row(s) hold NaN or infinite values; "
+            "drop or repair them before fitting"
+        )
     n = pts.shape[0]
     m = config.resolve_m(n)
+    _check_count_range(config.trees, m)
     box = config.box if config.box is not None else Box.bounding(pts, config.box_margin)
     if pts.shape[1] != box.d:
         raise ValueError("data dimension does not match the box")
@@ -451,21 +489,21 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
     forest = build_forest(box, config.depth, config.trees, forest_stream)
     assignment = assign_blocks(n, m, np.random.default_rng(perm_stream))
 
-    # One bincount per tree over block-offset leaf ids; same integers as
-    # running count_leaves block by block, without the per-block calls.
+    # One bincount per tree over leaf-offset block ids fills the
+    # leaf-major (T, 2**p, S) storage directly.
     s = assignment.n_blocks
     leaves = 2**config.depth
     block_of = np.full(n, -1, dtype=np.int64)
     block_of[assignment.blocks.ravel()] = np.repeat(np.arange(s), m)
     keep = box.contains_batch(pts) & (block_of >= 0)
-    kept_pts = pts[keep]
     kept_block = block_of[keep]
-    counts = np.zeros((s, config.trees, leaves), dtype=np.int64)
-    for t, tree in enumerate(forest.trees):
-        ids = leaf_indices(tree, box, kept_pts)
-        counts[:, t, :] = np.bincount(
-            kept_block * leaves + ids, minlength=s * leaves
-        ).reshape(s, leaves)
+    ids = leaf_indices(forest, points=pts[keep])
+    leaf_counts = np.empty((config.trees, leaves, s), dtype=np.int32)
+    for t in range(config.trees):
+        leaf_counts[t] = np.bincount(
+            ids[:, t] * np.int64(s) + kept_block, minlength=leaves * s
+        ).reshape(leaves, s)
+    counts = leaf_counts.transpose(2, 0, 1)
 
     quad = _resolve_quadrature(config.quadrature, config.depth, box.d)
     rank = (s + 1) // 2
@@ -484,7 +522,12 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
 
 
 def save_model(model: FittedMFRDE, path) -> None:
-    """Write the model as a single JSON document."""
+    """Write the model as a single JSON document.
+
+    The document goes to a fresh file in the target's directory, which
+    then replaces ``path`` in one rename: a failed write leaves any
+    earlier file at ``path`` as it was, and readers never see half a file.
+    """
     quad_params: dict = {}
     if model.quadrature.method == "exact-dyadic":
         quad_params["cell_budget"] = model.quadrature.cell_budget
@@ -508,9 +551,16 @@ def save_model(model: FittedMFRDE, path) -> None:
         "normalizer": model.normalizer,
         "quadrature": {"method": model.quadrature.method, "params": quad_params},
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            json.dump(doc, fh, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_model(path) -> FittedMFRDE:

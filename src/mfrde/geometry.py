@@ -1,4 +1,4 @@
-"""Axis-aligned boxes and random midpoint-split tree partitions.
+"""Axis-aligned boxes, random midpoint-split trees and the leaf kernel.
 
 A tree of depth ``p`` is a complete binary tree stored in level order.
 Every internal node halves its cell at the midpoint of one randomly
@@ -10,6 +10,25 @@ cells are half-open, ``[lo, mid)`` on the left and ``[mid, hi)`` on the
 right, except that a cell touching the upper face of the domain box is
 closed there.  Under this rule every point of the box belongs to exactly
 one leaf of every tree.
+
+Leaf kernel.  A path splits one axis at most ``p`` times, and the cell
+bounds on that axis after ``k`` splits depend only on the axis, never on
+the tree: they are the level-``k`` points of one dyadic mesh.  Each axis
+therefore has ``2**p + 1`` breakpoints, built from ``lo`` and ``hi`` by
+the same float recursion ``0.5 * (lo + hi)`` that a float walker would
+evaluate on the way down, so the kernel compares against bit-identical
+values.  A coordinate is quantized once per query into a code ``c`` in
+``[0, 2**p)`` with ``searchsorted(inner_breakpoints, x, side="right")``:
+the number of inner breakpoints at or below ``x``.  A coordinate equal to
+a breakpoint counts it and lands in the right-hand cell, which is the
+half-open convention; the upper face ``x == hi`` is above every inner
+breakpoint and lands in the last cell, which is the closed upper face.
+A node that splits an axis for the ``k``-th time on its path (``k`` from
+0) compares ``x`` with the breakpoint whose index has bit ``p - 1 - k`` as
+its lowest set bit, so going right is exactly bit ``p - 1 - k`` of ``c``.
+Every ``Forest`` holds a per-(tree, node) table of (axis, bit position),
+and :func:`leaf_indices` walks all trees at once on those integer bits,
+without any float geometry past the quantization.
 
 All types in this module are immutable after construction and safe for
 concurrent reads.
@@ -27,13 +46,13 @@ __all__ = [
     "Forest",
     "build_tree",
     "build_forest",
-    "leaf_index",
     "leaf_indices",
     "leaf_cell",
     "cell_contains",
-    "count_leaves",
-    "path_split_counts",
 ]
+
+# Points per walk chunk: bounds the kernel's temporaries, whatever the batch.
+_WALK_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -139,6 +158,13 @@ class Forest:
     box: Box
     trees: tuple[SplitTree, ...]
     seed: int | None = None
+    # Leaf-kernel tables, derived from ``box`` and ``trees``:
+    # (d, 2**p - 1) inner breakpoints per axis;
+    _inner: np.ndarray = field(init=False, repr=False)
+    # (T * (2**p - 1),) ``axis * p + bit`` of every node, tree-major;
+    _bit_table: np.ndarray = field(init=False, repr=False)
+    # (p, T) table address of each tree's first node on each level.
+    _level_base: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.trees) == 0:
@@ -146,11 +172,25 @@ class Forest:
         depth = self.trees[0].depth
         if any(t.depth != depth for t in self.trees):
             raise ValueError("all trees in a forest must share one depth")
+        # The kernel addresses nodes with int32, so T * 2**p stays below 2**31.
+        n_trees, nodes = len(self.trees), 2**depth - 1
+        if n_trees * (nodes + 1) >= 2**31:
+            raise ValueError("forest too large: n_trees * 2**depth must stay below 2**31")
         for t in self.trees:
             if t.node_dims.size and int(t.node_dims.max()) >= self.box.d:
                 raise ValueError("tree splits a coordinate outside the box dimension")
             if t.node_dims.size and int(t.node_dims.min()) < 0:
                 raise ValueError("negative split coordinate")
+        dims = np.stack([t.node_dims for t in self.trees])
+        levels = np.arange(depth, dtype=np.int32)[:, None]
+        tables = {
+            "_inner": _breakpoints(self.box, depth)[:, 1:-1],
+            "_bit_table": _bit_table(dims, depth).ravel(),
+            "_level_base": np.arange(n_trees, dtype=np.int32) * nodes + (2**levels - 1),
+        }
+        for name, table in tables.items():
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     @property
     def n_trees(self) -> int:
@@ -191,58 +231,82 @@ def build_forest(box: Box, p: int, n_trees: int, seed) -> Forest:
     return Forest(box=box, trees=trees, seed=stored)
 
 
-def leaf_index(tree: SplitTree, box: Box, x) -> int:
-    """Leaf id of the cell containing ``x``.
+def _breakpoints(box: Box, p: int) -> np.ndarray:
+    """The ``2**p + 1`` mesh points of every axis, shape ``(d, 2**p + 1)``.
+
+    Level by level, each new point is ``0.5 * (left + right)`` of its two
+    neighbours on the coarser level: the float expression of a midpoint
+    split of the cell between them.
+    """
+    n = 2**p
+    mesh = np.empty((box.d, n + 1))
+    mesh[:, 0] = box.lo
+    mesh[:, n] = box.hi
+    step = n
+    while step > 1:
+        half = step // 2
+        mesh[:, half::step] = 0.5 * (mesh[:, 0:n:step] + mesh[:, step::step])
+        step = half
+    return mesh
+
+
+def _bit_table(dims: np.ndarray, p: int) -> np.ndarray:
+    """``axis * p + bit`` of every node of ``(T, 2**p - 1)`` split labels.
+
+    A node that splits its axis for the ``k``-th time on its root path
+    (``k`` counted from 0) reads bit ``p - 1 - k`` of that axis's code.
+    Built level by level, for all trees at once.
+    """
+    table = np.empty(dims.shape, dtype=np.int32)
+    for level in range(p):
+        nodes = np.arange(2**level - 1, 2 ** (level + 1) - 1)
+        axis = dims[:, nodes]
+        splits_above = np.zeros_like(axis)
+        ancestor = nodes
+        for _ in range(level):
+            ancestor = (ancestor - 1) // 2
+            splits_above += dims[:, ancestor] == axis
+        table[:, nodes] = axis * p + (p - 1 - splits_above)
+    return table
+
+
+def leaf_indices(forest: Forest, points) -> np.ndarray:
+    """Leaf id of each point in each tree, an ``(n, T)`` int32 array.
 
     The id is the root-to-leaf path read as a bit string, left=0 and
-    right=1, with the root bit most significant.  A coordinate equal to
-    the current midpoint goes right, which makes cells half-open and
-    keeps the upper face of the box inside the last cell.
+    right=1, with the root bit most significant.  Points must lie in the
+    closed box; any other point, NaN included, raises ``ValueError``.
+    Quantizes each coordinate once, then walks every tree on integer bits
+    (see the module docstring), in fixed-size chunks of points.
     """
-    x = _as_point(x, box.d)
-    if not box.contains(x):
-        raise ValueError("point outside domain")
-    lo = box.lo_array.copy()
-    hi = box.hi_array.copy()
-    node = 0
-    leaf = 0
-    for _ in range(tree.depth):
-        dim = int(tree.node_dims[node])
-        mid = 0.5 * (lo[dim] + hi[dim])
-        right = x[dim] >= mid
-        if right:
-            lo[dim] = mid
-        else:
-            hi[dim] = mid
-        leaf = (leaf << 1) | int(right)
-        node = 2 * node + 1 + int(right)
-    return leaf
-
-
-def leaf_indices(tree: SplitTree, box: Box, points) -> np.ndarray:
-    """Vectorized ``leaf_index`` for an ``(n, d)`` array of in-box points."""
+    box = forest.box
     pts = _as_points(points, box.d)
-    n = pts.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
     if not np.all(box.contains_batch(pts)):
         raise ValueError("point outside domain")
-    lo = np.broadcast_to(box.lo_array, pts.shape).copy()
-    hi = np.broadcast_to(box.hi_array, pts.shape).copy()
-    rows = np.arange(n)
-    node = np.zeros(n, dtype=np.int64)
-    leaf = np.zeros(n, dtype=np.int64)
-    for _ in range(tree.depth):
-        dims = tree.node_dims[node]
-        a = lo[rows, dims]
-        b = hi[rows, dims]
-        mid = 0.5 * (a + b)
-        right = pts[rows, dims] >= mid
-        lo[rows, dims] = np.where(right, mid, a)
-        hi[rows, dims] = np.where(right, b, mid)
-        leaf = (leaf << 1) | right
-        node = 2 * node + 1 + right
-    return leaf
+    d, p = box.d, forest.depth
+    out = np.zeros((pts.shape[0], forest.n_trees), dtype=np.int32)
+    bits = np.arange(p, dtype=np.int32)
+    for start in range(0, pts.shape[0], _WALK_CHUNK):
+        chunk = pts[start : start + _WALK_CHUNK]
+        size = chunk.shape[0]
+        codes = np.empty((size, d), dtype=np.int32)
+        for j in range(d):
+            codes[:, j] = np.searchsorted(forest._inner[j], chunk[:, j], side="right")
+        # planes[i * d * p + axis * p + bit] = (codes[i, axis] >> bit) & 1
+        planes = ((codes[:, :, None] >> bits) & 1).ravel()
+        row = (np.arange(size, dtype=np.int32) * (d * p))[:, None]
+        leaf = out[start : start + size]
+        at = np.empty_like(leaf)
+        # Every address is in range by construction; "wrap" skips the
+        # bounds check and the output buffer of the default mode.
+        for base in forest._level_base:
+            np.add(leaf, base, out=at)
+            forest._bit_table.take(at, out=at, mode="wrap")
+            at += row
+            planes.take(at, out=at, mode="wrap")
+            leaf <<= 1
+            leaf |= at
+    return out
 
 
 def leaf_cell(tree: SplitTree, box: Box, leaf: int) -> Box:
@@ -280,44 +344,6 @@ def cell_contains(cell: Box, domain: Box, points) -> np.ndarray:
     ok = (pts >= lo) & ((pts < hi) | (closed_hi & (pts == hi)))
     out = np.all(ok, axis=1)
     return bool(out[0]) if single else out
-
-
-def count_leaves(tree: SplitTree, box: Box, points) -> tuple[np.ndarray, int]:
-    """Per-leaf point counts plus the number of points outside the box.
-
-    Points outside the box are dropped rather than an error: they carry
-    no leaf.  ``counts.sum() + dropped == len(points)``.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return np.zeros(tree.n_leaves, dtype=np.int64), 0
-    pts = _as_points(pts, box.d)
-    mask = box.contains_batch(pts)
-    ids = leaf_indices(tree, box, pts[mask])
-    counts = np.bincount(ids, minlength=tree.n_leaves).astype(np.int64)
-    return counts, int(pts.shape[0] - mask.sum())
-
-
-def path_split_counts(tree: SplitTree, box: Box, x) -> np.ndarray:
-    """How many times the root-to-leaf path of ``x`` splits each coordinate."""
-    x = _as_point(x, box.d)
-    if not box.contains(x):
-        raise ValueError("point outside domain")
-    lo = box.lo_array.copy()
-    hi = box.hi_array.copy()
-    counts = np.zeros(box.d, dtype=np.int64)
-    node = 0
-    for _ in range(tree.depth):
-        dim = int(tree.node_dims[node])
-        counts[dim] += 1
-        mid = 0.5 * (lo[dim] + hi[dim])
-        right = x[dim] >= mid
-        if right:
-            lo[dim] = mid
-        else:
-            hi[dim] = mid
-        node = 2 * node + 1 + int(right)
-    return counts
 
 
 def _as_point(x, d: int) -> np.ndarray:

@@ -1,16 +1,88 @@
-"""Shared fixtures and the from-scratch oracle used against the estimator.
+"""Shared fixtures and the from-scratch oracles used against the package.
+
+The float walker (``leaf_index``, ``path_split_counts``, ``count_leaves``)
+descends a tree by recomputing each midpoint ``0.5 * (lo + hi)`` from the
+current cell, one point and one tree at a time.  It is the reference for
+the package's integer leaf kernel, ``mfrde.geometry.leaf_indices``.
 
 The naive oracle answers each query by scanning raw block points against
 the query's reconstructed leaf cell, with no precomputed counts, using
 the same float expressions as the estimator (exact integer count summed
 over trees, one division by m times the leaf volume, one by the tree
 count).
+
+Hypothesis runs derandomized under the ``mfrde`` profile, so every run of
+the suite draws the same examples.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from mfrde.geometry import Forest, cell_contains, leaf_cell, leaf_index
+from mfrde.geometry import Box, Forest, SplitTree, cell_contains, leaf_cell
+
+settings.register_profile("mfrde", derandomize=True)
+settings.load_profile("mfrde")
+
+
+def _walk(tree: SplitTree, box: Box, x):
+    """Yield ``(split axis, went right)`` down the path of ``x``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (box.d,):
+        raise ValueError(f"expected a point of dimension {box.d}, got shape {x.shape}")
+    if not box.contains(x):
+        raise ValueError("point outside domain")
+    lo = box.lo_array.copy()
+    hi = box.hi_array.copy()
+    node = 0
+    for _ in range(tree.depth):
+        dim = int(tree.node_dims[node])
+        mid = 0.5 * (lo[dim] + hi[dim])
+        right = bool(x[dim] >= mid)
+        if right:
+            lo[dim] = mid
+        else:
+            hi[dim] = mid
+        yield dim, right
+        node = 2 * node + 1 + int(right)
+
+
+def leaf_index(tree: SplitTree, box: Box, x) -> int:
+    """Leaf id of the cell containing ``x``: the path bits, root first.
+
+    A coordinate equal to the current midpoint goes right, which makes
+    cells half-open and keeps the upper face of the box inside the last
+    cell.
+    """
+    leaf = 0
+    for _, right in _walk(tree, box, x):
+        leaf = (leaf << 1) | int(right)
+    return leaf
+
+
+def path_split_counts(tree: SplitTree, box: Box, x) -> np.ndarray:
+    """How many times the root-to-leaf path of ``x`` splits each coordinate."""
+    counts = np.zeros(box.d, dtype=np.int64)
+    for dim, _ in _walk(tree, box, x):
+        counts[dim] += 1
+    return counts
+
+
+def count_leaves(tree: SplitTree, box: Box, points) -> tuple[np.ndarray, int]:
+    """Per-leaf point counts plus the number of points outside the box.
+
+    Points outside the box are dropped: they carry no leaf.
+    ``counts.sum() + dropped == len(points)``.
+    """
+    pts = np.asarray(points, dtype=float)
+    counts = np.zeros(tree.n_leaves, dtype=np.int64)
+    if pts.size == 0:
+        return counts, 0
+    pts = np.atleast_2d(pts)
+    inside = pts[box.contains_batch(pts)]
+    for x in inside:
+        counts[leaf_index(tree, box, x)] += 1
+    return counts, int(pts.shape[0] - inside.shape[0])
 
 
 def naive_sfde_at(block_points: np.ndarray, forest: Forest, m: int, x) -> float:

@@ -170,6 +170,20 @@ class TestErrors:
         assert code == 2
         assert err.strip()
 
+    def test_non_finite_data(self, tmp_path, capsys):
+        d_csv = tmp_path / "d.csv"
+        run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        rows = d_csv.read_text().splitlines()
+        rows[5] = "nan," + rows[5].split(",", 1)[1]
+        d_csv.write_text("\n".join(rows) + "\n")
+        code, _, err = run(
+            ["fit", "--input", str(d_csv), "--m", "10", "--out", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 2
+        assert "1 data row" in err
+
     def test_bad_box_spec(self, tmp_path, capsys):
         d_csv = tmp_path / "d.csv"
         run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_median_at, naive_sfde_at
+from conftest import count_leaves, leaf_index, naive_median_at, naive_sfde_at
 from mfrde.datasets import generate
 from mfrde.estimator import (
     BlockAssignment,
@@ -26,7 +26,7 @@ from mfrde.estimator import (
     sfde_at,
     stde_at,
 )
-from mfrde.geometry import Box, Forest, SplitTree, build_forest, count_leaves, leaf_index
+from mfrde.geometry import Box, Forest, SplitTree, build_forest
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
 BLOCK = np.array([(0.25, 0.5), (0.75, 0.5), (0.9, 0.1)])
@@ -289,6 +289,30 @@ class TestFit:
         with pytest.raises(ValueError, match="degenerate model"):
             fit(data, EstimatorConfig(m=5, trees=2, depth=2, seed=1, box=UNIT2))
 
+    @pytest.mark.parametrize("box", [None, UNIT2], ids=["auto-box", "explicit-box"])
+    def test_non_finite_rows_rejected(self, box):
+        # with an explicit box these rows used to vanish from the block
+        # counts; with the auto box, to fail as a degenerate extent
+        data = np.random.default_rng(5).random((100, 2))
+        data[[3, 17, 40, 41, 99], [0, 1, 0, 1, 0]] = [np.nan, np.inf, np.nan, -np.inf, np.nan]
+        with pytest.raises(ValueError, match="5 data row"):
+            fit(data, EstimatorConfig(m=20, trees=2, depth=2, seed=1, box=box))
+
+    def test_leaf_major_storage(self):
+        model = fit(np.random.default_rng(6).random((90, 2)),
+                    EstimatorConfig(m=30, trees=4, depth=3, seed=2, box=UNIT2))
+        assert model.leaf_counts.shape == (4, 8, 3)
+        assert model.leaf_counts.flags.c_contiguous
+        assert model.counts.shape == (3, 4, 8)
+        assert np.shares_memory(model.counts, model.leaf_counts)
+        assert np.array_equal(model.counts, model.leaf_counts.transpose(2, 0, 1))
+
+    def test_count_sum_range_guard(self):
+        # T counts of at most m each must sum exactly in int32
+        forest = two_tree_forest()
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            make_model(forest, np.zeros((1, 2, 2), dtype=np.int64), m=2**30)
+
 
 class TestNormalizer:
     def test_full_histogram_integrates_to_one(self):
@@ -493,6 +517,38 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         model = load_model(path)
         assert evaluate(model, (1.0, 1.0)) == pytest.approx(1.0 / 4.0)
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_normalizer_rejected(self, tmp_path, value):
+        # an infinite normalizer used to load and serve density 0 everywhere
+        data = np.random.default_rng(1).random((40, 2))
+        model = fit(data, EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = path.read_text().replace(
+            f'"normalizer":{model.normalizer!r}', f'"normalizer":{value}'
+        )
+        assert value in doc
+        path.write_text(doc)
+        with pytest.raises(ValueError, match="normalizer"):
+            load_model(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        data = np.random.default_rng(1).random((40, 2))
+        model = fit(data, EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        before = path.read_bytes()
+
+        def broken_dump(doc, fh, **kwargs):
+            fh.write('{"format_version":')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.json"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
+from conftest import count_leaves, leaf_index, path_split_counts
 from mfrde.geometry import (
     Box,
     Forest,
@@ -9,11 +11,8 @@ from mfrde.geometry import (
     build_forest,
     build_tree,
     cell_contains,
-    count_leaves,
     leaf_cell,
-    leaf_index,
     leaf_indices,
-    path_split_counts,
 )
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
@@ -92,8 +91,119 @@ class TestLeafIndex:
         tree = build_tree(3, 5, rng)
         box = Box((-1.0, 0.0, 2.0), (1.0, 5.0, 3.0))
         pts = box.lo_array + rng.random((200, 3)) * (box.hi_array - box.lo_array)
-        ids = leaf_indices(tree, box, pts)
+        ids = leaf_indices(Forest(box=box, trees=(tree,)), pts)[:, 0]
         assert [leaf_index(tree, box, p) for p in pts] == ids.tolist()
+
+
+# Non-dyadic boxes, one per dimension, plus random ones below.
+FIXED_BOXES = (
+    Box((-0.3,), (1.7,)),
+    Box((0.1, -2.5), (0.35, 7.0)),
+    Box((-0.3, 2.0, 1e3), (1.7, 2.1, 1.5e3)),
+    Box((1e-3, -7.0, 0.0, 3.3), (1e-3 + 1e-6, 9.0, 1e5, 3.7)),
+)
+
+
+@st.composite
+def random_boxes(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    lo = draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))
+    width = draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d))
+    return Box(tuple(lo), tuple(a + w for a, w in zip(lo, width)))
+
+
+@st.composite
+def forests(draw):
+    box = draw(st.one_of(st.sampled_from(FIXED_BOXES), random_boxes()))
+    p = draw(st.integers(min_value=0, max_value=10))
+    n_trees = draw(st.integers(min_value=1, max_value=3))
+    return build_forest(box, p, n_trees, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def forest_and_points(draw):
+    """A forest and in-box points: uniform, cell corners and upper faces.
+
+    A corner of a leaf cell is a breakpoint of the dyadic mesh on every
+    axis (or a face of the box), where the half-open rule decides.
+    """
+    forest = draw(forests())
+    box = forest.box
+    lo, hi = box.lo_array, box.hi_array
+    rows = []
+    for u in draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=box.d,
+                                    max_size=box.d), max_size=8)):
+        rows.append(np.minimum(lo + np.asarray(u) * (hi - lo), hi))
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        tree = forest.trees[draw(st.integers(0, forest.n_trees - 1))]
+        cell = leaf_cell(tree, box, draw(st.integers(0, tree.n_leaves - 1)))
+        upper = np.asarray(draw(st.lists(st.booleans(), min_size=box.d,
+                                         max_size=box.d)))
+        rows.append(np.where(upper, cell.hi_array, cell.lo_array))
+    if draw(st.booleans()):
+        rows.append(hi.copy())
+    pts = np.asarray(rows, dtype=float).reshape(len(rows), box.d)
+    return forest, pts
+
+
+def oracle_ids(forest: Forest, pts: np.ndarray) -> np.ndarray:
+    return np.array(
+        [[leaf_index(tree, forest.box, x) for tree in forest.trees] for x in pts],
+        dtype=np.int64,
+    ).reshape(len(pts), forest.n_trees)
+
+
+class TestLeafKernel:
+    """``leaf_indices`` against the float walker ``leaf_index``."""
+
+    @given(forest_and_points())
+    def test_matches_float_walker(self, case):
+        forest, pts = case
+        ids = leaf_indices(forest, pts)
+        assert ids.shape == (len(pts), forest.n_trees)
+        assert ids.dtype == np.int32
+        assert np.array_equal(ids, oracle_ids(forest, pts))
+
+    @given(forest_and_points())
+    def test_one_point_calls_match_batch(self, case):
+        forest, pts = case
+        ids = leaf_indices(forest, pts)
+        for x, row in zip(pts, ids):
+            assert leaf_indices(forest, x).tolist() == [row.tolist()]
+
+    @given(forest_and_points(), st.data())
+    def test_outside_and_nan_raise(self, case, data):
+        forest, pts = case
+        box = forest.box
+        bad = box.hi_array.copy()
+        axis = data.draw(st.integers(0, box.d - 1))
+        bad[axis] = data.draw(st.sampled_from([
+            np.nextafter(box.hi[axis], np.inf),
+            np.nextafter(box.lo[axis], -np.inf),
+            np.nan, np.inf, -np.inf,
+        ]))
+        at = data.draw(st.integers(0, len(pts)))
+        with pytest.raises(ValueError, match="point outside domain"):
+            leaf_indices(forest, np.insert(pts, at, bad, axis=0))
+        with pytest.raises(ValueError, match="point outside domain"):
+            leaf_indices(forest, bad)
+
+    def test_upper_face_is_last_cell(self):
+        box = FIXED_BOXES[2]
+        forest = build_forest(box, 10, 3, seed=4)
+        assert (leaf_indices(forest, box.hi_array) == 2**10 - 1).all()
+        assert (leaf_indices(forest, box.lo_array) == 0).all()
+
+    def test_empty_batch(self):
+        forest = build_forest(UNIT2, 3, 4, seed=0)
+        assert leaf_indices(forest, np.zeros((0, 2))).shape == (0, 4)
+
+    def test_forest_size_guard(self):
+        # zero-stride labels: a depth-30 forest without allocating its nodes
+        labels = np.broadcast_to(np.int64(0), (2**30 - 1,))
+        tree = SplitTree(depth=30, node_dims=labels)
+        with pytest.raises(ValueError, match="forest too large"):
+            Forest(box=UNIT2, trees=(tree, tree))
 
 
 class TestLeafCell:
@@ -213,7 +323,8 @@ class TestPartitionProperty:
                 ]
             )
             assert (membership.sum(axis=0) == 1).all()
-            assert np.array_equal(membership.argmax(axis=0), leaf_indices(tree, box, pts))
+            ids = leaf_indices(Forest(box=box, trees=(tree,)), pts)[:, 0]
+            assert np.array_equal(membership.argmax(axis=0), ids)
             total += len(pts)
 
     def test_volume_identity(self):
