@@ -8,13 +8,19 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
-from .datasets import DOMAIN, generate, read_dataset, write_dataset, write_provenance
+from .datasets import (
+    DOMAIN,
+    _write_table,
+    generate,
+    read_dataset,
+    write_dataset,
+    write_provenance,
+)
 from .estimator import (
     EstimatorConfig,
     Quadrature,
@@ -93,22 +99,15 @@ def _cmd_score(args) -> None:
     model = load_model(args.model)
     data = read_dataset(args.input)
     dens = evaluate_batch(model, data.points)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["density"])
-        for v in dens:
-            writer.writerow(["%.17g" % v])
+    _write_table(args.out, ["density"], dens[:, None])
 
 
 def _cmd_eval_grid(args) -> None:
     model = load_model(args.model)
     grid = make_grid(model.box, args.grid)
     dens = evaluate_batch(model, grid.points)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(model.box.d)] + ["density"])
-        for point, v in zip(grid.points, dens):
-            writer.writerow(["%.17g" % c for c in point] + ["%.17g" % v])
+    header = [f"x{j + 1}" for j in range(model.box.d)] + ["density"]
+    _write_table(args.out, header, np.column_stack([grid.points, dens]))
 
 
 def _cmd_benchmark(args) -> None:

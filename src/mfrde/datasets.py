@@ -14,6 +14,7 @@ Generators are deterministic given their random stream.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Union
@@ -231,19 +232,30 @@ def true_density(x) -> np.ndarray | float:
     return float(dens[0]) if single else dens
 
 
+def _write_table(path, header: list[str], values, labels=None) -> None:
+    """CSV of float columns as ``%.17g`` plus an optional ``%d`` column.
+
+    Writes the same bytes as ``csv.writer`` (CRLF line ends) for headers
+    that need no quoting, formatting whole rows at once.
+    """
+    values = np.asarray(values, dtype=float)
+    columns = [values[:, j].tolist() for j in range(values.shape[1])]
+    fmt = ",".join(["%.17g"] * values.shape[1])
+    if labels is not None:
+        columns.append(np.asarray(labels).tolist())
+        fmt += ",%d"
+    fmt += "\r\n"
+    text = ",".join(header) + "\r\n" + "".join([fmt % row for row in zip(*columns)])
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     """CSV with header ``x1,...,xd`` plus an optional ``label`` column."""
     header = [f"x{j + 1}" for j in range(dataset.d)]
     if dataset.labels is not None:
         header.append("label")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = ["%.17g" % v for v in dataset.points[i]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+    _write_table(path, header, dataset.points, dataset.labels)
 
 
 def write_provenance(dataset: Dataset, path) -> None:
@@ -254,39 +266,79 @@ def write_provenance(dataset: Dataset, path) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Parse a CSV written by :func:`write_dataset` or shaped like it."""
+    """Parse a CSV written by :func:`write_dataset` or shaped like it.
+
+    The body is parsed in one ``np.loadtxt`` call: a float per coordinate,
+    an integer ``label``.  Blank lines are skipped and ``#`` marks no
+    comment.  A malformed body raises ``ValueError`` naming its first bad
+    row, counted from 1 after the header.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty dataset file") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError("empty dataset file")
         header = [h.strip() for h in header]
         has_label = bool(header) and header[-1].lower() == "label"
         d = len(header) - (1 if has_label else 0)
         if d < 1:
             raise ValueError("dataset header declares no coordinate columns")
-        points: list[list[float]] = []
-        labels: list[int] = []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"row {rownum}: expected {len(header)} fields, got {len(row)}"
-                )
+        fields = [("x", "f8", (d,))] + ([("label", "i8")] if has_label else [])
+        # np.loadtxt warns on a body without data, so find its first row.
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is None:
+            table = np.empty(0, dtype=fields)
+        else:
             try:
-                points.append([float(c) for c in row[:d]])
-            except ValueError:
+                table = np.loadtxt(
+                    itertools.chain([first], fh), dtype=fields, delimiter=",",
+                    quotechar='"', comments=None, ndmin=1,
+                )
+            except ValueError as exc:
                 raise ValueError(
-                    f"row {rownum}: could not parse coordinates {row[:d]!r}"
+                    _bad_row(path, d, has_label) or f"malformed dataset file: {exc}"
                 ) from None
-            if has_label:
-                cell = row[d].strip()
-                if cell not in ("0", "1"):
-                    raise ValueError(f"row {rownum}: unknown label value {cell!r}")
-                labels.append(int(cell))
-    pts = np.asarray(points, dtype=float).reshape(len(points), d)
+    labels = np.ascontiguousarray(table["label"]) if has_label else None
+    if has_label and not np.isin(labels, (INLIER, OUTLIER)).all():
+        raise ValueError(_bad_row(path, d, has_label) or "unknown label value")
     return Dataset(
-        points=pts,
-        labels=np.asarray(labels, dtype=np.int64) if has_label else None,
+        points=np.ascontiguousarray(table["x"]),
+        labels=labels,
         provenance={"source": str(path)},
     )
+
+
+def _number(cell: str, kind: type):
+    """``kind(cell)`` under ``np.loadtxt``'s rules: ASCII, no ``_`` separators."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(cell)
+    return kind(text)
+
+
+def _bad_row(path, d: int, has_label: bool) -> str | None:
+    """Name the first row :func:`read_dataset` rejects; the error path only.
+
+    Re-reads the file with ``csv`` and checks each row as ``np.loadtxt``
+    parses it.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        for rownum, row in enumerate(reader, start=1):
+            if not row:  # a blank line
+                continue
+            if len(row) != width:
+                return f"row {rownum}: expected {width} fields, got {len(row)}"
+            try:
+                for cell in row[:d]:
+                    _number(cell, float)
+            except ValueError:
+                return f"row {rownum}: could not parse coordinates {row[:d]!r}"
+            if has_label:
+                try:
+                    ok = _number(row[d], int) in (INLIER, OUTLIER)
+                except ValueError:
+                    ok = False
+                if not ok:
+                    return f"row {rownum}: unknown label value {row[d].strip()!r}"
+    return None

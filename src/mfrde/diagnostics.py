@@ -11,12 +11,12 @@ Everything here reads immutable inputs and is safe to parallelize.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import _write_table
 from .estimator import BlockAssignment
 from .geometry import Box, Forest, leaf_indices
 
@@ -70,11 +70,7 @@ class ConcentrationProfile:
     n_points: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["volume_fraction", "mass_fraction"])
-            for v, m in self.samples:
-                writer.writerow(["%.17g" % v, "%.17g" % m])
+        _write_table(path, ["volume_fraction", "mass_fraction"], self.samples)
 
 
 def concentration_profile(

@@ -249,15 +249,6 @@ class FittedMFRDE:
     def cell_volume(self) -> float:
         return self.box.volume * 2.0**-self.depth
 
-    def evaluate(self, x, outside: str = "zero") -> float:
-        return evaluate(self, x, outside=outside)
-
-    def evaluate_batch(self, points, outside: str = "zero") -> np.ndarray:
-        return evaluate_batch(self, points, outside=outside)
-
-    def save(self, path) -> None:
-        save_model(self, path)
-
 
 def stde_at(counts_t: np.ndarray, tree: SplitTree, box: Box, m: int, x) -> float:
     """Single-tree density: leaf count over ``m`` times the leaf volume."""
@@ -551,11 +542,13 @@ def save_model(model: FittedMFRDE, path) -> None:
         "normalizer": model.normalizer,
         "quadrature": {"method": model.quadrature.method, "params": quad_params},
     }
+    # One-shot encoding runs json's C encoder; json.dump to a file handle
+    # always takes the pure-Python one.  Both give the same text.
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "x") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

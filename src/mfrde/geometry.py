@@ -61,6 +61,10 @@ class Box:
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
+    # Derived once from ``lo`` and ``hi``; read-only, outside eq and hash.
+    lo_array: np.ndarray = field(init=False, repr=False, compare=False)
+    hi_array: np.ndarray = field(init=False, repr=False, compare=False)
+    volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo = tuple(float(v) for v in self.lo)
@@ -71,22 +75,17 @@ class Box:
             raise ValueError("box bounds must be non-empty and of equal length")
         if not all(a < b for a, b in zip(lo, hi)):
             raise ValueError("box must have strictly positive extent on every axis")
+        lo_array = np.asarray(lo, dtype=float)
+        hi_array = np.asarray(hi, dtype=float)
+        lo_array.setflags(write=False)
+        hi_array.setflags(write=False)
+        object.__setattr__(self, "lo_array", lo_array)
+        object.__setattr__(self, "hi_array", hi_array)
+        object.__setattr__(self, "volume", float(np.prod(hi_array - lo_array)))
 
     @property
     def d(self) -> int:
         return len(self.lo)
-
-    @property
-    def lo_array(self) -> np.ndarray:
-        return np.asarray(self.lo, dtype=float)
-
-    @property
-    def hi_array(self) -> np.ndarray:
-        return np.asarray(self.hi, dtype=float)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.hi_array - self.lo_array))
 
     def contains(self, x) -> bool:
         """Closed-box membership of a single point."""

@@ -11,9 +11,16 @@ the same float expressions as the estimator (exact integer count summed
 over trees, one division by m times the leaf volume, one by the tree
 count).
 
+The CSV oracles are the row-at-a-time ``csv`` loops the package's
+array-at-a-time file I/O replaced: ``csv_writer_table`` formats every cell
+with ``%.17g`` (labels with ``str(int(...))``) and writes rows through
+``csv.writer``; ``csv_float_read`` parses every cell with ``float``.
+
 Hypothesis runs derandomized under the ``mfrde`` profile, so every run of
 the suite draws the same examples.
 """
+
+import csv
 
 import numpy as np
 import pytest
@@ -99,6 +106,34 @@ def naive_sfde_at(block_points: np.ndarray, forest: Forest, m: int, x) -> float:
 def naive_median_at(blocks_points: list, forest: Forest, m: int, x) -> float:
     values = sorted(naive_sfde_at(bp, forest, m, x) for bp in blocks_points)
     return values[(len(values) + 1) // 2 - 1]
+
+
+def csv_writer_table(path, header, values, labels=None) -> None:
+    """Float rows as ``%.17g`` plus an optional integer column, via csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, point in enumerate(values):
+            row = ["%.17g" % v for v in point]
+            if labels is not None:
+                row.append(str(int(labels[i])))
+            writer.writerow(row)
+
+
+def csv_float_read(path):
+    """``(points, labels or None)`` of a dataset CSV, one ``float`` per cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        has_label = header[-1].lower() == "label"
+        d = len(header) - (1 if has_label else 0)
+        points, labels = [], []
+        for row in reader:
+            points.append([float(c) for c in row[:d]])
+            if has_label:
+                labels.append(int(row[d].strip()))
+    pts = np.asarray(points, dtype=float).reshape(len(points), d)
+    return pts, (np.asarray(labels, dtype=np.int64) if has_label else None)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import csv_writer_table
 from mfrde.cli import main
+from mfrde.datasets import read_dataset
+from mfrde.estimator import evaluate_batch, load_model
+from mfrde.evaluation import make_grid
 
 
 def run(argv, capsys):
@@ -123,6 +127,42 @@ class TestEvalGrid:
         rows = g_csv.read_text().splitlines()
         assert rows[0] == "x1,x2,density"
         assert len(rows) == 401
+
+
+class TestOutputBytes:
+    """``score`` and ``eval-grid`` write what the csv.writer loops wrote."""
+
+    @pytest.fixture
+    def model_files(self, tmp_path, capsys):
+        d_csv, m_json = tmp_path / "d.csv", tmp_path / "m.json"
+        run(["generate", "--scheme", "beta", "--n", "600", "--outlier-ratio", "0.2",
+             "--seed", "4", "--out", str(d_csv)], capsys)
+        run(["fit", "--input", str(d_csv), "--m", "60", "--trees", "6",
+             "--depth", "5", "--seed", "4", "--out", str(m_json)], capsys)
+        return d_csv, m_json
+
+    def test_score(self, tmp_path, capsys, model_files):
+        d_csv, m_json = model_files
+        out = tmp_path / "s.csv"
+        code, _, _ = run(["score", "--model", str(m_json), "--input", str(d_csv),
+                          "--out", str(out)], capsys)
+        assert code == 0
+        dens = evaluate_batch(load_model(m_json), read_dataset(d_csv).points)
+        csv_writer_table(tmp_path / "old.csv", ["density"], dens[:, None])
+        assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_eval_grid(self, tmp_path, capsys, model_files):
+        _, m_json = model_files
+        out = tmp_path / "g.csv"
+        code, _, _ = run(["eval-grid", "--model", str(m_json), "--grid", "17",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        model = load_model(m_json)
+        grid = make_grid(model.box, 17)
+        dens = evaluate_batch(model, grid.points)
+        csv_writer_table(tmp_path / "old.csv", ["x1", "x2", "density"],
+                         np.column_stack([grid.points, dens]))
+        assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestBenchmarkCommand:

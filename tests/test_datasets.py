@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import chisquare, kstest
 
+from conftest import csv_float_read, csv_writer_table
 from mfrde.datasets import (
     DOMAIN,
     BetaScheme,
@@ -150,6 +154,141 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="unknown label"):
             read_dataset(path)
 
+    def test_float_label(self, tmp_path):
+        path = tmp_path / "lab.csv"
+        path.write_text("x1,x2,label\n0.5,0.5,0\n0.5,0.5,1.0\n")
+        with pytest.raises(ValueError, match=r"row 2: unknown label value '1.0'"):
+            read_dataset(path)
+
     def test_bad_label_array(self):
         with pytest.raises(ValueError):
             Dataset(points=np.zeros((3, 2)), labels=np.array([0, 1]))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty dataset file"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("header", ["label", ""])
+    def test_no_coordinate_columns(self, tmp_path, header):
+        path = tmp_path / "nocols.csv"
+        path.write_text(header + "\n0\n")
+        with pytest.raises(ValueError, match="declares no coordinate columns"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "text, labelled",
+        [("x1,x2,label\r\n", True), ("x1,x2\n", False), ("x1,x2\n\n\r\n", False)],
+    )
+    def test_header_only(self, tmp_path, text, labelled):
+        path = tmp_path / "head.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = read_dataset(path)
+        assert data.points.shape == (0, 2)
+        assert (data.labels.shape == (0,)) if labelled else data.labels is None
+
+    @pytest.mark.parametrize("body", ["0.5#,0.5\n", "# a note\n", "0.5,0.5 # a note\n"])
+    def test_hash_is_not_a_comment(self, tmp_path, body):
+        path = tmp_path / "hash.csv"
+        path.write_text("x1,x2\n" + body)
+        with pytest.raises(ValueError, match="row 1"):
+            read_dataset(path)
+
+    def test_row_number_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "later.csv"
+        path.write_text("x1,x2,label\n0.5,0.5,0\n\n0.25,0.5,2\n")
+        with pytest.raises(ValueError, match=r"row 3: unknown label value '2'"):
+            read_dataset(path)
+
+    def test_whitespace_line_is_a_row(self, tmp_path):
+        path = tmp_path / "ws.csv"
+        path.write_text("x1,x2\n0.5,0.5\n  \n")
+        with pytest.raises(ValueError, match="row 2: expected 2 fields, got 1"):
+            read_dataset(path)
+
+
+class TestCsvReaderChanges:
+    """Where the array reader deliberately differs from the csv+float one."""
+
+    def test_digit_separator_rejected(self, tmp_path):
+        path = tmp_path / "sep.csv"
+        path.write_text("x1,x2\n1_0,0.5\n")
+        assert csv_float_read(path)[0][0, 0] == 10.0
+        with pytest.raises(ValueError, match=r"row 1: could not parse coordinates"):
+            read_dataset(path)
+
+    def test_blank_interior_line_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("x1,x2,label\n0.5,0.5,1\n\n0.25,0.75,0\n")
+        data = read_dataset(path)
+        assert data.points.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert data.labels.tolist() == [1, 0]
+
+    def test_signed_and_zero_padded_labels(self, tmp_path):
+        # an integer parse of the label cell; the old reader wanted "0" or "1"
+        path = tmp_path / "signed.csv"
+        path.write_text("x1,label\n0.5,+1\n0.5,01\n0.5,-0\n")
+        assert read_dataset(path).labels.tolist() == [1, 1, 0]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0, 1e308, -1e308]
+)
+FORMS = [
+    lambda v: "%.17g" % v,
+    repr,
+    lambda v: "%g" % v,
+    lambda v: ("%.0e" % v).replace("e+0", "e").replace("e-0", "e-"),
+    lambda v: " %.6g" % v,
+    lambda v: "%.4f " % v,
+]
+
+
+class TestCsvOracle:
+    """Byte and bit identity with the row-at-a-time csv oracles."""
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_write_dataset_bytes(self, tmp_path, labelled):
+        data = generate("beta", 300, 0.2, seed=4)
+        points = data.points.copy()
+        points[:6] = [
+            [-0.0, 5e-324], [1e308, -1e308], [np.nan, np.inf],
+            [-np.inf, 0.1], [2.2250738585072014e-308, 1e-5], [1.2345678901234567e17, 0.5],
+        ]
+        labels = data.labels if labelled else None
+        write_dataset(Dataset(points=points, labels=labels), tmp_path / "new.csv")
+        header = ["x1", "x2"] + (["label"] if labelled else [])
+        csv_writer_table(tmp_path / "old.csv", header, points, labels)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_write_empty_dataset_bytes(self, tmp_path):
+        write_dataset(Dataset(points=np.zeros((0, 3))), tmp_path / "new.csv")
+        csv_writer_table(tmp_path / "old.csv", ["x1", "x2", "x3"], np.zeros((0, 3)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_read_generated_bits(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dataset(generate("discrete", 2000, 0.3, seed=8), path)
+        points, labels = csv_float_read(path)
+        data = read_dataset(path)
+        assert data.points.tobytes() == points.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
+
+    @given(
+        rows=st.lists(
+            st.tuples(finite, finite, st.integers(0, 1), st.sampled_from(FORMS)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_read_same_bits_as_float(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        body = "".join(f"{form(a)},{form(b)},{lab}\r\n" for a, b, lab, form in rows)
+        path.write_text("x1,x2,label\r\n" + body, newline="")
+        points, labels = csv_float_read(path)
+        data = read_dataset(path)
+        assert data.points.tobytes() == points.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import csv_writer_table
 from mfrde.datasets import DiscreteScheme, UniformScheme, gen_outliers
 from mfrde.diagnostics import clean_block_fraction, concentration_profile, local_outliers
 from mfrde.estimator import assign_blocks
@@ -141,3 +142,6 @@ class TestConcentrationProfile:
         rows = path.read_text().splitlines()
         assert rows[0] == "volume_fraction,mass_fraction"
         assert len(rows) == 201
+        csv_writer_table(tmp_path / "old.csv", ["volume_fraction", "mass_fraction"],
+                         prof.samples)
+        assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import time
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_leaves, leaf_index, naive_median_at, naive_sfde_at
+from mfrde import estimator
 from mfrde.datasets import generate
 from mfrde.estimator import (
     BlockAssignment,
@@ -533,6 +535,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="normalizer"):
             load_model(path)
 
+    @pytest.mark.parametrize("quadrature", ["exact", "grid:7", "mc:500"])
+    def test_save_matches_streaming_dump(self, tmp_path, quadrature):
+        data = np.random.default_rng(3).random((300, 2))
+        config = EstimatorConfig(m=30, trees=3, depth=3, seed=2,
+                                 quadrature=Quadrature.parse(quadrature))
+        path = tmp_path / "model.json"
+        save_model(fit(data, config), path)
+        text = path.read_text()
+        stream = io.StringIO()
+        json.dump(json.loads(text), stream, separators=(",", ":"))
+        assert text == stream.getvalue() + "\n"
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         data = np.random.default_rng(1).random((40, 2))
         model = fit(data, EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
@@ -540,11 +554,15 @@ class TestSerialization:
         save_model(model, path)
         before = path.read_bytes()
 
-        def broken_dump(doc, fh, **kwargs):
-            fh.write('{"format_version":')
-            raise OSError("disk full")
+        class FullDisk(io.TextIOWrapper):
+            def write(self, text):  # a prefix of the document lands, then it fails
+                super().write(text[:18])
+                raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", broken_dump)
+        def open_full_disk(file, mode):
+            return FullDisk(io.FileIO(file, mode))
+
+        monkeypatch.setattr(estimator, "open", open_full_disk, raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_model(model, path)
         assert path.read_bytes() == before

@@ -39,6 +39,21 @@ class TestBox:
     def test_volume(self):
         assert Box((0.0, 0.0), (5.0, 5.0)).volume == 25.0
 
+    def test_derived_arrays_read_only(self):
+        box = Box((0.0, -1.5), (2.0, 3.0))
+        assert box.lo_array.tolist() == [0.0, -1.5]
+        assert box.hi_array.tolist() == [2.0, 3.0]
+        assert box.volume == float(np.prod(np.subtract(box.hi, box.lo)))
+        for arr in (box.lo_array, box.hi_array):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_eq_and_hash_use_bounds_only(self):
+        a, b = Box((0.0, 0.0), (1.0, 2.0)), Box([0, 0], [1, 2])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Box((0.0, 0.0), (1.0, 3.0))
+        assert repr(a) == "Box(lo=(0.0, 0.0), hi=(1.0, 2.0))"
+
     def test_bounding_margin(self):
         box = Box.bounding([(0.0, 1.0), (2.0, 3.0)], margin=0.5)
         assert box.lo == (-1.0, 0.0)
