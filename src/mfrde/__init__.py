@@ -42,7 +42,6 @@ from .estimator import (
     median_at,
     save_model,
     sfde_at,
-    stde_at,
 )
 from .evaluation import BenchmarkConfig, EvalGrid, EvalReport, auc, benchmark, mae, make_grid
 from .geometry import (
@@ -51,8 +50,6 @@ from .geometry import (
     SplitTree,
     build_forest,
     build_tree,
-    cell_contains,
-    leaf_cell,
     leaf_indices,
 )
 from .theory import RecommendedParams, TheoryInputs, gammas, recommend
@@ -66,14 +63,11 @@ __all__ = [
     "build_tree",
     "build_forest",
     "leaf_indices",
-    "leaf_cell",
-    "cell_contains",
     "Quadrature",
     "EstimatorConfig",
     "BlockAssignment",
     "FittedMFRDE",
     "assign_blocks",
-    "stde_at",
     "sfde_at",
     "median_at",
     "fit",

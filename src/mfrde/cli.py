@@ -8,7 +8,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -62,13 +61,6 @@ def _parse_box(text: str) -> Box | None:
         raise UsageError(f"cannot parse box spec {text!r}: {exc}") from None
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("MFRDE_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def _cmd_generate(args) -> None:
     data = generate(args.scheme, args.n, args.outlier_ratio, args.seed,
                     box=_parse_box(args.box) or DOMAIN)
@@ -112,7 +104,7 @@ def _cmd_eval_grid(args) -> None:
 
 def _cmd_benchmark(args) -> None:
     config = BenchmarkConfig.from_json(args.config)
-    report = benchmark(config, threads=_threads(args))
+    report = benchmark(config, threads=args.threads)
     report.to_json(args.out)
     if args.summary_csv:
         report.summary_to_csv(args.summary_csv)
@@ -175,7 +167,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--config", required=True)
     bench.add_argument("--out", required=True)
     bench.add_argument("--summary-csv")
-    bench.add_argument("--threads", type=int)
+    bench.add_argument("--threads", type=int, default=1)
     bench.set_defaults(func=_cmd_benchmark)
 
     params = sub.add_parser("params", help="theory-scaled parameter suggestions")

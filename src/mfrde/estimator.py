@@ -32,7 +32,7 @@ import math
 import os
 import uuid
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "BlockAssignment",
     "FittedMFRDE",
     "assign_blocks",
-    "stde_at",
     "sfde_at",
     "median_at",
     "fit",
@@ -250,13 +249,6 @@ class FittedMFRDE:
         return self.box.volume * 2.0**-self.depth
 
 
-def stde_at(counts_t: np.ndarray, tree: SplitTree, box: Box, m: int, x) -> float:
-    """Single-tree density: leaf count over ``m`` times the leaf volume."""
-    denom = m * (box.volume * 2.0**-tree.depth)
-    leaf = leaf_indices(Forest(box=box, trees=(tree,)), points=x)[0, 0]
-    return float(counts_t[leaf] / denom)
-
-
 def _block_density_matrix(
     forest: Forest, counts: np.ndarray, m: int, points: np.ndarray
 ) -> np.ndarray:
@@ -284,9 +276,17 @@ def _block_density_matrix(
 def _median_values(
     forest: Forest, counts: np.ndarray, m: int, rank: int, points: np.ndarray
 ) -> np.ndarray:
-    """Lower median (k-th smallest, k=rank) of the block densities."""
-    dens = _block_density_matrix(forest, counts, m, points)
-    return np.partition(dens, rank - 1, axis=1)[:, rank - 1]
+    """Lower median (k-th smallest, k=rank) of the block densities.
+
+    Runs in chunks of points sized so the ``(chunk, S)`` density matrix
+    stays near ``_EVAL_TARGET_ELEMS`` whatever the block count.
+    """
+    chunk = max(256, _EVAL_TARGET_ELEMS // max(counts.shape[0], 1))
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], chunk):
+        dens = _block_density_matrix(forest, counts, m, points[start : start + chunk])
+        out[start : start + chunk] = np.partition(dens, rank - 1, axis=1)[:, rank - 1]
+    return out
 
 
 def sfde_at(model: FittedMFRDE, s: int, x) -> float:
@@ -313,35 +313,30 @@ def median_at(model: FittedMFRDE, x) -> float:
     )
 
 
-def evaluate(model: FittedMFRDE, x, outside: str = "zero") -> float:
-    """Normalized density at one point; zero outside the box by default."""
+def evaluate(model: FittedMFRDE, x) -> float:
+    """Normalized density at one point; zero outside the box."""
     x = np.asarray(x, dtype=float)
-    return float(evaluate_batch(model, x[None, :], outside=outside)[0])
+    return float(evaluate_batch(model, x[None, :])[0])
 
 
-def evaluate_batch(model: FittedMFRDE, points, outside: str = "zero") -> np.ndarray:
+def evaluate_batch(model: FittedMFRDE, points) -> np.ndarray:
     """Normalized density at each point, preserving input order.
 
-    ``outside`` selects the out-of-box policy: ``"zero"`` (default) or
-    ``"error"``.
+    A point outside the box, an infinite coordinate included, gets 0; a
+    row holding NaN raises ``ValueError``.
     """
-    if outside not in ("zero", "error"):
-        raise ValueError("outside policy must be 'zero' or 'error'")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != model.box.d:
         raise ValueError(f"expected points of dimension {model.box.d}")
     mask = model.box.contains_batch(pts)
-    if outside == "error" and not mask.all():
-        raise ValueError("point outside domain")
+    if not mask.all():
+        # NaN fails every comparison, so NaN rows are among the out-of-box ones.
+        nan_rows = int(np.count_nonzero(np.isnan(pts[~mask]).any(axis=1)))
+        if nan_rows:
+            raise ValueError(f"{nan_rows} query row(s) hold NaN; no density is defined there")
     out = np.zeros(pts.shape[0])
-    inside = np.flatnonzero(mask)
-    chunk = max(256, _EVAL_TARGET_ELEMS // max(model.n_blocks, 1))
-    for start in range(0, inside.size, chunk):
-        idx = inside[start : start + chunk]
-        med = _median_values(
-            model.forest, model.counts, model.m, model.median_rank, pts[idx]
-        )
-        out[idx] = med / model.normalizer
+    med = _median_values(model.forest, model.counts, model.m, model.median_rank, pts[mask])
+    out[mask] = med / model.normalizer
     return out
 
 
@@ -358,65 +353,49 @@ def _resolve_quadrature(quad: Quadrature, p: int, d: int) -> Quadrature:
     return quad
 
 
-def _quadrature_nodes(
-    box: Box, p: int, quad: Quadrature, mc_stream: np.random.SeedSequence | None
-) -> tuple[float, Iterator[np.ndarray]]:
-    """Node weight and a chunked iterator of quadrature nodes."""
-    lo, hi = box.lo_array, box.hi_array
-    d = box.d
-
-    if quad.method == "exact-dyadic":
-        per_axis = 2**p
-        total = per_axis**d
-        shape = (per_axis,) * d
-
-        def dyadic_chunks() -> Iterator[np.ndarray]:
-            for start in range(0, total, _QUAD_CHUNK):
-                flat = np.arange(start, min(start + _QUAD_CHUNK, total))
-                multi = np.unravel_index(flat, shape)
-                pts = np.empty((flat.size, d))
-                for j in range(d):
-                    pts[:, j] = lo[j] + (hi[j] - lo[j]) * ((multi[j] + 0.5) / per_axis)
-                yield pts
-
-        return box.volume / total, dyadic_chunks()
-
-    if quad.method == "regular-grid":
-        g = quad.grid_points
-        total = g**d
-        shape = (g,) * d
-        axes = [np.linspace(lo[j], hi[j], g) for j in range(d)]
-
-        def grid_chunks() -> Iterator[np.ndarray]:
-            for start in range(0, total, _QUAD_CHUNK):
-                flat = np.arange(start, min(start + _QUAD_CHUNK, total))
-                multi = np.unravel_index(flat, shape)
-                pts = np.empty((flat.size, d))
-                for j in range(d):
-                    pts[:, j] = axes[j][multi[j]]
-                yield pts
-
-        return box.volume / total, grid_chunks()
-
-    if quad.method == "monte-carlo":
-        if mc_stream is None:
-            raise ValueError("monte-carlo quadrature needs a random stream")
-        rng = np.random.default_rng(mc_stream)
-        total = quad.mc_draws
-
-        def mc_chunks() -> Iterator[np.ndarray]:
-            for start in range(0, total, _QUAD_CHUNK):
-                size = min(_QUAD_CHUNK, total - start)
-                yield lo + (hi - lo) * rng.random((size, d))
-
-        return box.volume / total, mc_chunks()
-
-    raise ValueError(f"unresolved quadrature method {quad.method!r}")
+def _lattice(axes: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """C-order product of per-axis node arrays, ``_QUAD_CHUNK`` points at a time."""
+    shape = tuple(a.size for a in axes)
+    total = math.prod(shape)
+    for start in range(0, total, _QUAD_CHUNK):
+        multi = np.unravel_index(np.arange(start, min(start + _QUAD_CHUNK, total)), shape)
+        yield np.column_stack([a[i] for a, i in zip(axes, multi)])
 
 
 def _fit_streams(seed: int) -> tuple[np.random.SeedSequence, ...]:
     """Substreams for tree building, block permutation and MC quadrature."""
     return tuple(np.random.SeedSequence(seed).spawn(3))
+
+
+def _integrate(
+    box: Box, p: int, quad: Quadrature, seed: int,
+    values: Callable[[np.ndarray], np.ndarray],
+) -> float:
+    """Quadrature of ``values`` over the box with a resolved method.
+
+    The nodes are the dyadic cell centres of depth ``p``, the regular
+    grid, or uniform draws from the fit seed's quadrature substream; each
+    chunk is summed in float, the chunk sums with ``math.fsum``.
+    """
+    lo, hi, d = box.lo_array, box.hi_array, box.d
+    if quad.method == "exact-dyadic":
+        centres = (np.arange(2**p) + 0.5) / 2**p
+        total = 2 ** (p * d)
+        chunks = _lattice([lo[j] + (hi[j] - lo[j]) * centres for j in range(d)])
+    elif quad.method == "regular-grid":
+        total = quad.grid_points**d
+        chunks = _lattice([np.linspace(lo[j], hi[j], quad.grid_points) for j in range(d)])
+    elif quad.method == "monte-carlo":
+        rng = np.random.default_rng(_fit_streams(seed)[2])
+        total = quad.mc_draws
+        chunks = (
+            lo + (hi - lo) * rng.random((min(_QUAD_CHUNK, total - start), d))
+            for start in range(0, total, _QUAD_CHUNK)
+        )
+    else:
+        raise ValueError(f"unresolved quadrature method {quad.method!r}")
+    partials = [float(np.sum(values(pts))) for pts in chunks]
+    return box.volume / total * math.fsum(partials)
 
 
 def _compute_normalizer(
@@ -427,9 +406,10 @@ def _compute_normalizer(
     quad: Quadrature,
     seed: int,
 ) -> float:
-    weight, chunks = _quadrature_nodes(forest.box, forest.depth, quad, _fit_streams(seed)[2])
-    partials = [float(np.sum(_median_values(forest, counts, m, rank, pts))) for pts in chunks]
-    z = weight * math.fsum(partials)
+    z = _integrate(
+        forest.box, forest.depth, quad, seed,
+        lambda pts: _median_values(forest, counts, m, rank, pts),
+    )
     if not z > 0:
         raise ValueError(
             "degenerate model: median density vanishes everywhere "
@@ -444,11 +424,10 @@ def integrate_estimate(model: FittedMFRDE) -> float:
     Returns a value near 1; the gap is pure floating-point summation
     error for the deterministic methods.
     """
-    weight, chunks = _quadrature_nodes(
-        model.box, model.depth, model.quadrature, _fit_streams(model.config.seed)[2]
+    return _integrate(
+        model.box, model.depth, model.quadrature, model.config.seed,
+        lambda pts: evaluate_batch(model, pts),
     )
-    partials = [float(np.sum(evaluate_batch(model, pts))) for pts in chunks]
-    return weight * math.fsum(partials)
 
 
 def fit(data, config: EstimatorConfig) -> FittedMFRDE:
@@ -575,7 +554,7 @@ def load_model(path) -> FittedMFRDE:
         )
         if len(trees) != t:
             raise ValueError("tree count does not match the declared T")
-        forest = Forest(box=box, trees=trees, seed=int(doc["seed"]))
+        forest = Forest(box=box, trees=trees)
         counts = np.asarray(doc["counts"], dtype=np.int64)
         if counts.shape != (s, t, 2**p):
             raise ValueError("count array shape does not match S, T and p")

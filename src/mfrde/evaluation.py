@@ -21,7 +21,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .datasets import DOMAIN, generate, true_density
-from .estimator import EstimatorConfig, Quadrature, evaluate_batch, fit
+from .estimator import EstimatorConfig, Quadrature, _lattice, evaluate_batch, fit
 from .geometry import Box
 
 __all__ = [
@@ -54,9 +54,7 @@ def make_grid(box: Box, per_axis: int) -> EvalGrid:
     if per_axis < 2:
         raise ValueError("grid needs at least 2 points per axis")
     axes = [np.linspace(box.lo[j], box.hi[j], per_axis) for j in range(box.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([m.ravel() for m in mesh])
-    return EvalGrid(box=box, per_axis=per_axis, points=points)
+    return EvalGrid(box=box, per_axis=per_axis, points=np.concatenate(list(_lattice(axes))))
 
 
 def mae(estimate, grid: EvalGrid, truth) -> float:

@@ -47,8 +47,6 @@ __all__ = [
     "build_tree",
     "build_forest",
     "leaf_indices",
-    "leaf_cell",
-    "cell_contains",
 ]
 
 # Points per walk chunk: bounds the kernel's temporaries, whatever the batch.
@@ -150,13 +148,12 @@ class SplitTree:
 class Forest:
     """Independent random trees of one depth over a shared box.
 
-    Construction is a pure function of ``(seed, depth, n_trees, box.d)``;
-    identical seeds reproduce identical forests.
+    :func:`build_forest` draws the trees as a pure function of ``(seed,
+    depth, n_trees, box.d)``; identical seeds reproduce identical forests.
     """
 
     box: Box
     trees: tuple[SplitTree, ...]
-    seed: int | None = None
     # Leaf-kernel tables, derived from ``box`` and ``trees``:
     # (d, 2**p - 1) inner breakpoints per axis;
     _inner: np.ndarray = field(init=False, repr=False)
@@ -219,15 +216,11 @@ def build_forest(box: Box, p: int, n_trees: int, seed) -> Forest:
     """
     if n_trees < 1:
         raise ValueError("tree count must be at least 1")
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-        stored = None
-    else:
-        stored = int(seed)
-        ss = np.random.SeedSequence(stored)
-    streams = ss.spawn(n_trees)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    streams = seed.spawn(n_trees)
     trees = tuple(build_tree(box.d, p, np.random.default_rng(s)) for s in streams)
-    return Forest(box=box, trees=trees, seed=stored)
+    return Forest(box=box, trees=trees)
 
 
 def _breakpoints(box: Box, p: int) -> np.ndarray:
@@ -306,43 +299,6 @@ def leaf_indices(forest: Forest, points) -> np.ndarray:
             leaf <<= 1
             leaf |= at
     return out
-
-
-def leaf_cell(tree: SplitTree, box: Box, leaf: int) -> Box:
-    """Reconstruct the cell of a leaf by replaying its midpoint splits."""
-    if not 0 <= leaf < tree.n_leaves:
-        raise ValueError("leaf id out of range")
-    lo = box.lo_array.copy()
-    hi = box.hi_array.copy()
-    node = 0
-    for level in range(tree.depth - 1, -1, -1):
-        bit = (leaf >> level) & 1
-        dim = int(tree.node_dims[node])
-        mid = 0.5 * (lo[dim] + hi[dim])
-        if bit:
-            lo[dim] = mid
-        else:
-            hi[dim] = mid
-        node = 2 * node + 1 + bit
-    return Box(tuple(lo), tuple(hi))
-
-
-def cell_contains(cell: Box, domain: Box, points) -> np.ndarray:
-    """Half-open cell membership relative to the closed domain box.
-
-    A cell face coinciding with the domain's upper face is closed there;
-    every other upper face is open.  Accepts a single point or an
-    ``(n, d)`` array and returns a boolean scalar or array.
-    """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = _as_points(pts, cell.d)
-    lo = cell.lo_array
-    hi = cell.hi_array
-    closed_hi = hi == domain.hi_array
-    ok = (pts >= lo) & ((pts < hi) | (closed_hi & (pts == hi)))
-    out = np.all(ok, axis=1)
-    return bool(out[0]) if single else out
 
 
 def _as_point(x, d: int) -> np.ndarray:

@@ -4,6 +4,9 @@ The float walker (``leaf_index``, ``path_split_counts``, ``count_leaves``)
 descends a tree by recomputing each midpoint ``0.5 * (lo + hi)`` from the
 current cell, one point and one tree at a time.  It is the reference for
 the package's integer leaf kernel, ``mfrde.geometry.leaf_indices``.
+``leaf_cell`` rebuilds a leaf's cell by the same splits, and
+``cell_contains`` tests membership under the boundary convention of
+``mfrde.geometry``.
 
 The naive oracle answers each query by scanning raw block points against
 the query's reconstructed leaf cell, with no precomputed counts, using
@@ -26,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mfrde.geometry import Box, Forest, SplitTree, cell_contains, leaf_cell
+from mfrde.geometry import Box, Forest, SplitTree
 
 settings.register_profile("mfrde", derandomize=True)
 settings.load_profile("mfrde")
@@ -90,6 +93,45 @@ def count_leaves(tree: SplitTree, box: Box, points) -> tuple[np.ndarray, int]:
     for x in inside:
         counts[leaf_index(tree, box, x)] += 1
     return counts, int(pts.shape[0] - inside.shape[0])
+
+
+def leaf_cell(tree: SplitTree, box: Box, leaf: int) -> Box:
+    """Reconstruct the cell of a leaf by replaying its midpoint splits."""
+    if not 0 <= leaf < tree.n_leaves:
+        raise ValueError("leaf id out of range")
+    lo = box.lo_array.copy()
+    hi = box.hi_array.copy()
+    node = 0
+    for level in range(tree.depth - 1, -1, -1):
+        bit = (leaf >> level) & 1
+        dim = int(tree.node_dims[node])
+        mid = 0.5 * (lo[dim] + hi[dim])
+        if bit:
+            lo[dim] = mid
+        else:
+            hi[dim] = mid
+        node = 2 * node + 1 + bit
+    return Box(tuple(lo), tuple(hi))
+
+
+def cell_contains(cell: Box, domain: Box, points) -> np.ndarray:
+    """Half-open cell membership relative to the closed domain box.
+
+    A cell face coinciding with the domain's upper face is closed there;
+    every other upper face is open.  Accepts a single point or an
+    ``(n, d)`` array and returns a boolean scalar or array.
+    """
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.shape[1] != cell.d:
+        raise ValueError(f"expected points of dimension {cell.d}, got shape {pts.shape}")
+    lo = cell.lo_array
+    hi = cell.hi_array
+    closed_hi = hi == domain.hi_array
+    ok = (pts >= lo) & ((pts < hi) | (closed_hi & (pts == hi)))
+    out = np.all(ok, axis=1)
+    return bool(out[0]) if single else out
 
 
 def naive_sfde_at(block_points: np.ndarray, forest: Forest, m: int, x) -> float:

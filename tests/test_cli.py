@@ -191,6 +191,19 @@ class TestBenchmarkCommand:
         assert len(report["runs"]) == 2
         assert csv_path.exists()
 
+    def test_threads_default_to_one(self, monkeypatch, tmp_path):
+        seen = []
+
+        def fake_benchmark(config, threads):
+            seen.append(threads)
+            raise OSError("stop")
+
+        monkeypatch.setattr("mfrde.cli.benchmark", fake_benchmark)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{}")
+        assert main(["benchmark", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 2
+        assert seen == [1]
+
 
 class TestErrors:
     def test_unknown_flag(self, capsys):
@@ -223,6 +236,22 @@ class TestErrors:
         )
         assert code == 2
         assert "1 data row" in err
+
+    def test_nan_query(self, tmp_path, capsys):
+        d_csv, m_json, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "s.csv"
+        run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        run(["fit", "--input", str(d_csv), "--m", "10", "--out", str(m_json)], capsys)
+        rows = d_csv.read_text().splitlines()
+        rows[5] = rows[5].split(",", 1)[0] + ",nan," + rows[5].split(",", 2)[2]
+        d_csv.write_text("\n".join(rows) + "\n")
+        code, _, err = run(
+            ["score", "--model", str(m_json), "--input", str(d_csv), "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert "1 query row" in err
+        assert not out.exists()
 
     def test_bad_box_spec(self, tmp_path, capsys):
         d_csv = tmp_path / "d.csv"

@@ -26,7 +26,6 @@ from mfrde.estimator import (
     median_at,
     save_model,
     sfde_at,
-    stde_at,
 )
 from mfrde.geometry import Box, Forest, SplitTree, build_forest
 
@@ -112,37 +111,40 @@ class TestConfig:
             Quadrature.parse("simpson")
 
 
+def one_tree_model(tree, box, points, m):
+    """One tree, one block: the forest density is the single-tree density."""
+    counts, _ = count_leaves(tree, box, points)
+    return make_model(Forest(box=box, trees=(tree,)), counts[None, None, :], m=m)
+
+
 class TestStde:
     def test_left_cell(self):
         tree = SplitTree(depth=1, node_dims=np.array([0]))
-        counts, _ = count_leaves(tree, UNIT2, BLOCK)
-        assert stde_at(counts, tree, UNIT2, 3, (0.1, 0.5)) == pytest.approx(
-            0.666667, abs=1e-6
-        )
+        model = one_tree_model(tree, UNIT2, BLOCK, m=3)
+        assert sfde_at(model, 0, (0.1, 0.5)) == pytest.approx(0.666667, abs=1e-6)
 
     def test_right_cell(self):
         tree = SplitTree(depth=1, node_dims=np.array([0]))
-        counts, _ = count_leaves(tree, UNIT2, BLOCK)
-        assert stde_at(counts, tree, UNIT2, 3, (0.6, 0.2)) == pytest.approx(
-            1.333333, abs=1e-6
-        )
+        model = one_tree_model(tree, UNIT2, BLOCK, m=3)
+        assert sfde_at(model, 0, (0.6, 0.2)) == pytest.approx(1.333333, abs=1e-6)
 
     def test_depth_zero_histogram(self):
         box = Box((0.0, 0.0), (2.0, 2.0))
         tree = SplitTree(depth=0, node_dims=np.zeros(0, dtype=np.int64))
-        counts, _ = count_leaves(tree, box, np.full((7, 2), 1.0))
+        model = one_tree_model(tree, box, np.full((7, 2), 1.0), m=7)
         for x in ((0.1, 0.1), (1.9, 1.9)):
-            assert stde_at(counts, tree, box, 7, x) == pytest.approx(1 / box.volume)
+            assert sfde_at(model, 0, x) == pytest.approx(1 / box.volume)
 
 
 class TestSfde:
     def test_single_tree_equals_stde(self):
+        # leaf count over m times the leaf volume, the leaf found by the oracle
         tree = SplitTree(depth=1, node_dims=np.array([0]))
-        forest = Forest(box=UNIT2, trees=(tree,))
         counts, _ = count_leaves(tree, UNIT2, BLOCK)
-        model = make_model(forest, counts[None, None, :], m=3)
+        model = one_tree_model(tree, UNIT2, BLOCK, m=3)
         x = (0.1, 0.5)
-        assert sfde_at(model, 0, x) == stde_at(counts, tree, UNIT2, 3, x)
+        stde = counts[leaf_index(tree, UNIT2, x)] / (3 * (UNIT2.volume * 2.0**-1))
+        assert sfde_at(model, 0, x) == stde
 
     def test_two_tree_average(self):
         forest = two_tree_forest()
@@ -385,17 +387,62 @@ class TestNormalizer:
         assert model.quadrature.method == "regular-grid"
 
 
+class TestLattice:
+    """Quadrature bits pinned on a non-dyadic 3-D box.
+
+    Each method spans several quadrature chunks, so the node values, their
+    order, the chunking and the final ``fsum`` all show in the bits.
+    """
+
+    BOX = Box((-0.3, 2.0, 1e3), (1.7, 2.1, 1.5e3))
+
+    @pytest.mark.parametrize(
+        "spec, nodes, normalizer, integral",
+        [
+            ("exact", 2**18, "0x1.a384444444444p-1", "0x1.0000000000001p+0"),
+            ("grid:37", 37**3, "0x1.b32f72aa81f44p-1", "0x1.0000000000000p+0"),
+            ("mc:70000", 70000, "0x1.a0a7a5b7633e8p-1", "0x1.0000000000001p+0"),
+        ],
+    )
+    def test_pinned_bits(self, spec, nodes, normalizer, integral):
+        assert nodes > estimator._QUAD_CHUNK
+        box = self.BOX
+        rng = np.random.default_rng(7)
+        pts = box.lo_array + (box.hi_array - box.lo_array) * rng.random((600, 3)) ** 2
+        model = fit(pts, EstimatorConfig(m=60, trees=4, depth=6, seed=5, box=box,
+                                         quadrature=Quadrature.parse(spec)))
+        assert model.normalizer.hex() == normalizer
+        assert integrate_estimate(model).hex() == integral
+
+    def test_median_chunks_do_not_change_bits(self, monkeypatch):
+        data = np.random.default_rng(4).random((400, 2)) ** 2
+        cfg = EstimatorConfig(m=20, trees=3, depth=4, seed=2, box=UNIT2,
+                              quadrature=Quadrature(method="regular-grid", grid_points=40))
+        probe = np.random.default_rng(5).random((1000, 2))
+        model = fit(data, cfg)
+        dens = evaluate_batch(model, probe)
+        # S = 20 blocks: chunks of 256 points split queries and nodes alike
+        monkeypatch.setattr(estimator, "_EVAL_TARGET_ELEMS", 20 * 256)
+        chunked = fit(data, cfg)
+        assert chunked.normalizer == model.normalizer
+        assert evaluate_batch(chunked, probe).tobytes() == dens.tobytes()
+
+
 class TestEvaluate:
     def test_outside_is_zero(self):
         model = fit(np.random.default_rng(1).random((30, 2)),
                     EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
         assert evaluate(model, (2.0, 2.0)) == 0.0
+        assert evaluate_batch(model, [(np.inf, 0.5), (0.5, -np.inf)]).tolist() == [0.0, 0.0]
 
-    def test_outside_error_mode(self):
+    def test_nan_query_raises(self):
         model = fit(np.random.default_rng(1).random((30, 2)),
                     EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
-        with pytest.raises(ValueError, match="outside domain"):
-            evaluate(model, (2.0, 2.0), outside="error")
+        pts = np.array([(0.5, 0.5), (np.nan, 0.5), (2.0, 2.0), (0.1, np.nan)])
+        with pytest.raises(ValueError, match="^2 query row"):
+            evaluate_batch(model, pts)
+        with pytest.raises(ValueError, match="^1 query row"):
+            evaluate(model, (np.nan, np.nan))
 
     def test_normalized_value(self):
         tree = SplitTree(depth=1, node_dims=np.array([0]))

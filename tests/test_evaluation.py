@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfrde.datasets import DOMAIN, true_density
+from mfrde.estimator import Quadrature, _integrate
 from mfrde.evaluation import BenchmarkConfig, auc, benchmark, mae, make_grid
 from mfrde.geometry import Box
 
@@ -28,6 +29,29 @@ class TestMakeGrid:
     def test_too_few(self):
         with pytest.raises(ValueError):
             make_grid(DOMAIN, 1)
+
+    @pytest.mark.parametrize(
+        "box, g",
+        [(DOMAIN, 100), (Box((0.0,), (1.3,)), 17), (Box((-0.3, 2.0, 1e3), (1.7, 2.1, 1.5e3)), 37)],
+    )
+    def test_equals_meshgrid(self, box, g):
+        axes = [np.linspace(box.lo[j], box.hi[j], g) for j in range(box.d)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        expected = np.column_stack([m.ravel() for m in mesh])
+        assert make_grid(box, g).points.tobytes() == expected.tobytes()
+
+    def test_regular_grid_nodes_are_the_grid(self):
+        box = Box((-0.3, 2.0, 1e3), (1.7, 2.1, 1.5e3))
+        seen = []
+
+        def record(pts):
+            seen.append(pts.copy())
+            return np.zeros(len(pts))
+
+        quad = Quadrature(method="regular-grid", grid_points=37)
+        _integrate(box, 4, quad, 0, record)
+        assert len(seen) > 1
+        assert np.concatenate(seen).tobytes() == make_grid(box, 37).points.tobytes()
 
 
 class TestMae:

@@ -3,17 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
-from conftest import count_leaves, leaf_index, path_split_counts
-from mfrde.geometry import (
-    Box,
-    Forest,
-    SplitTree,
-    build_forest,
-    build_tree,
-    cell_contains,
-    leaf_cell,
-    leaf_indices,
-)
+from conftest import cell_contains, count_leaves, leaf_cell, leaf_index, path_split_counts
+from mfrde.geometry import Box, Forest, SplitTree, build_forest, build_tree, leaf_indices
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
 

@@ -1,0 +1,77 @@
+"""The package names that the benchmark in ``perfbench/`` wraps or calls.
+
+The traced benchmark run wraps ``(module, attr)`` pairs at call time and
+drops the metrics of any name that no longer resolves, so an API cut would
+only show up there as ``missing_layers``.  These tests make it a failure.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def resolve(dotted: str):
+    """Import the longest module prefix of ``dotted``, then get the rest."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ImportError(dotted)
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("layers")
+
+
+def test_wrapped_names_resolve(layers):
+    pairs = list(layers.WRAPPED) + [layers.NODE_DENSITIES]
+    missing = [f"{module}.{attr}" for module, attr, _ in pairs
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
+def test_called_names_resolve():
+    names = {"mfrde.evaluation.make_grid", "mfrde.estimator.integrate_estimate"}
+    for source in ("run.py", "workloads.py", "layers.py"):
+        text = (PERFBENCH / source).read_text()
+        names |= {"mfrde." + m.rstrip(".")
+                  for m in re.findall(r"\bmfrde\.([A-Za-z_][\w.]*)", text)}
+    missing = []
+    for name in sorted(names):
+        try:
+            resolve(name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert missing == []
+    assert "mfrde.evaluate_batch" in names and "mfrde.cli" in names
+
+
+def test_integrate_estimate_calls_evaluate_batch_at_call_time(monkeypatch):
+    from mfrde import estimator
+
+    model = estimator.fit(
+        np.random.default_rng(0).random((40, 2)),
+        estimator.EstimatorConfig(m=10, trees=2, depth=2, seed=0),
+    )
+    seen = []
+    original = estimator.evaluate_batch
+
+    def spy(model, points):
+        seen.append(len(points))
+        return original(model, points)
+
+    monkeypatch.setattr(estimator, "evaluate_batch", spy)
+    assert estimator.integrate_estimate(model) == pytest.approx(1.0)
+    assert sum(seen) == 2 ** (2 * 2)
