@@ -8,9 +8,18 @@ forest densities so it integrates to one over the box.
 For a block of size ``m`` and a depth-``p`` tree, the tree density at
 ``x`` is ``count_in_leaf / (m * box.volume * 2**-p)``; the block (forest)
 density averages that over the trees; the aggregate takes the k-th
-smallest block value with ``k = ceil(S / 2)``, the lower median.  All
-evaluation paths accumulate per-tree terms left to right and divide once
-by the tree count, so scalar and batched queries are bit-identical.
+smallest block value with ``k = ceil(S / 2)``, the lower median.
+
+One kernel serves the normalizer and every query: it sums each block's
+integer leaf counts over the trees (exact in int32), selects the k-th
+smallest of those integer sums, and divides only that winner, once by
+``m`` times the leaf volume and once by the tree count.  Dividing by a
+positive constant with round-to-nearest is monotone non-decreasing, and
+so is the composition of two such divisions, so the k-th smallest
+quotient is the quotient of the k-th smallest sum: the result is the
+same float as the k-th smallest of the divided block densities.  The
+float expression does not depend on the batch or its chunking, so scalar
+and batched queries are bit-identical.
 
 Leaf counts are stored leaf-major: one C-contiguous int32 array of shape
 ``(T, 2**p, S)``, so a query's lookup in one tree reads one contiguous
@@ -59,7 +68,11 @@ MODEL_FORMAT_VERSION = 1
 
 # Fixed chunk sizes keep quadrature results independent of available memory.
 _QUAD_CHUNK = 1 << 15
-_EVAL_TARGET_ELEMS = 4_000_000
+# The median kernel walks the leaves this many points at a time (one
+# quadrature chunk per walk) and sums tree counts in sub-chunks of about
+# this many int32 sums: 256 KB, so the sums and their row buffer fit in L2.
+_WALK_POINTS = _QUAD_CHUNK
+_GATHER_ELEMS = 1 << 16
 
 
 def _check_count_range(trees: int, m: int) -> None:
@@ -79,8 +92,10 @@ class Quadrature:
     to floating-point summation; it refuses to run past ``cell_budget``
     cells.  ``regular-grid`` averages over an inclusive-endpoint lattice
     with ``grid_points`` nodes per axis.  ``monte-carlo`` averages over
-    ``mc_draws`` uniform draws.  ``auto`` picks exact-dyadic when within
-    budget and the regular grid otherwise.
+    ``mc_draws`` uniform draws.  ``auto`` stays within ``cell_budget``
+    nodes: it picks exact-dyadic when the ``2**(p*d)`` cells fit, else the
+    regular grid with the largest ``G <= grid_points`` such that ``G**d``
+    fits, and raises ``ValueError`` when not even ``G = 2`` fits.
     """
 
     method: str = "auto"
@@ -249,28 +264,25 @@ class FittedMFRDE:
         return self.box.volume * 2.0**-self.depth
 
 
-def _block_density_matrix(
-    forest: Forest, counts: np.ndarray, m: int, points: np.ndarray
-) -> np.ndarray:
-    """Per-block forest densities at in-box points, shape ``(n, S)``.
+def _tree_sums(leaf_major: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Exact int32 sums over the trees of each point's leaf row.
 
-    ``counts`` is ``(S, T, 2**p)``; for a model's ``counts`` view the
-    per-tree gathers read contiguous rows of the leaf-major storage.
-    Sums the integer leaf counts over the trees first (exact), then
-    divides once by ``m`` times the leaf volume and once by the tree
-    count.  Every query path shares this float expression, so scalar and
-    batched evaluation are bit-identical.
+    ``leaf_major`` is the ``(T, 2**p, S)`` storage and ``ids`` the
+    ``(n, T)`` leaf ids; fills and returns ``out``, shape ``(n, S)``.  Each
+    per-tree gather reads contiguous ``S``-rows.
     """
-    denom = m * (forest.box.volume * 2.0**-forest.depth)
-    ids = leaf_indices(forest, points=points)
-    leaf_major = counts.transpose(1, 2, 0)
+    rows = np.empty_like(out)
     # Leaf ids are in range by construction; "wrap" skips the bounds check.
-    acc = leaf_major[0].take(ids[:, 0], axis=0, mode="wrap")
-    rows = np.empty_like(acc)
-    for t in range(1, forest.n_trees):
+    leaf_major[0].take(ids[:, 0], axis=0, out=out, mode="wrap")
+    for t in range(1, leaf_major.shape[0]):
         leaf_major[t].take(ids[:, t], axis=0, out=rows, mode="wrap")
-        acc += rows
-    return acc / denom / forest.n_trees
+        out += rows
+    return out
+
+
+def _density_denom(forest: Forest, m: int) -> float:
+    """``m`` times the leaf volume: a tree sum over it, then over T, is a density."""
+    return m * (forest.box.volume * 2.0**-forest.depth)
 
 
 def _median_values(
@@ -278,14 +290,29 @@ def _median_values(
 ) -> np.ndarray:
     """Lower median (k-th smallest, k=rank) of the block densities.
 
-    Runs in chunks of points sized so the ``(chunk, S)`` density matrix
-    stays near ``_EVAL_TARGET_ELEMS`` whatever the block count.
+    ``counts`` is ``(S, T, 2**p)``; for a model's ``counts`` view the
+    gathers read contiguous rows of the leaf-major storage.  Selects on
+    the exact integer tree sums and divides only the k-th sum, once by
+    ``m`` times the leaf volume and once by the tree count.  That division
+    is monotone non-decreasing, so it commutes with the order statistic
+    and the result equals the k-th smallest of the divided densities, bit
+    for bit.  The leaves are walked ``_WALK_POINTS`` points at a time and
+    summed in sub-chunks of about ``_GATHER_ELEMS`` sums, so the sums and
+    their row buffer stay cache-sized whatever the batch and block count.
     """
-    chunk = max(256, _EVAL_TARGET_ELEMS // max(counts.shape[0], 1))
+    leaf_major = counts.transpose(1, 2, 0)
+    s = leaf_major.shape[2]
+    denom = _density_denom(forest, m)
+    sub = max(256, _GATHER_ELEMS // max(s, 1))
     out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], chunk):
-        dens = _block_density_matrix(forest, counts, m, points[start : start + chunk])
-        out[start : start + chunk] = np.partition(dens, rank - 1, axis=1)[:, rank - 1]
+    for start in range(0, points.shape[0], _WALK_POINTS):
+        ids = leaf_indices(forest, points=points[start : start + _WALK_POINTS])
+        sums = np.empty((min(sub, ids.shape[0]), s), dtype=np.int32)
+        for lo in range(0, ids.shape[0], sub):
+            part = _tree_sums(leaf_major, ids[lo : lo + sub], sums[: ids.shape[0] - lo])
+            part.partition(rank - 1, axis=1)
+            kth = part[:, rank - 1]
+            out[start + lo : start + lo + kth.size] = kth / denom / forest.n_trees
     return out
 
 
@@ -296,9 +323,9 @@ def sfde_at(model: FittedMFRDE, s: int, x) -> float:
     x = np.asarray(x, dtype=float)
     if not model.box.contains(x):
         raise ValueError("point outside domain")
-    return float(
-        _block_density_matrix(model.forest, model.counts, model.m, x[None, :])[0, s]
-    )
+    ids = leaf_indices(model.forest, points=x[None, :])
+    sums = _tree_sums(model.leaf_counts, ids, np.empty((1, model.n_blocks), dtype=np.int32))
+    return float(sums[0, s] / _density_denom(model.forest, model.m) / model.n_trees)
 
 
 def median_at(model: FittedMFRDE, x) -> float:
@@ -343,8 +370,19 @@ def evaluate_batch(model: FittedMFRDE, points) -> np.ndarray:
 def _resolve_quadrature(quad: Quadrature, p: int, d: int) -> Quadrature:
     cells = 2 ** (p * d)
     if quad.method == "auto":
-        method = "exact-dyadic" if cells <= quad.cell_budget else "regular-grid"
-        return replace(quad, method=method)
+        if cells <= quad.cell_budget:
+            return replace(quad, method="exact-dyadic")
+        # Largest G <= grid_points with G**d within budget, in integers.
+        g = min(quad.grid_points, round(quad.cell_budget ** (1 / d)) + 1)
+        while g >= 2 and g**d > quad.cell_budget:
+            g -= 1
+        if g < 2:
+            raise ValueError(
+                f"auto quadrature: neither 2**(p*d) = {cells} dyadic cells nor a "
+                f"2**d = {2**d}-node grid fits the budget of {quad.cell_budget} "
+                "nodes; raise cell_budget or use monte-carlo"
+            )
+        return replace(quad, method="regular-grid", grid_points=g)
     if quad.method == "exact-dyadic" and cells > quad.cell_budget:
         raise ValueError(
             f"exact-dyadic quadrature needs 2**(p*d) = {cells} cells, over the "
@@ -559,6 +597,8 @@ def load_model(path) -> FittedMFRDE:
         if counts.shape != (s, t, 2**p):
             raise ValueError("count array shape does not match S, T and p")
         method = doc["quadrature"]["method"]
+        if method == "auto":
+            raise ValueError(f"malformed model file: unresolved quadrature method {method!r}")
         params = doc["quadrature"].get("params", {})
         quad = Quadrature(
             method=method,

@@ -168,10 +168,8 @@ class Forest:
         depth = self.trees[0].depth
         if any(t.depth != depth for t in self.trees):
             raise ValueError("all trees in a forest must share one depth")
-        # The kernel addresses nodes with int32, so T * 2**p stays below 2**31.
         n_trees, nodes = len(self.trees), 2**depth - 1
-        if n_trees * (nodes + 1) >= 2**31:
-            raise ValueError("forest too large: n_trees * 2**depth must stay below 2**31")
+        _check_forest_size(n_trees, depth)
         for t in self.trees:
             if t.node_dims.size and int(t.node_dims.max()) >= self.box.d:
                 raise ValueError("tree splits a coordinate outside the box dimension")
@@ -216,11 +214,19 @@ def build_forest(box: Box, p: int, n_trees: int, seed) -> Forest:
     """
     if n_trees < 1:
         raise ValueError("tree count must be at least 1")
+    # Checked before any tree is drawn: each tree allocates 2**p - 1 labels.
+    _check_forest_size(n_trees, p)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(int(seed))
     streams = seed.spawn(n_trees)
     trees = tuple(build_tree(box.d, p, np.random.default_rng(s)) for s in streams)
     return Forest(box=box, trees=trees)
+
+
+def _check_forest_size(n_trees: int, depth: int) -> None:
+    """The kernel addresses nodes with int32, so T * 2**p stays below 2**31."""
+    if n_trees * 2**depth >= 2**31:
+        raise ValueError("forest too large: n_trees * 2**depth must stay below 2**31")
 
 
 def _breakpoints(box: Box, p: int) -> np.ndarray:

@@ -253,6 +253,22 @@ class TestErrors:
         assert "1 query row" in err
         assert not out.exists()
 
+    def test_unresolved_quadrature_in_model(self, tmp_path, capsys):
+        d_csv, m_json, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "s.csv"
+        run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        run(["fit", "--input", str(d_csv), "--m", "10", "--out", str(m_json)], capsys)
+        doc = json.loads(m_json.read_text())
+        doc["quadrature"]["method"] = "auto"
+        m_json.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["score", "--model", str(m_json), "--input", str(d_csv), "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert "unresolved quadrature method 'auto'" in err
+        assert not out.exists()
+
     def test_bad_box_spec(self, tmp_path, capsys):
         d_csv = tmp_path / "d.csv"
         run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",

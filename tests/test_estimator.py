@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,18 @@ class TestNormalizer:
         )
         model = fit(data, cfg)
         assert model.quadrature.method == "regular-grid"
+        assert model.quadrature.grid_points == 2
+
+    def test_auto_grid_within_budget(self):
+        # d = 5, p = 6: 2**30 cells and a 100**5 grid are both over the
+        # 2**24 budget; 27**5 fits and 28**5 does not
+        quad = estimator._resolve_quadrature(Quadrature(), 6, 5)
+        assert quad.method == "regular-grid"
+        assert quad.grid_points == 27
+
+    def test_auto_over_budget_raises(self):
+        with pytest.raises(ValueError, match="raise cell_budget or use monte-carlo"):
+            estimator._resolve_quadrature(Quadrature(cell_budget=7), 4, 3)
 
 
 class TestLattice:
@@ -421,11 +434,29 @@ class TestLattice:
         probe = np.random.default_rng(5).random((1000, 2))
         model = fit(data, cfg)
         dens = evaluate_batch(model, probe)
-        # S = 20 blocks: chunks of 256 points split queries and nodes alike
-        monkeypatch.setattr(estimator, "_EVAL_TARGET_ELEMS", 20 * 256)
+        # S = 20 blocks: walks of 700 points cut the 1000 queries and the
+        # 1600 grid nodes with ragged tails; gather sub-chunks of 300 points
+        # cut every walk, again with a ragged tail
+        monkeypatch.setattr(estimator, "_WALK_POINTS", 700)
+        monkeypatch.setattr(estimator, "_GATHER_ELEMS", 20 * 300)
         chunked = fit(data, cfg)
         assert chunked.normalizer == model.normalizer
         assert evaluate_batch(chunked, probe).tobytes() == dens.tobytes()
+
+    def test_median_kernel_memory_is_bounded(self):
+        # S = 400 blocks, 40k queries: the kernel's temporaries stay
+        # cache-sized instead of growing with the chunk times S
+        data = np.random.default_rng(8).random((8000, 2))
+        model = fit(data, EstimatorConfig(m=20, trees=4, depth=3, seed=1, box=UNIT2))
+        assert model.n_blocks == 400
+        probe = np.random.default_rng(9).random((40_000, 2))
+        tracemalloc.start()
+        try:
+            evaluate_batch(model, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEvaluate:
@@ -505,27 +536,37 @@ class TestNonLocalityImmunity:
 
 class TestOracleEquivalence:
     def test_matches_naive_reimplementation(self):
+        # every block count S from 1 to 9, odd and even, twice each; small
+        # blocks make equal block densities (ties) common at the median
         rng = np.random.default_rng(47)
-        for trial in range(8):
-            n = int(rng.integers(20, 201))
-            s_target = int(rng.integers(1, 6))
-            m = n // s_target
+        ties = 0
+        for trial, s in enumerate(list(range(1, 10)) * 2):
+            m = int(rng.integers(2, 25))
+            n = s * m + int(rng.integers(0, m))
             trees = int(rng.integers(1, 4))
             depth = int(rng.integers(0, 4))
             pts = rng.random((n, 2)) * 1.4  # some fall outside the unit box
             cfg = EstimatorConfig(m=m, trees=trees, depth=depth, seed=trial, box=UNIT2)
             model = fit(pts, cfg)
+            assert model.n_blocks == s
             _, perm_stream, _ = _fit_streams(cfg.seed)
             assignment = assign_blocks(n, m, np.random.default_rng(perm_stream))
             blocks_points = [pts[b] for b in assignment.blocks]
-            queries = rng.random((100, 2))
-            for q in queries:
-                assert median_at(model, q) == naive_median_at(
-                    blocks_points, model.forest, m, q
+            queries = rng.random((60, 2))
+            batch = estimator._median_values(
+                model.forest, model.counts, m, model.median_rank, queries
+            )
+            for q, value in zip(queries, batch):
+                expected = naive_median_at(blocks_points, model.forest, m, q)
+                assert median_at(model, q) == expected
+                assert value == expected
+                block = int(rng.integers(0, s))
+                assert sfde_at(model, block, q) == naive_sfde_at(
+                    blocks_points[block], model.forest, m, q
                 )
-                assert sfde_at(model, 0, q) == naive_sfde_at(
-                    blocks_points[0], model.forest, m, q
-                )
+                per_block = [naive_sfde_at(bp, model.forest, m, q) for bp in blocks_points]
+                ties += per_block.count(expected) > 1
+        assert ties > 100
 
 
 class TestSerialization:
@@ -614,6 +655,20 @@ class TestSerialization:
             save_model(model, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_unresolved_quadrature_rejected(self, tmp_path):
+        # an "auto" model used to load and then fail in integrate_estimate
+        data = np.random.default_rng(1).random((40, 2))
+        model = fit(data, EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["quadrature"]["method"] = "auto"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            ValueError, match="^malformed model file: unresolved quadrature method 'auto'$"
+        ):
+            load_model(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.json"

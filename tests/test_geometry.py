@@ -211,6 +211,15 @@ class TestLeafKernel:
         with pytest.raises(ValueError, match="forest too large"):
             Forest(box=UNIT2, trees=(tree, tree))
 
+    def test_build_forest_checks_size_before_drawing(self, monkeypatch):
+        # depth 30 with 20 trees: each tree would allocate an 8 GiB label array
+        def no_draw(d, p, rng):
+            raise AssertionError("a tree was drawn before the size check")
+
+        monkeypatch.setattr("mfrde.geometry.build_tree", no_draw)
+        with pytest.raises(ValueError, match="forest too large"):
+            build_forest(UNIT2, 30, 20, seed=0)
+
 
 class TestLeafCell:
     def test_depth_zero_returns_box(self):
