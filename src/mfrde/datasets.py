@@ -26,14 +26,6 @@ from .geometry import Box
 __all__ = [
     "DOMAIN",
     "Dataset",
-    "UniformScheme",
-    "BetaScheme",
-    "DiscreteScheme",
-    "OutlierScheme",
-    "make_scheme",
-    "gen_inliers",
-    "gen_outliers",
-    "mix",
     "generate",
     "true_density",
     "read_dataset",
@@ -70,11 +62,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def outlier_indices(self) -> np.ndarray:
-        if self.labels is None:
-            return np.zeros(0, dtype=np.int64)
-        return np.flatnonzero(self.labels == OUTLIER)
 
 
 @dataclass(frozen=True)

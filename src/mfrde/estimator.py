@@ -21,12 +21,12 @@ same float as the k-th smallest of the divided block densities.  The
 float expression does not depend on the batch or its chunking, so scalar
 and batched queries are bit-identical.
 
-Leaf counts are stored leaf-major: one C-contiguous int32 array of shape
-``(T, 2**p, S)``, so a query's lookup in one tree reads one contiguous
-row of ``S`` block counts.  ``FittedMFRDE.counts`` is the ``(S, T, 2**p)``
-transposed view of that storage; it indexes like the block-major layout
-and serializes to the same nested lists.  Every count is at most ``m``,
-so int32 sums over the trees are exact while ``T * m < 2**31``.
+Leaf counts have one layout, ``FittedMFRDE.leaf_counts``: a C-contiguous
+int32 array of shape ``(T, 2**p, S)``, so a query's lookup in one tree
+reads one contiguous row of ``S`` block counts.  ``FittedMFRDE.counts``
+is only a read-only ``(S, T, 2**p)`` view of it, which indexes block by
+block and serializes to the model file's nested lists.  Every count is at
+most ``m``, so int32 sums over the trees are exact while ``T * m < 2**31``.
 
 Fitted models are immutable; evaluation is safe for concurrent readers.
 Fitting itself is deterministic given the config seed: trees, the block
@@ -54,8 +54,6 @@ __all__ = [
     "BlockAssignment",
     "FittedMFRDE",
     "assign_blocks",
-    "sfde_at",
-    "median_at",
     "fit",
     "evaluate",
     "evaluate_batch",
@@ -209,39 +207,55 @@ def assign_blocks(n: int, m: int, rng: np.random.Generator) -> BlockAssignment:
 
 @dataclass(frozen=True, eq=False)
 class FittedMFRDE:
-    """Fitted model: shared forest, per-block leaf counts, normalizer."""
+    """Fitted model: shared forest, per-block leaf counts, normalizer.
+
+    ``leaf_counts`` holds the ``(T, 2**p, S)`` non-negative integer counts;
+    an array that already is C-contiguous int32 is kept, not copied, and
+    made read-only.  ``n`` is ``S * m + dropped``, with ``0 <= dropped < m``.
+    """
 
     config: EstimatorConfig
     forest: Forest
     n: int
     m: int
     dropped: int
-    # (S, T, 2**p) non-negative counts; stored as the view of ``leaf_counts``
-    counts: np.ndarray
+    leaf_counts: np.ndarray
     normalizer: float
-    median_rank: int
     quadrature: Quadrature  # resolved method actually used for the normalizer
-    # (T, 2**p, S) C-contiguous int32: the storage behind ``counts``
-    leaf_counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        s, t, leaves = counts.shape
+        counts = np.asarray(self.leaf_counts)
+        t, leaves, s = counts.shape
         if t != self.forest.n_trees or leaves != 2**self.forest.depth:
             raise ValueError("count array shape does not match the forest")
-        if counts.min(initial=0) < 0:
-            raise ValueError("leaf counts must be non-negative")
-        if counts.size and counts.sum(axis=2).max() > self.m:
-            raise ValueError("a block holds more points than its size")
+        if counts.dtype.kind != "i":
+            raise ValueError(f"leaf counts must be signed integers, not {counts.dtype}")
+        if s < 1 or not 0 <= self.dropped < self.m or self.n != s * self.m + self.dropped:
+            raise ValueError(
+                f"sizes do not add up: S={s}, m={self.m}, n={self.n}, dropped="
+                f"{self.dropped}; need S >= 1 and n = S*m + dropped, 0 <= dropped < m"
+            )
         _check_count_range(t, self.m)
+        if counts.min() < 0:
+            raise ValueError("leaf counts must be non-negative")
+        # Each count is checked first, so the int64 block sums cannot wrap.
+        if counts.max() > self.m or counts.sum(axis=1, dtype=np.int64).max() > self.m:
+            raise ValueError("a block holds more points than its size")
         if not (self.normalizer > 0 and math.isfinite(self.normalizer)):
             raise ValueError("normalizer must be finite and strictly positive")
-        if self.median_rank != (s + 1) // 2:
-            raise ValueError("median rank must be ceil(S/2)")
-        leaf_counts = np.ascontiguousarray(counts.transpose(1, 2, 0), dtype=np.int32)
+        leaf_counts = np.ascontiguousarray(counts, dtype=np.int32)
         leaf_counts.setflags(write=False)
         object.__setattr__(self, "leaf_counts", leaf_counts)
-        object.__setattr__(self, "counts", leaf_counts.transpose(2, 0, 1))
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The ``(S, T, 2**p)`` block-major view of ``leaf_counts``."""
+        return self.leaf_counts.transpose(2, 0, 1)
+
+    @property
+    def median_rank(self) -> int:
+        """``ceil(S / 2)``: the lower median is the k-th smallest block value."""
+        return (self.n_blocks + 1) // 2
 
     @property
     def box(self) -> Box:
@@ -249,7 +263,7 @@ class FittedMFRDE:
 
     @property
     def n_blocks(self) -> int:
-        return int(self.counts.shape[0])
+        return int(self.leaf_counts.shape[2])
 
     @property
     def n_trees(self) -> int:
@@ -258,10 +272,6 @@ class FittedMFRDE:
     @property
     def depth(self) -> int:
         return self.forest.depth
-
-    @property
-    def cell_volume(self) -> float:
-        return self.box.volume * 2.0**-self.depth
 
 
 def _tree_sums(leaf_major: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -286,12 +296,11 @@ def _density_denom(forest: Forest, m: int) -> float:
 
 
 def _median_values(
-    forest: Forest, counts: np.ndarray, m: int, rank: int, points: np.ndarray
+    forest: Forest, leaf_major: np.ndarray, m: int, rank: int, points: np.ndarray
 ) -> np.ndarray:
     """Lower median (k-th smallest, k=rank) of the block densities.
 
-    ``counts`` is ``(S, T, 2**p)``; for a model's ``counts`` view the
-    gathers read contiguous rows of the leaf-major storage.  Selects on
+    ``leaf_major`` is the ``(T, 2**p, S)`` count storage.  Selects on
     the exact integer tree sums and divides only the k-th sum, once by
     ``m`` times the leaf volume and once by the tree count.  That division
     is monotone non-decreasing, so it commutes with the order statistic
@@ -300,7 +309,6 @@ def _median_values(
     summed in sub-chunks of about ``_GATHER_ELEMS`` sums, so the sums and
     their row buffer stay cache-sized whatever the batch and block count.
     """
-    leaf_major = counts.transpose(1, 2, 0)
     s = leaf_major.shape[2]
     denom = _density_denom(forest, m)
     sub = max(256, _GATHER_ELEMS // max(s, 1))
@@ -314,30 +322,6 @@ def _median_values(
             kth = part[:, rank - 1]
             out[start + lo : start + lo + kth.size] = kth / denom / forest.n_trees
     return out
-
-
-def sfde_at(model: FittedMFRDE, s: int, x) -> float:
-    """Block ``s``'s forest density at an in-box point."""
-    if not 0 <= s < model.n_blocks:
-        raise ValueError("block id out of range")
-    x = np.asarray(x, dtype=float)
-    if not model.box.contains(x):
-        raise ValueError("point outside domain")
-    ids = leaf_indices(model.forest, points=x[None, :])
-    sums = _tree_sums(model.leaf_counts, ids, np.empty((1, model.n_blocks), dtype=np.int32))
-    return float(sums[0, s] / _density_denom(model.forest, model.m) / model.n_trees)
-
-
-def median_at(model: FittedMFRDE, x) -> float:
-    """Unnormalized aggregate: lower median of the block densities at ``x``."""
-    x = np.asarray(x, dtype=float)
-    if not model.box.contains(x):
-        raise ValueError("point outside domain")
-    return float(
-        _median_values(
-            model.forest, model.counts, model.m, model.median_rank, x[None, :]
-        )[0]
-    )
 
 
 def evaluate(model: FittedMFRDE, x) -> float:
@@ -362,7 +346,9 @@ def evaluate_batch(model: FittedMFRDE, points) -> np.ndarray:
         if nan_rows:
             raise ValueError(f"{nan_rows} query row(s) hold NaN; no density is defined there")
     out = np.zeros(pts.shape[0])
-    med = _median_values(model.forest, model.counts, model.m, model.median_rank, pts[mask])
+    med = _median_values(
+        model.forest, model.leaf_counts, model.m, model.median_rank, pts[mask]
+    )
     out[mask] = med / model.normalizer
     return out
 
@@ -438,7 +424,7 @@ def _integrate(
 
 def _compute_normalizer(
     forest: Forest,
-    counts: np.ndarray,
+    leaf_counts: np.ndarray,
     m: int,
     rank: int,
     quad: Quadrature,
@@ -446,7 +432,7 @@ def _compute_normalizer(
 ) -> float:
     z = _integrate(
         forest.box, forest.depth, quad, seed,
-        lambda pts: _median_values(forest, counts, m, rank, pts),
+        lambda pts: _median_values(forest, leaf_counts, m, rank, pts),
     )
     if not z > 0:
         raise ValueError(
@@ -475,7 +461,7 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
     of finite values; a row holding NaN or an infinity raises
     ``ValueError``.  Points outside the box are excluded from the leaf
     counts (each block still divides by its nominal size ``m``); their
-    number per block is visible as ``m - counts[s, t].sum()``.
+    number per block is visible as ``m - leaf_counts[t, :, s].sum()``.
     """
     pts = data.points if isinstance(data, Dataset) else np.atleast_2d(
         np.asarray(data, dtype=float)
@@ -511,20 +497,17 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
         leaf_counts[t] = np.bincount(
             ids[:, t] * np.int64(s) + kept_block, minlength=leaves * s
         ).reshape(leaves, s)
-    counts = leaf_counts.transpose(2, 0, 1)
 
     quad = _resolve_quadrature(config.quadrature, config.depth, box.d)
-    rank = (s + 1) // 2
-    z = _compute_normalizer(forest, counts, m, rank, quad, config.seed)
+    z = _compute_normalizer(forest, leaf_counts, m, (s + 1) // 2, quad, config.seed)
     return FittedMFRDE(
         config=config,
         forest=forest,
         n=n,
         m=m,
         dropped=int(assignment.dropped.size),
-        counts=counts,
+        leaf_counts=leaf_counts,
         normalizer=z,
-        median_rank=rank,
         quadrature=quad,
     )
 
@@ -574,56 +557,69 @@ def save_model(model: FittedMFRDE, path) -> None:
 
 
 def load_model(path) -> FittedMFRDE:
-    """Load and validate a model written by :func:`save_model`."""
+    """Load and validate a model written by :func:`save_model`.
+
+    A file that does not hold such a model, from broken JSON to a count
+    that is not an integer, raises ``ValueError("malformed model file: ...")``.
+    """
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed model file: {exc}") from None
-    try:
-        version = doc["format_version"]
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version!r}")
-        box = Box(tuple(doc["box"]["lo"]), tuple(doc["box"]["hi"]))
-        p, t, m, s, n = (int(doc[k]) for k in ("p", "T", "m", "S", "n"))
-        trees = tuple(
-            SplitTree(depth=p, node_dims=np.asarray(node_dims, dtype=np.int64))
-            for node_dims in doc["trees"]
-        )
-        if len(trees) != t:
-            raise ValueError("tree count does not match the declared T")
-        forest = Forest(box=box, trees=trees)
-        counts = np.asarray(doc["counts"], dtype=np.int64)
-        if counts.shape != (s, t, 2**p):
-            raise ValueError("count array shape does not match S, T and p")
-        method = doc["quadrature"]["method"]
-        if method == "auto":
-            raise ValueError(f"malformed model file: unresolved quadrature method {method!r}")
-        params = doc["quadrature"].get("params", {})
-        quad = Quadrature(
-            method=method,
-            grid_points=int(params.get("points_per_axis", 100)),
-            mc_draws=int(params.get("draws", 100_000)),
-            cell_budget=int(params.get("cell_budget", Quadrature().cell_budget)),
-        )
-        config = EstimatorConfig(
-            m=m,
-            trees=t,
-            depth=p,
-            seed=int(doc["seed"]),
-            quadrature=quad,
-            box=box,
-        )
-        return FittedMFRDE(
-            config=config,
-            forest=forest,
-            n=n,
-            m=m,
-            dropped=int(doc["dropped"]),
-            counts=counts,
-            normalizer=float(doc["normalizer"]),
-            median_rank=int(doc["median_rank"]),
-            quadrature=quad,
-        )
+            return _model_from_doc(json.load(fh))
     except KeyError as exc:
         raise ValueError(f"malformed model file: missing field {exc}") from None
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed model file: {exc}") from None
+
+
+def _json_int(doc: dict, key: str, default: int | None = None) -> int:
+    """``doc[key]``, which must be a JSON integer (``true`` is not one)."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
+def _model_from_doc(doc) -> FittedMFRDE:
+    """The model a decoded v1 document describes; raises if it describes none."""
+    if not isinstance(doc, dict):
+        raise ValueError("the document is not a JSON object")
+    version = doc["format_version"]
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version!r}")
+    box = Box(tuple(doc["box"]["lo"]), tuple(doc["box"]["hi"]))
+    p, t, m, s, n, dropped, rank, seed = (
+        _json_int(doc, k) for k in ("p", "T", "m", "S", "n", "dropped", "median_rank", "seed")
+    )
+    trees = tuple(SplitTree(depth=p, node_dims=dims) for dims in doc["trees"])
+    if len(trees) != t:
+        raise ValueError("tree count does not match the declared T")
+    forest = Forest(box=box, trees=trees)
+    # No dtype: a float count, or one past int64, decodes to a float or
+    # object array, which FittedMFRDE rejects instead of truncating.
+    counts = np.asarray(doc["counts"])
+    if counts.shape != (s, t, 2**p):
+        raise ValueError("count array shape does not match S, T and p")
+    method = doc["quadrature"]["method"]
+    if method == "auto":
+        raise ValueError(f"unresolved quadrature method {method!r}")
+    params = doc["quadrature"].get("params", {})
+    quad = Quadrature(
+        method=method,
+        grid_points=_json_int(params, "points_per_axis", 100),
+        mc_draws=_json_int(params, "draws", 100_000),
+        cell_budget=_json_int(params, "cell_budget", Quadrature().cell_budget),
+    )
+    config = EstimatorConfig(m=m, trees=t, depth=p, seed=seed, quadrature=quad, box=box)
+    model = FittedMFRDE(
+        config=config,
+        forest=forest,
+        n=n,
+        m=m,
+        dropped=dropped,
+        leaf_counts=counts.transpose(1, 2, 0),
+        normalizer=float(doc["normalizer"]),
+        quadrature=quad,
+    )
+    if rank != model.median_rank:
+        raise ValueError("median rank must be ceil(S/2)")
+    return model

@@ -29,7 +29,6 @@ __all__ = [
     "EvalReport",
     "BenchmarkConfig",
     "make_grid",
-    "mae",
     "auc",
     "benchmark",
 ]
@@ -37,10 +36,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Inclusive-endpoint lattice with ``per_axis`` nodes per coordinate."""
+    """Inclusive-endpoint lattice over a box: read-only ``(G**d, d)`` points."""
 
-    box: Box
-    per_axis: int
     points: np.ndarray
 
     def __post_init__(self) -> None:
@@ -54,20 +51,7 @@ def make_grid(box: Box, per_axis: int) -> EvalGrid:
     if per_axis < 2:
         raise ValueError("grid needs at least 2 points per axis")
     axes = [np.linspace(box.lo[j], box.hi[j], per_axis) for j in range(box.d)]
-    return EvalGrid(box=box, per_axis=per_axis, points=np.concatenate(list(_lattice(axes))))
-
-
-def mae(estimate, grid: EvalGrid, truth) -> float:
-    """Mean absolute gap between two densities over the grid.
-
-    ``estimate`` and ``truth`` are callables taking an ``(n, d)`` array of
-    points and returning ``n`` values.
-    """
-    est = np.asarray(estimate(grid.points), dtype=float)
-    tru = np.asarray(truth(grid.points), dtype=float)
-    if est.shape != (grid.points.shape[0],) or tru.shape != est.shape:
-        raise ValueError("estimate and truth must return one value per grid point")
-    return float(np.mean(np.abs(est - tru)))
+    return EvalGrid(points=np.concatenate(list(_lattice(axes))))
 
 
 def auc(scores, labels) -> float:

@@ -85,11 +85,6 @@ class Box:
     def d(self) -> int:
         return len(self.lo)
 
-    def contains(self, x) -> bool:
-        """Closed-box membership of a single point."""
-        x = _as_point(x, self.d)
-        return bool(np.all(self.lo_array <= x) and np.all(x <= self.hi_array))
-
     def contains_batch(self, points) -> np.ndarray:
         """Closed-box membership for an ``(n, d)`` array of points."""
         pts = _as_points(points, self.d)
@@ -130,7 +125,10 @@ class SplitTree:
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
-        dims = np.asarray(self.node_dims, dtype=np.int64)
+        dims = np.asarray(self.node_dims)
+        if dims.size and dims.dtype.kind != "i":
+            raise ValueError(f"split labels must be signed integers, not {dims.dtype}")
+        dims = dims.astype(np.int64, copy=False)
         if dims.shape != (2**self.depth - 1,):
             raise ValueError(
                 f"expected {2 ** self.depth - 1} node labels for depth "
@@ -305,13 +303,6 @@ def leaf_indices(forest: Forest, points) -> np.ndarray:
             leaf <<= 1
             leaf |= at
     return out
-
-
-def _as_point(x, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise ValueError(f"expected a point of dimension {d}, got shape {x.shape}")
-    return x
 
 
 def _as_points(points, d: int) -> np.ndarray:

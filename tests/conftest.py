@@ -12,7 +12,13 @@ The naive oracle answers each query by scanning raw block points against
 the query's reconstructed leaf cell, with no precomputed counts, using
 the same float expressions as the estimator (exact integer count summed
 over trees, one division by m times the leaf volume, one by the tree
-count).
+count).  ``block_densities`` gives every block's forest density at a
+point from a fitted model's counts, through the package's own tree sums.
+
+The paper's notion of a local outlier: an outlier matters for a query
+``x`` only if it shares a leaf with ``x`` in some tree
+(``local_outliers``); a block is clean when it holds no outlier at all
+(``clean_block_fraction``).
 
 The CSV oracles are the row-at-a-time ``csv`` loops the package's
 array-at-a-time file I/O replaced: ``csv_writer_table`` formats every cell
@@ -29,7 +35,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mfrde.geometry import Box, Forest, SplitTree
+from mfrde.estimator import BlockAssignment, FittedMFRDE, _density_denom, _tree_sums
+from mfrde.geometry import Box, Forest, SplitTree, leaf_indices
 
 settings.register_profile("mfrde", derandomize=True)
 settings.load_profile("mfrde")
@@ -40,7 +47,7 @@ def _walk(tree: SplitTree, box: Box, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (box.d,):
         raise ValueError(f"expected a point of dimension {box.d}, got shape {x.shape}")
-    if not box.contains(x):
+    if not box.contains_batch(x)[0]:
         raise ValueError("point outside domain")
     lo = box.lo_array.copy()
     hi = box.hi_array.copy()
@@ -148,6 +155,30 @@ def naive_sfde_at(block_points: np.ndarray, forest: Forest, m: int, x) -> float:
 def naive_median_at(blocks_points: list, forest: Forest, m: int, x) -> float:
     values = sorted(naive_sfde_at(bp, forest, m, x) for bp in blocks_points)
     return values[(len(values) + 1) // 2 - 1]
+
+
+def block_densities(model: FittedMFRDE, x) -> np.ndarray:
+    """The ``S`` block forest densities of the model at one in-box point."""
+    ids = leaf_indices(model.forest, points=np.atleast_2d(np.asarray(x, dtype=float)))
+    sums = _tree_sums(model.leaf_counts, ids, np.empty((1, model.n_blocks), dtype=np.int32))
+    return sums[0] / _density_denom(model.forest, model.m) / model.n_trees
+
+
+def local_outliers(forest: Forest, x, outlier_points) -> np.ndarray:
+    """Indices of the outlier points that share a leaf with ``x`` in any tree.
+
+    Outlier points outside the box have no leaf and are never local.
+    """
+    pts = np.asarray(outlier_points, dtype=float).reshape(-1, forest.box.d)
+    x_ids = leaf_indices(forest, points=np.atleast_2d(np.asarray(x, dtype=float)))
+    inside = np.flatnonzero(forest.box.contains_batch(pts))
+    return inside[(leaf_indices(forest, points=pts[inside]) == x_ids).any(axis=1)]
+
+
+def clean_block_fraction(assignment: BlockAssignment, outlier_indices) -> float:
+    """Fraction of blocks whose index set avoids every outlier index."""
+    contaminated = np.isin(assignment.blocks, np.asarray(outlier_indices, dtype=np.int64))
+    return float(1.0 - contaminated.any(axis=1).mean())
 
 
 def csv_writer_table(path, header, values, labels=None) -> None:

@@ -269,6 +269,27 @@ class TestErrors:
         assert "unresolved quadrature method 'auto'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", ["huge-count", "top-level-list"])
+    def test_malformed_model(self, tmp_path, capsys, edit):
+        # both used to escape main() as OverflowError and TypeError tracebacks
+        d_csv, m_json, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "s.csv"
+        run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        run(["fit", "--input", str(d_csv), "--m", "10", "--out", str(m_json)], capsys)
+        doc = json.loads(m_json.read_text())
+        if edit == "huge-count":
+            doc["counts"][0][0][0] = 10**30
+        else:
+            doc = [doc]
+        m_json.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["score", "--model", str(m_json), "--input", str(d_csv), "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("mfrde: error: malformed model file: ")
+        assert not out.exists()
+
     def test_bad_box_spec(self, tmp_path, capsys):
         d_csv = tmp_path / "d.csv"
         run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",

@@ -1,9 +1,13 @@
+"""The local-outlier and clean-block oracles of ``conftest`` on hand cases.
+
+``TestNonLocalityImmunity`` and ``TestPigeonhole`` in ``test_estimator``
+rely on them.
+"""
+
 import numpy as np
 import pytest
 
-from conftest import csv_writer_table
-from mfrde.datasets import DiscreteScheme, UniformScheme, gen_outliers
-from mfrde.diagnostics import clean_block_fraction, concentration_profile, local_outliers
+from conftest import clean_block_fraction, local_outliers
 from mfrde.estimator import assign_blocks
 from mfrde.geometry import Box, Forest, SplitTree, build_forest
 
@@ -85,63 +89,3 @@ class TestCleanBlockFraction:
         frac = clean_block_fraction(a, outliers)
         contaminated = round((1 - frac) * a.n_blocks)
         assert contaminated <= 7
-
-
-class TestConcentrationProfile:
-    def test_full_box_mass_is_one(self):
-        from mfrde.diagnostics import _sample_subboxes
-
-        pts = np.random.default_rng(1).random((500, 2))
-        samples = _sample_subboxes(pts, UNIT2, 50, np.random.default_rng(2), 1.0)
-        assert (samples[:, 0] == 1.0).all()
-        assert (samples[:, 1] == 1.0).all()
-
-    def test_full_box_mass_below_one_with_strays(self):
-        from mfrde.diagnostics import _sample_subboxes
-
-        pts = np.concatenate(
-            [np.random.default_rng(1).random((90, 2)), np.full((10, 2), 3.0)]
-        )
-        samples = _sample_subboxes(pts, UNIT2, 50, np.random.default_rng(2), 1.0)
-        assert (samples[:, 1] == 0.9).all()
-
-    def test_degenerate_fit_raises(self):
-        # a single volume scale leaves one envelope point, too few to fit
-        pts = np.random.default_rng(3).random((100, 2))
-        with pytest.raises(ValueError, match="degenerate concentration profile"):
-            concentration_profile(
-                pts, UNIT2, 10, np.random.default_rng(3), min_volume_fraction=1.0
-            )
-
-    def test_input_validation(self):
-        pts = np.random.default_rng(1).random((100, 2))
-        with pytest.raises(ValueError):
-            concentration_profile(pts[:1], UNIT2, 50, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            concentration_profile(pts, UNIT2, 5, np.random.default_rng(0))
-
-    def test_uniform_points_scale_linearly(self):
-        box = Box((0.0, 0.0), (5.0, 5.0))
-        pts = gen_outliers(UniformScheme(box), 10_000, np.random.default_rng(7))
-        prof = concentration_profile(pts, box, 500, np.random.default_rng(8))
-        assert 0.85 <= prof.fitted_beta <= 1.0
-
-    def test_atoms_scale_flat(self):
-        box = Box((0.0, 0.0), (5.0, 5.0))
-        pts = gen_outliers(DiscreteScheme(), 10_000, np.random.default_rng(9))
-        prof = concentration_profile(pts, box, 2000, np.random.default_rng(10))
-        assert prof.fitted_beta <= 0.15
-
-    def test_clipping_and_csv(self, tmp_path):
-        pts = np.random.default_rng(11).random((2000, 2))
-        prof = concentration_profile(pts, UNIT2, 200, np.random.default_rng(12))
-        assert 0.0 <= prof.fitted_beta <= 1.0
-        assert prof.fitted_cu > 0
-        path = tmp_path / "prof.csv"
-        prof.to_csv(path)
-        rows = path.read_text().splitlines()
-        assert rows[0] == "volume_fraction,mass_fraction"
-        assert len(rows) == 201
-        csv_writer_table(tmp_path / "old.csv", ["volume_fraction", "mass_fraction"],
-                         prof.samples)
-        assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_leaves, leaf_index, naive_median_at, naive_sfde_at
+from conftest import (
+    block_densities,
+    clean_block_fraction,
+    count_leaves,
+    leaf_index,
+    local_outliers,
+    naive_median_at,
+    naive_sfde_at,
+)
 from mfrde import estimator
 from mfrde.datasets import generate
 from mfrde.estimator import (
@@ -24,34 +32,35 @@ from mfrde.estimator import (
     fit,
     integrate_estimate,
     load_model,
-    median_at,
     save_model,
-    sfde_at,
 )
-from mfrde.geometry import Box, Forest, SplitTree, build_forest
+from mfrde.geometry import Box, Forest, SplitTree, build_forest, leaf_indices
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
 BLOCK = np.array([(0.25, 0.5), (0.75, 0.5), (0.9, 0.1)])
 
 
-def make_model(forest, counts, m, n=None, dropped=0, normalizer=1.0, config=None):
+def make_model(forest, counts, m, normalizer=1.0):
+    """A model from block-major ``(S, T, 2**p)`` counts, with ``n = S * m``."""
     counts = np.asarray(counts, dtype=np.int64)
-    s = counts.shape[0]
-    if config is None:
-        config = EstimatorConfig(
-            m=m, trees=forest.n_trees, depth=forest.depth, box=forest.box
-        )
+    config = EstimatorConfig(m=m, trees=forest.n_trees, depth=forest.depth, box=forest.box)
     return FittedMFRDE(
         config=config,
         forest=forest,
-        n=n if n is not None else s * m,
+        n=counts.shape[0] * m,
         m=m,
-        dropped=dropped,
-        counts=counts,
+        dropped=0,
+        leaf_counts=counts.transpose(1, 2, 0),
         normalizer=normalizer,
-        median_rank=(s + 1) // 2,
         quadrature=Quadrature(method="exact-dyadic"),
     )
+
+
+def median_at(model, x) -> float:
+    """The unnormalized lower median of the block densities at one point."""
+    return estimator._median_values(
+        model.forest, model.leaf_counts, model.m, model.median_rank, np.atleast_2d(x)
+    )[0]
 
 
 def two_tree_forest() -> Forest:
@@ -122,19 +131,19 @@ class TestStde:
     def test_left_cell(self):
         tree = SplitTree(depth=1, node_dims=np.array([0]))
         model = one_tree_model(tree, UNIT2, BLOCK, m=3)
-        assert sfde_at(model, 0, (0.1, 0.5)) == pytest.approx(0.666667, abs=1e-6)
+        assert block_densities(model, (0.1, 0.5))[0] == pytest.approx(0.666667, abs=1e-6)
 
     def test_right_cell(self):
         tree = SplitTree(depth=1, node_dims=np.array([0]))
         model = one_tree_model(tree, UNIT2, BLOCK, m=3)
-        assert sfde_at(model, 0, (0.6, 0.2)) == pytest.approx(1.333333, abs=1e-6)
+        assert block_densities(model, (0.6, 0.2))[0] == pytest.approx(1.333333, abs=1e-6)
 
     def test_depth_zero_histogram(self):
         box = Box((0.0, 0.0), (2.0, 2.0))
         tree = SplitTree(depth=0, node_dims=np.zeros(0, dtype=np.int64))
         model = one_tree_model(tree, box, np.full((7, 2), 1.0), m=7)
         for x in ((0.1, 0.1), (1.9, 1.9)):
-            assert sfde_at(model, 0, x) == pytest.approx(1 / box.volume)
+            assert block_densities(model, x)[0] == pytest.approx(1 / box.volume)
 
 
 class TestSfde:
@@ -145,7 +154,7 @@ class TestSfde:
         model = one_tree_model(tree, UNIT2, BLOCK, m=3)
         x = (0.1, 0.5)
         stde = counts[leaf_index(tree, UNIT2, x)] / (3 * (UNIT2.volume * 2.0**-1))
-        assert sfde_at(model, 0, x) == stde
+        assert block_densities(model, x)[0] == stde
 
     def test_two_tree_average(self):
         forest = two_tree_forest()
@@ -153,7 +162,7 @@ class TestSfde:
             [count_leaves(t, UNIT2, BLOCK)[0] for t in forest.trees]
         )[None, :, :]
         model = make_model(forest, counts, m=3)
-        assert sfde_at(model, 0, (0.25, 0.25)) == pytest.approx(0.666667, abs=1e-6)
+        assert block_densities(model, (0.25, 0.25))[0] == pytest.approx(0.666667, abs=1e-6)
 
     def test_integral_telescopes_to_inbox_fraction(self):
         # integral of a block density is exactly its in-box count over m
@@ -166,19 +175,13 @@ class TestSfde:
         assert model.n_blocks == 1
         assert model.normalizer == pytest.approx(37 / 42, rel=1e-12)
 
-    def test_block_id_range(self):
-        model = fit(np.random.default_rng(0).random((20, 2)),
-                    EstimatorConfig(m=10, trees=2, depth=1, seed=0, box=UNIT2))
-        with pytest.raises(ValueError, match="block id"):
-            sfde_at(model, 5, (0.5, 0.5))
-
 
 class TestMedian:
     def test_single_block(self):
         model = fit(np.random.default_rng(1).random((30, 2)),
                     EstimatorConfig(m=30, trees=3, depth=2, seed=1, box=UNIT2))
         x = (0.3, 0.7)
-        assert median_at(model, x) == sfde_at(model, 0, x)
+        assert median_at(model, x) == block_densities(model, x)[0]
 
     def test_odd_order_statistic(self):
         vals = np.array([0.2, 0.9, 0.4])
@@ -199,49 +202,36 @@ class TestMedian:
             median_at(model, (2.0, 0.5))
 
 
-@st.composite
-def corrupted_multiset(draw):
-    s = draw(st.integers(min_value=1, max_value=15))
-    values = draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-            min_size=s,
-            max_size=s,
-        )
-    )
-    k_bad = draw(st.integers(min_value=0, max_value=(s - 1) // 2))
-    bad_idx = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=s - 1),
-            min_size=k_bad,
-            max_size=k_bad,
-            unique=True,
-        )
-    )
-    bad_vals = draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
-            min_size=k_bad,
-            max_size=k_bad,
-        )
-    )
-    return values, bad_idx, bad_vals
+@pytest.fixture(scope="module")
+def spare_models():
+    """Fits with S = 1 to 7 blocks on the unit square; over half of the points
+    fall outside the box, so every block has room for extra counts."""
+    rng = np.random.default_rng(59)
+    models = []
+    for s in range(1, 8):
+        pts = rng.random((s * 30, 2)) * 1.5
+        models.append(fit(pts, EstimatorConfig(m=30, trees=3, depth=3, seed=s, box=UNIT2)))
+    return models
 
 
-@given(corrupted_multiset())
+@given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_median_sandwich_order_statistic(case):
-    # corrupting at most floor((S-1)/2) entries cannot push the lower median
-    # outside the range of the untouched entries
-    values, bad_idx, bad_vals = case
-    s = len(values)
-    corrupted = list(values)
-    for i, v in zip(bad_idx, bad_vals):
-        corrupted[i] = v
-    untouched = [v for i, v in enumerate(values) if i not in set(bad_idx)]
-    k = (s + 1) // 2
-    med = sorted(corrupted)[k - 1]
-    assert min(untouched) <= med <= max(untouched)
+def test_median_sandwich_order_statistic(spare_models, data):
+    # local outliers piled into x's leaves in at most floor((S-1)/2) blocks
+    # cannot push the median at x outside the untouched blocks' range
+    model = data.draw(st.sampled_from(spare_models))
+    s = model.n_blocks
+    x = np.array(data.draw(st.tuples(*[st.floats(0.0, 1.0)] * 2)))
+    bad = data.draw(st.lists(st.integers(0, s - 1), max_size=(s - 1) // 2, unique=True))
+    leaf_counts = model.leaf_counts.copy()
+    x_leaves = leaf_indices(model.forest, points=x[None, :])[0]
+    for b in bad:
+        for t, leaf in enumerate(x_leaves):
+            room = model.m - int(leaf_counts[t, :, b].sum())
+            leaf_counts[t, leaf, b] += data.draw(st.integers(0, room))
+    poisoned = dataclasses.replace(model, leaf_counts=leaf_counts)
+    untouched = np.delete(block_densities(model, x), bad)
+    assert untouched.min() <= median_at(poisoned, x) <= untouched.max()
 
 
 class TestFit:
@@ -253,7 +243,7 @@ class TestFit:
         )
         assert model.n_blocks == 1
         x = (1.0, 2.0)
-        assert median_at(model, x) == sfde_at(model, 0, x)
+        assert median_at(model, x) == block_densities(model, x)[0]
 
     def test_deterministic(self):
         data = np.random.default_rng(7).random((120, 2))
@@ -307,10 +297,13 @@ class TestFit:
         model = fit(np.random.default_rng(6).random((90, 2)),
                     EstimatorConfig(m=30, trees=4, depth=3, seed=2, box=UNIT2))
         assert model.leaf_counts.shape == (4, 8, 3)
+        assert model.leaf_counts.dtype == np.int32
         assert model.leaf_counts.flags.c_contiguous
+        assert not model.leaf_counts.flags.writeable
         assert model.counts.shape == (3, 4, 8)
-        assert np.shares_memory(model.counts, model.leaf_counts)
+        assert model.counts.base is model.leaf_counts
         assert np.array_equal(model.counts, model.leaf_counts.transpose(2, 0, 1))
+        assert model.median_rank == 2
 
     def test_count_sum_range_guard(self):
         # T counts of at most m each must sum exactly in int32
@@ -365,7 +358,7 @@ class TestNormalizer:
         probe = rng.random((n_draws, 2))
         from mfrde.estimator import _median_values
 
-        vals = _median_values(exact.forest, exact.counts, exact.m, exact.median_rank, probe)
+        vals = _median_values(exact.forest, exact.leaf_counts, exact.m, exact.median_rank, probe)
         se = UNIT2.volume * vals.std(ddof=1) / math.sqrt(n_draws)
         assert abs(mc.normalizer - exact.normalizer) <= 3.0 * se
 
@@ -508,8 +501,6 @@ class TestEvaluate:
 
 class TestNonLocalityImmunity:
     def test_counts_elsewhere_do_not_move_sfde(self):
-        from mfrde.diagnostics import local_outliers
-
         rng = np.random.default_rng(41)
         # lower-left quadrant data plus out-of-box points, so every block has
         # spare capacity under its nominal size m
@@ -522,16 +513,16 @@ class TestNonLocalityImmunity:
         assert local_outliers(model.forest, x, intruders).size == 0
         assert model.m - model.counts[0, 0].sum() >= len(intruders)
 
-        corrupted = model.counts.copy()
+        corrupted = model.leaf_counts.copy()
         for t, tree in enumerate(model.forest.trees):
             extra, _ = count_leaves(tree, model.box, intruders)
-            corrupted[0, t] += extra
-        poisoned = dataclasses.replace(model, counts=corrupted)
+            corrupted[t, :, 0] += extra
+        poisoned = dataclasses.replace(model, leaf_counts=corrupted)
         for t, tree in enumerate(model.forest.trees):
             xid = leaf_index(tree, model.box, x)
             assert poisoned.counts[0, t, xid] == model.counts[0, t, xid]
-        for s in range(model.n_blocks):
-            assert sfde_at(poisoned, s, x) == sfde_at(model, s, x)
+        assert block_densities(poisoned, x).tolist() == block_densities(model, x).tolist()
+        assert median_at(poisoned, x) == median_at(model, x)
 
 
 class TestOracleEquivalence:
@@ -554,14 +545,14 @@ class TestOracleEquivalence:
             blocks_points = [pts[b] for b in assignment.blocks]
             queries = rng.random((60, 2))
             batch = estimator._median_values(
-                model.forest, model.counts, m, model.median_rank, queries
+                model.forest, model.leaf_counts, m, model.median_rank, queries
             )
             for q, value in zip(queries, batch):
                 expected = naive_median_at(blocks_points, model.forest, m, q)
                 assert median_at(model, q) == expected
                 assert value == expected
                 block = int(rng.integers(0, s))
-                assert sfde_at(model, block, q) == naive_sfde_at(
+                assert block_densities(model, q)[block] == naive_sfde_at(
                     blocks_points[block], model.forest, m, q
                 )
                 per_block = [naive_sfde_at(bp, model.forest, m, q) for bp in blocks_points]
@@ -670,6 +661,43 @@ class TestSerialization:
         ):
             load_model(path)
 
+    # A depth-2 model that loads as it is.
+    VALID_DOC = {
+        "format_version": 1,
+        "box": {"lo": [0.0, 0.0], "hi": [2.0, 2.0]},
+        "p": 2, "T": 1, "m": 9, "S": 1, "n": 9, "dropped": 0,
+        "median_rank": 1, "seed": 0,
+        "trees": [[0, 1, 1]],
+        "counts": [[[2, 3, 0, 4]]],
+        "normalizer": 1.0,
+        "quadrature": {"method": "exact-dyadic", "params": {}},
+    }
+
+    # Each edit breaks one field.  Before these checks, each case loaded
+    # silently or escaped as another exception, except the median rank,
+    # which raised without the "malformed model file" prefix.
+    MALFORMED = {
+        "float-count": lambda doc: doc["counts"][0][0].__setitem__(0, 1.5),
+        "huge-count": lambda doc: doc["counts"][0][0].__setitem__(0, 10**30),
+        "float-split-label": lambda doc: doc["trees"][0].__setitem__(1, 1.5),
+        "top-level-list": lambda doc: [doc],
+        "float-depth": lambda doc: doc.__setitem__("p", 2.7),
+        "bool-tree-count": lambda doc: doc.__setitem__("T", True),
+        "negative-dropped": lambda doc: doc.update(n=4, dropped=-5),
+        "n-not-s-m-dropped": lambda doc: doc.__setitem__("n", 10),
+        "median-rank": lambda doc: doc.__setitem__("median_rank", 2),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_document_rejected(self, tmp_path, case):
+        doc = json.loads(json.dumps(self.VALID_DOC))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.VALID_DOC))
+        assert load_model(path).counts.tolist() == [[[2, 3, 0, 4]]]
+        path.write_text(json.dumps(self.MALFORMED[case](doc) or doc))
+        with pytest.raises(ValueError, match="^malformed model file: "):
+            load_model(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text(json.dumps({"format_version": 99}))
@@ -695,8 +723,6 @@ class TestSerialization:
 
 class TestPigeonhole:
     def test_majority_of_blocks_clean(self):
-        from mfrde.diagnostics import clean_block_fraction
-
         rng = np.random.default_rng(53)
         for _ in range(200):
             n_out = int(rng.integers(0, 8))

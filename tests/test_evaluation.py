@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfrde.datasets import DOMAIN, true_density
+from mfrde import evaluation
+from mfrde.datasets import DOMAIN, Dataset, true_density
 from mfrde.estimator import Quadrature, _integrate
-from mfrde.evaluation import BenchmarkConfig, auc, benchmark, mae, make_grid
+from mfrde.evaluation import BenchmarkConfig, auc, benchmark, make_grid
 from mfrde.geometry import Box
 
 
@@ -55,20 +56,30 @@ class TestMakeGrid:
 
 
 class TestMae:
-    def test_zero_when_equal(self):
-        grid = make_grid(DOMAIN, 25)
-        assert mae(true_density, grid, true_density) == 0.0
+    """The sweep's MAE against the true density, with the model's densities stubbed."""
 
-    def test_constant_shift(self):
+    @staticmethod
+    def mae(monkeypatch, estimate, grid):
+        monkeypatch.setattr(evaluation, "evaluate_batch", lambda model, pts: estimate(pts))
+        unlabelled = Dataset(points=np.zeros((1, 2)))  # no AUC to compute
+        mae_val, auc_val = evaluation._metrics(None, unlabelled, grid, true_density(grid.points))
+        assert auc_val is None
+        return mae_val
+
+    def test_zero_when_equal(self, monkeypatch):
+        grid = make_grid(DOMAIN, 25)
+        assert self.mae(monkeypatch, true_density, grid) == 0.0
+
+    def test_constant_shift(self, monkeypatch):
         grid = make_grid(DOMAIN, 25)
         shifted = lambda pts: np.asarray(true_density(pts)) + 0.1
-        assert mae(shifted, grid, true_density) == pytest.approx(0.1, rel=1e-12)
+        assert self.mae(monkeypatch, shifted, grid) == pytest.approx(0.1, rel=1e-12)
 
-    def test_zero_estimate_equals_grid_mean_of_truth(self):
+    def test_zero_estimate_equals_grid_mean_of_truth(self, monkeypatch):
         grid = make_grid(DOMAIN, 100)
         zero = lambda pts: np.zeros(len(pts))
         reference = float(np.mean(np.asarray(true_density(grid.points))))
-        assert mae(zero, grid, true_density) == pytest.approx(reference, rel=1e-12)
+        assert self.mae(monkeypatch, zero, grid) == pytest.approx(reference, rel=1e-12)
 
 
 class TestAuc:

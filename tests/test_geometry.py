@@ -11,17 +11,17 @@ UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
 
 class TestBox:
     def test_contains_interior(self):
-        assert UNIT2.contains((0.5, 0.5))
+        assert UNIT2.contains_batch([(0.5, 0.5)]).tolist() == [True]
 
     def test_contains_closed_upper_face(self):
-        assert UNIT2.contains((1.0, 1.0))
+        assert UNIT2.contains_batch([(1.0, 1.0)]).tolist() == [True]
 
     def test_contains_outside(self):
-        assert not UNIT2.contains((1.0001, 0.5))
+        assert UNIT2.contains_batch([(1.0001, 0.5)]).tolist() == [False]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            UNIT2.contains((0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="dimension 2"):
+            UNIT2.contains_batch([(0.5, 0.5, 0.5)])
 
     def test_rejects_empty_extent(self):
         with pytest.raises(ValueError):
