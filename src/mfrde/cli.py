@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .datasets import (
+    _SCHEME_NAMES,
     DOMAIN,
     _write_table,
     generate,
@@ -128,7 +129,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic contaminated dataset")
-    gen.add_argument("--scheme", choices=("uniform", "beta", "discrete"), required=True)
+    gen.add_argument("--scheme", choices=_SCHEME_NAMES, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--outlier-ratio", type=float, default=0.0)
     gen.add_argument("--seed", type=int, default=0)

@@ -1,14 +1,19 @@
-"""Synthetic inlier/outlier generators, contamination mixing and CSV I/O.
+"""Synthetic contaminated samples and CSV I/O.
 
-The two-dimensional synthetic family: the first coordinate of an inlier
-is exponential with mean 2 (untruncated, so a small fraction of samples
-falls outside the default estimation domain), the second is uniform on
-[0, 5].  Three contamination schemes with decreasing spread are provided:
-uniform over the domain, a per-axis scaled beta law with an inverse
-square-root peak at the upper edge, and a finite-state Markov chain whose
-states are drawn once from the upper half of the domain.
+:func:`generate` draws the two-dimensional synthetic family.  The first
+coordinate of an inlier is exponential with mean 2 (untruncated, so a
+small fraction of samples falls outside the default estimation domain),
+the second is uniform on [0, 5].  ``_outliers`` draws the three
+contamination schemes, in decreasing spread:
 
-Generators are deterministic given their random stream.
+- ``uniform``: i.i.d. uniform over the box;
+- ``beta``: per-axis i.i.d. draws with density (1/10) (1 - x/5)^(-1/2) on
+  [0, 5), an inverse square-root peak at the upper edge, sampled by the
+  exact inverse CDF ``x = 5 (1 - (1 - u)^2)``;
+- ``discrete``: a Markov chain with uniform transitions over
+  ``_N_STATES`` states drawn once, uniformly over ``_STATE_BOX`` (the
+  upper half of the domain, whatever the box).  Each point is one chain
+  state, so at most ``_N_STATES`` distinct values appear.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -64,121 +68,27 @@ class Dataset:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class UniformScheme:
-    """Outliers i.i.d. uniform over the box, one draw per axis."""
-
-    box: Box = DOMAIN
-
-
-@dataclass(frozen=True)
-class BetaScheme:
-    """Per-axis i.i.d. draws with density (1/10) (1 - x/5)^(-1/2) on [0, 5).
-
-    Sampling uses the exact inverse CDF ``x = 5 (1 - (1 - u)^2)``; the CDF
-    is ``F(x) = 1 - sqrt(1 - x/5)``.
-    """
-
-    d: int = 2
-    scale: float = 5.0
-
-    def inverse_cdf(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.scale * (1.0 - (1.0 - u) ** 2)
-
-
-@dataclass(frozen=True)
-class DiscreteScheme:
-    """Markov chain over a fixed finite state set with uniform transitions.
-
-    States are drawn once, uniformly over ``state_box``.  The chain starts
-    in a uniformly random state and each emitted point is one chain state,
-    so at most ``n_states`` distinct values ever appear.
-    """
-
-    n_states: int = 30
-    state_box: Box = Box((0.0, 2.5), (5.0, 5.0))
-
-    def __post_init__(self) -> None:
-        if self.n_states < 1:
-            raise ValueError("need at least one state")
-
-
-OutlierScheme = Union[UniformScheme, BetaScheme, DiscreteScheme]
-
+_N_STATES = 30
+_STATE_BOX = Box((0.0, 2.5), (5.0, 5.0))
 _SCHEME_NAMES = ("uniform", "beta", "discrete")
 
 
-def make_scheme(name: str, box: Box = DOMAIN) -> OutlierScheme:
-    """Build one of the named contamination schemes over the given box."""
-    if name == "uniform":
-        return UniformScheme(box=box)
-    if name == "beta":
-        return BetaScheme(d=box.d)
-    if name == "discrete":
-        return DiscreteScheme()
-    raise ValueError(f"unknown outlier scheme {name!r}; choose from {_SCHEME_NAMES}")
-
-
-def gen_inliers(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Two-dimensional inliers: Exp(mean 2) on axis 0, U[0, 5] on axis 1."""
-    if n < 0:
-        raise ValueError("sample count must be non-negative")
-    x1 = rng.exponential(scale=2.0, size=n)
-    x2 = rng.uniform(0.0, 5.0, size=n)
-    return np.column_stack([x1, x2])
-
-
-def gen_outliers(scheme: OutlierScheme, k_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``k_out`` outliers under the given scheme."""
-    if k_out < 0:
-        raise ValueError("outlier count must be non-negative")
-    if isinstance(scheme, UniformScheme):
-        box = scheme.box
-        u = rng.random((k_out, box.d))
-        return box.lo_array + u * (box.hi_array - box.lo_array)
-    if isinstance(scheme, BetaScheme):
-        u = rng.random((k_out, scheme.d))
-        return scheme.inverse_cdf(u)
-    if isinstance(scheme, DiscreteScheme):
-        sb = scheme.state_box
-        states = sb.lo_array + rng.random((scheme.n_states, sb.d)) * (
-            sb.hi_array - sb.lo_array
-        )
-        transition = np.full((scheme.n_states, scheme.n_states), 1.0 / scheme.n_states)
-        out = np.empty((k_out, sb.d))
-        state = int(rng.integers(scheme.n_states))
-        for i in range(k_out):
-            out[i] = states[state]
-            state = int(rng.choice(scheme.n_states, p=transition[state]))
-        return out
-    raise TypeError(f"unsupported scheme type {type(scheme).__name__}")
-
-
-def mix(
-    inliers: np.ndarray,
-    outliers: np.ndarray,
-    rng: np.random.Generator,
-    provenance: dict | None = None,
-) -> Dataset:
-    """Concatenate, label and uniformly shuffle inliers and outliers."""
-    inl = np.atleast_2d(np.asarray(inliers, dtype=float))
-    out = np.atleast_2d(np.asarray(outliers, dtype=float))
-    if out.shape[0] == 0:
-        out = out.reshape(0, inl.shape[1])
-    if inl.shape[0] == 0:
-        inl = inl.reshape(0, out.shape[1])
-    if inl.shape[1] != out.shape[1]:
-        raise ValueError("inliers and outliers must share one dimension")
-    points = np.concatenate([inl, out], axis=0)
-    labels = np.concatenate(
-        [np.full(inl.shape[0], INLIER), np.full(out.shape[0], OUTLIER)]
-    )
-    perm = rng.permutation(points.shape[0])
-    prov = dict(provenance or {})
-    prov.setdefault("n_inliers", int(inl.shape[0]))
-    prov.setdefault("n_outliers", int(out.shape[0]))
-    return Dataset(points=points[perm], labels=labels[perm], provenance=prov)
+def _outliers(scheme: str, k: int, box: Box, rng: np.random.Generator) -> np.ndarray:
+    """``k`` outliers under one of ``_SCHEME_NAMES``; see the module docstring."""
+    if scheme == "uniform":
+        return box.lo_array + rng.random((k, box.d)) * (box.hi_array - box.lo_array)
+    if scheme == "beta":
+        return 5.0 * (1.0 - (1.0 - rng.random((k, box.d))) ** 2)
+    states = _outliers("uniform", _N_STATES, _STATE_BOX, rng)
+    first = rng.integers(_N_STATES)
+    # Each step is one double through the normalized cumulative row, as
+    # ``rng.choice(_N_STATES, p=row)`` draws it; every row is uniform, so no
+    # step depends on the state.  A step is drawn after the last point too
+    # (``k`` draws, ``k - 1`` used), which keeps each seed's dataset fixed.
+    cdf = np.full(_N_STATES, 1.0 / _N_STATES).cumsum()
+    cdf /= cdf[-1]
+    steps = cdf.searchsorted(rng.random(k), side="right")
+    return states[np.concatenate(([first], steps))[:k]]
 
 
 def generate(
@@ -188,22 +98,44 @@ def generate(
     seed: int,
     box: Box = DOMAIN,
 ) -> Dataset:
-    """Contaminated sample of total size ``n`` with the given outlier share."""
+    """Contaminated sample of total size ``n`` with the given outlier share.
+
+    Inliers, outliers and the shuffle draw from three substreams spawned
+    from ``seed``, so a dataset is a pure function of the arguments.  An
+    empty side takes the other's dimension; otherwise the two must agree.
+    """
     if not 0.0 <= outlier_ratio < 1.0:
         raise ValueError("outlier ratio must lie in [0, 1)")
     k_out = int(round(n * outlier_ratio))
-    scheme = make_scheme(scheme_name, box=box)
-    ss = np.random.SeedSequence(seed)
-    rng_in, rng_out, rng_mix = (np.random.default_rng(s) for s in ss.spawn(3))
-    inliers = gen_inliers(n - k_out, rng_in)
-    outliers = gen_outliers(scheme, k_out, rng_out)
-    return mix(
-        inliers,
-        outliers,
-        rng_mix,
-        provenance={"scheme": scheme_name, "seed": int(seed), "n": int(n),
-                    "outlier_ratio": float(outlier_ratio)},
+    if scheme_name not in _SCHEME_NAMES:
+        raise ValueError(
+            f"unknown outlier scheme {scheme_name!r}; choose from {_SCHEME_NAMES}"
+        )
+    rng_in, rng_out, rng_mix = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
+    n_in = n - k_out
+    if n_in < 0:
+        raise ValueError("sample count must be non-negative")
+    if k_out < 0:
+        raise ValueError("outlier count must be non-negative")
+    inliers = np.column_stack(
+        [rng_in.exponential(scale=2.0, size=n_in), rng_in.uniform(0.0, 5.0, size=n_in)]
+    )
+    outliers = _outliers(scheme_name, k_out, box, rng_out)
+    if k_out == 0:
+        outliers = outliers.reshape(0, inliers.shape[1])
+    elif n_in == 0:
+        inliers = inliers.reshape(0, outliers.shape[1])
+    if inliers.shape[1] != outliers.shape[1]:
+        raise ValueError("inliers and outliers must share one dimension")
+    points = np.concatenate([inliers, outliers])
+    labels = np.repeat([INLIER, OUTLIER], [n_in, k_out])
+    perm = rng_mix.permutation(n)
+    provenance = {"scheme": scheme_name, "seed": int(seed), "n": int(n),
+                  "outlier_ratio": float(outlier_ratio),
+                  "n_inliers": int(n_in), "n_outliers": k_out}
+    return Dataset(points=points[perm], labels=labels[perm], provenance=provenance)
 
 
 def true_density(x) -> np.ndarray | float:

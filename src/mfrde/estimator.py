@@ -212,9 +212,10 @@ class FittedMFRDE:
     ``leaf_counts`` holds the ``(T, 2**p, S)`` non-negative integer counts;
     an array that already is C-contiguous int32 is kept, not copied, and
     made read-only.  ``n`` is ``S * m + dropped``, with ``0 <= dropped < m``.
+    ``seed`` is the fit's seed, which Monte Carlo quadrature draws from.
     """
 
-    config: EstimatorConfig
+    seed: int
     forest: Forest
     n: int
     m: int
@@ -449,7 +450,7 @@ def integrate_estimate(model: FittedMFRDE) -> float:
     error for the deterministic methods.
     """
     return _integrate(
-        model.box, model.depth, model.quadrature, model.config.seed,
+        model.box, model.depth, model.quadrature, model.seed,
         lambda pts: evaluate_batch(model, pts),
     )
 
@@ -501,7 +502,7 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
     quad = _resolve_quadrature(config.quadrature, config.depth, box.d)
     z = _compute_normalizer(forest, leaf_counts, m, (s + 1) // 2, quad, config.seed)
     return FittedMFRDE(
-        config=config,
+        seed=config.seed,
         forest=forest,
         n=n,
         m=m,
@@ -536,7 +537,7 @@ def save_model(model: FittedMFRDE, path) -> None:
         "n": model.n,
         "dropped": model.dropped,
         "median_rank": model.median_rank,
-        "seed": model.config.seed,
+        "seed": model.seed,
         "trees": [tree.node_dims.tolist() for tree in model.forest.trees],
         "counts": model.counts.tolist(),
         "normalizer": model.normalizer,
@@ -571,11 +572,11 @@ def load_model(path) -> FittedMFRDE:
         raise ValueError(f"malformed model file: {exc}") from None
 
 
-def _json_int(doc: dict, key: str, default: int | None = None) -> int:
-    """``doc[key]``, which must be a JSON integer (``true`` is not one)."""
-    value = doc[key] if default is None else doc.get(key, default)
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, not {value!r}")
+def _typed(value, name: str, kinds: tuple[type, ...] = (int,)):
+    """``value``, whose exact type must be one of ``kinds``: JSON ``true`` is no int."""
+    if type(value) not in kinds:
+        kind = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{name} must be of type {kind}, not {value!r}")
     return value
 
 
@@ -586,10 +587,14 @@ def _model_from_doc(doc) -> FittedMFRDE:
     version = doc["format_version"]
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    box = Box(tuple(doc["box"]["lo"]), tuple(doc["box"]["hi"]))
+    lo, hi = (tuple(_typed(v, f"box {k}", (int, float)) for v in doc["box"][k])
+              for k in ("lo", "hi"))
+    box = Box(lo, hi)
     p, t, m, s, n, dropped, rank, seed = (
-        _json_int(doc, k) for k in ("p", "T", "m", "S", "n", "dropped", "median_rank", "seed")
+        _typed(doc[k], k) for k in ("p", "T", "m", "S", "n", "dropped", "median_rank", "seed")
     )
+    if not all(type(v) is int for dims in doc["trees"] for v in dims):
+        raise ValueError("split labels must be integers")
     trees = tuple(SplitTree(depth=p, node_dims=dims) for dims in doc["trees"])
     if len(trees) != t:
         raise ValueError("tree count does not match the declared T")
@@ -605,19 +610,18 @@ def _model_from_doc(doc) -> FittedMFRDE:
     params = doc["quadrature"].get("params", {})
     quad = Quadrature(
         method=method,
-        grid_points=_json_int(params, "points_per_axis", 100),
-        mc_draws=_json_int(params, "draws", 100_000),
-        cell_budget=_json_int(params, "cell_budget", Quadrature().cell_budget),
+        grid_points=_typed(params.get("points_per_axis", 100), "points_per_axis"),
+        mc_draws=_typed(params.get("draws", 100_000), "draws"),
+        cell_budget=_typed(params.get("cell_budget", Quadrature().cell_budget), "cell_budget"),
     )
-    config = EstimatorConfig(m=m, trees=t, depth=p, seed=seed, quadrature=quad, box=box)
     model = FittedMFRDE(
-        config=config,
+        seed=seed,
         forest=forest,
         n=n,
         m=m,
         dropped=dropped,
         leaf_counts=counts.transpose(1, 2, 0),
-        normalizer=float(doc["normalizer"]),
+        normalizer=float(_typed(doc["normalizer"], "normalizer", (int, float))),
         quadrature=quad,
     )
     if rank != model.median_rank:

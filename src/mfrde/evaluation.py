@@ -21,7 +21,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .datasets import DOMAIN, generate, true_density
-from .estimator import EstimatorConfig, Quadrature, _lattice, evaluate_batch, fit
+from .estimator import EstimatorConfig, Quadrature, _lattice, _typed, evaluate_batch, fit
 from .geometry import Box
 
 __all__ = [
@@ -98,15 +98,18 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkConfig":
-        kwargs: dict = {}
-        for key in ("schemes", "ratios", "m_ratios", "trees", "depths"):
+        """The config a sweep document describes; an unknown key raises."""
+        if not isinstance(doc, dict):
+            raise ValueError("a benchmark config must be a JSON object")
+        sequences = ("schemes", "ratios", "m_ratios", "trees", "depths")
+        integers = ("repeats", "seed", "n", "grid_G")
+        unknown = sorted(set(doc) - {*sequences, *integers, "box", "quadrature"})
+        if unknown:
+            raise ValueError(f"unknown benchmark config key(s): {', '.join(unknown)}")
+        kwargs: dict = {key: tuple(doc[key]) for key in sequences if key in doc}
+        for key in integers:
             if key in doc:
-                kwargs[key] = tuple(doc[key])
-        for key in ("repeats", "seed", "n"):
-            if key in doc:
-                kwargs[key] = int(doc[key])
-        if "grid_G" in doc:
-            kwargs["grid_g"] = int(doc["grid_G"])
+                kwargs[key.lower()] = _typed(doc[key], f"benchmark config {key}")
         if "box" in doc:
             kwargs["box"] = Box(tuple(doc["box"]["lo"]), tuple(doc["box"]["hi"]))
         if "quadrature" in doc:

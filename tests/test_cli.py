@@ -290,6 +290,27 @@ class TestErrors:
         assert err.startswith("mfrde: error: malformed model file: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"m_ratio": [0.5], "repeat": 3, "grid_g": 7}, "grid_g, m_ratio, repeat"),
+            ({"n": 2.7}, "n must be of type int"),
+            ({"grid_G": "100"}, "grid_G must be of type int"),
+            ({"repeats": True}, "repeats must be of type int"),
+            ([1], "must be a JSON object"),
+        ],
+        ids=["unknown-keys", "float-n", "string-grid", "bool-repeats", "top-level-list"],
+    )
+    def test_bad_benchmark_config(self, tmp_path, capsys, doc, named):
+        # each used to run the default sweep, or truncate 2.7 to 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code, _, err = run(["benchmark", "--config", str(cfg_path), "--out", str(out)], capsys)
+        assert code == 2
+        assert named in err
+        assert not out.exists()
+
     def test_bad_box_spec(self, tmp_path, capsys):
         d_csv = tmp_path / "d.csv"
         run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",

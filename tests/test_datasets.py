@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -7,86 +8,118 @@ from scipy.stats import chisquare, kstest
 
 from conftest import csv_float_read, csv_writer_table
 from mfrde.datasets import (
+    _STATE_BOX,
     DOMAIN,
-    BetaScheme,
     Dataset,
-    DiscreteScheme,
-    UniformScheme,
-    gen_inliers,
-    gen_outliers,
+    _outliers,
     generate,
-    make_scheme,
-    mix,
     read_dataset,
     true_density,
     write_dataset,
 )
+from mfrde.geometry import Box
+
+BOX3 = Box((0.0, 0.0, 0.0), (5.0, 5.0, 5.0))
+
+
+def sha(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+# Recorded from the scheme-class generators these replaced; labels depend
+# only on the shuffle stream, so all three schemes share one label digest.
+PINNED = {
+    ("uniform", 0.2, DOMAIN): "b5c8861435499bd4e30ed09b74c476ad5b3930f19b2720dfdfe1ca913378c362",
+    ("beta", 0.2, DOMAIN): "f7d9df8edf9dbc0d34b4c5e5ebf90f4f5a58bfbea18af1c7fe2f63d079c19968",
+    ("discrete", 0.2, DOMAIN): "943a9a77478a114f4ea55855e1a40bbf90aa1765e591f1e744e204336d848a69",
+    ("beta", 0.0, BOX3): "09830d97280bdb103bba71c434342ef6add8fe94e6c2c900abd1e8487a50656b",
+}
+PINNED_LABELS = {
+    0.2: "803b9fe934a7f1d1fd2fb5214c5ad02cae62ce7f5ac6cd2ac9c4609a158e63af",
+    0.0: "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+}
+
+
+@pytest.mark.parametrize("scheme, ratio, box", list(PINNED))
+def test_generate_pinned_bits(scheme, ratio, box):
+    data = generate(scheme, 500, ratio, seed=2024, box=box)
+    assert data.points.shape == (500, 2)
+    assert sha(data.points) == PINNED[scheme, ratio, box]
+    assert sha(data.labels) == PINNED_LABELS[ratio]
 
 
 class TestInliers:
     def test_first_coordinate_mean(self):
-        pts = gen_inliers(100_000, np.random.default_rng(1))
+        pts = generate("uniform", 100_000, 0.0, seed=1).points
         # Exp(mean 2): 3 sigma band of the sample mean
         assert abs(pts[:, 0].mean() - 2.0) < 0.02
 
     def test_second_coordinate_mean(self):
-        pts = gen_inliers(100_000, np.random.default_rng(2))
+        pts = generate("uniform", 100_000, 0.0, seed=2).points
         assert abs(pts[:, 1].mean() - 2.5) < 0.014
 
     def test_tail_fraction_beyond_domain(self):
-        pts = gen_inliers(100_000, np.random.default_rng(3))
+        pts = generate("uniform", 100_000, 0.0, seed=3).points
         frac = (pts[:, 0] > 5.0).mean()
         assert abs(frac - np.exp(-2.5)) < 0.0026
 
     def test_empty(self):
-        assert gen_inliers(0, np.random.default_rng(0)).shape == (0, 2)
+        assert generate("uniform", 0, 0.0, seed=0).points.shape == (0, 2)
+
+
+class _FixedUniforms:
+    """A generator stand-in whose ``random`` returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, shape):
+        return self.values.reshape(shape)
 
 
 class TestOutlierSchemes:
     def test_uniform_inside_box(self):
-        pts = gen_outliers(UniformScheme(DOMAIN), 5000, np.random.default_rng(4))
+        pts = _outliers("uniform", 5000, DOMAIN, np.random.default_rng(4))
         assert DOMAIN.contains_batch(pts).all()
 
     def test_beta_inverse_cdf_endpoints(self):
-        scheme = BetaScheme()
-        assert scheme.inverse_cdf(0.0) == 0.0
-        assert scheme.inverse_cdf(0.75) == pytest.approx(4.6875, abs=1e-12)
+        pts = _outliers("beta", 1, DOMAIN, _FixedUniforms([0.0, 0.75]))
+        assert pts[0, 0] == 0.0
+        assert pts[0, 1] == pytest.approx(4.6875, abs=1e-12)
 
     def test_beta_matches_cdf(self):
         # Kolmogorov-Smirnov against F(x) = 1 - sqrt(1 - x/5), level 0.001
-        pts = gen_outliers(BetaScheme(), 100_000, np.random.default_rng(5))
+        pts = _outliers("beta", 100_000, DOMAIN, np.random.default_rng(5))
         res = kstest(pts[:, 0], lambda x: 1.0 - np.sqrt(1.0 - x / 5.0))
         assert res.pvalue > 0.001
 
     def test_discrete_takes_few_values(self):
-        pts = gen_outliers(DiscreteScheme(), 5000, np.random.default_rng(6))
+        pts = _outliers("discrete", 5000, DOMAIN, np.random.default_rng(6))
         distinct = {tuple(row) for row in pts}
         assert len(distinct) <= 30
-        state_box = DiscreteScheme().state_box
-        assert state_box.contains_batch(pts).all()
+        assert _STATE_BOX.contains_batch(pts).all()
 
     def test_discrete_uniform_over_states(self):
         # uniform transitions make the emitted marginal uniform on the states
-        pts = gen_outliers(DiscreteScheme(), 100_000, np.random.default_rng(7))
+        pts = _outliers("discrete", 100_000, DOMAIN, np.random.default_rng(7))
         _, counts = np.unique(pts, axis=0, return_counts=True)
         assert counts.size == 30
         assert chisquare(counts).pvalue > 0.001
 
     def test_seed_determinism(self):
-        for scheme in (UniformScheme(DOMAIN), BetaScheme(), DiscreteScheme()):
-            a = gen_outliers(scheme, 100, np.random.default_rng(42))
-            b = gen_outliers(scheme, 100, np.random.default_rng(42))
+        for scheme in ("uniform", "beta", "discrete"):
+            a = _outliers(scheme, 100, DOMAIN, np.random.default_rng(42))
+            b = _outliers(scheme, 100, DOMAIN, np.random.default_rng(42))
             assert np.array_equal(a, b)
 
-    def test_make_scheme_unknown(self):
-        with pytest.raises(ValueError, match="unknown outlier scheme"):
-            make_scheme("gauss")
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError, match="unknown outlier scheme 'gauss'"):
+            generate("gauss", 10, 0.1, seed=0)
 
 
 class TestMix:
     def test_no_outliers_all_inlier_labels(self):
-        data = mix(gen_inliers(50, np.random.default_rng(0)), np.zeros((0, 2)),
-                   np.random.default_rng(1))
+        data = generate("uniform", 50, 0.0, seed=0)
         assert (data.labels == 0).all()
 
     def test_ratio_example(self):
@@ -95,15 +128,28 @@ class TestMix:
         assert data.labels.sum() == 50
 
     def test_label_faithful(self):
-        # tag points by coordinates so the shuffle can be audited
-        inl = np.full((40, 2), 1.25)
-        out = np.full((10, 2), 3.75)
-        data = mix(inl, out, np.random.default_rng(3))
-        assert ((data.points[:, 0] == 3.75) == (data.labels == 1)).all()
+        # Inliers have x1 >= 0, so outliers over a box left of it are tagged
+        # by their coordinates and the shuffle can be audited.
+        data = generate("uniform", 50, 0.2, seed=3, box=Box((-2.0, 0.0), (-1.0, 5.0)))
+        assert data.labels.sum() == 10
+        assert ((data.points[:, 0] < 0) == (data.labels == 1)).all()
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mix(np.zeros((3, 2)), np.zeros((2, 3)), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="share one dimension"):
+            generate("uniform", 10, 0.3, seed=0, box=BOX3)
+
+    def test_empty_side_takes_other_dimension(self):
+        assert generate("uniform", 10, 0.0, seed=0, box=BOX3).points.shape == (10, 2)
+        # round(1 * 0.6) = 1 outlier and no inlier
+        assert generate("uniform", 1, 0.6, seed=0, box=BOX3).points.shape == (1, 3)
+
+    @pytest.mark.parametrize(
+        "n, ratio, message",
+        [(-10, 0.1, "sample count"), (-1, 0.9, "outlier count"), (-1, 0.0, "sample count")],
+    )
+    def test_negative_sizes(self, n, ratio, message):
+        with pytest.raises(ValueError, match=message + " must be non-negative"):
+            generate("uniform", n, ratio, seed=0)
 
 
 class TestTrueDensity:

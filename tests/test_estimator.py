@@ -43,9 +43,8 @@ BLOCK = np.array([(0.25, 0.5), (0.75, 0.5), (0.9, 0.1)])
 def make_model(forest, counts, m, normalizer=1.0):
     """A model from block-major ``(S, T, 2**p)`` counts, with ``n = S * m``."""
     counts = np.asarray(counts, dtype=np.int64)
-    config = EstimatorConfig(m=m, trees=forest.n_trees, depth=forest.depth, box=forest.box)
     return FittedMFRDE(
-        config=config,
+        seed=0,
         forest=forest,
         n=counts.shape[0] * m,
         m=m,
@@ -572,6 +571,7 @@ class TestSerialization:
         pts = np.random.default_rng(3).random((100, 2)) * 5
         assert np.array_equal(evaluate_batch(model, pts), evaluate_batch(back, pts))
         assert back.normalizer == model.normalizer
+        assert back.seed == model.seed == 13
 
     def test_truncated_file(self, tmp_path):
         data = np.random.default_rng(1).random((40, 2))
@@ -686,6 +686,11 @@ class TestSerialization:
         "negative-dropped": lambda doc: doc.update(n=4, dropped=-5),
         "n-not-s-m-dropped": lambda doc: doc.__setitem__("n", 10),
         "median-rank": lambda doc: doc.__setitem__("median_rank", 2),
+        "string-normalizer": lambda doc: doc.__setitem__("normalizer", "0.8"),
+        "bool-normalizer": lambda doc: doc.__setitem__("normalizer", True),
+        "bool-box-lo": lambda doc: doc["box"].__setitem__("lo", [False, 0.0]),
+        "string-box-hi": lambda doc: doc["box"].__setitem__("hi", ["2", 2.0]),
+        "bool-split-label": lambda doc: doc["trees"][0].__setitem__(1, True),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
