@@ -21,6 +21,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +103,9 @@ def generate(
     """Contaminated sample of total size ``n`` with the given outlier share.
 
     Inliers, outliers and the shuffle draw from three substreams spawned
-    from ``seed``, so a dataset is a pure function of the arguments.  An
-    empty side takes the other's dimension; otherwise the two must agree.
+    from ``seed``, so a dataset is a pure function of the arguments, all of
+    which its provenance records.  An empty side takes the other's
+    dimension; otherwise the two must agree.
     """
     if not 0.0 <= outlier_ratio < 1.0:
         raise ValueError("outlier ratio must lie in [0, 1)")
@@ -134,7 +137,8 @@ def generate(
     perm = rng_mix.permutation(n)
     provenance = {"scheme": scheme_name, "seed": int(seed), "n": int(n),
                   "outlier_ratio": float(outlier_ratio),
-                  "n_inliers": int(n_in), "n_outliers": k_out}
+                  "n_inliers": int(n_in), "n_outliers": k_out,
+                  "box": {"lo": list(box.lo), "hi": list(box.hi)}}
     return Dataset(points=points[perm], labels=labels[perm], provenance=provenance)
 
 
@@ -151,6 +155,24 @@ def true_density(x) -> np.ndarray | float:
     return float(dens[0]) if single else dens
 
 
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` as it is to a fresh file that then replaces ``path``.
+
+    The temporary file sits in the target's directory and replaces ``path``
+    in one rename: a failed write leaves any earlier file at ``path`` as it
+    was, and readers never see half a file.
+    """
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _write_table(path, header: list[str], values, labels=None) -> None:
     """CSV of float columns as ``%.17g`` plus an optional ``%d`` column.
 
@@ -165,8 +187,7 @@ def _write_table(path, header: list[str], values, labels=None) -> None:
         fmt += ",%d"
     fmt += "\r\n"
     text = ",".join(header) + "\r\n" + "".join([fmt % row for row in zip(*columns)])
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    _write_atomic(path, text)
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -179,9 +200,7 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 def write_provenance(dataset: Dataset, path) -> None:
     """Sidecar JSON recording how a dataset was generated."""
-    with open(path, "w") as fh:
-        json.dump(dataset.provenance, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(path, json.dumps(dataset.provenance, indent=2, sort_keys=True) + "\n")
 
 
 def read_dataset(path) -> Dataset:

@@ -38,20 +38,17 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import uuid
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .datasets import Dataset
-from .geometry import Box, Forest, SplitTree, build_forest, leaf_indices
+from .datasets import Dataset, _write_atomic
+from .geometry import Box, Forest, build_forest, leaf_indices
 
 __all__ = [
     "Quadrature",
     "EstimatorConfig",
-    "BlockAssignment",
     "FittedMFRDE",
     "assign_blocks",
     "fit",
@@ -114,7 +111,9 @@ class Quadrature:
     @classmethod
     def parse(cls, text: str) -> "Quadrature":
         """Parse a compact spec: ``auto``, ``exact``, ``grid[:G]`` or ``mc[:N]``."""
-        name, _, arg = text.partition(":")
+        name, colon, arg = text.partition(":")
+        if colon and name in ("auto", "exact", "exact-dyadic"):
+            raise ValueError(f"quadrature {name!r} takes no argument, got {text!r}")
         if name == "auto":
             return cls()
         if name in ("exact", "exact-dyadic"):
@@ -167,42 +166,18 @@ class EstimatorConfig:
         return m
 
 
-@dataclass(frozen=True)
-class BlockAssignment:
-    """Disjoint equal-size index blocks cut from a uniform permutation."""
-
-    n: int
-    m: int
-    blocks: np.ndarray
-    dropped: np.ndarray
-
-    def __post_init__(self) -> None:
-        blocks = np.asarray(self.blocks, dtype=np.int64)
-        dropped = np.asarray(self.dropped, dtype=np.int64)
-        blocks.setflags(write=False)
-        dropped.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "dropped", dropped)
-
-    @property
-    def n_blocks(self) -> int:
-        return int(self.blocks.shape[0])
-
-
-def assign_blocks(n: int, m: int, rng: np.random.Generator) -> BlockAssignment:
+def assign_blocks(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Permute ``{0..n-1}`` and cut the head into ``floor(n/m)`` blocks of ``m``.
 
-    The ``n mod m`` tail of the permutation is dropped and reported.
+    Returns the ``(n // m, m)`` index matrix, one block per row; the
+    ``n mod m`` tail of the permutation is dropped.
     """
     if m < 1:
         raise ValueError("block size must be at least 1")
     if m > n:
         raise ValueError("block size exceeds sample size")
-    perm = rng.permutation(n)
     s = n // m
-    return BlockAssignment(
-        n=n, m=m, blocks=perm[: s * m].reshape(s, m), dropped=perm[s * m :]
-    )
+    return rng.permutation(n)[: s * m].reshape(s, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,14 +457,14 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
 
     forest_stream, perm_stream, _ = _fit_streams(config.seed)
     forest = build_forest(box, config.depth, config.trees, forest_stream)
-    assignment = assign_blocks(n, m, np.random.default_rng(perm_stream))
+    blocks = assign_blocks(n, m, np.random.default_rng(perm_stream))
 
     # One bincount per tree over leaf-offset block ids fills the
     # leaf-major (T, 2**p, S) storage directly.
-    s = assignment.n_blocks
+    s = blocks.shape[0]
     leaves = 2**config.depth
     block_of = np.full(n, -1, dtype=np.int64)
-    block_of[assignment.blocks.ravel()] = np.repeat(np.arange(s), m)
+    block_of[blocks.ravel()] = np.repeat(np.arange(s), m)
     keep = box.contains_batch(pts) & (block_of >= 0)
     kept_block = block_of[keep]
     ids = leaf_indices(forest, points=pts[keep])
@@ -506,7 +481,7 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
         forest=forest,
         n=n,
         m=m,
-        dropped=int(assignment.dropped.size),
+        dropped=n - s * m,
         leaf_counts=leaf_counts,
         normalizer=z,
         quadrature=quad,
@@ -514,12 +489,7 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
 
 
 def save_model(model: FittedMFRDE, path) -> None:
-    """Write the model as a single JSON document.
-
-    The document goes to a fresh file in the target's directory, which
-    then replaces ``path`` in one rename: a failed write leaves any
-    earlier file at ``path`` as it was, and readers never see half a file.
-    """
+    """Write the model as a single JSON document, atomically."""
     quad_params: dict = {}
     if model.quadrature.method == "exact-dyadic":
         quad_params["cell_budget"] = model.quadrature.cell_budget
@@ -538,23 +508,14 @@ def save_model(model: FittedMFRDE, path) -> None:
         "dropped": model.dropped,
         "median_rank": model.median_rank,
         "seed": model.seed,
-        "trees": [tree.node_dims.tolist() for tree in model.forest.trees],
+        "trees": model.forest.labels.tolist(),
         "counts": model.counts.tolist(),
         "normalizer": model.normalizer,
         "quadrature": {"method": model.quadrature.method, "params": quad_params},
     }
     # One-shot encoding runs json's C encoder; json.dump to a file handle
     # always takes the pure-Python one.  Both give the same text.
-    text = json.dumps(doc, separators=(",", ":")) + "\n"
-    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "x") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def load_model(path) -> FittedMFRDE:
@@ -580,6 +541,16 @@ def _typed(value, name: str, kinds: tuple[type, ...] = (int,)):
     return value
 
 
+def _box_of(value, name: str) -> Box:
+    """The box of a JSON ``{"lo": [...], "hi": [...]}`` object of numbers."""
+    if type(value) is not dict or not {"lo", "hi"} <= value.keys():
+        raise ValueError(f"{name} must be an object with lo and hi lists")
+    lo, hi = (tuple(_typed(v, f"{name} {k}", (int, float))
+                    for v in _typed(value[k], f"{name} {k}", (list,)))
+              for k in ("lo", "hi"))
+    return Box(lo, hi)
+
+
 def _model_from_doc(doc) -> FittedMFRDE:
     """The model a decoded v1 document describes; raises if it describes none."""
     if not isinstance(doc, dict):
@@ -587,18 +558,17 @@ def _model_from_doc(doc) -> FittedMFRDE:
     version = doc["format_version"]
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    lo, hi = (tuple(_typed(v, f"box {k}", (int, float)) for v in doc["box"][k])
-              for k in ("lo", "hi"))
-    box = Box(lo, hi)
+    box = _box_of(doc["box"], "box")
     p, t, m, s, n, dropped, rank, seed = (
         _typed(doc[k], k) for k in ("p", "T", "m", "S", "n", "dropped", "median_rank", "seed")
     )
-    if not all(type(v) is int for dims in doc["trees"] for v in dims):
+    if not all(type(v) is int for row in doc["trees"] for v in row):
         raise ValueError("split labels must be integers")
-    trees = tuple(SplitTree(depth=p, node_dims=dims) for dims in doc["trees"])
-    if len(trees) != t:
-        raise ValueError("tree count does not match the declared T")
-    forest = Forest(box=box, trees=trees)
+    # A ragged list, or a label past int64, raises here.  T and p are
+    # checked on the labels' shape, so 2**p is never built from a wild p.
+    forest = Forest(box=box, labels=np.array(doc["trees"], dtype=np.int64))
+    if (forest.n_trees, forest.depth) != (t, p):
+        raise ValueError("split label array shape does not match T and p")
     # No dtype: a float count, or one past int64, decodes to a float or
     # object array, which FittedMFRDE rejects instead of truncating.
     counts = np.asarray(doc["counts"])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -20,8 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-from .datasets import DOMAIN, generate, true_density
-from .estimator import EstimatorConfig, Quadrature, _lattice, _typed, evaluate_batch, fit
+from .datasets import DOMAIN, _write_atomic, generate, true_density
+from .estimator import (
+    EstimatorConfig,
+    Quadrature,
+    _box_of,
+    _lattice,
+    _typed,
+    evaluate_batch,
+    fit,
+)
 from .geometry import Box
 
 __all__ = [
@@ -98,22 +107,35 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkConfig":
-        """The config a sweep document describes; an unknown key raises."""
+        """The config a sweep document describes.
+
+        An unknown key, or a value of the wrong JSON type, raises a
+        ``ValueError`` that names the key.
+        """
         if not isinstance(doc, dict):
             raise ValueError("a benchmark config must be a JSON object")
-        sequences = ("schemes", "ratios", "m_ratios", "trees", "depths")
+        number = (int, float)
+        lists = {"schemes": (str,), "ratios": number, "m_ratios": number,
+                 "trees": (int,), "depths": (int,)}
         integers = ("repeats", "seed", "n", "grid_G")
-        unknown = sorted(set(doc) - {*sequences, *integers, "box", "quadrature"})
+        unknown = sorted(set(doc) - {*lists, *integers, "box", "quadrature"})
         if unknown:
             raise ValueError(f"unknown benchmark config key(s): {', '.join(unknown)}")
-        kwargs: dict = {key: tuple(doc[key]) for key in sequences if key in doc}
+        kwargs: dict = {}
+        for key, kinds in lists.items():
+            if key in doc:
+                name = f"benchmark config {key}"
+                kwargs[key] = tuple(_typed(v, f"{name}[{i}]", kinds)
+                                    for i, v in enumerate(_typed(doc[key], name, (list,))))
         for key in integers:
             if key in doc:
                 kwargs[key.lower()] = _typed(doc[key], f"benchmark config {key}")
         if "box" in doc:
-            kwargs["box"] = Box(tuple(doc["box"]["lo"]), tuple(doc["box"]["hi"]))
+            kwargs["box"] = _box_of(doc["box"], "benchmark config box")
         if "quadrature" in doc:
-            kwargs["quadrature"] = Quadrature.parse(doc["quadrature"])
+            kwargs["quadrature"] = Quadrature.parse(
+                _typed(doc["quadrature"], "benchmark config quadrature", (str,))
+            )
         return cls(**kwargs)
 
     @classmethod
@@ -145,22 +167,17 @@ class EvalReport:
     meta: dict
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {"meta": self.meta, "runs": self.runs, "summary": self.summary},
-                fh,
-                indent=1,
-            )
-            fh.write("\n")
+        doc = {"meta": self.meta, "runs": self.runs, "summary": self.summary}
+        _write_atomic(path, json.dumps(doc, indent=1) + "\n")
 
     def summary_to_csv(self, path) -> None:
         if not self.summary:
             raise ValueError("empty summary")
-        fields = list(self.summary[0].keys())
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(self.summary)
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=list(self.summary[0].keys()))
+        writer.writeheader()
+        writer.writerows(self.summary)
+        _write_atomic(path, text.getvalue())
 
 
 def _derived_seed(*key: int) -> int:

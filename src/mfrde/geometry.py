@@ -1,9 +1,14 @@
 """Axis-aligned boxes, random midpoint-split trees and the leaf kernel.
 
-A tree of depth ``p`` is a complete binary tree stored in level order.
-Every internal node halves its cell at the midpoint of one randomly
-chosen coordinate, so each of the ``2**p`` leaf cells has volume
-``box.volume / 2**p`` regardless of which coordinates were split.
+A tree of depth ``p`` is a complete binary tree stored in level order:
+node ``k`` has children ``2k+1`` and ``2k+2``, so the ``2**p - 1``
+internal nodes come first and the ``2**p`` leaves after them.  Every
+internal node halves its cell at the midpoint of one randomly chosen
+coordinate, so each leaf cell has volume ``box.volume / 2**p`` regardless
+of which coordinates were split, and a tree is fully described by its
+split coordinates.  A forest of ``T`` trees is therefore one ``(T, 2**p -
+1)`` label matrix: row ``t`` holds the split coordinate of every internal
+node of tree ``t``, in level order.
 
 Boundary convention: the domain box is closed on all faces.  Interior
 cells are half-open, ``[lo, mid)`` on the left and ``[mid, hi)`` on the
@@ -26,9 +31,9 @@ breakpoint and lands in the last cell, which is the closed upper face.
 A node that splits an axis for the ``k``-th time on its path (``k`` from
 0) compares ``x`` with the breakpoint whose index has bit ``p - 1 - k`` as
 its lowest set bit, so going right is exactly bit ``p - 1 - k`` of ``c``.
-Every ``Forest`` holds a per-(tree, node) table of (axis, bit position),
-and :func:`leaf_indices` walks all trees at once on those integer bits,
-without any float geometry past the quantization.
+Every ``Forest`` derives from its labels a per-(tree, node) table of
+(axis, bit position), and :func:`leaf_indices` walks all trees at once on
+those integer bits, without any float geometry past the quantization.
 
 All types in this module are immutable after construction and safe for
 concurrent reads.
@@ -42,9 +47,7 @@ import numpy as np
 
 __all__ = [
     "Box",
-    "SplitTree",
     "Forest",
-    "build_tree",
     "build_forest",
     "leaf_indices",
 ]
@@ -110,49 +113,19 @@ class Box:
 
 
 @dataclass(frozen=True, eq=False)
-class SplitTree:
-    """Complete binary midpoint-split tree of a fixed depth.
-
-    ``node_dims`` holds the split coordinate of each internal node in
-    level order; the node at index ``k`` has children ``2k+1`` and
-    ``2k+2``.  A tree of depth ``p`` has ``2**p - 1`` internal nodes and
-    ``2**p`` leaves.
-    """
-
-    depth: int
-    node_dims: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.depth < 0:
-            raise ValueError("depth must be non-negative")
-        dims = np.asarray(self.node_dims)
-        if dims.size and dims.dtype.kind != "i":
-            raise ValueError(f"split labels must be signed integers, not {dims.dtype}")
-        dims = dims.astype(np.int64, copy=False)
-        if dims.shape != (2**self.depth - 1,):
-            raise ValueError(
-                f"expected {2 ** self.depth - 1} node labels for depth "
-                f"{self.depth}, got {dims.shape}"
-            )
-        dims.setflags(write=False)
-        object.__setattr__(self, "node_dims", dims)
-
-    @property
-    def n_leaves(self) -> int:
-        return 2**self.depth
-
-
-@dataclass(frozen=True, eq=False)
 class Forest:
     """Independent random trees of one depth over a shared box.
 
-    :func:`build_forest` draws the trees as a pure function of ``(seed,
-    depth, n_trees, box.d)``; identical seeds reproduce identical forests.
+    ``labels`` is the read-only ``(T, 2**p - 1)`` int64 label matrix of the
+    module docstring, with ``T >= 1`` and every label in ``[0, box.d)``;
+    the tree count and the depth come from its shape.  :func:`build_forest`
+    draws the labels as a pure function of ``(seed, depth, n_trees,
+    box.d)``; identical seeds reproduce identical forests.
     """
 
     box: Box
-    trees: tuple[SplitTree, ...]
-    # Leaf-kernel tables, derived from ``box`` and ``trees``:
+    labels: np.ndarray
+    # Leaf-kernel tables, derived from ``box`` and ``labels``:
     # (d, 2**p - 1) inner breakpoints per axis;
     _inner: np.ndarray = field(init=False, repr=False)
     # (T * (2**p - 1),) ``axis * p + bit`` of every node, tree-major;
@@ -161,23 +134,27 @@ class Forest:
     _level_base: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.trees) == 0:
-            raise ValueError("forest needs at least one tree")
-        depth = self.trees[0].depth
-        if any(t.depth != depth for t in self.trees):
-            raise ValueError("all trees in a forest must share one depth")
-        n_trees, nodes = len(self.trees), 2**depth - 1
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2 or labels.shape[0] < 1:
+            raise ValueError(
+                f"forest labels must be a (T, 2**p - 1) array with T >= 1, "
+                f"got shape {labels.shape}"
+            )
+        n_trees, nodes = labels.shape
+        depth = nodes.bit_length()
+        if nodes != 2**depth - 1:
+            raise ValueError(f"each tree needs 2**p - 1 split labels, got {nodes}")
+        if labels.size and labels.dtype.kind != "i":
+            raise ValueError(f"split labels must be signed integers, not {labels.dtype}")
         _check_forest_size(n_trees, depth)
-        for t in self.trees:
-            if t.node_dims.size and int(t.node_dims.max()) >= self.box.d:
-                raise ValueError("tree splits a coordinate outside the box dimension")
-            if t.node_dims.size and int(t.node_dims.min()) < 0:
-                raise ValueError("negative split coordinate")
-        dims = np.stack([t.node_dims for t in self.trees])
+        labels = labels.astype(np.int64, copy=False)
+        if labels.size and not 0 <= labels.min() <= labels.max() < self.box.d:
+            raise ValueError(f"split labels must lie in [0, {self.box.d})")
         levels = np.arange(depth, dtype=np.int32)[:, None]
         tables = {
+            "labels": labels,
             "_inner": _breakpoints(self.box, depth)[:, 1:-1],
-            "_bit_table": _bit_table(dims, depth).ravel(),
+            "_bit_table": _bit_table(labels, depth).ravel(),
             "_level_base": np.arange(n_trees, dtype=np.int32) * nodes + (2**levels - 1),
         }
         for name, table in tables.items():
@@ -186,39 +163,34 @@ class Forest:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.labels.shape[0]
 
     @property
     def depth(self) -> int:
-        return self.trees[0].depth
-
-
-def build_tree(d: int, p: int, rng: np.random.Generator) -> SplitTree:
-    """Draw a random depth-p tree: each node splits a uniform coordinate."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    if p < 0:
-        raise ValueError("depth must be non-negative")
-    dims = rng.integers(0, d, size=2**p - 1, dtype=np.int64)
-    return SplitTree(depth=p, node_dims=dims)
+        return self.labels.shape[1].bit_length()
 
 
 def build_forest(box: Box, p: int, n_trees: int, seed) -> Forest:
-    """Build ``n_trees`` independent random trees from per-tree substreams.
+    """Draw ``n_trees`` random depth-``p`` trees from per-tree substreams.
 
-    ``seed`` may be an integer or a ``numpy.random.SeedSequence``.  Each
-    tree gets its own spawned stream, so construction may run in parallel
-    without changing the result.
+    Every node of a tree splits a uniform coordinate: one row of ``2**p -
+    1`` labels in ``[0, box.d)``.  ``seed`` may be an integer or a
+    ``numpy.random.SeedSequence``.  Each tree gets its own spawned stream,
+    so construction may run in parallel without changing the result.
     """
     if n_trees < 1:
         raise ValueError("tree count must be at least 1")
+    if p < 0:
+        raise ValueError("depth must be non-negative")
     # Checked before any tree is drawn: each tree allocates 2**p - 1 labels.
     _check_forest_size(n_trees, p)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(int(seed))
-    streams = seed.spawn(n_trees)
-    trees = tuple(build_tree(box.d, p, np.random.default_rng(s)) for s in streams)
-    return Forest(box=box, trees=trees)
+    labels = np.stack([
+        np.random.default_rng(s).integers(0, box.d, size=2**p - 1, dtype=np.int64)
+        for s in seed.spawn(n_trees)
+    ])
+    return Forest(box=box, labels=labels)
 
 
 def _check_forest_size(n_trees: int, depth: int) -> None:
@@ -246,22 +218,22 @@ def _breakpoints(box: Box, p: int) -> np.ndarray:
     return mesh
 
 
-def _bit_table(dims: np.ndarray, p: int) -> np.ndarray:
-    """``axis * p + bit`` of every node of ``(T, 2**p - 1)`` split labels.
+def _bit_table(labels: np.ndarray, p: int) -> np.ndarray:
+    """``axis * p + bit`` of every node of a ``(T, 2**p - 1)`` label matrix.
 
     A node that splits its axis for the ``k``-th time on its root path
     (``k`` counted from 0) reads bit ``p - 1 - k`` of that axis's code.
     Built level by level, for all trees at once.
     """
-    table = np.empty(dims.shape, dtype=np.int32)
+    table = np.empty(labels.shape, dtype=np.int32)
     for level in range(p):
         nodes = np.arange(2**level - 1, 2 ** (level + 1) - 1)
-        axis = dims[:, nodes]
+        axis = labels[:, nodes]
         splits_above = np.zeros_like(axis)
         ancestor = nodes
         for _ in range(level):
             ancestor = (ancestor - 1) // 2
-            splits_above += dims[:, ancestor] == axis
+            splits_above += labels[:, ancestor] == axis
         table[:, nodes] = axis * p + (p - 1 - splits_above)
     return table
 

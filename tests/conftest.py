@@ -1,48 +1,63 @@
 """Shared fixtures and the from-scratch oracles used against the package.
 
-The float walker (``leaf_index``, ``path_split_counts``, ``count_leaves``)
-descends a tree by recomputing each midpoint ``0.5 * (lo + hi)`` from the
+A tree is one row of a forest's label matrix: the ``2**p - 1`` split
+coordinates of its internal nodes in level order (``Forest.labels[t]``);
+its depth is ``len(row).bit_length()``.  ``draw_labels`` draws such a row
+with the same ``rng.integers`` call as ``mfrde.geometry.build_forest``, so
+a seeded test sees the trees it always saw.  The float walker
+(``leaf_index``, ``path_split_counts``, ``count_leaves``) takes one row and
+descends it by recomputing each midpoint ``0.5 * (lo + hi)`` from the
 current cell, one point and one tree at a time.  It is the reference for
 the package's integer leaf kernel, ``mfrde.geometry.leaf_indices``.
-``leaf_cell`` rebuilds a leaf's cell by the same splits, and
+``leaf_cell`` rebuilds a leaf's cell from a row by the same splits, and
 ``cell_contains`` tests membership under the boundary convention of
 ``mfrde.geometry``.
 
-The naive oracle answers each query by scanning raw block points against
-the query's reconstructed leaf cell, with no precomputed counts, using
-the same float expressions as the estimator (exact integer count summed
-over trees, one division by m times the leaf volume, one by the tree
-count).  ``block_densities`` gives every block's forest density at a
-point from a fitted model's counts, through the package's own tree sums.
+The naive oracle (``naive_sfde_at``, ``naive_median_at``) answers each
+query by walking every row of the forest's labels and scanning raw block
+points against the query's reconstructed leaf cell, with no precomputed
+counts, using the same float expressions as the estimator (exact integer
+count summed over trees, one division by m times the leaf volume, one by
+the tree count).  ``block_densities`` gives every block's forest density
+at a point from a fitted model's counts, through the package's own tree
+sums.
 
 The paper's notion of a local outlier: an outlier matters for a query
 ``x`` only if it shares a leaf with ``x`` in some tree
-(``local_outliers``); a block is clean when it holds no outlier at all
-(``clean_block_fraction``).
+(``local_outliers``); a block is clean when its row of the block index
+matrix holds no outlier at all (``clean_block_fraction``).
 
 The CSV oracles are the row-at-a-time ``csv`` loops the package's
 array-at-a-time file I/O replaced: ``csv_writer_table`` formats every cell
 with ``%.17g`` (labels with ``str(int(...))``) and writes rows through
 ``csv.writer``; ``csv_float_read`` parses every cell with ``float``.
+``full_disk_open`` stands in for ``open`` in a failing-write test: reads
+work, and a write lands a prefix of the text, then raises ``OSError``.
 
 Hypothesis runs derandomized under the ``mfrde`` profile, so every run of
 the suite draws the same examples.
 """
 
 import csv
+import io
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from mfrde.estimator import BlockAssignment, FittedMFRDE, _density_denom, _tree_sums
-from mfrde.geometry import Box, Forest, SplitTree, leaf_indices
+from mfrde.estimator import FittedMFRDE, _density_denom, _tree_sums
+from mfrde.geometry import Box, Forest, leaf_indices
 
 settings.register_profile("mfrde", derandomize=True)
 settings.load_profile("mfrde")
 
 
-def _walk(tree: SplitTree, box: Box, x):
+def draw_labels(d: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """One random depth-``p`` tree: each node splits a uniform coordinate."""
+    return rng.integers(0, d, size=2**p - 1, dtype=np.int64)
+
+
+def _walk(row: np.ndarray, box: Box, x):
     """Yield ``(split axis, went right)`` down the path of ``x``."""
     x = np.asarray(x, dtype=float)
     if x.shape != (box.d,):
@@ -52,8 +67,8 @@ def _walk(tree: SplitTree, box: Box, x):
     lo = box.lo_array.copy()
     hi = box.hi_array.copy()
     node = 0
-    for _ in range(tree.depth):
-        dim = int(tree.node_dims[node])
+    for _ in range(len(row).bit_length()):
+        dim = int(row[node])
         mid = 0.5 * (lo[dim] + hi[dim])
         right = bool(x[dim] >= mid)
         if right:
@@ -64,7 +79,7 @@ def _walk(tree: SplitTree, box: Box, x):
         node = 2 * node + 1 + int(right)
 
 
-def leaf_index(tree: SplitTree, box: Box, x) -> int:
+def leaf_index(row: np.ndarray, box: Box, x) -> int:
     """Leaf id of the cell containing ``x``: the path bits, root first.
 
     A coordinate equal to the current midpoint goes right, which makes
@@ -72,46 +87,46 @@ def leaf_index(tree: SplitTree, box: Box, x) -> int:
     cell.
     """
     leaf = 0
-    for _, right in _walk(tree, box, x):
+    for _, right in _walk(row, box, x):
         leaf = (leaf << 1) | int(right)
     return leaf
 
 
-def path_split_counts(tree: SplitTree, box: Box, x) -> np.ndarray:
+def path_split_counts(row: np.ndarray, box: Box, x) -> np.ndarray:
     """How many times the root-to-leaf path of ``x`` splits each coordinate."""
     counts = np.zeros(box.d, dtype=np.int64)
-    for dim, _ in _walk(tree, box, x):
+    for dim, _ in _walk(row, box, x):
         counts[dim] += 1
     return counts
 
 
-def count_leaves(tree: SplitTree, box: Box, points) -> tuple[np.ndarray, int]:
+def count_leaves(row: np.ndarray, box: Box, points) -> tuple[np.ndarray, int]:
     """Per-leaf point counts plus the number of points outside the box.
 
     Points outside the box are dropped: they carry no leaf.
     ``counts.sum() + dropped == len(points)``.
     """
     pts = np.asarray(points, dtype=float)
-    counts = np.zeros(tree.n_leaves, dtype=np.int64)
+    counts = np.zeros(len(row) + 1, dtype=np.int64)
     if pts.size == 0:
         return counts, 0
     pts = np.atleast_2d(pts)
     inside = pts[box.contains_batch(pts)]
     for x in inside:
-        counts[leaf_index(tree, box, x)] += 1
+        counts[leaf_index(row, box, x)] += 1
     return counts, int(pts.shape[0] - inside.shape[0])
 
 
-def leaf_cell(tree: SplitTree, box: Box, leaf: int) -> Box:
+def leaf_cell(row: np.ndarray, box: Box, leaf: int) -> Box:
     """Reconstruct the cell of a leaf by replaying its midpoint splits."""
-    if not 0 <= leaf < tree.n_leaves:
+    if not 0 <= leaf <= len(row):
         raise ValueError("leaf id out of range")
     lo = box.lo_array.copy()
     hi = box.hi_array.copy()
     node = 0
-    for level in range(tree.depth - 1, -1, -1):
+    for level in range(len(row).bit_length() - 1, -1, -1):
         bit = (leaf >> level) & 1
-        dim = int(tree.node_dims[node])
+        dim = int(row[node])
         mid = 0.5 * (lo[dim] + hi[dim])
         if bit:
             lo[dim] = mid
@@ -145,8 +160,8 @@ def naive_sfde_at(block_points: np.ndarray, forest: Forest, m: int, x) -> float:
     box = forest.box
     denom = m * (box.volume * 2.0**-forest.depth)
     total = 0
-    for tree in forest.trees:
-        cell = leaf_cell(tree, box, leaf_index(tree, box, x))
+    for row in forest.labels:
+        cell = leaf_cell(row, box, leaf_index(row, box, x))
         if len(block_points):
             total += int(np.sum(cell_contains(cell, box, block_points)))
     return total / denom / forest.n_trees
@@ -175,9 +190,9 @@ def local_outliers(forest: Forest, x, outlier_points) -> np.ndarray:
     return inside[(leaf_indices(forest, points=pts[inside]) == x_ids).any(axis=1)]
 
 
-def clean_block_fraction(assignment: BlockAssignment, outlier_indices) -> float:
-    """Fraction of blocks whose index set avoids every outlier index."""
-    contaminated = np.isin(assignment.blocks, np.asarray(outlier_indices, dtype=np.int64))
+def clean_block_fraction(blocks: np.ndarray, outlier_indices) -> float:
+    """Fraction of rows of the block index matrix that avoid every outlier index."""
+    contaminated = np.isin(blocks, np.asarray(outlier_indices, dtype=np.int64))
     return float(1.0 - contaminated.any(axis=1).mean())
 
 
@@ -191,6 +206,19 @@ def csv_writer_table(path, header, values, labels=None) -> None:
             if labels is not None:
                 row.append(str(int(labels[i])))
             writer.writerow(row)
+
+
+def full_disk_open(file, mode="r", **kwargs):
+    """``open`` on a full disk: reads work, a write lands a prefix and raises."""
+    if not set(mode) & set("wxa"):
+        return open(file, mode, **kwargs)
+
+    class FullDisk(io.TextIOWrapper):
+        def write(self, text):
+            super().write(text[:18])
+            raise OSError("disk full")
+
+    return FullDisk(io.FileIO(file, mode), **kwargs)
 
 
 def csv_float_read(path):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import csv_writer_table
+from conftest import csv_writer_table, full_disk_open
+from mfrde import datasets
 from mfrde.cli import main
 from mfrde.datasets import read_dataset
 from mfrde.estimator import evaluate_batch, load_model
@@ -109,6 +110,17 @@ class TestPipeline:
         meta = json.loads(prov.read_text())
         assert meta["scheme"] == "discrete"
         assert meta["seed"] == 5
+        assert meta["box"] == {"lo": [0.0, 0.0], "hi": [5.0, 5.0]}
+        # the box shapes the uniform outliers, so the sidecar records it
+        sidecars = []
+        for box in ("0:4,0:4", "0:5,0:5"):
+            args = ["generate", "--scheme", "uniform", "--n", "20", "--outlier-ratio",
+                    "0.2", "--seed", "1", "--box", box, "--out", str(tmp_path / "b.csv"),
+                    "--provenance", str(prov)]
+            assert run(args, capsys)[0] == 0
+            sidecars.append(prov.read_bytes())
+        assert sidecars[0] != sidecars[1]
+        assert json.loads(sidecars[0])["box"] == {"lo": [0.0, 0.0], "hi": [4.0, 4.0]}
 
 
 class TestEvalGrid:
@@ -150,6 +162,19 @@ class TestOutputBytes:
         dens = evaluate_batch(load_model(m_json), read_dataset(d_csv).points)
         csv_writer_table(tmp_path / "old.csv", ["density"], dens[:, None])
         assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_failed_score_write_keeps_previous_file(self, tmp_path, capsys, monkeypatch,
+                                                    model_files):
+        d_csv, m_json = model_files
+        out = tmp_path / "s.csv"
+        out.write_text("an earlier output\n")
+        monkeypatch.setattr(datasets, "open", full_disk_open, raising=False)
+        code, _, err = run(["score", "--model", str(m_json), "--input", str(d_csv),
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert "disk full" in err
+        assert out.read_text() == "an earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.json", "s.csv"]
 
     def test_eval_grid(self, tmp_path, capsys, model_files):
         _, m_json = model_files
@@ -298,11 +323,17 @@ class TestErrors:
             ({"grid_G": "100"}, "grid_G must be of type int"),
             ({"repeats": True}, "repeats must be of type int"),
             ([1], "must be a JSON object"),
+            ({"trees": [2.5]}, "benchmark config trees[0] must be of type int"),
+            ({"schemes": "uniform"}, "benchmark config schemes must be of type list"),
+            ({"quadrature": 5}, "benchmark config quadrature must be of type str"),
+            ({"box": {"lo": [0, 0]}}, "benchmark config box must be an object"),
         ],
-        ids=["unknown-keys", "float-n", "string-grid", "bool-repeats", "top-level-list"],
+        ids=["unknown-keys", "float-n", "string-grid", "bool-repeats", "top-level-list",
+             "float-tree", "string-schemes", "int-quadrature", "box-without-hi"],
     )
     def test_bad_benchmark_config(self, tmp_path, capsys, doc, named):
-        # each used to run the default sweep, or truncate 2.7 to 2
+        # each used to run the default sweep, truncate 2.7 to 2, split a
+        # string into letters, or escape as a traceback
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "report.json"

@@ -9,36 +9,28 @@ import pytest
 
 from conftest import clean_block_fraction, local_outliers
 from mfrde.estimator import assign_blocks
-from mfrde.geometry import Box, Forest, SplitTree, build_forest
+from mfrde.geometry import Box, Forest, build_forest
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
-
-
-def split_dim0() -> SplitTree:
-    return SplitTree(depth=1, node_dims=np.array([0]))
-
-
-def split_dim1() -> SplitTree:
-    return SplitTree(depth=1, node_dims=np.array([1]))
+# Depth-1 trees: the root splits axis 0, or axis 1.
+SPLIT_DIM0 = Forest(box=UNIT2, labels=np.array([[0]]))
+SPLIT_BOTH = Forest(box=UNIT2, labels=np.array([[0], [1]]))
 
 
 class TestLocalOutliers:
     def test_empty(self):
-        forest = Forest(box=UNIT2, trees=(split_dim0(),))
-        assert local_outliers(forest, (0.5, 0.5), np.zeros((0, 2))).size == 0
+        assert local_outliers(SPLIT_DIM0, (0.5, 0.5), np.zeros((0, 2))).size == 0
 
     def test_single_tree_hand_trace(self):
-        forest = Forest(box=UNIT2, trees=(split_dim0(),))
         out = np.array([(0.4, 0.9), (0.8, 0.2)])
-        found = local_outliers(forest, (0.25, 0.5), out)
+        found = local_outliers(SPLIT_DIM0, (0.25, 0.5), out)
         assert found.tolist() == [0]
 
     def test_two_trees_boundary_rule(self):
         # x2 = 0.5 lands in the upper cell of the axis-1 split, 0.2 stays
         # below, so the second tree adds nothing
-        forest = Forest(box=UNIT2, trees=(split_dim0(), split_dim1()))
         out = np.array([(0.4, 0.9), (0.8, 0.2)])
-        found = local_outliers(forest, (0.25, 0.5), out)
+        found = local_outliers(SPLIT_BOTH, (0.25, 0.5), out)
         assert found.tolist() == [0]
 
     def test_monotone_in_trees(self):
@@ -48,8 +40,8 @@ class TestLocalOutliers:
         x = (0.3, 0.6)
         forest_big = build_forest(box, 3, 8, seed=5)
         for t in range(1, 9):
-            small = Forest(box=box, trees=forest_big.trees[:t])
-            big = Forest(box=box, trees=forest_big.trees[: t + 1]) if t < 8 else forest_big
+            small = Forest(box=box, labels=forest_big.labels[:t])
+            big = Forest(box=box, labels=forest_big.labels[: t + 1])
             a = set(local_outliers(small, x, out).tolist())
             b = set(local_outliers(big, x, out).tolist())
             assert a <= b
@@ -61,9 +53,8 @@ class TestLocalOutliers:
         assert found.tolist() == [0, 1]  # the out-of-box point has no leaf
 
     def test_outside_query(self):
-        forest = Forest(box=UNIT2, trees=(split_dim0(),))
         with pytest.raises(ValueError, match="outside domain"):
-            local_outliers(forest, (1.5, 0.5), np.zeros((1, 2)))
+            local_outliers(SPLIT_DIM0, (1.5, 0.5), np.zeros((1, 2)))
 
 
 class TestCleanBlockFraction:
@@ -73,7 +64,7 @@ class TestCleanBlockFraction:
 
     def test_all_outliers_in_one_block(self):
         a = assign_blocks(25, 5, np.random.default_rng(1))
-        assert clean_block_fraction(a, a.blocks[2]) == 0.8
+        assert clean_block_fraction(a, a[2]) == 0.8
 
     def test_pigeonhole_bound(self):
         rng = np.random.default_rng(2)
@@ -87,5 +78,5 @@ class TestCleanBlockFraction:
         a = assign_blocks(60, 6, rng)
         outliers = rng.choice(60, size=7, replace=False)
         frac = clean_block_fraction(a, outliers)
-        contaminated = round((1 - frac) * a.n_blocks)
+        contaminated = round((1 - frac) * a.shape[0])
         assert contaminated <= 7

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -13,15 +14,15 @@ from conftest import (
     block_densities,
     clean_block_fraction,
     count_leaves,
+    full_disk_open,
     leaf_index,
     local_outliers,
     naive_median_at,
     naive_sfde_at,
 )
-from mfrde import estimator
+from mfrde import datasets, estimator
 from mfrde.datasets import generate
 from mfrde.estimator import (
-    BlockAssignment,
     EstimatorConfig,
     FittedMFRDE,
     Quadrature,
@@ -34,7 +35,7 @@ from mfrde.estimator import (
     load_model,
     save_model,
 )
-from mfrde.geometry import Box, Forest, SplitTree, build_forest, leaf_indices
+from mfrde.geometry import Box, Forest, leaf_indices
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
 BLOCK = np.array([(0.25, 0.5), (0.75, 0.5), (0.9, 0.1)])
@@ -63,29 +64,28 @@ def median_at(model, x) -> float:
 
 
 def two_tree_forest() -> Forest:
-    t1 = SplitTree(depth=1, node_dims=np.array([0]))
-    t2 = SplitTree(depth=1, node_dims=np.array([1]))
-    return Forest(box=UNIT2, trees=(t1, t2))
+    """Two depth-1 trees: the first splits axis 0, the second axis 1."""
+    return Forest(box=UNIT2, labels=np.array([[0], [1]]))
 
 
 class TestAssignBlocks:
     def test_exact_division(self):
-        a = assign_blocks(6, 3, np.random.default_rng(0))
-        assert a.n_blocks == 2
-        assert sorted(a.blocks.ravel().tolist()) == list(range(6))
-        assert a.dropped.size == 0
+        blocks = assign_blocks(6, 3, np.random.default_rng(0))
+        assert blocks.shape == (2, 3)
+        assert sorted(blocks.ravel().tolist()) == list(range(6))
 
     def test_floor_rule(self):
-        a = assign_blocks(10, 3, np.random.default_rng(1))
-        assert a.n_blocks == 3
-        assert a.blocks.size == 9
-        assert a.dropped.size == 1
-        assert sorted(np.concatenate([a.blocks.ravel(), a.dropped]).tolist()) == list(range(10))
+        # the blocks are the head of one permutation; its 10 mod 3 = 1 tail is dropped
+        blocks = assign_blocks(10, 3, np.random.default_rng(1))
+        assert blocks.shape == (3, 3)
+        assert len(set(blocks.ravel().tolist())) == 9
+        perm = np.random.default_rng(1).permutation(10)
+        assert blocks.ravel().tolist() == perm[:9].tolist()
 
     def test_single_block(self):
-        a = assign_blocks(5, 5, np.random.default_rng(2))
-        assert a.n_blocks == 1
-        assert sorted(a.blocks[0].tolist()) == list(range(5))
+        blocks = assign_blocks(5, 5, np.random.default_rng(2))
+        assert blocks.shape == (1, 5)
+        assert sorted(blocks[0].tolist()) == list(range(5))
 
     def test_errors(self):
         with pytest.raises(ValueError, match="exceeds sample size"):
@@ -118,28 +118,30 @@ class TestConfig:
         assert Quadrature.parse("auto").method == "auto"
         with pytest.raises(ValueError):
             Quadrature.parse("simpson")
+        # these used to parse, and the number was ignored
+        for spec in ("auto:7", "exact:4", "exact-dyadic:4", "auto:"):
+            with pytest.raises(ValueError, match="takes no argument"):
+                Quadrature.parse(spec)
 
 
 def one_tree_model(tree, box, points, m):
-    """One tree, one block: the forest density is the single-tree density."""
+    """One tree (a label row), one block: the forest density is the tree's."""
     counts, _ = count_leaves(tree, box, points)
-    return make_model(Forest(box=box, trees=(tree,)), counts[None, None, :], m=m)
+    return make_model(Forest(box=box, labels=tree[None, :]), counts[None, None, :], m=m)
 
 
 class TestStde:
     def test_left_cell(self):
-        tree = SplitTree(depth=1, node_dims=np.array([0]))
-        model = one_tree_model(tree, UNIT2, BLOCK, m=3)
+        model = one_tree_model(np.array([0]), UNIT2, BLOCK, m=3)
         assert block_densities(model, (0.1, 0.5))[0] == pytest.approx(0.666667, abs=1e-6)
 
     def test_right_cell(self):
-        tree = SplitTree(depth=1, node_dims=np.array([0]))
-        model = one_tree_model(tree, UNIT2, BLOCK, m=3)
+        model = one_tree_model(np.array([0]), UNIT2, BLOCK, m=3)
         assert block_densities(model, (0.6, 0.2))[0] == pytest.approx(1.333333, abs=1e-6)
 
     def test_depth_zero_histogram(self):
         box = Box((0.0, 0.0), (2.0, 2.0))
-        tree = SplitTree(depth=0, node_dims=np.zeros(0, dtype=np.int64))
+        tree = np.zeros(0, dtype=np.int64)
         model = one_tree_model(tree, box, np.full((7, 2), 1.0), m=7)
         for x in ((0.1, 0.1), (1.9, 1.9)):
             assert block_densities(model, x)[0] == pytest.approx(1 / box.volume)
@@ -148,7 +150,7 @@ class TestStde:
 class TestSfde:
     def test_single_tree_equals_stde(self):
         # leaf count over m times the leaf volume, the leaf found by the oracle
-        tree = SplitTree(depth=1, node_dims=np.array([0]))
+        tree = np.array([0])
         counts, _ = count_leaves(tree, UNIT2, BLOCK)
         model = one_tree_model(tree, UNIT2, BLOCK, m=3)
         x = (0.1, 0.5)
@@ -158,7 +160,7 @@ class TestSfde:
     def test_two_tree_average(self):
         forest = two_tree_forest()
         counts = np.stack(
-            [count_leaves(t, UNIT2, BLOCK)[0] for t in forest.trees]
+            [count_leaves(t, UNIT2, BLOCK)[0] for t in forest.labels]
         )[None, :, :]
         model = make_model(forest, counts, m=3)
         assert block_densities(model, (0.25, 0.25))[0] == pytest.approx(0.666667, abs=1e-6)
@@ -188,7 +190,7 @@ class TestMedian:
 
     def test_even_uses_lower_median(self):
         # four blocks engineered to give distinct densities at x
-        forest = Forest(box=UNIT2, trees=(SplitTree(depth=0, node_dims=np.zeros(0, int)),))
+        forest = Forest(box=UNIT2, labels=np.zeros((1, 0), dtype=np.int64))
         counts = np.array([[[1]], [[2]], [[3]], [[4]]], dtype=np.int64)
         model = make_model(forest, counts, m=10)
         # densities at any x: 0.1, 0.2, 0.3, 0.4; lower median is 0.2
@@ -260,10 +262,10 @@ class TestFit:
         cfg = EstimatorConfig(m=20, trees=5, depth=3, seed=4, box=UNIT2)
         model = fit(pts, cfg)
         _, perm_stream, _ = _fit_streams(cfg.seed)
-        assignment = assign_blocks(100, 20, np.random.default_rng(perm_stream))
+        blocks = assign_blocks(100, 20, np.random.default_rng(perm_stream))
         inbox = UNIT2.contains_batch(pts)
         for s in range(model.n_blocks):
-            expected = int(inbox[assignment.blocks[s]].sum())
+            expected = int(inbox[blocks[s]].sum())
             sums = model.counts[s].sum(axis=1)
             assert (sums == expected).all()
 
@@ -468,9 +470,8 @@ class TestEvaluate:
             evaluate(model, (np.nan, np.nan))
 
     def test_normalized_value(self):
-        tree = SplitTree(depth=1, node_dims=np.array([0]))
-        forest = Forest(box=UNIT2, trees=(tree,))
-        counts, _ = count_leaves(tree, UNIT2, BLOCK)
+        forest = Forest(box=UNIT2, labels=np.array([[0]]))
+        counts, _ = count_leaves(forest.labels[0], UNIT2, BLOCK)
         model = make_model(forest, counts[None, None, :], m=3, normalizer=1.0)
         assert evaluate(model, (0.1, 0.5)) == pytest.approx(0.666667, abs=1e-6)
 
@@ -513,11 +514,11 @@ class TestNonLocalityImmunity:
         assert model.m - model.counts[0, 0].sum() >= len(intruders)
 
         corrupted = model.leaf_counts.copy()
-        for t, tree in enumerate(model.forest.trees):
+        for t, tree in enumerate(model.forest.labels):
             extra, _ = count_leaves(tree, model.box, intruders)
             corrupted[t, :, 0] += extra
         poisoned = dataclasses.replace(model, leaf_counts=corrupted)
-        for t, tree in enumerate(model.forest.trees):
+        for t, tree in enumerate(model.forest.labels):
             xid = leaf_index(tree, model.box, x)
             assert poisoned.counts[0, t, xid] == model.counts[0, t, xid]
         assert block_densities(poisoned, x).tolist() == block_densities(model, x).tolist()
@@ -540,8 +541,8 @@ class TestOracleEquivalence:
             model = fit(pts, cfg)
             assert model.n_blocks == s
             _, perm_stream, _ = _fit_streams(cfg.seed)
-            assignment = assign_blocks(n, m, np.random.default_rng(perm_stream))
-            blocks_points = [pts[b] for b in assignment.blocks]
+            blocks = assign_blocks(n, m, np.random.default_rng(perm_stream))
+            blocks_points = [pts[b] for b in blocks]
             queries = rng.random((60, 2))
             batch = estimator._median_values(
                 model.forest, model.leaf_counts, m, model.median_rank, queries
@@ -626,6 +627,28 @@ class TestSerialization:
         json.dump(json.loads(text), stream, separators=(",", ":"))
         assert text == stream.getvalue() + "\n"
 
+    @pytest.mark.parametrize(
+        "spec, depth, digest",
+        [
+            ("exact", 6, "a8e85e991e731856f45c6cda96f26d8b01f8342d65d1493d46be34c0d1751b5d"),
+            ("grid:37", 6, "309be7f20e0ccfb53c3693bc0aa8a5bac08e63d77bdce0f9ba211cd0e92e98ae"),
+            ("mc:5000", 6, "db8243956d7a3a8dc74cc9349d7c7d6f514fdf4d40ccee14bde9cc5e037ef4ed"),
+            ("exact", 0, "70acc7cf5ebc7e5e057808ba71ffa7c788ad5dd1c58c3818ceca46668836cb64"),
+        ],
+        ids=["exact", "grid-37", "mc-5000", "depth-0"],
+    )
+    def test_pinned_model_bytes(self, tmp_path, spec, depth, digest):
+        # the v1 file at fixed seeds, and a loaded model re-saves to the same bytes
+        data = generate("beta", 400, 0.2, seed=9)
+        model = fit(data, EstimatorConfig(m=40, trees=5, depth=depth, seed=3,
+                                          box=Box((0, 0), (5, 5)),
+                                          quadrature=Quadrature.parse(spec)))
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         data = np.random.default_rng(1).random((40, 2))
         model = fit(data, EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
@@ -633,15 +656,8 @@ class TestSerialization:
         save_model(model, path)
         before = path.read_bytes()
 
-        class FullDisk(io.TextIOWrapper):
-            def write(self, text):  # a prefix of the document lands, then it fails
-                super().write(text[:18])
-                raise OSError("disk full")
-
-        def open_full_disk(file, mode):
-            return FullDisk(io.FileIO(file, mode))
-
-        monkeypatch.setattr(estimator, "open", open_full_disk, raising=False)
+        # a prefix of the document lands, then the write fails
+        monkeypatch.setattr(datasets, "open", full_disk_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_model(model, path)
         assert path.read_bytes() == before
@@ -675,7 +691,8 @@ class TestSerialization:
 
     # Each edit breaks one field.  Before these checks, each case loaded
     # silently or escaped as another exception, except the median rank,
-    # which raised without the "malformed model file" prefix.
+    # which raised without the "malformed model file" prefix, and the
+    # split-label shape and range cases, which were always rejected.
     MALFORMED = {
         "float-count": lambda doc: doc["counts"][0][0].__setitem__(0, 1.5),
         "huge-count": lambda doc: doc["counts"][0][0].__setitem__(0, 10**30),
@@ -691,6 +708,10 @@ class TestSerialization:
         "bool-box-lo": lambda doc: doc["box"].__setitem__("lo", [False, 0.0]),
         "string-box-hi": lambda doc: doc["box"].__setitem__("hi", ["2", 2.0]),
         "bool-split-label": lambda doc: doc["trees"][0].__setitem__(1, True),
+        "split-label-past-d": lambda doc: doc["trees"][0].__setitem__(1, 2),
+        "ragged-split-labels": lambda doc: doc.update(T=2, trees=[[0, 1, 1], [0]]),
+        "tree-count": lambda doc: doc.__setitem__("T", 2),
+        "huge-depth": lambda doc: doc.__setitem__("p", 2**40),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -734,10 +755,10 @@ class TestPigeonhole:
             s = int(rng.integers(2 * n_out + 1, 2 * n_out + 6))
             m = int(rng.integers(1, 5))
             n = s * m + int(rng.integers(0, m))
-            assignment = assign_blocks(n, m, rng)
+            blocks = assign_blocks(n, m, rng)
             outliers = rng.choice(n, size=n_out, replace=False)
-            frac = clean_block_fraction(assignment, outliers)
-            n_clean = round(frac * assignment.n_blocks)
-            assert n_clean >= assignment.n_blocks - n_out
-            if assignment.n_blocks >= 2 * n_out + 1:
+            frac = clean_block_fraction(blocks, outliers)
+            n_clean = round(frac * blocks.shape[0])
+            assert n_clean >= blocks.shape[0] - n_out
+            if blocks.shape[0] >= 2 * n_out + 1:
                 assert frac > 0.5

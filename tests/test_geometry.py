@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import chi2
 
-from conftest import cell_contains, count_leaves, leaf_cell, leaf_index, path_split_counts
-from mfrde.geometry import Box, Forest, SplitTree, build_forest, build_tree, leaf_indices
+from conftest import (
+    cell_contains,
+    count_leaves,
+    draw_labels,
+    leaf_cell,
+    leaf_index,
+    path_split_counts,
+)
+from mfrde.geometry import Box, Forest, build_forest, leaf_indices
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
 
@@ -56,48 +63,58 @@ class TestBox:
 
 
 class TestBuildTree:
+    """The per-tree label draw of ``build_forest``."""
+
     def test_one_dimension_only_choice(self):
-        tree = build_tree(1, 3, np.random.default_rng(0))
-        assert tree.node_dims.shape == (7,)
-        assert (tree.node_dims == 0).all()
+        forest = build_forest(Box((0.0,), (1.0,)), 3, 2, seed=0)
+        assert forest.labels.shape == (2, 7)
+        assert forest.labels.dtype == np.int64
+        assert (forest.labels == 0).all()
+        assert forest.depth == 3 and forest.n_trees == 2
 
     def test_depth_zero_has_no_splits(self):
-        tree = build_tree(2, 0, np.random.default_rng(0))
-        assert tree.node_dims.size == 0
-        assert tree.n_leaves == 1
+        forest = build_forest(UNIT2, 0, 3, seed=0)
+        assert forest.labels.shape == (3, 0)
+        assert forest.depth == 0
+        assert leaf_indices(forest, [(0.3, 0.9)]).tolist() == [[0, 0, 0]]
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            build_tree(0, 3, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            build_tree(2, -1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            build_forest(UNIT2, -1, 2, seed=0)
+        with pytest.raises(ValueError, match="tree count"):
+            build_forest(UNIT2, 3, 0, seed=0)
+
+    def test_rows_are_per_tree_substream_draws(self):
+        box = Box((0.0,) * 3, (1.0,) * 3)
+        forest = build_forest(box, 5, 4, seed=np.random.SeedSequence(17))
+        rows = [draw_labels(3, 5, np.random.default_rng(s))
+                for s in np.random.SeedSequence(17).spawn(4)]
+        assert np.array_equal(forest.labels, np.stack(rows))
+        with pytest.raises(ValueError, match="read-only"):
+            forest.labels[0, 0] = 1
 
 
 class TestLeafIndex:
     def test_depth_zero(self):
-        tree = SplitTree(depth=0, node_dims=np.zeros(0, dtype=np.int64))
-        assert leaf_index(tree, UNIT2, (0.3, 0.9)) == 0
+        assert leaf_index(np.zeros(0, dtype=np.int64), UNIT2, (0.3, 0.9)) == 0
 
     def test_hand_trace(self):
         # root splits axis 0, both children split axis 1
-        tree = SplitTree(depth=2, node_dims=np.array([0, 1, 1]))
-        assert leaf_index(tree, UNIT2, (0.25, 0.75)) == 1
+        assert leaf_index(np.array([0, 1, 1]), UNIT2, (0.25, 0.75)) == 1
 
     def test_boundary_goes_right(self):
-        tree = SplitTree(depth=2, node_dims=np.array([0, 1, 1]))
-        assert leaf_index(tree, UNIT2, (0.25, 0.5)) == 1
+        assert leaf_index(np.array([0, 1, 1]), UNIT2, (0.25, 0.5)) == 1
 
     def test_outside_raises(self):
-        tree = SplitTree(depth=1, node_dims=np.array([0]))
         with pytest.raises(ValueError, match="outside domain"):
-            leaf_index(tree, UNIT2, (1.5, 0.5))
+            leaf_index(np.array([0]), UNIT2, (1.5, 0.5))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
-        tree = build_tree(3, 5, rng)
+        tree = draw_labels(3, 5, rng)
         box = Box((-1.0, 0.0, 2.0), (1.0, 5.0, 3.0))
         pts = box.lo_array + rng.random((200, 3)) * (box.hi_array - box.lo_array)
-        ids = leaf_indices(Forest(box=box, trees=(tree,)), pts)[:, 0]
+        ids = leaf_indices(Forest(box=box, labels=tree[None, :]), pts)[:, 0]
         assert [leaf_index(tree, box, p) for p in pts] == ids.tolist()
 
 
@@ -141,8 +158,8 @@ def forest_and_points(draw):
                                     max_size=box.d), max_size=8)):
         rows.append(np.minimum(lo + np.asarray(u) * (hi - lo), hi))
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
-        tree = forest.trees[draw(st.integers(0, forest.n_trees - 1))]
-        cell = leaf_cell(tree, box, draw(st.integers(0, tree.n_leaves - 1)))
+        tree = forest.labels[draw(st.integers(0, forest.n_trees - 1))]
+        cell = leaf_cell(tree, box, draw(st.integers(0, 2**forest.depth - 1)))
         upper = np.asarray(draw(st.lists(st.booleans(), min_size=box.d,
                                          max_size=box.d)))
         rows.append(np.where(upper, cell.hi_array, cell.lo_array))
@@ -154,7 +171,7 @@ def forest_and_points(draw):
 
 def oracle_ids(forest: Forest, pts: np.ndarray) -> np.ndarray:
     return np.array(
-        [[leaf_index(tree, forest.box, x) for tree in forest.trees] for x in pts],
+        [[leaf_index(tree, forest.box, x) for tree in forest.labels] for x in pts],
         dtype=np.int64,
     ).reshape(len(pts), forest.n_trees)
 
@@ -206,62 +223,55 @@ class TestLeafKernel:
 
     def test_forest_size_guard(self):
         # zero-stride labels: a depth-30 forest without allocating its nodes
-        labels = np.broadcast_to(np.int64(0), (2**30 - 1,))
-        tree = SplitTree(depth=30, node_dims=labels)
+        labels = np.broadcast_to(np.int64(0), (2, 2**30 - 1))
         with pytest.raises(ValueError, match="forest too large"):
-            Forest(box=UNIT2, trees=(tree, tree))
+            Forest(box=UNIT2, labels=labels)
 
-    def test_build_forest_checks_size_before_drawing(self, monkeypatch):
+    def test_build_forest_checks_size_before_drawing(self):
         # depth 30 with 20 trees: each tree would allocate an 8 GiB label array
-        def no_draw(d, p, rng):
-            raise AssertionError("a tree was drawn before the size check")
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("a tree stream was spawned before the size check")
 
-        monkeypatch.setattr("mfrde.geometry.build_tree", no_draw)
         with pytest.raises(ValueError, match="forest too large"):
-            build_forest(UNIT2, 30, 20, seed=0)
+            build_forest(UNIT2, 30, 20, seed=NoSpawn(0))
 
 
 class TestLeafCell:
     def test_depth_zero_returns_box(self):
-        tree = SplitTree(depth=0, node_dims=np.zeros(0, dtype=np.int64))
-        assert leaf_cell(tree, UNIT2, 0) == UNIT2
+        assert leaf_cell(np.zeros(0, dtype=np.int64), UNIT2, 0) == UNIT2
 
     def test_hand_replay(self):
-        tree = SplitTree(depth=2, node_dims=np.array([0, 1, 1]))
-        cell = leaf_cell(tree, UNIT2, 1)
+        cell = leaf_cell(np.array([0, 1, 1]), UNIT2, 1)
         assert cell.lo == (0.0, 0.5)
         assert cell.hi == (0.5, 1.0)
 
     def test_out_of_range(self):
-        tree = SplitTree(depth=1, node_dims=np.array([0]))
         with pytest.raises(ValueError, match="out of range"):
-            leaf_cell(tree, UNIT2, 2)
+            leaf_cell(np.array([0]), UNIT2, 2)
 
     def test_volume_halving(self):
         box = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        tree = build_tree(3, 3, np.random.default_rng(7))
-        for leaf in range(tree.n_leaves):
+        tree = draw_labels(3, 3, np.random.default_rng(7))
+        for leaf in range(8):
             assert leaf_cell(tree, box, leaf).volume == pytest.approx(1 / 8, rel=1e-15)
 
 
 class TestCountLeaves:
     def test_empty(self):
-        tree = SplitTree(depth=1, node_dims=np.array([0]))
-        counts, dropped = count_leaves(tree, UNIT2, [])
+        counts, dropped = count_leaves(np.array([0]), UNIT2, [])
         assert counts.tolist() == [0, 0]
         assert dropped == 0
 
     def test_example(self):
-        tree = SplitTree(depth=1, node_dims=np.array([0]))
         pts = [(0.25, 0.5), (0.75, 0.5), (0.9, 0.1)]
-        counts, dropped = count_leaves(tree, UNIT2, pts)
+        counts, dropped = count_leaves(np.array([0]), UNIT2, pts)
         assert counts.tolist() == [1, 2]
         assert dropped == 0
 
     def test_outside_point_dropped(self):
-        tree = SplitTree(depth=1, node_dims=np.array([0]))
         pts = [(0.25, 0.5), (0.75, 0.5), (0.9, 0.1), (1.5, 0.5)]
-        counts, dropped = count_leaves(tree, UNIT2, pts)
+        counts, dropped = count_leaves(np.array([0]), UNIT2, pts)
         assert counts.tolist() == [1, 2]
         assert dropped == 1
 
@@ -274,14 +284,14 @@ class TestCountLeaves:
             n = int(rng.integers(0, 201))
             lo = rng.normal(size=d)
             box = Box(tuple(lo), tuple(lo + rng.uniform(0.5, 2.0, size=d)))
-            tree = build_tree(d, p, rng)
+            tree = draw_labels(d, p, rng)
             # scatter some points outside the box as well
             pts = box.lo_array + rng.uniform(-0.2, 1.2, size=(n, d)) * (
                 box.hi_array - box.lo_array
             )
             counts, dropped = count_leaves(tree, box, pts)
-            brute = np.zeros(tree.n_leaves, dtype=int)
-            for leaf in range(tree.n_leaves):
+            brute = np.zeros(2**p, dtype=int)
+            for leaf in range(2**p):
                 cell = leaf_cell(tree, box, leaf)
                 for x in pts:
                     brute[leaf] += bool(cell_contains(cell, box, x))
@@ -297,25 +307,33 @@ class TestForest:
     def test_determinism(self):
         f1 = build_forest(UNIT2, 4, 6, seed=123)
         f2 = build_forest(UNIT2, 4, 6, seed=123)
-        for t1, t2 in zip(f1.trees, f2.trees):
-            assert np.array_equal(t1.node_dims, t2.node_dims)
+        assert np.array_equal(f1.labels, f2.labels)
 
     def test_trees_differ(self):
         box = Box((0.0,) * 3, (1.0,) * 3)
         forest = build_forest(box, 4, 5, seed=99)
-        distinct = {tuple(t.node_dims.tolist()) for t in forest.trees}
+        distinct = {tuple(row) for row in forest.labels.tolist()}
         assert len(distinct) >= 2
 
-    def test_mixed_depths_rejected(self):
-        t1 = build_tree(2, 2, np.random.default_rng(0))
-        t2 = build_tree(2, 3, np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            Forest(box=UNIT2, trees=(t1, t2))
+    def test_bad_label_shape_rejected(self):
+        # T and p come from the shape: a width other than 2**p - 1, an
+        # array that is not 2-D, no tree or a non-integer dtype is no forest
+        cases = [
+            (np.zeros((2, 4), dtype=np.int64), "2\\*\\*p - 1 split labels, got 4"),
+            (np.zeros(3, dtype=np.int64), "got shape \\(3,\\)"),
+            (np.zeros((2, 3, 1), dtype=np.int64), "got shape \\(2, 3, 1\\)"),
+            (np.zeros((0, 3), dtype=np.int64), "T >= 1"),
+            (np.zeros((1, 3)), "signed integers, not float64"),
+            (np.zeros((1, 3), dtype=bool), "signed integers, not bool"),
+        ]
+        for labels, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Forest(box=UNIT2, labels=labels)
 
     def test_label_out_of_dimension_rejected(self):
-        tree = SplitTree(depth=1, node_dims=np.array([5]))
-        with pytest.raises(ValueError):
-            Forest(box=UNIT2, trees=(tree,))
+        for label in (2, 5, -1):
+            with pytest.raises(ValueError, match="must lie in \\[0, 2\\)"):
+                Forest(box=UNIT2, labels=np.array([[0, label, 1]]))
 
 
 class TestPartitionProperty:
@@ -326,7 +344,7 @@ class TestPartitionProperty:
             d = int(rng.integers(1, 4))
             p = int(rng.integers(0, 5))
             box = Box(tuple(-rng.random(d) - 0.1), tuple(rng.random(d) + 0.1))
-            tree = build_tree(d, p, rng)
+            tree = draw_labels(d, p, rng)
             pts = box.lo_array + rng.random((500, d)) * (box.hi_array - box.lo_array)
             # include exact boundary points of the dyadic mesh
             pts[:25] = np.round(pts[:25] * 4) / 4
@@ -334,11 +352,11 @@ class TestPartitionProperty:
             membership = np.stack(
                 [
                     cell_contains(leaf_cell(tree, box, leaf), box, pts)
-                    for leaf in range(tree.n_leaves)
+                    for leaf in range(2**p)
                 ]
             )
             assert (membership.sum(axis=0) == 1).all()
-            ids = leaf_indices(Forest(box=box, trees=(tree,)), pts)[:, 0]
+            ids = leaf_indices(Forest(box=box, labels=tree[None, :]), pts)[:, 0]
             assert np.array_equal(membership.argmax(axis=0), ids)
             total += len(pts)
 
@@ -348,8 +366,8 @@ class TestPartitionProperty:
             d = int(rng.integers(1, 4))
             p = int(rng.integers(0, 7))
             box = Box(tuple(rng.normal(size=d)), tuple(rng.normal(size=d) + 3.0))
-            tree = build_tree(d, p, rng)
-            total = sum(leaf_cell(tree, box, leaf).volume for leaf in range(tree.n_leaves))
+            tree = draw_labels(d, p, rng)
+            total = sum(leaf_cell(tree, box, leaf).volume for leaf in range(2**p))
             assert total == pytest.approx(box.volume, rel=1e-12)
 
 
@@ -366,7 +384,7 @@ def multinomial_split_chisq(d: int, p: int, n_trees: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     observed: dict[tuple, int] = {}
     for _ in range(n_trees):
-        tree = build_tree(d, p, rng)
+        tree = draw_labels(d, p, rng)
         key = tuple(path_split_counts(tree, box, x).tolist())
         observed[key] = observed.get(key, 0) + 1
 
@@ -403,6 +421,6 @@ def test_path_split_counts_sum_to_depth():
     rng = np.random.default_rng(5)
     box = Box((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
     for _ in range(20):
-        tree = build_tree(3, 6, rng)
+        tree = draw_labels(3, 6, rng)
         counts = path_split_counts(tree, box, (1.0, 0.3, 1.7))
         assert counts.sum() == 6
