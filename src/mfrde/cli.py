@@ -72,10 +72,16 @@ def _cmd_generate(args) -> None:
 
 def _cmd_fit(args) -> None:
     data = read_dataset(args.input)
-    try:
-        m = EstimatorConfig(m=args.m, m_ratio=args.m_ratio).resolve_m(data.n)
-    except ValueError as exc:  # an infeasible --m or --m-ratio
-        raise UsageError(str(exc)) from None
+    m = args.m
+    if m is None:
+        try:  # the rounding the benchmark sweep applies to its m_ratios
+            m = int(round(args.m_ratio * data.n))
+        except (ValueError, OverflowError):  # a NaN or infinite product
+            raise UsageError(f"--m-ratio must be finite, got {args.m_ratio}") from None
+    if m < 1:
+        raise UsageError("block size must be at least 1")
+    if m > data.n:
+        raise UsageError("block size exceeds sample size")
     config = EstimatorConfig(
         m=m,
         trees=args.trees,
@@ -104,6 +110,8 @@ def _cmd_eval_grid(args) -> None:
 
 
 def _cmd_benchmark(args) -> None:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     config = BenchmarkConfig.from_json(args.config)
     report = benchmark(config, threads=args.threads)
     report.to_json(args.out)
@@ -141,8 +149,10 @@ def _build_parser() -> _Parser:
     fit_p = sub.add_parser("fit", help="fit a model on a CSV dataset")
     fit_p.add_argument("--input", required=True)
     fit_p.add_argument("--out", required=True)
-    fit_p.add_argument("--m", type=int)
-    fit_p.add_argument("--m-ratio", type=float)
+    block = fit_p.add_mutually_exclusive_group(required=True)
+    block.add_argument("--m", type=int, help="block size")
+    block.add_argument("--m-ratio", type=float,
+                       help="block size as a fraction of the sample: round(ratio * n)")
     fit_p.add_argument("--trees", type=int, default=20)
     fit_p.add_argument("--depth", type=int, default=6)
     fit_p.add_argument("--seed", type=int, default=0)

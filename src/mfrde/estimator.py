@@ -68,6 +68,8 @@ _QUAD_CHUNK = 1 << 15
 # this many int32 sums: 256 KB, so the sums and their row buffer fit in L2.
 _WALK_POINTS = _QUAD_CHUNK
 _GATHER_ELEMS = 1 << 16
+# Most quadrature nodes ``auto`` and ``exact-dyadic`` may use.
+_CELL_BUDGET = 1 << 24
 
 
 def _check_count_range(trees: int, m: int) -> None:
@@ -84,10 +86,10 @@ class Quadrature:
 
     ``exact-dyadic`` sums the median at the centers of the ``2**(p*d)``
     dyadic cells on which it is piecewise constant, an exact integral up
-    to floating-point summation; it refuses to run past ``cell_budget``
-    cells.  ``regular-grid`` averages over an inclusive-endpoint lattice
-    with ``grid_points`` nodes per axis.  ``monte-carlo`` averages over
-    ``mc_draws`` uniform draws.  ``auto`` stays within ``cell_budget``
+    to floating-point summation; it refuses to run past ``_CELL_BUDGET``
+    (``2**24``) cells.  ``regular-grid`` averages over an inclusive-endpoint
+    lattice with ``grid_points`` nodes per axis.  ``monte-carlo`` averages
+    over ``mc_draws`` uniform draws.  ``auto`` stays within ``_CELL_BUDGET``
     nodes: it picks exact-dyadic when the ``2**(p*d)`` cells fit, else the
     regular grid with the largest ``G <= grid_points`` such that ``G**d``
     fits, and raises ``ValueError`` when not even ``G = 2`` fits.
@@ -96,7 +98,6 @@ class Quadrature:
     method: str = "auto"
     grid_points: int = 100
     mc_draws: int = 100_000
-    cell_budget: int = 1 << 24
 
     def __post_init__(self) -> None:
         if self.method not in ("auto", "exact-dyadic", "regular-grid", "monte-carlo"):
@@ -105,8 +106,6 @@ class Quadrature:
             raise ValueError("regular grid needs at least 2 points per axis")
         if self.mc_draws < 1:
             raise ValueError("monte-carlo needs at least 1 draw")
-        if self.cell_budget < 1:
-            raise ValueError("cell budget must be positive")
 
     @classmethod
     def parse(cls, text: str) -> "Quadrature":
@@ -129,13 +128,12 @@ class Quadrature:
 class EstimatorConfig:
     """Fit-time choices: block size, forest shape, seed, domain, quadrature.
 
-    Exactly one of ``m`` (absolute block size) and ``m_ratio`` (fraction
-    of the sample) must be set.  ``box=None`` means the tight bounding
-    box of the data expanded by ``box_margin`` relative to its extent.
+    ``m`` is the block size; :func:`fit` raises ``ValueError`` when it
+    exceeds the sample size.  ``box=None`` means the tight bounding box of
+    the data expanded by ``box_margin`` relative to its extent.
     """
 
-    m: int | None = None
-    m_ratio: float | None = None
+    m: int
     trees: int = 20
     depth: int = 6
     seed: int = 0
@@ -144,26 +142,14 @@ class EstimatorConfig:
     box_margin: float = 0.0
 
     def __post_init__(self) -> None:
-        if (self.m is None) == (self.m_ratio is None):
-            raise ValueError("set exactly one of m and m_ratio")
-        if self.m is not None and self.m < 1:
+        if self.m < 1:
             raise ValueError("block size must be at least 1")
-        if self.m_ratio is not None and self.m_ratio <= 0:
-            raise ValueError("block-size ratio must be positive")
         if self.trees < 1:
             raise ValueError("tree count must be at least 1")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
         if self.box_margin < 0:
             raise ValueError("box margin must be non-negative")
-
-    def resolve_m(self, n: int) -> int:
-        m = self.m if self.m is not None else int(round(self.m_ratio * n))
-        if m < 1:
-            raise ValueError("block size must be at least 1")
-        if m > n:
-            raise ValueError("block size exceeds sample size")
-        return m
 
 
 def assign_blocks(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -332,23 +318,23 @@ def evaluate_batch(model: FittedMFRDE, points) -> np.ndarray:
 def _resolve_quadrature(quad: Quadrature, p: int, d: int) -> Quadrature:
     cells = 2 ** (p * d)
     if quad.method == "auto":
-        if cells <= quad.cell_budget:
+        if cells <= _CELL_BUDGET:
             return replace(quad, method="exact-dyadic")
         # Largest G <= grid_points with G**d within budget, in integers.
-        g = min(quad.grid_points, round(quad.cell_budget ** (1 / d)) + 1)
-        while g >= 2 and g**d > quad.cell_budget:
+        g = min(quad.grid_points, round(_CELL_BUDGET ** (1 / d)) + 1)
+        while g >= 2 and g**d > _CELL_BUDGET:
             g -= 1
         if g < 2:
             raise ValueError(
                 f"auto quadrature: neither 2**(p*d) = {cells} dyadic cells nor a "
-                f"2**d = {2**d}-node grid fits the budget of {quad.cell_budget} "
-                "nodes; raise cell_budget or use monte-carlo"
+                f"2**d = {2**d}-node grid fits the budget of {_CELL_BUDGET} "
+                "nodes; use monte-carlo"
             )
         return replace(quad, method="regular-grid", grid_points=g)
-    if quad.method == "exact-dyadic" and cells > quad.cell_budget:
+    if quad.method == "exact-dyadic" and cells > _CELL_BUDGET:
         raise ValueError(
             f"exact-dyadic quadrature needs 2**(p*d) = {cells} cells, over the "
-            f"budget of {quad.cell_budget}; use regular-grid or monte-carlo"
+            f"budget of {_CELL_BUDGET}; use regular-grid or monte-carlo"
         )
     return quad
 
@@ -448,16 +434,14 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
             f"{bad_rows} data row(s) hold NaN or infinite values; "
             "drop or repair them before fitting"
         )
-    n = pts.shape[0]
-    m = config.resolve_m(n)
+    n, m = pts.shape[0], config.m
     _check_count_range(config.trees, m)
+    forest_stream, perm_stream, _ = _fit_streams(config.seed)
+    blocks = assign_blocks(n, m, np.random.default_rng(perm_stream))
     box = config.box if config.box is not None else Box.bounding(pts, config.box_margin)
     if pts.shape[1] != box.d:
         raise ValueError("data dimension does not match the box")
-
-    forest_stream, perm_stream, _ = _fit_streams(config.seed)
     forest = build_forest(box, config.depth, config.trees, forest_stream)
-    blocks = assign_blocks(n, m, np.random.default_rng(perm_stream))
 
     # One bincount per tree over leaf-offset block ids fills the
     # leaf-major (T, 2**p, S) storage directly.
@@ -492,7 +476,7 @@ def save_model(model: FittedMFRDE, path) -> None:
     """Write the model as a single JSON document, atomically."""
     quad_params: dict = {}
     if model.quadrature.method == "exact-dyadic":
-        quad_params["cell_budget"] = model.quadrature.cell_budget
+        quad_params["cell_budget"] = _CELL_BUDGET
     elif model.quadrature.method == "regular-grid":
         quad_params["points_per_axis"] = model.quadrature.grid_points
     elif model.quadrature.method == "monte-carlo":
@@ -578,11 +562,11 @@ def _model_from_doc(doc) -> FittedMFRDE:
     if method == "auto":
         raise ValueError(f"unresolved quadrature method {method!r}")
     params = doc["quadrature"].get("params", {})
+    _typed(params.get("cell_budget", _CELL_BUDGET), "cell_budget")  # checked, not kept
     quad = Quadrature(
         method=method,
         grid_points=_typed(params.get("points_per_axis", 100), "points_per_axis"),
         mc_draws=_typed(params.get("draws", 100_000), "draws"),
-        cell_budget=_typed(params.get("cell_budget", Quadrature().cell_budget), "cell_budget"),
     )
     model = FittedMFRDE(
         seed=seed,

@@ -89,6 +89,7 @@ class BenchmarkConfig:
 
     ``m_ratios`` are block-size fractions of the sample (``m`` is the
     rounded product, cells with ``m < 1`` or ``m > n`` are skipped).
+    ``repeats`` must be at least 1 and every list non-empty.
     """
 
     schemes: tuple[str, ...] = ("uniform",)
@@ -104,6 +105,15 @@ class BenchmarkConfig:
     quadrature: Quadrature = field(
         default_factory=lambda: Quadrature(method="regular-grid", grid_points=100)
     )
+
+    def __post_init__(self) -> None:
+        if self.repeats < 1:
+            raise ValueError(
+                f"benchmark config repeats must be at least 1, not {self.repeats}"
+            )
+        for key in ("schemes", "ratios", "m_ratios", "trees", "depths"):
+            if not getattr(self, key):
+                raise ValueError(f"benchmark config {key} must not be empty")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkConfig":
@@ -199,7 +209,8 @@ def benchmark(config: BenchmarkConfig, threads: int = 1) -> EvalReport:
     Every repetition of a (scheme, ratio) pair reuses one generated
     dataset across the (m_ratio, trees, depth) grid, so parameter cells
     are directly comparable, and the single-block baseline is fitted once
-    per (scheme, ratio, trees, depth, repeat).
+    per (scheme, ratio, trees, depth, repeat).  ``threads`` pool workers
+    run the fits; the report does not depend on their number.
     """
     grid = make_grid(config.box, config.grid_g)
     truth_vals = np.asarray(true_density(grid.points))
@@ -217,21 +228,24 @@ def benchmark(config: BenchmarkConfig, threads: int = 1) -> EvalReport:
         )
     }
 
-    def run_baseline(job) -> tuple:
-        si, ri, ti, pi, rep = job
-        data = datasets[(si, ri, rep)]
+    def fit_metrics(data, m: int, ti: int, pi: int, seed: int) -> tuple:
         model = fit(
             data,
             EstimatorConfig(
-                m=config.n,
+                m=m,
                 trees=config.trees[ti],
                 depth=config.depths[pi],
-                seed=_derived_seed(config.seed, 211, si, ri, ti, pi, rep),
+                seed=seed,
                 quadrature=config.quadrature,
                 box=config.box,
             ),
         )
-        return job, _metrics(model, data, grid, truth_vals)
+        return _metrics(model, data, grid, truth_vals)
+
+    def run_baseline(job) -> tuple:
+        si, ri, ti, pi, rep = job
+        seed = _derived_seed(config.seed, 211, si, ri, ti, pi, rep)
+        return job, fit_metrics(datasets[(si, ri, rep)], config.n, ti, pi, seed)
 
     def run_cell(job) -> dict:
         si, ri, mi, ti, pi, rep = job
@@ -249,19 +263,9 @@ def benchmark(config: BenchmarkConfig, threads: int = 1) -> EvalReport:
         if m < 1 or m > config.n:
             row.update(m=m, skipped="infeasible block size", mae=None, auc=None)
             return row
-        data = datasets[(si, ri, rep)]
+        seed = _derived_seed(config.seed, 307, si, ri, mi, ti, pi, rep)
         try:
-            model = fit(
-                data,
-                EstimatorConfig(
-                    m=m,
-                    trees=config.trees[ti],
-                    depth=config.depths[pi],
-                    seed=_derived_seed(config.seed, 307, si, ri, mi, ti, pi, rep),
-                    quadrature=config.quadrature,
-                    box=config.box,
-                ),
-            )
+            mae_val, auc_val = fit_metrics(datasets[(si, ri, rep)], m, ti, pi, seed)
         except ValueError as exc:
             # tiny blocks with deep trees can leave the median at zero
             # everywhere; such cells carry no usable estimate
@@ -269,7 +273,6 @@ def benchmark(config: BenchmarkConfig, threads: int = 1) -> EvalReport:
                 raise
             row.update(m=m, skipped="degenerate model", mae=None, auc=None)
             return row
-        mae_val, auc_val = _metrics(model, data, grid, truth_vals)
         row.update(m=m, mae=mae_val, auc=auc_val)
         return row
 
@@ -292,14 +295,9 @@ def benchmark(config: BenchmarkConfig, threads: int = 1) -> EvalReport:
             range(config.repeats),
         )
     )
-    workers = max(1, int(threads))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            baselines = dict(pool.map(run_baseline, baseline_jobs))
-            rows = list(pool.map(run_cell, cell_jobs))
-    else:
-        baselines = dict(map(run_baseline, baseline_jobs))
-        rows = list(map(run_cell, cell_jobs))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        baselines = dict(pool.map(run_baseline, baseline_jobs))
+        rows = list(pool.map(run_cell, cell_jobs))
 
     for row, job in zip(rows, cell_jobs):
         si, ri, _, ti, pi, rep = job

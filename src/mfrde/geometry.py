@@ -118,9 +118,10 @@ class Forest:
 
     ``labels`` is the read-only ``(T, 2**p - 1)`` int64 label matrix of the
     module docstring, with ``T >= 1`` and every label in ``[0, box.d)``;
-    the tree count and the depth come from its shape.  :func:`build_forest`
-    draws the labels as a pure function of ``(seed, depth, n_trees,
-    box.d)``; identical seeds reproduce identical forests.
+    the tree count and the depth come from its shape.  An int64 array is
+    kept, not copied, and made read-only; other integer dtypes are copied.
+    :func:`build_forest` draws the labels as a pure function of ``(seed,
+    depth, n_trees, box.d)``; identical seeds reproduce identical forests.
     """
 
     box: Box

@@ -79,6 +79,32 @@ class TestPipeline:
         assert code == 1
         assert "block size exceeds sample size" in err
 
+    def test_m_ratio_rounds_like_the_sweep(self, tmp_path, capsys):
+        d_csv, m_json = tmp_path / "d.csv", tmp_path / "m.json"
+        run(["generate", "--scheme", "uniform", "--n", "500", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        code, _, _ = run(["fit", "--input", str(d_csv), "--m-ratio", "0.1", "--trees", "2",
+                          "--depth", "2", "--out", str(m_json)], capsys)
+        assert code == 0
+        assert load_model(m_json).m == 50
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--m-ratio", "0.0001", "block size must be at least 1"),
+        ("--m", "0", "block size must be at least 1"),
+        ("--m-ratio", "nan", "--m-ratio must be finite"),
+        ("--m-ratio", "inf", "--m-ratio must be finite"),
+    ], ids=["tiny-ratio", "zero-m", "nan-ratio", "inf-ratio"])
+    def test_block_size_below_one(self, tmp_path, capsys, flag, value, message):
+        # an infinite ratio used to escape main() as an OverflowError
+        d_csv, m_json = tmp_path / "d.csv", tmp_path / "m.json"
+        run(["generate", "--scheme", "uniform", "--n", "500", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        code, _, err = run(["fit", "--input", str(d_csv), flag, value,
+                            "--out", str(m_json)], capsys)
+        assert code == 1
+        assert message in err
+        assert not m_json.exists()
+
     def test_generate_idempotent(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["generate", "--scheme", "beta", "--n", "100",
@@ -229,11 +255,33 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 2
         assert seen == [1]
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        # both used to run the sweep on one thread and exit 0
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg_path.write_text(json.dumps({"repeats": 1, "n": 50, "grid_G": 5}))
+        code, _, err = run(["benchmark", "--config", str(cfg_path), "--out", str(out),
+                            "--threads", threads], capsys)
+        assert code == 1
+        assert "--threads must be at least 1" in err
+        assert not out.exists()
+
 
 class TestErrors:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(["generate", "--bogus", "1"], capsys)
         assert code == 1
+
+    def test_exactly_one_block_size_flag(self, tmp_path, capsys):
+        d_csv, m_json = tmp_path / "d.csv", tmp_path / "m.json"
+        run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        for flags in (["--m", "10", "--m-ratio", "0.1"], []):
+            code, _, err = run(["fit", "--input", str(d_csv), "--out", str(m_json)] + flags,
+                               capsys)
+            assert code == 1
+            assert "--m" in err
+            assert not m_json.exists()
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
@@ -327,13 +375,18 @@ class TestErrors:
             ({"schemes": "uniform"}, "benchmark config schemes must be of type list"),
             ({"quadrature": 5}, "benchmark config quadrature must be of type str"),
             ({"box": {"lo": [0, 0]}}, "benchmark config box must be an object"),
+            ({"repeats": 0}, "benchmark config repeats must be at least 1"),
+            ({"repeats": -3}, "benchmark config repeats must be at least 1"),
+            ({"schemes": []}, "benchmark config schemes must not be empty"),
+            ({"ratios": []}, "benchmark config ratios must not be empty"),
         ],
         ids=["unknown-keys", "float-n", "string-grid", "bool-repeats", "top-level-list",
-             "float-tree", "string-schemes", "int-quadrature", "box-without-hi"],
+             "float-tree", "string-schemes", "int-quadrature", "box-without-hi",
+             "zero-repeats", "negative-repeats", "empty-schemes", "empty-ratios"],
     )
     def test_bad_benchmark_config(self, tmp_path, capsys, doc, named):
         # each used to run the default sweep, truncate 2.7 to 2, split a
-        # string into letters, or escape as a traceback
+        # string into letters, escape as a traceback, or run an empty sweep
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "report.json"

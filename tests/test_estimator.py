@@ -95,21 +95,11 @@ class TestAssignBlocks:
 
 
 class TestConfig:
-    def test_exactly_one_block_spec(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig()
-        with pytest.raises(ValueError):
-            EstimatorConfig(m=5, m_ratio=0.1)
-
-    def test_resolve_ratio(self):
-        cfg = EstimatorConfig(m_ratio=0.1)
-        assert cfg.resolve_m(500) == 50
-
-    def test_resolve_errors(self):
-        with pytest.raises(ValueError, match="exceeds sample size"):
-            EstimatorConfig(m_ratio=2.0).resolve_m(100)
+    def test_block_size_checked(self):
         with pytest.raises(ValueError, match="at least 1"):
-            EstimatorConfig(m_ratio=0.0001).resolve_m(100)
+            EstimatorConfig(m=0)
+        with pytest.raises(ValueError, match="exceeds sample size"):
+            fit(np.random.default_rng(0).random((100, 2)), EstimatorConfig(m=101))
 
     def test_quadrature_parse(self):
         assert Quadrature.parse("exact").method == "exact-dyadic"
@@ -367,17 +357,15 @@ class TestNormalizer:
         data = np.random.default_rng(3).random((40, 2))
         cfg = EstimatorConfig(
             m=10, trees=2, depth=13, seed=0, box=UNIT2,
-            quadrature=Quadrature(method="exact-dyadic", cell_budget=2**24),
+            quadrature=Quadrature(method="exact-dyadic"),
         )
         with pytest.raises(ValueError, match="regular-grid or monte-carlo"):
             fit(data, cfg)
 
-    def test_auto_falls_back_to_grid(self):
+    def test_auto_falls_back_to_grid(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_CELL_BUDGET", 4)
         data = np.random.default_rng(3).random((40, 2))
-        cfg = EstimatorConfig(
-            m=10, trees=2, depth=4, seed=0, box=UNIT2,
-            quadrature=Quadrature(cell_budget=4),
-        )
+        cfg = EstimatorConfig(m=10, trees=2, depth=4, seed=0, box=UNIT2)
         model = fit(data, cfg)
         assert model.quadrature.method == "regular-grid"
         assert model.quadrature.grid_points == 2
@@ -389,9 +377,10 @@ class TestNormalizer:
         assert quad.method == "regular-grid"
         assert quad.grid_points == 27
 
-    def test_auto_over_budget_raises(self):
-        with pytest.raises(ValueError, match="raise cell_budget or use monte-carlo"):
-            estimator._resolve_quadrature(Quadrature(cell_budget=7), 4, 3)
+    def test_auto_over_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_CELL_BUDGET", 7)
+        with pytest.raises(ValueError, match="budget of 7 nodes; use monte-carlo"):
+            estimator._resolve_quadrature(Quadrature(), 4, 3)
 
 
 class TestLattice:
@@ -712,6 +701,10 @@ class TestSerialization:
         "ragged-split-labels": lambda doc: doc.update(T=2, trees=[[0, 1, 1], [0]]),
         "tree-count": lambda doc: doc.__setitem__("T", 2),
         "huge-depth": lambda doc: doc.__setitem__("p", 2**40),
+        "bool-cell-budget": lambda doc: doc["quadrature"]["params"].__setitem__(
+            "cell_budget", True),
+        "string-cell-budget": lambda doc: doc["quadrature"]["params"].__setitem__(
+            "cell_budget", "16777216"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))

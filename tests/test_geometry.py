@@ -315,6 +315,16 @@ class TestForest:
         distinct = {tuple(row) for row in forest.labels.tolist()}
         assert len(distinct) >= 2
 
+    def test_int64_labels_kept_read_only(self):
+        labels = np.zeros((2, 3), dtype=np.int64)
+        forest = Forest(box=UNIT2, labels=labels)
+        assert forest.labels is labels
+        assert not labels.flags.writeable
+        narrow = np.zeros((2, 3), dtype=np.int32)
+        forest = Forest(box=UNIT2, labels=narrow)
+        assert forest.labels.dtype == np.int64 and not forest.labels.flags.writeable
+        assert narrow.flags.writeable
+
     def test_bad_label_shape_rejected(self):
         # T and p come from the shape: a width other than 2**p - 1, an
         # array that is not 2-D, no tree or a non-integer dtype is no forest
