@@ -177,15 +177,28 @@ def _write_table(path, header: list[str], values, labels=None) -> None:
     """CSV of float columns as ``%.17g`` plus an optional ``%d`` column.
 
     Writes the same bytes as ``csv.writer`` (CRLF line ends) for headers
-    that need no quoting, formatting whole rows at once.
+    that need no quoting, formatting whole rows at once.  A float column
+    in which at most half the rows are distinct, such as a density, which
+    is piecewise constant, or a grid axis, has each distinct value
+    formatted once and gathered into its rows.  Values are distinct by bit
+    pattern, so ``-0.0`` and ``0.0``, and NaNs of either sign, stay apart.
     """
     values = np.asarray(values, dtype=float)
-    columns = [values[:, j].tolist() for j in range(values.shape[1])]
-    fmt = ",".join(["%.17g"] * values.shape[1])
+    columns, formats = [], []
+    for col in values.T:
+        distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        if 2 * distinct.size <= col.size:
+            text = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()],
+                            dtype=object)
+            columns.append(text[inverse].tolist())
+            formats.append("%s")
+        else:
+            columns.append(col.tolist())
+            formats.append("%.17g")
     if labels is not None:
         columns.append(np.asarray(labels).tolist())
-        fmt += ",%d"
-    fmt += "\r\n"
+        formats.append("%d")
+    fmt = ",".join(formats) + "\r\n"
     text = ",".join(header) + "\r\n" + "".join([fmt % row for row in zip(*columns)])
     _write_atomic(path, text)
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
@@ -505,16 +506,121 @@ def save_model(model: FittedMFRDE, path) -> None:
 def load_model(path) -> FittedMFRDE:
     """Load and validate a model written by :func:`save_model`.
 
+    The file is strict UTF-8 JSON.  Its top-level ``"counts"`` value is cut
+    out of the text and decoded with numpy; ``json.loads`` parses the rest,
+    with ``null`` in its place.  That value must be a list of ``S`` lists of
+    ``T`` lists of ``2**p`` counts, each count 1 to 10 digits with no sign,
+    fraction, exponent or leading zero, with any JSON whitespace between
+    tokens (never inside a count).  The key appears once in the document,
+    at the top level.
+
     A file that does not hold such a model, from broken JSON to a count
     that is not an integer, raises ``ValueError("malformed model file: ...")``.
     """
     try:
-        with open(path) as fh:
-            return _model_from_doc(json.load(fh))
+        with open(path, "rb") as fh:
+            text, span = _cut_counts(fh.read())
+        counts_keys = 0  # at any depth
+
+        def pairs_to_dict(pairs: list) -> dict:
+            nonlocal counts_keys
+            counts_keys += sum(k == "counts" for k, _ in pairs)
+            return dict(pairs)
+
+        doc = json.loads(text, object_pairs_hook=pairs_to_dict)
+        return _model_from_doc(doc, span if counts_keys == 1 else None)
     except KeyError as exc:
         raise ValueError(f"malformed model file: missing field {exc}") from None
     except (TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed model file: {exc}") from None
+
+
+_COUNTS_KEY = b'"counts"'
+_KEY_COLON = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")
+_JSON_WS = b" \t\n\r"
+_DIGITS = b"0123456789"
+_SPLIT_NUMBER = re.compile(rb"[0-9][ \t\n\r]+[0-9]")
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_MAX_COUNT_DIGITS = 10
+_COMMA, _OPEN, _CLOSE = b",[]"
+
+
+def _cut_counts(raw: bytes) -> tuple[str, bytes | None]:
+    """The document's text with its counts list replaced by ``null``, and the list.
+
+    The list is the value after the first ``"counts"`` in the bytes; it
+    runs from its ``[`` to the last ``]`` before the next quote, as a list
+    of counts holds no quote.  When there is no such key, the first one
+    ends a string after an escaped quote, or its value is not a list, the
+    whole text comes back with no list.
+    """
+    key = raw.find(_COUNTS_KEY)
+    colon = None
+    if key > 0 and raw[key - 1] != ord("\\"):
+        colon = _KEY_COLON.match(raw, key + len(_COUNTS_KEY))
+    if colon is None or not raw.startswith(b"[", colon.end()):
+        return raw.decode("utf-8"), None
+    start = colon.end()
+    stop = raw.find(b'"', start)
+    end = raw.rfind(b"]", start, len(raw) if stop < 0 else stop) + 1
+    # Both cuts sit at ASCII bytes, so each side decodes on its own.
+    return raw[:start].decode("utf-8") + "null" + raw[end:].decode("utf-8"), raw[start:end]
+
+
+def _decode_counts(span: bytes, s: int, t: int, leaves: int) -> np.ndarray:
+    """The ``(T, 2**p, S)`` int32 storage of the counts list ``span``.
+
+    ``span`` holds ``S`` lists of ``T`` lists of ``leaves`` counts in the
+    grammar of :func:`load_model`.  With its whitespace and digits deleted,
+    it must be that nesting's skeleton of brackets and commas, and each
+    bracket and comma must border a count or a bracket where JSON puts one.
+    ``np.fromstring`` then parses one count between each pair of commas;
+    the digits of the values it parsed must add up to the digits in the
+    text, which rules out leading zeros.
+    """
+    if span.translate(None, _DIGITS + b",[]"):
+        # Only whitespace may remain, and never inside a count.
+        if span.translate(None, _DIGITS + b",[]" + _JSON_WS) or _SPLIT_NUMBER.search(span):
+            raise ValueError("counts must be non-negative JSON integers")
+        span = span.translate(None, _JSON_WS)
+    size = s * t * leaves
+    # One bracket pair per list, a comma between neighbours, a digit or more per count.
+    skeleton_len = s * (t * (leaves + 2) + 2) + 1
+    shape_error = ValueError("count array shape does not match S, T and p")
+    if s < 1 or len(span) < skeleton_len + size:
+        raise shape_error
+    row = b"[" + b"," * (leaves - 1) + b"]"
+    block = b"[" + b",".join([row] * t) + b"]"
+    if span.translate(None, _DIGITS) != b"[" + b",".join([block] * s) + b"]":
+        raise shape_error
+    codes = np.frombuffer(span, dtype=np.uint8)
+    opens = np.flatnonzero(codes == _OPEN)
+    closes = np.flatnonzero(codes == _CLOSE)
+    commas = codes == _COMMA
+    # A "[" follows "[" or "," and precedes "[" or a count; a "]" mirrors
+    # that; no two commas meet.  The skeleton fixes the rest.
+    if not (
+        np.isin(codes[opens[1:] - 1], (_OPEN, _COMMA)).all()
+        and not np.isin(codes[opens + 1], (_COMMA, _CLOSE)).any()
+        and not (codes[closes - 1] == _COMMA).any()
+        and np.isin(codes[closes[:-1] + 1], (_CLOSE, _COMMA)).all()
+        and not (commas[1:] & commas[:-1]).any()
+    ):
+        raise shape_error
+    values = np.fromstring(span.translate(_BRACKETS_TO_SPACES), dtype=np.int64, sep=",")
+    if values.size != size:
+        raise shape_error
+    top = int(values.max())
+    if top >= 10**_MAX_COUNT_DIGITS:
+        raise ValueError(f"a count has more than {_MAX_COUNT_DIGITS} digits")
+    digits = size + sum(int(np.count_nonzero(values >= 10**k)) for k in range(1, len(str(top))))
+    if digits != len(span) - skeleton_len:
+        raise ValueError("a count has a leading zero")
+    if top > np.iinfo(np.int32).max:
+        raise ValueError(f"count {top} does not fit in int32")
+    leaf_counts = np.empty((t, leaves, s), dtype=np.int32)
+    leaf_counts.transpose(2, 0, 1)[...] = values.reshape(s, t, leaves)
+    return leaf_counts
 
 
 def _typed(value, name: str, kinds: tuple[type, ...] = (int,)):
@@ -535,8 +641,13 @@ def _box_of(value, name: str) -> Box:
     return Box(lo, hi)
 
 
-def _model_from_doc(doc) -> FittedMFRDE:
-    """The model a decoded v1 document describes; raises if it describes none."""
+def _model_from_doc(doc, counts_span: bytes | None) -> FittedMFRDE:
+    """The model a v1 document describes; raises if it describes none.
+
+    ``doc`` is the document as :func:`load_model` parsed it, with ``null``
+    for its counts list, and ``counts_span`` that list's bytes: ``None``
+    when the document does not hold exactly one ``"counts"`` list.
+    """
     if not isinstance(doc, dict):
         raise ValueError("the document is not a JSON object")
     version = doc["format_version"]
@@ -553,11 +664,9 @@ def _model_from_doc(doc) -> FittedMFRDE:
     forest = Forest(box=box, labels=np.array(doc["trees"], dtype=np.int64))
     if (forest.n_trees, forest.depth) != (t, p):
         raise ValueError("split label array shape does not match T and p")
-    # No dtype: a float count, or one past int64, decodes to a float or
-    # object array, which FittedMFRDE rejects instead of truncating.
-    counts = np.asarray(doc["counts"])
-    if counts.shape != (s, t, 2**p):
-        raise ValueError("count array shape does not match S, T and p")
+    if doc["counts"] is not None or counts_span is None:
+        raise ValueError("counts must be one list of S lists of T lists of 2**p counts")
+    counts = _decode_counts(counts_span, s, t, 2**p)
     method = doc["quadrature"]["method"]
     if method == "auto":
         raise ValueError(f"unresolved quadrature method {method!r}")
@@ -574,7 +683,7 @@ def _model_from_doc(doc) -> FittedMFRDE:
         n=n,
         m=m,
         dropped=dropped,
-        leaf_counts=counts.transpose(1, 2, 0),
+        leaf_counts=counts,
         normalizer=float(_typed(doc["normalizer"], "normalizer", (int, float))),
         quadrature=quad,
     )

@@ -89,7 +89,8 @@ class BenchmarkConfig:
 
     ``m_ratios`` are block-size fractions of the sample (``m`` is the
     rounded product, cells with ``m < 1`` or ``m > n`` are skipped).
-    ``repeats`` must be at least 1 and every list non-empty.
+    ``repeats`` and ``n`` must be at least 1, ``grid_g`` at least 2, and
+    every list non-empty.
     """
 
     schemes: tuple[str, ...] = ("uniform",)
@@ -107,10 +108,12 @@ class BenchmarkConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.repeats < 1:
-            raise ValueError(
-                f"benchmark config repeats must be at least 1, not {self.repeats}"
-            )
+        for key, value, least in (("repeats", self.repeats, 1), ("n", self.n, 1),
+                                  ("grid_G", self.grid_g, 2)):
+            if value < least:
+                raise ValueError(
+                    f"benchmark config {key} must be at least {least}, not {value}"
+                )
         for key in ("schemes", "ratios", "m_ratios", "trees", "depths"):
             if not getattr(self, key):
                 raise ValueError(f"benchmark config {key} must not be empty")

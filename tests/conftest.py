@@ -27,6 +27,10 @@ The paper's notion of a local outlier: an outlier matters for a query
 (``local_outliers``); a block is clean when its row of the block index
 matrix holds no outlier at all (``clean_block_fraction``).
 
+``json_load_counts`` decodes a model file's counts the way ``load_model``
+did before it cut them out of the text: ``json.load`` of the whole file and
+a nested-list ``np.asarray``.
+
 The CSV oracles are the row-at-a-time ``csv`` loops the package's
 array-at-a-time file I/O replaced: ``csv_writer_table`` formats every cell
 with ``%.17g`` (labels with ``str(int(...))``) and writes rows through
@@ -40,6 +44,7 @@ the suite draws the same examples.
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -194,6 +199,14 @@ def clean_block_fraction(blocks: np.ndarray, outlier_indices) -> float:
     """Fraction of rows of the block index matrix that avoid every outlier index."""
     contaminated = np.isin(blocks, np.asarray(outlier_indices, dtype=np.int64))
     return float(1.0 - contaminated.any(axis=1).mean())
+
+
+def json_load_counts(path) -> np.ndarray:
+    """A model file's counts as ``(T, 2**p, S)`` int32, through ``json.load``."""
+    with open(path) as fh:
+        counts = np.asarray(json.load(fh)["counts"])
+    assert counts.dtype == np.int64
+    return np.ascontiguousarray(counts.transpose(1, 2, 0), dtype=np.int32)
 
 
 def csv_writer_table(path, header, values, labels=None) -> None:

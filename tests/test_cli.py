@@ -215,6 +215,45 @@ class TestOutputBytes:
                          np.column_stack([grid.points, dens]))
         assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_eval_grid_other_dimensions(self, tmp_path, capsys, d):
+        d_csv, m_json, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "g.csv"
+        points = np.random.default_rng(d).random((240, d))
+        datasets.write_dataset(datasets.Dataset(points=points), d_csv)
+        run(["fit", "--input", str(d_csv), "--m", "40", "--trees", "4", "--depth", "3",
+             "--seed", "1", "--box", ",".join(["0:1"] * d), "--out", str(m_json)], capsys)
+        code, _, _ = run(["eval-grid", "--model", str(m_json), "--grid", "9",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        model = load_model(m_json)
+        grid = make_grid(model.box, 9)
+        dens = evaluate_batch(model, grid.points)
+        header = [f"x{j + 1}" for j in range(d)] + ["density"]
+        csv_writer_table(tmp_path / "old.csv", header, np.column_stack([grid.points, dens]))
+        assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert len(out.read_bytes().splitlines()) == 9**d + 1
+
+    def test_score_header_only_query(self, tmp_path, capsys, model_files):
+        _, m_json = model_files
+        query, out = tmp_path / "q.csv", tmp_path / "s.csv"
+        query.write_text("x1,x2,label\r\n")
+        code, _, _ = run(["score", "--model", str(m_json), "--input", str(query),
+                          "--out", str(out)], capsys)
+        assert code == 0
+        csv_writer_table(tmp_path / "old.csv", ["density"], np.zeros((0, 1)))
+        assert out.read_bytes() == (tmp_path / "old.csv").read_bytes() == b"density\r\n"
+
+    def test_generate_labelled_few_distinct(self, tmp_path, capsys):
+        # 90% discrete outliers: each column holds fewer distinct values than half its rows
+        out = tmp_path / "d.csv"
+        code, _, _ = run(["generate", "--scheme", "discrete", "--n", "400",
+                          "--outlier-ratio", "0.9", "--seed", "6", "--out", str(out)], capsys)
+        assert code == 0
+        data = datasets.generate("discrete", 400, 0.9, seed=6)
+        assert all(2 * np.unique(c).size <= 400 for c in data.points.T)
+        csv_writer_table(tmp_path / "old.csv", ["x1", "x2", "label"], data.points, data.labels)
+        assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
 
 class TestBenchmarkCommand:
     def test_small_benchmark(self, tmp_path, capsys):
@@ -363,6 +402,27 @@ class TestErrors:
         assert err.startswith("mfrde: error: malformed model file: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", ["binary", "empty", "utf8-bom", "utf16"])
+    def test_model_file_not_utf8_json(self, tmp_path, capsys, content):
+        d_csv, m_json, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "s.csv"
+        run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        run(["fit", "--input", str(d_csv), "--m", "10", "--out", str(m_json)], capsys)
+        text = m_json.read_text()
+        m_json.write_bytes({
+            "binary": bytes(range(256)) * 3,
+            "empty": b"",
+            "utf8-bom": b"\xef\xbb\xbf" + text.encode("utf-8"),
+            "utf16": text.encode("utf-16"),
+        }[content])
+        code, _, err = run(
+            ["score", "--model", str(m_json), "--input", str(d_csv), "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("mfrde: error: malformed model file: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "doc, named",
         [
@@ -379,10 +439,14 @@ class TestErrors:
             ({"repeats": -3}, "benchmark config repeats must be at least 1"),
             ({"schemes": []}, "benchmark config schemes must not be empty"),
             ({"ratios": []}, "benchmark config ratios must not be empty"),
+            ({"n": 0}, "benchmark config n must be at least 1, not 0"),
+            ({"n": -5}, "benchmark config n must be at least 1, not -5"),
+            ({"grid_G": 1}, "benchmark config grid_G must be at least 2, not 1"),
         ],
         ids=["unknown-keys", "float-n", "string-grid", "bool-repeats", "top-level-list",
              "float-tree", "string-schemes", "int-quadrature", "box-without-hi",
-             "zero-repeats", "negative-repeats", "empty-schemes", "empty-ratios"],
+             "zero-repeats", "negative-repeats", "empty-schemes", "empty-ratios",
+             "zero-n", "negative-n", "one-point-grid"],
     )
     def test_bad_benchmark_config(self, tmp_path, capsys, doc, named):
         # each used to run the default sweep, truncate 2.7 to 2, split a

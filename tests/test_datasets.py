@@ -1,4 +1,6 @@
 import hashlib
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from mfrde.datasets import (
     DOMAIN,
     Dataset,
     _outliers,
+    _write_table,
     generate,
     read_dataset,
     true_density,
@@ -293,6 +296,41 @@ FORMS = [
 ]
 
 
+# Values whose text or bits trip a writer: signed zeros, NaNs of either
+# sign, infinities, subnormals and the smallest normal.
+EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               1e-310, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e308]
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@st.composite
+def float_columns(draw, rows: int) -> list:
+    """A column of ``rows`` values with ``min(k, rows)`` distinct bit patterns.
+
+    ``k`` is one, half the rows, one past half, all the rows, or any count
+    in between, so the column lands on either side of the writer's rule.
+    """
+    top = max(rows, 1)
+    k = draw(st.sampled_from([1, max(rows // 2, 1), min(rows // 2 + 1, top), top])
+             | st.integers(1, top))
+    pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), min_size=k,
+                         max_size=k, unique_by=_bits))
+    more = rows - min(k, rows)
+    extra = draw(st.lists(st.sampled_from(pool), min_size=more, max_size=more))
+    return draw(st.permutations(pool[:rows] + extra))
+
+
+@st.composite
+def float_tables(draw):
+    rows = draw(st.integers(0, 24))
+    columns = [draw(float_columns(rows)) for _ in range(draw(st.integers(1, 3)))]
+    labels = draw(st.none() | st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
+    return np.array(columns, dtype=float).T.reshape(rows, len(columns)), labels
+
+
 class TestCsvOracle:
     """Byte and bit identity with the row-at-a-time csv oracles."""
 
@@ -308,6 +346,25 @@ class TestCsvOracle:
         write_dataset(Dataset(points=points, labels=labels), tmp_path / "new.csv")
         header = ["x1", "x2"] + (["label"] if labelled else [])
         csv_writer_table(tmp_path / "old.csv", header, points, labels)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @given(table=float_tables())
+    def test_write_table_same_bytes_as_csv_writer(self, tmp_path_factory, table):
+        values, labels = table
+        path = tmp_path_factory.mktemp("table")
+        header = [f"x{j + 1}" for j in range(values.shape[1])] + (["label"] if labels else [])
+        _write_table(path / "new.csv", header, values, labels)
+        csv_writer_table(path / "old.csv", header, values, labels)
+        assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("distinct", [5, 6], ids=["half", "one-past-half"])
+    def test_write_table_half_distinct(self, tmp_path, distinct):
+        # -0.0 and 0.0, and NaNs of either sign, are distinct values
+        pool = [-0.0, 0.0, math.nan, -math.nan, 5e-324, math.inf][:distinct]
+        column = np.array((pool * 2)[:10])
+        assert np.unique(column.view(np.int64)).size == distinct
+        _write_table(tmp_path / "new.csv", ["x1"], column[:, None])
+        csv_writer_table(tmp_path / "old.csv", ["x1"], column[:, None])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_write_empty_dataset_bytes(self, tmp_path):

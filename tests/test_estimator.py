@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import time
 import tracemalloc
 
@@ -15,6 +16,7 @@ from conftest import (
     clean_block_fraction,
     count_leaves,
     full_disk_open,
+    json_load_counts,
     leaf_index,
     local_outliers,
     naive_median_at,
@@ -738,6 +740,113 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="block holds more points"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "spec, m, depth",
+        [("exact", 40, 6), ("grid:37", 40, 6), ("mc:5000", 40, 6), ("exact", 400, 6),
+         ("exact", 40, 0)],
+        ids=["exact", "grid-37", "mc-5000", "one-block", "depth-0"],
+    )
+    @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent-2"])
+    def test_counts_decoder_matches_json_load(self, tmp_path, spec, m, depth, indent):
+        data = generate("beta", 400, 0.2, seed=9)
+        model = fit(data, EstimatorConfig(m=m, trees=5, depth=depth, seed=3,
+                                          box=Box((0, 0), (5, 5)),
+                                          quadrature=Quadrature.parse(spec)))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        if indent:
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=indent))
+        back = load_model(path)
+        oracle = json_load_counts(path)
+        assert back.leaf_counts.dtype == np.int32 and back.leaf_counts.flags.c_contiguous
+        assert back.leaf_counts.tobytes() == oracle.tobytes() == model.leaf_counts.tobytes()
+        assert back.leaf_counts.shape == oracle.shape
+        assert back.forest.labels.tobytes() == model.forest.labels.tobytes()
+        assert (back.normalizer, back.quadrature, back.n) == (
+            model.normalizer, model.quadrature, model.n)
+
+    # Each replaces the counts list, [[[2,3,0,4]]], of VALID_DOC's compact
+    # text with m = 19, and names the check that rejects it.  The counts of
+    # each case fit m, so no later check could catch it instead.
+    SHAPE = "count array shape does not match S, T and p"
+    NOT_INTEGER = "counts must be non-negative JSON integers"
+    MALFORMED_COUNTS = {
+        "missing-open-bracket": ("[[2,3,0,4]]]", SHAPE),
+        "missing-close-bracket": ("[[[2,3,0,4]]", SHAPE),
+        "extra-value": ("[[[2,3,0,4,0]]]", SHAPE),
+        "missing-value": ("[[[2,3,0]]]", SHAPE),
+        "nested-too-deep": ("[[[[2,3,0,4]]]]", SHAPE),
+        "empty-first-value": ("[[[,3,0,14]]]", SHAPE),
+        "empty-inner-value": ("[[[2,,0,14]]]", SHAPE),
+        "empty-last-value": ("[[[12,3,0,]]]", SHAPE),
+        "count-before-bracket": ("[[5[,3,0,4]]]", SHAPE),
+        "count-after-bracket": ("[[[2,3,0,]5]]", SHAPE),
+        "count-before-full-row": ("[[1[2,3,0,4]]]", SHAPE),
+        "count-after-full-row": ("[[[2,3,0,4]1]]", SHAPE),
+        "negative": ("[[[2,-1,0,4]]]", NOT_INTEGER),
+        "fraction": ("[[[2,1.5,0,4]]]", NOT_INTEGER),
+        "exponent": ("[[[2,1e2,0,4]]]", NOT_INTEGER),
+        "true": ("[[[2,true,0,4]]]", NOT_INTEGER),
+        "null": ("[[[2,null,0,4]]]", NOT_INTEGER),
+        "space-inside-count": ("[[[2,1 1,0,4]]]", NOT_INTEGER),
+        "leading-zero": ("[[[2,07,0,4]]]", "a count has a leading zero"),
+        "twenty-digits": ("[[[2,12345678901234567890,0,4]]]",
+                          "a count has more than 10 digits"),
+        "eleven-digits": ("[[[2,10000000000,0,4]]]", "a count has more than 10 digits"),
+        "past-int32": ("[[[2,4294967296,0,4]]]", "count 4294967296 does not fit in int32"),
+        "not-a-list": ('"[[[2,3,0,4]]]"', "counts must be one list"),
+        "duplicate-key": ('[[[2,3,0,4]]],"counts":[[[2,3,0,4]]]', "counts must be one list"),
+        "escaped-duplicate-key": ('[[[2,3,0,4]]],"co\\u0075nts":[[[2,3,0,4]]]',
+                                  "counts must be one list"),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED_COUNTS))
+    def test_malformed_counts_rejected(self, tmp_path, case):
+        text = json.dumps({**self.VALID_DOC, "m": 19, "n": 19}, separators=(",", ":"))
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        assert load_model(path).counts.tolist() == [[[2, 3, 0, 4]]]
+        counts, message = self.MALFORMED_COUNTS[case]
+        path.write_text(text.replace("[[[2,3,0,4]]]", counts))
+        with pytest.raises(ValueError, match=f"^malformed model file: {re.escape(message)}"):
+            load_model(path)
+
+    def test_block_count_past_file_size_rejected_unbuilt(self, tmp_path):
+        # the skeleton of 2**40 blocks is never built: the span is too short for it
+        text = json.dumps(self.VALID_DOC, separators=(",", ":")).replace('"S":1', f'"S":{2**40}')
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^malformed model file: {self.SHAPE}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("top_level", [True, False], ids=["also-top-level", "only-nested"])
+    def test_nested_counts_rejected(self, tmp_path, top_level):
+        text = json.dumps(self.VALID_DOC, separators=(",", ":")).replace(
+            '"params":{}', '"params":{"counts":[[[2,3,0,4]]]}')
+        if not top_level:
+            text = text.replace('"counts":[[[2,3,0,4]]],', "", 1)
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        message = "missing field 'counts'" if not top_level else "counts must be one list"
+        with pytest.raises(ValueError, match=f"^malformed model file: {message}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ['{"format_version":1,"counts":',
+                                      '{"format_version":1,"counts" : ',
+                                      '{"format_version":1,"counts":[[[2'])
+    def test_file_ends_in_counts(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^malformed model file: "):
+            load_model(path)
+
+    def test_whitespace_between_count_tokens(self, tmp_path):
+        text = json.dumps(self.VALID_DOC, separators=(",", ":"))
+        path = tmp_path / "model.json"
+        path.write_text(text.replace('"counts":[[[2,3,0,4]]]',
+                                     '"counts" :\t[ [\n[ 2 ,3,\r\n0 , 4 ] ] ]  '))
+        assert load_model(path).counts.tolist() == [[[2, 3, 0, 4]]]
 
 
 class TestPigeonhole:
