@@ -509,8 +509,9 @@ def load_model(path) -> FittedMFRDE:
     The file is strict UTF-8 JSON.  Its top-level ``"counts"`` value is cut
     out of the text and decoded with numpy; ``json.loads`` parses the rest,
     with ``null`` in its place.  That value must be a list of ``S`` lists of
-    ``T`` lists of ``2**p`` counts, each count 1 to 10 digits with no sign,
-    fraction, exponent or leading zero, with any JSON whitespace between
+    ``T`` lists of ``2**p`` counts, each count below ``2**31`` in plain
+    digits with no sign, fraction, exponent or leading zero, with any JSON
+    whitespace between
     tokens (never inside a count).  The key appears once in the document,
     at the top level.
 
@@ -541,7 +542,6 @@ _JSON_WS = b" \t\n\r"
 _DIGITS = b"0123456789"
 _SPLIT_NUMBER = re.compile(rb"[0-9][ \t\n\r]+[0-9]")
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
-_MAX_COUNT_DIGITS = 10
 _COMMA, _OPEN, _CLOSE = b",[]"
 
 
@@ -550,14 +550,11 @@ def _cut_counts(raw: bytes) -> tuple[str, bytes | None]:
 
     The list is the value after the first ``"counts"`` in the bytes; it
     runs from its ``[`` to the last ``]`` before the next quote, as a list
-    of counts holds no quote.  When there is no such key, the first one
-    ends a string after an escaped quote, or its value is not a list, the
-    whole text comes back with no list.
+    of counts holds no quote.  When there is no such key, or its value is
+    not a list, the whole text comes back with no list.
     """
     key = raw.find(_COUNTS_KEY)
-    colon = None
-    if key > 0 and raw[key - 1] != ord("\\"):
-        colon = _KEY_COLON.match(raw, key + len(_COUNTS_KEY))
+    colon = _KEY_COLON.match(raw, key + len(_COUNTS_KEY)) if key >= 0 else None
     if colon is None or not raw.startswith(b"[", colon.end()):
         return raw.decode("utf-8"), None
     start = colon.end()
@@ -611,13 +608,13 @@ def _decode_counts(span: bytes, s: int, t: int, leaves: int) -> np.ndarray:
     if values.size != size:
         raise shape_error
     top = int(values.max())
-    if top >= 10**_MAX_COUNT_DIGITS:
-        raise ValueError(f"a count has more than {_MAX_COUNT_DIGITS} digits")
+    # np.fromstring clamps a count past int64; every count left has at
+    # most 10 digits and was parsed exactly.
+    if top > np.iinfo(np.int32).max:
+        raise ValueError(f"a count is past the int32 maximum {np.iinfo(np.int32).max}")
     digits = size + sum(int(np.count_nonzero(values >= 10**k)) for k in range(1, len(str(top))))
     if digits != len(span) - skeleton_len:
         raise ValueError("a count has a leading zero")
-    if top > np.iinfo(np.int32).max:
-        raise ValueError(f"count {top} does not fit in int32")
     leaf_counts = np.empty((t, leaves, s), dtype=np.int32)
     leaf_counts.transpose(2, 0, 1)[...] = values.reshape(s, t, leaves)
     return leaf_counts

@@ -244,13 +244,13 @@ class TestOutputBytes:
         assert out.read_bytes() == (tmp_path / "old.csv").read_bytes() == b"density\r\n"
 
     def test_generate_labelled_few_distinct(self, tmp_path, capsys):
-        # 90% discrete outliers: each column holds fewer distinct values than half its rows
+        # 90% discrete outliers: at most two thirds of the rows in each column are distinct
         out = tmp_path / "d.csv"
         code, _, _ = run(["generate", "--scheme", "discrete", "--n", "400",
                           "--outlier-ratio", "0.9", "--seed", "6", "--out", str(out)], capsys)
         assert code == 0
         data = datasets.generate("discrete", 400, 0.9, seed=6)
-        assert all(2 * np.unique(c).size <= 400 for c in data.points.T)
+        assert all(3 * np.unique(c).size <= 2 * 400 for c in data.points.T)
         csv_writer_table(tmp_path / "old.csv", ["x1", "x2", "label"], data.points, data.labels)
         assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
 

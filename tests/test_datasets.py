@@ -310,11 +310,13 @@ def _bits(value: float) -> bytes:
 def float_columns(draw, rows: int) -> list:
     """A column of ``rows`` values with ``min(k, rows)`` distinct bit patterns.
 
-    ``k`` is one, half the rows, one past half, all the rows, or any count
-    in between, so the column lands on either side of the writer's rule.
+    ``k`` is one, half the rows, two thirds of them, one past two thirds,
+    all the rows, or any count in between, so the column lands on either
+    side of the writer's rule.
     """
     top = max(rows, 1)
-    k = draw(st.sampled_from([1, max(rows // 2, 1), min(rows // 2 + 1, top), top])
+    cut = 2 * rows // 3
+    k = draw(st.sampled_from([1, max(rows // 2, 1), max(cut, 1), min(cut + 1, top), top])
              | st.integers(1, top))
     pool = draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), min_size=k,
                          max_size=k, unique_by=_bits))
@@ -357,11 +359,11 @@ class TestCsvOracle:
         csv_writer_table(path / "old.csv", header, values, labels)
         assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize("distinct", [5, 6], ids=["half", "one-past-half"])
-    def test_write_table_half_distinct(self, tmp_path, distinct):
+    @pytest.mark.parametrize("distinct", [6, 7], ids=["two-thirds", "one-past-two-thirds"])
+    def test_write_table_two_thirds_distinct(self, tmp_path, distinct):
         # -0.0 and 0.0, and NaNs of either sign, are distinct values
-        pool = [-0.0, 0.0, math.nan, -math.nan, 5e-324, math.inf][:distinct]
-        column = np.array((pool * 2)[:10])
+        pool = [-0.0, 0.0, math.nan, -math.nan, 5e-324, math.inf, -math.inf][:distinct]
+        column = np.array((pool * 2)[:9])
         assert np.unique(column.view(np.int64)).size == distinct
         _write_table(tmp_path / "new.csv", ["x1"], column[:, None])
         csv_writer_table(tmp_path / "old.csv", ["x1"], column[:, None])
