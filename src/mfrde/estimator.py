@@ -172,7 +172,8 @@ class FittedMFRDE:
     """Fitted model: shared forest, per-block leaf counts, normalizer.
 
     ``leaf_counts`` holds the ``(T, 2**p, S)`` non-negative integer counts;
-    an array that already is C-contiguous int32 is kept, not copied, and
+    a block's counts sum to the same total, at most ``m``, in every tree.
+    An array that already is C-contiguous int32 is kept, not copied, and
     made read-only.  ``n`` is ``S * m + dropped``, with ``0 <= dropped < m``.
     ``seed`` is the fit's seed, which Monte Carlo quadrature draws from.
     """
@@ -201,9 +202,12 @@ class FittedMFRDE:
         _check_count_range(t, self.m)
         if counts.min() < 0:
             raise ValueError("leaf counts must be non-negative")
-        # Each count is checked first, so the int64 block sums cannot wrap.
-        if counts.max() > self.m or counts.sum(axis=1, dtype=np.int64).max() > self.m:
+        # Each count is checked first, so the int64 (T, S) totals cannot wrap.
+        if counts.max() > self.m or (totals := counts.sum(axis=1, dtype=np.int64)).max() > self.m:
             raise ValueError("a block holds more points than its size")
+        # Each counted point lies in one leaf of every tree.
+        if (totals != totals[0]).any():
+            raise ValueError("a block's count total differs between trees")
         if not (self.normalizer > 0 and math.isfinite(self.normalizer)):
             raise ValueError("normalizer must be finite and strictly positive")
         leaf_counts = np.ascontiguousarray(counts, dtype=np.int32)
@@ -517,6 +521,11 @@ def load_model(path) -> FittedMFRDE:
 
     A file that does not hold such a model, from broken JSON to a count
     that is not an integer, raises ``ValueError("malformed model file: ...")``.
+    So does one that breaks an invariant of :class:`FittedMFRDE`, such as a
+    block whose count totals differ between trees.  An edit that keeps
+    every invariant is not caught: a changed normalizer, box or seed loads
+    without error, and only a content digest written at save time could
+    tell it from the saved model.
     """
     try:
         with open(path, "rb") as fh:

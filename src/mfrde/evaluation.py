@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .datasets import DOMAIN, _write_atomic, generate, true_density
 from .estimator import (
@@ -67,7 +66,11 @@ def auc(scores, labels) -> float:
     """Exact Mann-Whitney AUC of anomaly scores against outlier labels.
 
     Outliers (label 1) are the positive class and should receive high
-    scores; rank ties get half credit.
+    scores; rank ties get half credit.  Ranks are average ranks over the
+    distinct values ``np.unique`` finds in its sort: a group of equal
+    scores (``-0.0`` equals ``0.0``) takes the mean of the ranks it spans.
+    ±inf scores are valid and rank as the extremes; a NaN score has no
+    rank and raises ``ValueError``.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
@@ -78,7 +81,10 @@ def auc(scores, labels) -> float:
     n_neg = int(s.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: need both classes present")
-    ranks = rankdata(s)
+    if np.isnan(s).any():
+        raise ValueError("AUC undefined: a score is NaN")
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,18 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only; importing it would add over a second
+    # to the start of every mfrde process
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, mfrde, mfrde.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 class TestParams:
@@ -400,6 +416,27 @@ class TestErrors:
         )
         assert code == 2
         assert err.startswith("mfrde: error: malformed model file: ")
+        assert not out.exists()
+
+    def test_tree_totals_differ_in_model(self, tmp_path, capsys):
+        # the box holds about a quarter of the points, so a count raised by
+        # one stays within m and only the trees' totals disagree
+        d_csv, m_json, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "s.csv"
+        run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        run(["fit", "--input", str(d_csv), "--m", "10", "--box", "0:2.5,0:2.5",
+             "--out", str(m_json)], capsys)
+        doc = json.loads(m_json.read_text())
+        doc["counts"][0][0][0] += 1
+        assert sum(doc["counts"][0][0]) <= doc["m"]
+        m_json.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["score", "--model", str(m_json), "--input", str(d_csv), "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err == ("mfrde: error: malformed model file: "
+                       "a block's count total differs between trees\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("content", ["binary", "empty", "utf8-bom", "utf16"])

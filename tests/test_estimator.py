@@ -211,7 +211,9 @@ def spare_models():
 @settings(max_examples=300, deadline=None)
 def test_median_sandwich_order_statistic(spare_models, data):
     # local outliers piled into x's leaves in at most floor((S-1)/2) blocks
-    # cannot push the median at x outside the untouched blocks' range
+    # cannot push the median at x outside the untouched blocks' range; each
+    # tree is poisoned by its own amount, which no model would hold, so the
+    # kernel runs on the poisoned counts directly
     model = data.draw(st.sampled_from(spare_models))
     s = model.n_blocks
     x = np.array(data.draw(st.tuples(*[st.floats(0.0, 1.0)] * 2)))
@@ -222,9 +224,11 @@ def test_median_sandwich_order_statistic(spare_models, data):
         for t, leaf in enumerate(x_leaves):
             room = model.m - int(leaf_counts[t, :, b].sum())
             leaf_counts[t, leaf, b] += data.draw(st.integers(0, room))
-    poisoned = dataclasses.replace(model, leaf_counts=leaf_counts)
+    median = estimator._median_values(
+        model.forest, leaf_counts, model.m, model.median_rank, x[None, :]
+    )[0]
     untouched = np.delete(block_densities(model, x), bad)
-    assert untouched.min() <= median_at(poisoned, x) <= untouched.max()
+    assert untouched.min() <= median <= untouched.max()
 
 
 class TestFit:
@@ -739,6 +743,22 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="block holds more points"):
+            load_model(path)
+
+    def test_tree_totals_differ_on_load(self, tmp_path):
+        # each counted point lies in one leaf of every tree; one count raised
+        # by one, still within m, breaks only that invariant
+        data = np.random.default_rng(5).random((40, 2)) * 2.0  # most fall outside
+        model = fit(data, EstimatorConfig(m=10, trees=3, depth=2, seed=2, box=UNIT2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["counts"][0][1][0] += 1
+        assert sum(doc["counts"][0][1]) <= model.m
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            ValueError, match="^malformed model file: a block's count total differs between trees$"
+        ):
             load_model(path)
 
     @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from mfrde import evaluation
 from mfrde.datasets import DOMAIN, Dataset, true_density
@@ -82,6 +84,14 @@ class TestMae:
         assert self.mae(monkeypatch, zero, grid) == pytest.approx(reference, rel=1e-12)
 
 
+def rankdata_auc(scores, labels) -> float:
+    """Mann-Whitney AUC from scipy's average ranks: the oracle for ``auc``."""
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    u = rankdata(scores)[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * (labels.size - n_pos)))
+
+
 class TestAuc:
     def test_perfect_separation(self):
         scores = np.array([0.9, 0.8, 0.2, 0.1])
@@ -99,6 +109,24 @@ class TestAuc:
     def test_single_class_undefined(self):
         with pytest.raises(ValueError, match="AUC undefined"):
             auc(np.array([0.1, 0.2]), np.array([1, 1]))
+
+    def test_nan_score_rejected(self):
+        # scipy's ranks spread a NaN into an AUC of nan; numpy's would rank it last
+        with pytest.raises(ValueError, match="AUC undefined: a score is NaN"):
+            auc([1.0, math.nan, 2.0, math.nan], [1, 0, 1, 0])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_rankdata_oracle(self, data):
+        # a few values drawn again and again, so ties are the rule; signed
+        # zeros and infinities tie or rank as the extremes
+        pool = data.draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3))
+        pool += [-0.0, 0.0, -math.inf, math.inf]
+        n = data.draw(st.integers(2, 40))
+        scores = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        n_pos = data.draw(st.integers(1, n - 1))
+        labels = np.array(data.draw(st.permutations([1] * n_pos + [0] * (n - n_pos))))
+        assert auc(scores, labels) == rankdata_auc(scores, labels)
 
     def test_exhaustive_pair_oracle(self):
         rng = np.random.default_rng(5)
