@@ -69,7 +69,7 @@ _QUAD_CHUNK = 1 << 15
 # this many int32 sums: 256 KB, so the sums and their row buffer fit in L2.
 _WALK_POINTS = _QUAD_CHUNK
 _GATHER_ELEMS = 1 << 16
-# Most quadrature nodes ``auto`` and ``exact-dyadic`` may use.
+# Most quadrature nodes ``auto``, ``exact-dyadic`` and ``regular-grid`` may use.
 _CELL_BUDGET = 1 << 24
 
 
@@ -89,7 +89,8 @@ class Quadrature:
     dyadic cells on which it is piecewise constant, an exact integral up
     to floating-point summation; it refuses to run past ``_CELL_BUDGET``
     (``2**24``) cells.  ``regular-grid`` averages over an inclusive-endpoint
-    lattice with ``grid_points`` nodes per axis.  ``monte-carlo`` averages
+    lattice with ``grid_points`` nodes per axis; it refuses a lattice of
+    more than ``_CELL_BUDGET`` nodes.  ``monte-carlo`` averages
     over ``mc_draws`` uniform draws.  ``auto`` stays within ``_CELL_BUDGET``
     nodes: it picks exact-dyadic when the ``2**(p*d)`` cells fit, else the
     regular grid with the largest ``G <= grid_points`` such that ``G**d``
@@ -341,6 +342,12 @@ def _resolve_quadrature(quad: Quadrature, p: int, d: int) -> Quadrature:
             f"exact-dyadic quadrature needs 2**(p*d) = {cells} cells, over the "
             f"budget of {_CELL_BUDGET}; use regular-grid or monte-carlo"
         )
+    if quad.method == "regular-grid" and quad.grid_points**d > _CELL_BUDGET:
+        raise ValueError(
+            f"regular-grid quadrature needs G**d = {quad.grid_points}**{d} = "
+            f"{quad.grid_points**d} nodes, over the budget of {_CELL_BUDGET}; "
+            "use fewer points per axis or monte-carlo"
+        )
     return quad
 
 
@@ -446,24 +453,27 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
     box = config.box if config.box is not None else Box.bounding(pts, config.box_margin)
     if pts.shape[1] != box.d:
         raise ValueError("data dimension does not match the box")
+    quad = _resolve_quadrature(config.quadrature, config.depth, box.d)
     forest = build_forest(box, config.depth, config.trees, forest_stream)
 
-    # One bincount per tree over leaf-offset block ids fills the
-    # leaf-major (T, 2**p, S) storage directly.
+    # Per chunk of kept points, one bincount per tree over leaf-offset
+    # block ids adds into the leaf-major (T, 2**p, S) storage, so no leaf
+    # ids of the whole sample are held at once.  Integer adds make the
+    # counts independent of the chunking.
     s = blocks.shape[0]
     leaves = 2**config.depth
     block_of = np.full(n, -1, dtype=np.int64)
     block_of[blocks.ravel()] = np.repeat(np.arange(s), m)
-    keep = box.contains_batch(pts) & (block_of >= 0)
-    kept_block = block_of[keep]
-    ids = leaf_indices(forest, points=pts[keep])
-    leaf_counts = np.empty((config.trees, leaves, s), dtype=np.int32)
-    for t in range(config.trees):
-        leaf_counts[t] = np.bincount(
-            ids[:, t] * np.int64(s) + kept_block, minlength=leaves * s
-        ).reshape(leaves, s)
+    kept = np.flatnonzero(box.contains_batch(pts) & (block_of >= 0))
+    leaf_counts = np.zeros((config.trees, leaves, s), dtype=np.int32)
+    for start in range(0, kept.size, _WALK_POINTS):
+        rows = kept[start : start + _WALK_POINTS]
+        ids = leaf_indices(forest, points=pts[rows])
+        for t in range(config.trees):
+            leaf_counts[t] += np.bincount(
+                ids[:, t] * np.int64(s) + block_of[rows], minlength=leaves * s
+            ).reshape(leaves, s)
 
-    quad = _resolve_quadrature(config.quadrature, config.depth, box.d)
     z = _compute_normalizer(forest, leaf_counts, m, (s + 1) // 2, quad, config.seed)
     return FittedMFRDE(
         seed=config.seed,

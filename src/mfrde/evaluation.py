@@ -16,6 +16,7 @@ import io
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,7 +220,8 @@ def benchmark(config: BenchmarkConfig, threads: int = 1) -> EvalReport:
     dataset across the (m_ratio, trees, depth) grid, so parameter cells
     are directly comparable, and the single-block baseline is fitted once
     per (scheme, ratio, trees, depth, repeat).  ``threads`` pool workers
-    run the fits; the report does not depend on their number.
+    run the fits, or the calling thread when ``threads`` is 1; the report
+    does not depend on their number.
     """
     grid = make_grid(config.box, config.grid_g)
     truth_vals = np.asarray(true_density(grid.points))
@@ -304,9 +306,13 @@ def benchmark(config: BenchmarkConfig, threads: int = 1) -> EvalReport:
             range(config.repeats),
         )
     )
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        baselines = dict(pool.map(run_baseline, baseline_jobs))
-        rows = list(pool.map(run_cell, cell_jobs))
+    # At one thread the jobs run in the calling thread: a pool worker
+    # changes nothing in the report and costs time on a small host.
+    pool = nullcontext() if threads == 1 else ThreadPoolExecutor(max_workers=threads)
+    with pool:
+        mapper = map if threads == 1 else pool.map
+        baselines = dict(mapper(run_baseline, baseline_jobs))
+        rows = list(mapper(run_cell, cell_jobs))
 
     for row, job in zip(rows, cell_jobs):
         si, ri, _, ti, pi, rep = job

@@ -31,9 +31,21 @@ breakpoint and lands in the last cell, which is the closed upper face.
 A node that splits an axis for the ``k``-th time on its path (``k`` from
 0) compares ``x`` with the breakpoint whose index has bit ``p - 1 - k`` as
 its lowest set bit, so going right is exactly bit ``p - 1 - k`` of ``c``.
-Every ``Forest`` derives from its labels a per-(tree, node) table of
-(axis, bit position), and :func:`leaf_indices` walks all trees at once on
-those integer bits, without any float geometry past the quantization.
+
+So the leaf of a point depends only on its ``d`` codes, and every leaf is
+a rectangle of codes: on each axis, the codes that share the leading bits
+its path fixed.  When it is small enough, a ``Forest`` keeps a read-only
+``(T, 2**(p*d))`` table of leaf ids (uint8 while ``p <= 8``, else uint16),
+indexed by the codes packed in C order (axis 0 most significant).  It
+fills the table with one slice write per leaf of every tree, and only
+when the table takes at most ``_TABLE_BYTES`` bytes and the fill at most
+``_TABLE_LEAVES`` slice writes; the check runs before anything is
+allocated.  :func:`leaf_indices` then packs the codes and reads each
+point's ``T`` ids in one gather.  A larger forest has no table, and
+:func:`leaf_indices` walks all trees at once on the integer bits of the
+codes instead, through a per-(tree, node) table of (axis, bit position).
+Both give the same ids; neither uses float geometry past the
+quantization.
 
 All types in this module are immutable after construction and safe for
 concurrent reads.
@@ -54,6 +66,13 @@ __all__ = [
 
 # Points per walk chunk: bounds the kernel's temporaries, whatever the batch.
 _WALK_CHUNK = 1 << 12
+# A forest keeps a table of leaf ids only within both budgets: the
+# table's bytes, and the slice writes that fill it, one per leaf of every
+# tree.  A fill at either limit took about 20 ms on a 2-core x86 host, and
+# lookups in a 16 MiB table still beat the walk there (d = 2, p = 10,
+# T = 8: 39 against 72 ms per 100k points).
+_TABLE_BYTES = 1 << 24
+_TABLE_LEAVES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -131,8 +150,10 @@ class Forest:
     _inner: np.ndarray = field(init=False, repr=False)
     # (T * (2**p - 1),) ``axis * p + bit`` of every node, tree-major;
     _bit_table: np.ndarray = field(init=False, repr=False)
-    # (p, T) table address of each tree's first node on each level.
+    # (p, T) table address of each tree's first node on each level;
     _level_base: np.ndarray = field(init=False, repr=False)
+    # (T, 2**(p*d)) leaf ids by packed codes, or None past the budgets.
+    _leaf_table: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels)
@@ -157,9 +178,14 @@ class Forest:
             "_inner": _breakpoints(self.box, depth)[:, 1:-1],
             "_bit_table": _bit_table(labels, depth).ravel(),
             "_level_base": np.arange(n_trees, dtype=np.int32) * nodes + (2**levels - 1),
+            "_leaf_table": (
+                _leaf_table(labels, depth, self.box.d)
+                if _table_fits(n_trees, depth, self.box.d) else None
+            ),
         }
         for name, table in tables.items():
-            table.setflags(write=False)
+            if table is not None:
+                table.setflags(write=False)
             object.__setattr__(self, name, table)
 
     @property
@@ -239,43 +265,99 @@ def _bit_table(labels: np.ndarray, p: int) -> np.ndarray:
     return table
 
 
+def _table_fits(n_trees: int, p: int, d: int) -> bool:
+    """Whether a forest of this shape gets a leaf table, checked in integers.
+
+    Depth 0 has nothing to look up, and ids past 16 bits do not fit uint16.
+    """
+    itemsize = 1 if p <= 8 else 2
+    return (
+        0 < p <= 16
+        and n_trees * 2**p <= _TABLE_LEAVES
+        and n_trees * 2 ** (p * d) * itemsize <= _TABLE_BYTES
+    )
+
+
+def _leaf_rects(labels: np.ndarray, p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Code-space rectangle of every leaf: ``(T, 2**p, d)`` low corners and widths.
+
+    Built level by level, for all trees at once: a node's children halve
+    its width on the split axis, and the right child starts at the half.
+    """
+    n_trees = labels.shape[0]
+    low = np.zeros((n_trees, 1, d), dtype=np.int64)
+    width = np.full((n_trees, 1, d), 2**p, dtype=np.int64)
+    for level in range(p):
+        split = labels[:, 2**level - 1 : 2 ** (level + 1) - 1, None] == np.arange(d)
+        half = np.where(split, width // 2, width)
+        low = np.stack([low, low + width - half], axis=2).reshape(n_trees, -1, d)
+        width = np.repeat(half, 2, axis=1)
+    return low, width
+
+
+def _leaf_table(labels: np.ndarray, p: int, d: int) -> np.ndarray:
+    """``(T, 2**(p*d))`` leaf ids of every tree by codes packed in C order."""
+    n_trees = labels.shape[0]
+    low, width = _leaf_rects(labels, p, d)
+    table = np.empty((n_trees,) + (2**p,) * d, dtype=np.uint8 if p <= 8 else np.uint16)
+    for tree, lows, highs in zip(table, low.tolist(), (low + width).tolist()):
+        for leaf, (a, b) in enumerate(zip(lows, highs)):
+            tree[tuple(map(slice, a, b))] = leaf
+    return table.reshape(n_trees, -1)
+
+
 def leaf_indices(forest: Forest, points) -> np.ndarray:
     """Leaf id of each point in each tree, an ``(n, T)`` int32 array.
 
     The id is the root-to-leaf path read as a bit string, left=0 and
     right=1, with the root bit most significant.  Points must lie in the
     closed box; any other point, NaN included, raises ``ValueError``.
-    Quantizes each coordinate once, then walks every tree on integer bits
-    (see the module docstring), in fixed-size chunks of points.
+    Quantizes each coordinate once, then, in fixed-size chunks of points,
+    reads the ids from the forest's leaf table when it has one, and
+    otherwise walks every tree on the codes' bits (see the module
+    docstring).  Both paths give the same ids.
     """
     box = forest.box
     pts = _as_points(points, box.d)
     if not np.all(box.contains_batch(pts)):
         raise ValueError("point outside domain")
-    d, p = box.d, forest.depth
     out = np.zeros((pts.shape[0], forest.n_trees), dtype=np.int32)
-    bits = np.arange(p, dtype=np.int32)
+    ids_of = _walk if forest._leaf_table is None else _look_up
     for start in range(0, pts.shape[0], _WALK_CHUNK):
         chunk = pts[start : start + _WALK_CHUNK]
-        size = chunk.shape[0]
-        codes = np.empty((size, d), dtype=np.int32)
-        for j in range(d):
+        codes = np.empty(chunk.shape, dtype=np.int32)
+        for j in range(box.d):
             codes[:, j] = np.searchsorted(forest._inner[j], chunk[:, j], side="right")
-        # planes[i * d * p + axis * p + bit] = (codes[i, axis] >> bit) & 1
-        planes = ((codes[:, :, None] >> bits) & 1).ravel()
-        row = (np.arange(size, dtype=np.int32) * (d * p))[:, None]
-        leaf = out[start : start + size]
-        at = np.empty_like(leaf)
-        # Every address is in range by construction; "wrap" skips the
-        # bounds check and the output buffer of the default mode.
-        for base in forest._level_base:
-            np.add(leaf, base, out=at)
-            forest._bit_table.take(at, out=at, mode="wrap")
-            at += row
-            planes.take(at, out=at, mode="wrap")
-            leaf <<= 1
-            leaf |= at
+        ids_of(forest, codes, out[start : start + chunk.shape[0]])
     return out
+
+
+def _look_up(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:
+    """Fill ``leaf`` from the leaf table, one gather of every tree per point."""
+    index = codes[:, 0].astype(np.intp)
+    for j in range(1, codes.shape[1]):
+        index <<= forest.depth
+        index |= codes[:, j]
+    leaf[...] = forest._leaf_table.take(index, axis=1).T
+
+
+def _walk(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:
+    """Fill ``leaf``, which holds zeros, by walking every tree on the code bits."""
+    size, d = codes.shape
+    p = forest.depth
+    # planes[i * d * p + axis * p + bit] = (codes[i, axis] >> bit) & 1
+    planes = ((codes[:, :, None] >> np.arange(p, dtype=np.int32)) & 1).ravel()
+    row = (np.arange(size, dtype=np.int32) * (d * p))[:, None]
+    at = np.empty_like(leaf)
+    # Every address is in range by construction; "wrap" skips the
+    # bounds check and the output buffer of the default mode.
+    for base in forest._level_base:
+        np.add(leaf, base, out=at)
+        forest._bit_table.take(at, out=at, mode="wrap")
+        at += row
+        planes.take(at, out=at, mode="wrap")
+        leaf <<= 1
+        leaf |= at
 
 
 def _as_points(points, d: int) -> np.ndarray:

@@ -302,6 +302,26 @@ class TestFit:
         assert np.array_equal(model.counts, model.leaf_counts.transpose(2, 0, 1))
         assert model.median_rank == 2
 
+    def test_chunked_counts_keep_model_bytes(self, tmp_path, monkeypatch):
+        # 260 of the 500 points lie in the box and in a block: counted 37
+        # at a time, they leave one point for the last chunk
+        data = generate("beta", 500, 0.2, seed=4)
+        config = EstimatorConfig(m=40, trees=5, depth=4, seed=6,
+                                 box=Box((0.5, 0.5), (4.5, 4.5)))
+        whole, chunked = tmp_path / "whole.json", tmp_path / "chunked.json"
+        save_model(fit(data, config), whole)
+        walked = []
+
+        def spy(forest, points):
+            walked.append(len(points))
+            return leaf_indices(forest, points)
+
+        monkeypatch.setattr(estimator, "_WALK_POINTS", 37)
+        monkeypatch.setattr(estimator, "leaf_indices", spy)
+        save_model(fit(data, config), chunked)
+        assert chunked.read_bytes() == whole.read_bytes()
+        assert max(walked) == 37
+
     def test_count_sum_range_guard(self):
         # T counts of at most m each must sum exactly in int32
         forest = two_tree_forest()
@@ -387,6 +407,27 @@ class TestNormalizer:
         monkeypatch.setattr(estimator, "_CELL_BUDGET", 7)
         with pytest.raises(ValueError, match="budget of 7 nodes; use monte-carlo"):
             estimator._resolve_quadrature(Quadrature(), 4, 3)
+
+    def test_explicit_grid_over_budget_raises(self):
+        # 10**12 nodes in d = 3; 256**3 is exactly the 2**24 budget
+        with pytest.raises(ValueError, match=re.escape(
+                "G**d = 10000**3 = 1000000000000 nodes, over the budget of 16777216")):
+            estimator._resolve_quadrature(Quadrature.parse("grid:10000"), 6, 3)
+        with pytest.raises(ValueError, match="257\\*\\*3 = 16974593 nodes"):
+            estimator._resolve_quadrature(Quadrature.parse("grid:257"), 6, 3)
+        for spec, d in (("grid:256", 3), ("grid:100", 2)):
+            quad = Quadrature.parse(spec)
+            assert estimator._resolve_quadrature(quad, 8, d) == quad
+
+    def test_explicit_grid_over_budget_checked_before_forest(self, monkeypatch):
+        def no_forest(*args):
+            raise AssertionError("a forest was built for an over-budget grid")
+
+        monkeypatch.setattr(estimator, "build_forest", no_forest)
+        config = EstimatorConfig(m=10, trees=2, depth=2, seed=0, box=UNIT2,
+                                 quadrature=Quadrature.parse("grid:4097"))
+        with pytest.raises(ValueError, match="over the budget"):
+            fit(np.random.default_rng(0).random((40, 2)), config)
 
 
 class TestLattice:

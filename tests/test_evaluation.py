@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -210,6 +211,23 @@ class TestBenchmark:
         cfg, report = one_cell_report
         threaded = benchmark(cfg, threads=4)
         assert threaded.runs == report.runs
+
+    @pytest.mark.parametrize("threads, in_caller", [(1, True), (2, False)])
+    def test_one_thread_fits_in_the_caller(self, monkeypatch, threads, in_caller):
+        fitted_in = []
+        original = evaluation.fit
+
+        def spy(data, config):
+            fitted_in.append(threading.get_ident())
+            return original(data, config)
+
+        monkeypatch.setattr(evaluation, "fit", spy)
+        cfg = BenchmarkConfig(trees=(2,), depths=(2,), repeats=2, n=60, grid_g=5,
+                              quadrature=Quadrature.parse("grid:5"))
+        benchmark(cfg, threads=threads)
+        assert len(fitted_in) == 4  # a baseline and a cell per repeat
+        caller = threading.get_ident()
+        assert all((ident == caller) == in_caller for ident in fitted_in)
 
     def test_infeasible_cells_skipped(self):
         cfg = BenchmarkConfig(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import chi2
 
 from conftest import (
@@ -11,6 +11,7 @@ from conftest import (
     leaf_index,
     path_split_counts,
 )
+from mfrde import geometry
 from mfrde.geometry import Box, Forest, build_forest, leaf_indices
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
@@ -176,17 +177,59 @@ def oracle_ids(forest: Forest, pts: np.ndarray) -> np.ndarray:
     ).reshape(len(pts), forest.n_trees)
 
 
-class TestLeafKernel:
-    """``leaf_indices`` against the float walker ``leaf_index``."""
+# The properties of TestLeafKernel also run from TestLeafKernelWalk, one
+# function called from two classes; both share its example database, as
+# the same property must hold on both paths.
+both_paths = settings(suppress_health_check=[HealthCheck.differing_executors])
 
+
+class TestLeafKernel:
+    """``leaf_indices`` against the float walker ``leaf_index``.
+
+    Forests here get a leaf table within the budgets; ``TestLeafKernelWalk``
+    runs every test again with a byte budget of 0, so every forest walks.
+    """
+
+    walk = False
+
+    @pytest.fixture(scope="class", autouse=True)
+    def budgets(self, request):
+        with pytest.MonkeyPatch.context() as mp:
+            if request.cls.walk:
+                mp.setattr(geometry, "_TABLE_BYTES", 0)
+            yield
+
+    def has_table(self, forest: Forest) -> bool:
+        return not self.walk and geometry._table_fits(
+            forest.n_trees, forest.depth, forest.box.d
+        )
+
+    @both_paths
     @given(forest_and_points())
     def test_matches_float_walker(self, case):
         forest, pts = case
+        assert (forest._leaf_table is not None) == self.has_table(forest)
         ids = leaf_indices(forest, pts)
         assert ids.shape == (len(pts), forest.n_trees)
         assert ids.dtype == np.int32
         assert np.array_equal(ids, oracle_ids(forest, pts))
 
+    @pytest.mark.parametrize("d, p, n_trees", [(2, 8, 12), (3, 6, 20), (2, 9, 2)])
+    def test_benchmark_shapes_match_float_walker(self, d, p, n_trees):
+        # uniform points, points on the mesh of every axis, and the upper face
+        box = Box(FIXED_BOXES[d - 1].lo, FIXED_BOXES[d - 1].hi)
+        forest = build_forest(box, p, n_trees, seed=p)
+        assert (forest._leaf_table is not None) == (not self.walk)
+        rng = np.random.default_rng(d)
+        mesh = geometry._breakpoints(box, p)
+        pts = np.vstack([
+            box.lo_array + rng.random((100, d)) * (box.hi_array - box.lo_array),
+            mesh[np.arange(d), rng.integers(0, 2**p + 1, size=(100, d))],
+            box.hi_array,
+        ])
+        assert np.array_equal(leaf_indices(forest, pts), oracle_ids(forest, pts))
+
+    @both_paths
     @given(forest_and_points())
     def test_one_point_calls_match_batch(self, case):
         forest, pts = case
@@ -194,6 +237,7 @@ class TestLeafKernel:
         for x, row in zip(pts, ids):
             assert leaf_indices(forest, x).tolist() == [row.tolist()]
 
+    @both_paths
     @given(forest_and_points(), st.data())
     def test_outside_and_nan_raise(self, case, data):
         forest, pts = case
@@ -221,8 +265,14 @@ class TestLeafKernel:
         forest = build_forest(UNIT2, 3, 4, seed=0)
         assert leaf_indices(forest, np.zeros((0, 2))).shape == (0, 4)
 
-    def test_forest_size_guard(self):
-        # zero-stride labels: a depth-30 forest without allocating its nodes
+    def test_forest_size_guard(self, monkeypatch):
+        # zero-stride labels: a depth-30 forest without allocating its
+        # nodes, and without any leaf table work
+        def no_table_work(*args):
+            raise AssertionError("leaf table work before the size check")
+
+        monkeypatch.setattr(geometry, "_table_fits", no_table_work)
+        monkeypatch.setattr(geometry, "_leaf_table", no_table_work)
         labels = np.broadcast_to(np.int64(0), (2, 2**30 - 1))
         with pytest.raises(ValueError, match="forest too large"):
             Forest(box=UNIT2, labels=labels)
@@ -235,6 +285,46 @@ class TestLeafKernel:
 
         with pytest.raises(ValueError, match="forest too large"):
             build_forest(UNIT2, 30, 20, seed=NoSpawn(0))
+
+
+class TestLeafKernelWalk(TestLeafKernel):
+    walk = True
+
+
+class TestLeafTable:
+    """Which forests keep a leaf table, checked without building big ones."""
+
+    def test_table_is_read_only_and_narrow(self):
+        forest = build_forest(UNIT2, 8, 12, seed=0)
+        assert forest._leaf_table.shape == (12, 2**16)
+        assert forest._leaf_table.dtype == np.uint8
+        with pytest.raises(ValueError, match="read-only"):
+            forest._leaf_table[0, 0] = 1
+        assert build_forest(UNIT2, 9, 2, seed=0)._leaf_table.dtype == np.uint16
+
+    def test_table_within_both_budgets_only(self, monkeypatch):
+        # d = 2, p = 3, T = 2: 128 one-byte ids, filled by 16 slice writes
+        for name, need in (("_TABLE_BYTES", 2 * 2**6), ("_TABLE_LEAVES", 2 * 2**3)):
+            for budget, kept in ((need, True), (need - 1, False)):
+                with monkeypatch.context() as mp:
+                    mp.setattr(geometry, name, budget)
+                    forest = build_forest(UNIT2, 3, 2, seed=1)
+                assert (forest._leaf_table is not None) == kept
+
+    @pytest.mark.parametrize("d, p, n_trees", [
+        (5, 8, 2),   # 2**40 ids: over the byte budget
+        (1, 15, 1),  # 2**15 slice writes: over the fill budget
+        (2, 0, 3),   # depth 0: nothing to look up
+    ])
+    def test_no_table_past_the_budgets(self, monkeypatch, d, p, n_trees):
+        def no_fill(*args):
+            raise AssertionError("a leaf table was filled past the budgets")
+
+        monkeypatch.setattr(geometry, "_leaf_table", no_fill)
+        box = Box((0.0,) * d, (1.0,) * d)
+        forest = build_forest(box, p, n_trees, seed=2)
+        assert forest._leaf_table is None
+        assert leaf_indices(forest, box.hi_array).tolist() == [[2**p - 1] * n_trees]
 
 
 class TestLeafCell:

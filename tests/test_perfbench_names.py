@@ -75,3 +75,23 @@ def test_integrate_estimate_calls_evaluate_batch_at_call_time(monkeypatch):
     monkeypatch.setattr(estimator, "evaluate_batch", spy)
     assert estimator.integrate_estimate(model) == pytest.approx(1.0)
     assert sum(seen) == 2 ** (2 * 2)
+
+
+def test_fit_and_evaluate_batch_call_leaf_indices_at_call_time(monkeypatch):
+    # perfbench's geometry.leaf_indices_s spans wrap this name
+    from mfrde import estimator
+
+    data = np.random.default_rng(1).random((40, 2))
+    seen = []
+    original = estimator.leaf_indices
+
+    def spy(forest, points):
+        seen.append(len(points))
+        return original(forest, points)
+
+    monkeypatch.setattr(estimator, "leaf_indices", spy)
+    model = estimator.fit(data, estimator.EstimatorConfig(m=10, trees=2, depth=2, seed=0))
+    # the 40 data points, then the 2**(2*2) exact-dyadic nodes
+    assert seen == [40, 16]
+    estimator.evaluate_batch(model, data[:7])
+    assert seen[2:] == [7]
