@@ -217,7 +217,7 @@ class TestLeafKernel:
     @pytest.mark.parametrize("d, p, n_trees", [(2, 8, 12), (3, 6, 20), (2, 9, 2)])
     def test_benchmark_shapes_match_float_walker(self, d, p, n_trees):
         # uniform points, points on the mesh of every axis, and the upper face
-        box = Box(FIXED_BOXES[d - 1].lo, FIXED_BOXES[d - 1].hi)
+        box = FIXED_BOXES[d - 1]
         forest = build_forest(box, p, n_trees, seed=p)
         assert (forest._leaf_table is not None) == (not self.walk)
         rng = np.random.default_rng(d)
@@ -312,7 +312,7 @@ class TestLeafTable:
                 assert (forest._leaf_table is not None) == kept
 
     @pytest.mark.parametrize("d, p, n_trees", [
-        (5, 8, 2),   # 2**40 ids: over the byte budget
+        (5, 8, 2),   # 2**40 ids per tree: over the byte budget
         (1, 15, 1),  # 2**15 slice writes: over the fill budget
         (2, 0, 3),   # depth 0: nothing to look up
     ])
