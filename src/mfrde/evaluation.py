@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import estimator
 from .datasets import DOMAIN, _write_atomic, generate, true_density
 from .estimator import (
     EstimatorConfig,
@@ -56,9 +57,19 @@ class EvalGrid:
 
 
 def make_grid(box: Box, per_axis: int) -> EvalGrid:
-    """Lattice ``lo[j] + (hi[j]-lo[j]) * i/(G-1)``; both endpoints included."""
+    """Lattice ``lo[j] + (hi[j]-lo[j]) * i/(G-1)``; both endpoints included.
+
+    A lattice of more than ``estimator._CELL_BUDGET`` nodes is refused
+    before anything is allocated.
+    """
     if per_axis < 2:
         raise ValueError("grid needs at least 2 points per axis")
+    if per_axis**box.d > estimator._CELL_BUDGET:
+        raise ValueError(
+            f"evaluation grid needs G**d = {per_axis}**{box.d} = {per_axis**box.d} "
+            f"nodes, over the budget of {estimator._CELL_BUDGET}; "
+            "use fewer points per axis"
+        )
     axes = [np.linspace(box.lo[j], box.hi[j], per_axis) for j in range(box.d)]
     return EvalGrid(points=np.concatenate(list(_lattice(axes))))
 

@@ -17,8 +17,8 @@ closed there.  Under this rule every point of the box belongs to exactly
 one leaf of every tree.
 
 Leaf kernel.  A path splits one axis at most ``p`` times, and the cell
-bounds on that axis after ``k`` splits depend only on the axis, never on
-the tree: they are the level-``k`` points of one dyadic mesh.  Each axis
+bounds on that axis after ``s`` splits depend only on the axis, never on
+the tree: they are the level-``s`` points of one dyadic mesh.  Each axis
 therefore has ``2**p + 1`` breakpoints, built from ``lo`` and ``hi`` by
 the same float recursion ``0.5 * (lo + hi)`` that a float walker would
 evaluate on the way down, so the kernel compares against bit-identical
@@ -28,24 +28,25 @@ the number of inner breakpoints at or below ``x``.  A coordinate equal to
 a breakpoint counts it and lands in the right-hand cell, which is the
 half-open convention; the upper face ``x == hi`` is above every inner
 breakpoint and lands in the last cell, which is the closed upper face.
-A node that splits an axis for the ``k``-th time on its path (``k`` from
-0) compares ``x`` with the breakpoint whose index has bit ``p - 1 - k`` as
-its lowest set bit, so going right is exactly bit ``p - 1 - k`` of ``c``.
+A node that splits an axis for the ``s``-th time on its path (``s`` from
+0) compares ``x`` with the breakpoint whose index has bit ``p - 1 - s`` as
+its lowest set bit, so going right is exactly bit ``p - 1 - s`` of ``c``.
 
-So the leaf of a point depends only on its ``d`` codes, and every leaf is
-a rectangle of codes: on each axis, the codes that share the leading bits
-its path fixed.  When it is small enough, a ``Forest`` keeps a read-only
-``(T, 2**(p*d))`` table of leaf ids (uint8 while ``p <= 8``, else uint16),
-indexed by the codes packed in C order (axis 0 most significant).  It
-fills the table with one slice write per leaf of every tree, and only
-when the table takes at most ``_TABLE_BYTES`` bytes and the fill at most
-``_TABLE_LEAVES`` slice writes; the check runs before anything is
-allocated.  :func:`leaf_indices` then packs the codes and reads each
-point's ``T`` ids in one gather.  A larger forest has no table, and
-:func:`leaf_indices` walks all trees at once on the integer bits of the
-codes instead, through a per-(tree, node) table of (axis, bit position).
-Both give the same ids; neither uses float geometry past the
-quantization.
+So the node a point reaches on level ``k`` depends only on the top ``k``
+bits of its ``d`` codes, and every such node is a rectangle of them: on
+each axis, the codes that share the leading bits its path fixed.  A
+``Forest`` keeps a read-only ``(T, 2**(k*d))`` table of depth-``k`` node
+ids (uint8 while ``k <= 8``, else uint16), indexed by the top ``k`` bits
+of every code packed in C order (axis 0 most significant) and filled
+with one slice write per depth-``k`` node of every tree.  ``k`` is the
+largest depth up to ``min(p, 16)`` within both budgets, ``_TABLE_BYTES``
+bytes and ``_TABLE_LEAVES`` slice writes, checked before anything is
+allocated; ``k = 0`` is a ``(T, 1)`` table of zeros.
+:func:`leaf_indices` gathers each point's ``T`` depth-``k`` ids, then
+walks all trees at once through the other ``p - k`` levels on the codes'
+integer bits, by a per-(tree, node) table of (axis, bit) for those
+levels only; at ``k = p`` nothing is left to walk.  Neither step uses
+float geometry past the quantization.
 
 All types in this module are immutable after construction and safe for
 concurrent reads.
@@ -66,11 +67,11 @@ __all__ = [
 
 # Points per walk chunk: bounds the kernel's temporaries, whatever the batch.
 _WALK_CHUNK = 1 << 12
-# A forest keeps a table of leaf ids only within both budgets: the
-# table's bytes, and the slice writes that fill it, one per leaf of every
-# tree.  A fill at either limit took about 15 ms on a 2-core x86 host, and
-# lookups in a 16 MiB table still beat the walk there (d = 2, p = 10,
-# T = 8: 25 against 48 ms per 100k points).
+# A forest's table of depth-k node ids is as deep as both budgets allow:
+# the table's bytes, and the slice writes that fill it, one per depth-k
+# node of every tree.  A fill at either limit took about 15 ms on a 2-core
+# x86 host, and lookups in a 16 MiB table still beat the walk there
+# (d = 2, p = 10, T = 8: 25 against 48 ms per 100k points).
 _TABLE_BYTES = 1 << 24
 _TABLE_LEAVES = 1 << 14
 
@@ -141,6 +142,8 @@ class Forest:
     kept, not copied, and made read-only; other integer dtypes are copied.
     :func:`build_forest` draws the labels as a pure function of ``(seed,
     depth, n_trees, box.d)``; identical seeds reproduce identical forests.
+    The leaf-kernel tables are built here: the depth-``k`` id table, and
+    walk tables for the levels below it only, empty when ``k = p``.
     """
 
     box: Box
@@ -148,12 +151,12 @@ class Forest:
     # Leaf-kernel tables, derived from ``box`` and ``labels``:
     # (d, 2**p - 1) inner breakpoints per axis;
     _inner: np.ndarray = field(init=False, repr=False)
-    # (T * (2**p - 1),) ``axis * p + bit`` of every node, tree-major;
+    # (T, 2**(k*d)) depth-k node ids by packed top-k code bits;
+    _leaf_table: np.ndarray = field(init=False, repr=False)
+    # (2, T * (2**p - 2**k)) axis and code bit of each walked node, tree-major;
     _bit_table: np.ndarray = field(init=False, repr=False)
-    # (p, T) table address of each tree's first node on each level;
+    # (p - k, T) walk-table address of each tree's first node on each level.
     _level_base: np.ndarray = field(init=False, repr=False)
-    # (T, 2**(p*d)) leaf ids by packed codes, or None past the budgets.
-    _leaf_table: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels)
@@ -172,20 +175,18 @@ class Forest:
         labels = labels.astype(np.int64, copy=False)
         if labels.size and not 0 <= labels.min() <= labels.max() < self.box.d:
             raise ValueError(f"split labels must lie in [0, {self.box.d})")
-        levels = np.arange(depth, dtype=np.int32)[:, None]
+        k = _table_depth(n_trees, depth, self.box.d)
+        levels = np.arange(k, depth, dtype=np.int32)[:, None]
         tables = {
             "labels": labels,
             "_inner": _breakpoints(self.box, depth)[:, 1:-1],
-            "_bit_table": _bit_table(labels, depth).ravel(),
-            "_level_base": np.arange(n_trees, dtype=np.int32) * nodes + (2**levels - 1),
-            "_leaf_table": (
-                _leaf_table(labels, depth, self.box.d)
-                if _table_fits(n_trees, depth, self.box.d) else None
-            ),
+            "_leaf_table": _leaf_table(labels, k, self.box.d),
+            "_bit_table": _bit_table(labels, depth, k).reshape(2, -1),
+            "_level_base": (np.arange(n_trees, dtype=np.int32) * (2**depth - 2**k)
+                            + (2**levels - 2**k)),
         }
         for name, table in tables.items():
-            if table is not None:
-                table.setflags(write=False)
+            table.setflags(write=False)
             object.__setattr__(self, name, table)
 
     @property
@@ -245,15 +246,16 @@ def _breakpoints(box: Box, p: int) -> np.ndarray:
     return mesh
 
 
-def _bit_table(labels: np.ndarray, p: int) -> np.ndarray:
-    """``axis * p + bit`` of every node of a ``(T, 2**p - 1)`` label matrix.
+def _bit_table(labels: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Axis and code bit of every node on levels ``k`` to ``p - 1``.
 
-    A node that splits its axis for the ``k``-th time on its root path
-    (``k`` counted from 0) reads bit ``p - 1 - k`` of that axis's code.
-    Built level by level, for all trees at once.
+    Shape ``(2, T, 2**p - 2**k)``, int32.  A node that splits its axis for
+    the ``s``-th time on its root path (``s`` counted from 0) reads bit
+    ``p - 1 - s`` of that axis's code.  Built level by level, for all
+    trees at once.
     """
-    table = np.empty(labels.shape, dtype=np.int32)
-    for level in range(p):
+    table = np.empty((2,) + labels[:, 2**k - 1 :].shape, dtype=np.int32)
+    for level in range(k, p):
         nodes = np.arange(2**level - 1, 2 ** (level + 1) - 1)
         axis = labels[:, nodes]
         splits_above = np.zeros_like(axis)
@@ -261,21 +263,20 @@ def _bit_table(labels: np.ndarray, p: int) -> np.ndarray:
         for _ in range(level):
             ancestor = (ancestor - 1) // 2
             splits_above += labels[:, ancestor] == axis
-        table[:, nodes] = axis * p + (p - 1 - splits_above)
+        table[:, :, nodes - (2**k - 1)] = axis, p - 1 - splits_above
     return table
 
 
-def _table_fits(n_trees: int, p: int, d: int) -> bool:
-    """Whether a forest of this shape gets a leaf table, checked in integers.
+def _table_depth(n_trees: int, p: int, d: int) -> int:
+    """Depth ``k`` of a forest's id table, chosen in integers before any allocation.
 
-    Depth 0 has nothing to look up, and ids past 16 bits do not fit uint16.
+    The largest ``k <= min(p, 16)`` whose ``(T, 2**(k*d))`` table is within
+    both budgets (ids past 16 bits do not fit uint16), and 0 if none is.
     """
-    itemsize = 1 if p <= 8 else 2
-    return (
-        0 < p <= 16
-        and n_trees * 2**p <= _TABLE_LEAVES
-        and n_trees * 2 ** (p * d) * itemsize <= _TABLE_BYTES
-    )
+    fits = (k for k in range(min(p, 16), 0, -1)
+            if n_trees * 2**k <= _TABLE_LEAVES
+            and n_trees * 2 ** (k * d) * (1 if k <= 8 else 2) <= _TABLE_BYTES)
+    return next(fits, 0)
 
 
 def _leaf_rects(labels: np.ndarray, p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +297,10 @@ def _leaf_rects(labels: np.ndarray, p: int, d: int) -> tuple[np.ndarray, np.ndar
 
 
 def _leaf_table(labels: np.ndarray, p: int, d: int) -> np.ndarray:
-    """``(T, 2**(p*d))`` leaf ids of every tree by codes packed in C order."""
+    """``(T, 2**(p*d))`` depth-``p`` node ids of every tree by codes packed in C order.
+
+    Only the first ``p`` levels of ``labels`` are read.
+    """
     n_trees = labels.shape[0]
     low, width = _leaf_rects(labels, p, d)
     table = np.empty((n_trees,) + (2**p,) * d, dtype=np.uint8 if p <= 8 else np.uint16)
@@ -312,52 +316,48 @@ def leaf_indices(forest: Forest, points) -> np.ndarray:
     The id is the root-to-leaf path read as a bit string, left=0 and
     right=1, with the root bit most significant.  Points must lie in the
     closed box; any other point, NaN included, raises ``ValueError``.
-    Quantizes each coordinate once, then, in fixed-size chunks of points,
-    reads the ids from the forest's leaf table when it has one, and
-    otherwise walks every tree on the codes' bits (see the module
-    docstring).  Both paths give the same ids.
+    Quantizes each coordinate once; then, in fixed-size chunks of points,
+    gathers the first ``k`` path bits of every tree from the forest's id
+    table and walks every tree through the remaining ``p - k`` levels on
+    the codes' bits (see the module docstring).
     """
     box = forest.box
     pts = _as_points(points, box.d)
     if not np.all(box.contains_batch(pts)):
         raise ValueError("point outside domain")
-    out = np.zeros((pts.shape[0], forest.n_trees), dtype=np.int32)
-    ids_of = _walk if forest._leaf_table is None else _look_up
+    out = np.empty((pts.shape[0], forest.n_trees), dtype=np.int32)
+    walked = len(forest._level_base)
     for start in range(0, pts.shape[0], _WALK_CHUNK):
         chunk = pts[start : start + _WALK_CHUNK]
         codes = np.empty(chunk.shape, dtype=np.int32)
         for j in range(box.d):
             codes[:, j] = np.searchsorted(forest._inner[j], chunk[:, j], side="right")
-        ids_of(forest, codes, out[start : start + chunk.shape[0]])
+        # the top k bits of every axis, packed in C order
+        top = codes >> walked
+        index = top[:, 0].astype(np.intp)
+        for j in range(1, box.d):
+            index <<= forest.depth - walked
+            index |= top[:, j]
+        leaf = out[start : start + chunk.shape[0]]
+        leaf[...] = forest._leaf_table.take(index, axis=1).T
+        _walk(forest, codes, leaf)
     return out
 
 
-def _look_up(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:
-    """Fill ``leaf`` from the leaf table, one gather of every tree per point."""
-    index = codes[:, 0].astype(np.intp)
-    for j in range(1, codes.shape[1]):
-        index <<= forest.depth
-        index |= codes[:, j]
-    leaf[...] = forest._leaf_table.take(index, axis=1).T
-
-
 def _walk(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:
-    """Fill ``leaf``, which holds zeros, by walking every tree on the code bits."""
-    size, d = codes.shape
-    p = forest.depth
-    # planes[i * d * p + axis * p + bit] = (codes[i, axis] >> bit) & 1
-    planes = ((codes[:, :, None] >> np.arange(p, dtype=np.int32)) & 1).ravel()
-    row = (np.arange(size, dtype=np.int32) * (d * p))[:, None]
-    at = np.empty_like(leaf)
+    """Extend the depth-``k`` ids in ``leaf`` to leaf ids, one level at a time."""
     # Every address is in range by construction; "wrap" skips the
     # bounds check and the output buffer of the default mode.
     for base in forest._level_base:
-        np.add(leaf, base, out=at)
-        forest._bit_table.take(at, out=at, mode="wrap")
-        at += row
-        planes.take(at, out=at, mode="wrap")
+        at = leaf + base
+        # the flat address of each point's code on its node's axis
+        went_right = forest._bit_table[0].take(at, mode="wrap")
+        went_right += np.arange(0, codes.size, codes.shape[1], dtype=np.int32)[:, None]
+        codes.take(went_right, out=went_right, mode="wrap")
+        went_right >>= forest._bit_table[1].take(at, out=at, mode="wrap")
+        went_right &= 1
         leaf <<= 1
-        leaf |= at
+        leaf |= went_right
 
 
 def _as_points(points, d: int) -> np.ndarray:

@@ -1,14 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import csv_writer_table, full_disk_open
-from mfrde import datasets
+from mfrde import datasets, evaluation
 from mfrde.cli import main
 from mfrde.datasets import read_dataset
 from mfrde.estimator import evaluate_batch, load_model
@@ -496,6 +499,29 @@ class TestErrors:
         assert named in err
         assert not out.exists()
 
+    def test_grid_past_node_budget_refused(self, tmp_path, capsys, monkeypatch):
+        # 10**10 nodes for eval-grid and 5000**2 for a sweep's MAE grid: both
+        # exit 2 before any lattice is built, and write nothing
+        def no_lattice(axes):
+            raise AssertionError("a lattice was built past the node budget")
+
+        monkeypatch.setattr(evaluation, "_lattice", no_lattice)
+        d_csv, m_json, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "out"
+        run(["generate", "--scheme", "uniform", "--n", "40", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        run(["fit", "--input", str(d_csv), "--m", "10", "--trees", "2", "--depth", "2",
+             "--seed", "1", "--box", "0:5,0:5", "--out", str(m_json)], capsys)
+        code, _, err = run(["eval-grid", "--model", str(m_json), "--grid", "100000",
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert "G**d = 100000**2 = 10000000000 nodes, over the budget of 16777216" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_G": 5000}))
+        code, _, err = run(["benchmark", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert "G**d = 5000**2 = 25000000 nodes" in err
+        assert not out.exists()
+
     def test_bad_box_spec(self, tmp_path, capsys):
         d_csv = tmp_path / "d.csv"
         run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
@@ -507,3 +533,86 @@ class TestErrors:
         )
         assert code == 1
         assert "box" in err
+
+
+# One to three byte edits: replace, insert or delete at a position taken
+# modulo the file's length.
+BYTE_EDITS = st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+              st.integers(0, 2**16), st.integers(0, 255)),
+    min_size=1, max_size=3,
+)
+
+
+def edit_bytes(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for kind, where, byte in edits:
+        if kind == "insert":
+            buf.insert(where % (len(buf) + 1), byte)
+        elif buf and kind == "replace":
+            buf[where % len(buf)] = byte
+        elif buf:
+            del buf[where % len(buf)]
+    return bytes(buf)
+
+
+class TestFuzz:
+    """Mutated model files through ``score`` and datasets through ``fit``.
+
+    Every run ends in exit code 0, 1 or 2 with no exception escaping
+    ``main`` and no temporary file left behind.  The sweep config is left
+    out: a mutated ``n`` or ``repeats`` asks for unbounded work.
+    """
+
+    FIT = ["--m", "20", "--trees", "3", "--depth", "2", "--seed", "3"]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        data, model = root / "d.csv", root / "m.json"
+        assert main(["generate", "--scheme", "beta", "--n", "60", "--outlier-ratio",
+                     "0.2", "--seed", "3", "--out", str(data)]) == 0
+        assert main(["fit", "--input", str(data), "--out", str(model), *self.FIT]) == 0
+        return root, data.read_bytes(), model.read_bytes()
+
+    def run_in(self, root: Path, data: bytes, model: bytes, command: str) -> int:
+        work = Path(tempfile.mkdtemp(dir=root))
+        d_csv, m_json, out = work / "d.csv", work / "m.json", work / "out"
+        d_csv.write_bytes(data)
+        m_json.write_bytes(model)
+        if command == "score":
+            argv = ["score", "--model", str(m_json), "--input", str(d_csv), "--out", str(out)]
+        else:
+            argv = ["fit", "--input", str(d_csv), "--out", str(out), *self.FIT]
+        code = main(argv)
+        assert code in (0, 1, 2)
+        assert not list(work.glob("*.tmp"))
+        assert out.exists() == (code == 0)
+        return code
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=BYTE_EDITS)
+    def test_mutated_model_through_score(self, inputs, edits):
+        root, data, model = inputs
+        self.run_in(root, data, edit_bytes(model, edits), "score")
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=BYTE_EDITS)
+    def test_mutated_dataset_through_fit(self, inputs, edits):
+        root, data, model = inputs
+        self.run_in(root, edit_bytes(data, edits), model, "fit")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_count_changed_never_exits_zero(self, inputs, data):
+        # every count is in [0, m]; another value in that range still
+        # parses, but no longer agrees with the other trees' block totals
+        root, query, model = inputs
+        text = model.decode()
+        start = text.index('"counts":')
+        end = text.index("]]]", start)
+        count = data.draw(st.sampled_from(list(re.finditer(r"\d+", text[start:end]))))
+        new = data.draw(st.integers(0, 20).filter(lambda v: v != int(count.group())))
+        changed = (text[: start + count.start()] + str(new)
+                   + text[start + count.end() :]).encode()
+        assert self.run_in(root, query, changed, "score") == 2

@@ -231,6 +231,54 @@ def test_median_sandwich_order_statistic(spare_models, data):
     assert untouched.min() <= median <= untouched.max()
 
 
+class TestLocalOutliers:
+    """The paper's local-outlier effect, end to end through ``fit``.
+
+    ``k`` copies of one point ``x0`` sit in at most ``k`` blocks.  With
+    ``k < S/2`` the lower median at ``x0`` is an order statistic that at
+    least ``S - k`` clean blocks sandwich, wherever the permutation puts
+    the copies; a single forest (``S = 1``) takes their whole mass.  Each
+    case is fitted twice with one seed, so one forest and one permutation:
+    once with the copies at ``x0``, once with them outside the box, where
+    no leaf counts them.
+    """
+
+    BOX = Box((0.0, 0.0), (5.0, 5.0))
+    X0 = np.array([1.3, 3.7])
+
+    def fits(self, n: int, m: int, k: int, seed: int):
+        clean = np.random.default_rng(seed).random((n - k, 2)) * 5.0
+        config = EstimatorConfig(m=m, trees=10, depth=6, seed=seed, box=self.BOX)
+        planted, away = (fit(np.vstack([clean, np.tile(at, (k, 1))]), config)
+                         for at in (self.X0, self.X0 + 10.0))
+        return planted, away
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_median_stays_within_the_clean_blocks(self, seed):
+        n, m, k = 11 * 200, 200, 5
+        planted, away = self.fits(n, m, k, seed)
+        # the copies are the last k rows; the blocks come from the fit's own stream
+        blocks = assign_blocks(n, m, np.random.default_rng(_fit_streams(seed)[1]))
+        copies = np.isin(blocks, np.arange(n - k, n)).sum(axis=1)
+        clean = copies == 0
+        assert planted.n_blocks == 11 and clean.sum() >= 11 - k
+        leaf_volume = self.BOX.volume / 2**6
+        # each copy lands in x0's leaf of every tree of its own block
+        assert block_densities(planted, self.X0) - block_densities(away, self.X0) == (
+            pytest.approx(copies / (m * leaf_volume), rel=1e-12, abs=1e-12))
+        median = estimator._median_values(planted.forest, planted.leaf_counts, m,
+                                          planted.median_rank, self.X0[None, :])[0]
+        clean_densities = block_densities(planted, self.X0)[clean]
+        assert clean_densities.min() <= median <= clean_densities.max()
+
+    def test_single_forest_takes_the_whole_mass(self):
+        n, k = 2200, 5
+        planted, away = self.fits(n, n, k, seed=0)
+        assert planted.n_blocks == away.n_blocks == 1
+        moved = block_densities(planted, self.X0) - block_densities(away, self.X0)
+        assert moved[0] == pytest.approx(k / (n * self.BOX.volume / 2**6), rel=1e-12)
+
+
 class TestFit:
     def test_m_equals_n_reduces_to_plain_forest(self):
         data = generate("uniform", 300, 0.0, seed=5)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
-from mfrde import evaluation
+from mfrde import estimator, evaluation
 from mfrde.datasets import DOMAIN, Dataset, true_density
 from mfrde.estimator import Quadrature, _integrate
 from mfrde.evaluation import BenchmarkConfig, auc, benchmark, make_grid
@@ -33,6 +33,22 @@ class TestMakeGrid:
     def test_too_few(self):
         with pytest.raises(ValueError):
             make_grid(DOMAIN, 1)
+
+    def test_over_budget_refused_before_allocating(self, monkeypatch):
+        # the budget is read at call time; no lattice is built past it
+        def no_lattice(axes):
+            raise AssertionError("a lattice was built past the node budget")
+
+        monkeypatch.setattr(evaluation, "_lattice", no_lattice)
+        with pytest.raises(ValueError, match=r"G\*\*d = 100000\*\*2 = 10000000000 nodes, "
+                                             r"over the budget of 16777216"):
+            make_grid(DOMAIN, 100_000)
+        monkeypatch.setattr(estimator, "_CELL_BUDGET", 99)
+        with pytest.raises(ValueError, match=r"10\*\*2 = 100 nodes, over the budget of 99"):
+            make_grid(DOMAIN, 10)
+        monkeypatch.setattr(estimator, "_CELL_BUDGET", 100)
+        with pytest.raises(AssertionError, match="past the node budget"):
+            make_grid(DOMAIN, 10)
 
     @pytest.mark.parametrize(
         "box, g",

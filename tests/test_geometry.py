@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.stats import chi2
 
 from conftest import (
@@ -177,38 +177,58 @@ def oracle_ids(forest: Forest, pts: np.ndarray) -> np.ndarray:
     ).reshape(len(pts), forest.n_trees)
 
 
-# The properties of TestLeafKernel also run from TestLeafKernelWalk, one
-# function called from two classes; both share its example database, as
-# the same property must hold on both paths.
-both_paths = settings(suppress_health_check=[HealthCheck.differing_executors])
+def table_depth(forest: Forest) -> int:
+    """Depth ``k`` of the forest's id table, read from its shape."""
+    return (forest._leaf_table.shape[1].bit_length() - 1) // forest.box.d
+
+
+def mesh_points(box: Box, p: int, rng) -> np.ndarray:
+    """Uniform points, points on the depth-``p`` mesh of every axis, the upper face."""
+    mesh = geometry._breakpoints(box, p)
+    return np.vstack([
+        box.lo_array + rng.random((100, box.d)) * (box.hi_array - box.lo_array),
+        mesh[np.arange(box.d), rng.integers(0, 2**p + 1, size=(100, box.d))],
+        box.hi_array,
+    ])
+
+
+# The properties of TestLeafKernel also run from its two subclasses, one
+# function called from three classes; all share its example database, as
+# the same property must hold in every regime.
+all_regimes = settings(suppress_health_check=[HealthCheck.differing_executors])
 
 
 class TestLeafKernel:
-    """``leaf_indices`` against the float walker ``leaf_index``.
+    """``leaf_indices`` against the float walker ``leaf_index``, with k = p.
 
-    Forests here get a leaf table within the budgets; ``TestLeafKernelWalk``
-    runs every test again with a byte budget of 0, so every forest walks.
+    Every forest here has its leaves in its id table; the subclasses run
+    every test again with monkeypatched budgets, so that every forest
+    walks all its levels (k = 0) or some of them (0 < k < p).  Drawn
+    forests outside the class's regime are discarded.
     """
 
-    walk = False
+    budgets: dict = {}
 
     @pytest.fixture(scope="class", autouse=True)
-    def budgets(self, request):
+    def patched_budgets(self, request):
         with pytest.MonkeyPatch.context() as mp:
-            if request.cls.walk:
-                mp.setattr(geometry, "_TABLE_BYTES", 0)
+            for name, value in request.cls.budgets.items():
+                mp.setattr(geometry, name, value)
             yield
 
-    def has_table(self, forest: Forest) -> bool:
-        return not self.walk and geometry._table_fits(
-            forest.n_trees, forest.depth, forest.box.d
-        )
+    def in_regime(self, k: int, p: int) -> bool:
+        return k == p
 
-    @both_paths
+    def drawn(self, forest: Forest) -> None:
+        k = table_depth(forest)
+        assert k == geometry._table_depth(forest.n_trees, forest.depth, forest.box.d)
+        assume(self.in_regime(k, forest.depth))
+
+    @all_regimes
     @given(forest_and_points())
     def test_matches_float_walker(self, case):
         forest, pts = case
-        assert (forest._leaf_table is not None) == self.has_table(forest)
+        self.drawn(forest)
         ids = leaf_indices(forest, pts)
         assert ids.shape == (len(pts), forest.n_trees)
         assert ids.dtype == np.int32
@@ -216,31 +236,26 @@ class TestLeafKernel:
 
     @pytest.mark.parametrize("d, p, n_trees", [(2, 8, 12), (3, 6, 20), (2, 9, 2)])
     def test_benchmark_shapes_match_float_walker(self, d, p, n_trees):
-        # uniform points, points on the mesh of every axis, and the upper face
         box = FIXED_BOXES[d - 1]
         forest = build_forest(box, p, n_trees, seed=p)
-        assert (forest._leaf_table is not None) == (not self.walk)
-        rng = np.random.default_rng(d)
-        mesh = geometry._breakpoints(box, p)
-        pts = np.vstack([
-            box.lo_array + rng.random((100, d)) * (box.hi_array - box.lo_array),
-            mesh[np.arange(d), rng.integers(0, 2**p + 1, size=(100, d))],
-            box.hi_array,
-        ])
+        assert self.in_regime(table_depth(forest), p)
+        pts = mesh_points(box, p, np.random.default_rng(d))
         assert np.array_equal(leaf_indices(forest, pts), oracle_ids(forest, pts))
 
-    @both_paths
+    @all_regimes
     @given(forest_and_points())
     def test_one_point_calls_match_batch(self, case):
         forest, pts = case
+        self.drawn(forest)
         ids = leaf_indices(forest, pts)
         for x, row in zip(pts, ids):
             assert leaf_indices(forest, x).tolist() == [row.tolist()]
 
-    @both_paths
+    @all_regimes
     @given(forest_and_points(), st.data())
     def test_outside_and_nan_raise(self, case, data):
         forest, pts = case
+        self.drawn(forest)
         box = forest.box
         bad = box.hi_array.copy()
         axis = data.draw(st.integers(0, box.d - 1))
@@ -271,7 +286,7 @@ class TestLeafKernel:
         def no_table_work(*args):
             raise AssertionError("leaf table work before the size check")
 
-        monkeypatch.setattr(geometry, "_table_fits", no_table_work)
+        monkeypatch.setattr(geometry, "_table_depth", no_table_work)
         monkeypatch.setattr(geometry, "_leaf_table", no_table_work)
         labels = np.broadcast_to(np.int64(0), (2, 2**30 - 1))
         with pytest.raises(ValueError, match="forest too large"):
@@ -288,11 +303,29 @@ class TestLeafKernel:
 
 
 class TestLeafKernelWalk(TestLeafKernel):
-    walk = True
+    """k = 0: no budget admits a table, so every forest walks every level."""
+
+    budgets = {"_TABLE_BYTES": 0}
+
+    def in_regime(self, k: int, p: int) -> bool:
+        return k == 0
+
+
+class TestLeafKernelPartial(TestLeafKernel):
+    """0 < k < p: at most 40 slice writes, so the table stops short of the leaves.
+
+    With 40, each benchmark shape and the upper-face forest get a table of
+    depth 1 to 4.
+    """
+
+    budgets = {"_TABLE_LEAVES": 40}
+
+    def in_regime(self, k: int, p: int) -> bool:
+        return 0 < k < p
 
 
 class TestLeafTable:
-    """Which forests keep a leaf table, checked without building big ones."""
+    """How deep each forest's id table is, checked without building big ones."""
 
     def test_table_is_read_only_and_narrow(self):
         forest = build_forest(UNIT2, 8, 12, seed=0)
@@ -302,29 +335,50 @@ class TestLeafTable:
             forest._leaf_table[0, 0] = 1
         assert build_forest(UNIT2, 9, 2, seed=0)._leaf_table.dtype == np.uint16
 
+    def test_full_table_builds_no_walk_table(self):
+        forest = build_forest(UNIT2, 8, 12, seed=0)
+        assert forest._bit_table.shape == (2, 0)
+        assert forest._level_base.shape == (0, 12)
+
     def test_table_within_both_budgets_only(self, monkeypatch):
-        # d = 2, p = 3, T = 2: 128 one-byte ids, filled by 16 slice writes
+        # d = 2, p = 3, T = 2: the full table holds 128 one-byte ids,
+        # filled by 16 slice writes; at one below either, depth 2 is next
         for name, need in (("_TABLE_BYTES", 2 * 2**6), ("_TABLE_LEAVES", 2 * 2**3)):
-            for budget, kept in ((need, True), (need - 1, False)):
+            for budget, k in ((need, 3), (need - 1, 2)):
                 with monkeypatch.context() as mp:
                     mp.setattr(geometry, name, budget)
+                    assert geometry._table_depth(2, 3, 2) == k
                     forest = build_forest(UNIT2, 3, 2, seed=1)
-                assert (forest._leaf_table is not None) == kept
+                assert forest._leaf_table.shape == (2, 2 ** (2 * k))
+                assert forest._bit_table.shape == (2, 2 * (2**3 - 2**k))
+                assert forest._level_base.shape == (3 - k, 2)
 
-    @pytest.mark.parametrize("d, p, n_trees", [
-        (5, 8, 2),   # 2**40 ids per tree: over the byte budget
-        (1, 15, 1),  # 2**15 slice writes: over the fill budget
-        (2, 0, 3),   # depth 0: nothing to look up
-    ])
-    def test_no_table_past_the_budgets(self, monkeypatch, d, p, n_trees):
-        def no_fill(*args):
-            raise AssertionError("a leaf table was filled past the budgets")
+    def test_id_width_follows_depth(self, monkeypatch):
+        # d = 1, p = 9, T = 1: depth 9 needs 2 bytes per id; one byte
+        # below that budget, the depth-8 table is uint8
+        line = Box((0.0,), (1.0,))
+        for budget, k, dtype in ((2 * 2**9, 9, np.uint16), (2 * 2**9 - 1, 8, np.uint8)):
+            with monkeypatch.context() as mp:
+                mp.setattr(geometry, "_TABLE_BYTES", budget)
+                forest = build_forest(line, 9, 1, seed=3)
+            assert forest._leaf_table.shape == (1, 2**k)
+            assert forest._leaf_table.dtype == dtype
+            pts = mesh_points(line, 9, np.random.default_rng(3))
+            assert np.array_equal(leaf_indices(forest, pts), oracle_ids(forest, pts))
 
-        monkeypatch.setattr(geometry, "_leaf_table", no_fill)
+    @pytest.mark.parametrize("d, p, n_trees, k", [
+        (5, 8, 2, 4),    # 2 * 2**(5k) one-byte ids: 2**21 at k = 4, 2**26 at 5
+        (1, 15, 1, 14),  # 2**15 slice writes at k = 15: over the fill budget
+        (2, 0, 3, 0),    # depth 0: a (T, 1) table of zeros
+    ], ids=["5-8-2", "1-15-1", "2-0-3"])
+    def test_depth_past_the_full_table(self, d, p, n_trees, k):
         box = Box((0.0,) * d, (1.0,) * d)
         forest = build_forest(box, p, n_trees, seed=2)
-        assert forest._leaf_table is None
-        assert leaf_indices(forest, box.hi_array).tolist() == [[2**p - 1] * n_trees]
+        assert geometry._table_depth(n_trees, p, d) == k
+        assert forest._leaf_table.shape == (n_trees, 2 ** (k * d))
+        assert len(forest._level_base) == p - k
+        pts = mesh_points(box, p, np.random.default_rng(p))
+        assert np.array_equal(leaf_indices(forest, pts), oracle_ids(forest, pts))
 
 
 class TestLeafCell:

@@ -95,3 +95,29 @@ def test_fit_and_evaluate_batch_call_leaf_indices_at_call_time(monkeypatch):
     assert seen == [40, 16]
     estimator.evaluate_batch(model, data[:7])
     assert seen[2:] == [7]
+
+
+def test_benchmark_forests_stay_on_the_full_table(monkeypatch):
+    # perfbench's timings and reference digests assume that every forest it
+    # builds reads its leaf ids in one gather (table depth k = p), and that
+    # each served model integrates on the exact dyadic lattice
+    from mfrde import estimator
+    from mfrde.geometry import _table_depth
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    served = list(workloads.WORKLOADS.values()) + list(workloads.TINY.values())
+    sweeps = [wl.sweep for wl in served] + [workloads.SWEEP, workloads.TINY_SWEEP]
+    shapes = [(wl.trees, wl.depth, len(wl.box.split(","))) for wl in served]
+    shapes += [(trees, depth, len(sweep["box"]["lo"])) for sweep in sweeps
+               for trees in sweep["trees"] for depth in sweep["depths"]]
+    assert shapes
+    for trees, depth, d in shapes:
+        assert d == 2
+        assert _table_depth(trees, depth, d) == depth, (trees, depth)
+    for wl in served:
+        quad = estimator.Quadrature.parse(wl.quadrature)
+        assert quad.method == "auto"
+        resolved = estimator._resolve_quadrature(quad, wl.depth, 2)
+        assert resolved.method == "exact-dyadic"
+        assert 2 ** (2 * wl.depth) <= estimator._CELL_BUDGET
