@@ -11,15 +11,19 @@ density averages that over the trees; the aggregate takes the k-th
 smallest block value with ``k = ceil(S / 2)``, the lower median.
 
 One kernel serves the normalizer and every query: it sums each block's
-integer leaf counts over the trees (exact in int32), selects the k-th
-smallest of those integer sums, and divides only that winner, once by
-``m`` times the leaf volume and once by the tree count.  Dividing by a
-positive constant with round-to-nearest is monotone non-decreasing, and
-so is the composition of two such divisions, so the k-th smallest
-quotient is the quotient of the k-th smallest sum: the result is the
-same float as the k-th smallest of the divided block densities.  The
-float expression does not depend on the batch or its chunking, so scalar
-and batched queries are bit-identical.
+integer leaf counts over the trees, exact in the counts' own integer
+type (int32 for queries; the normalizer sums a uint16 copy while ``T * m
+< 2**16``), selects the k-th smallest of those integer sums, and divides
+only that winner, once by ``m`` times the leaf volume and once by the
+tree count.  Dividing by a positive constant with round-to-nearest is
+monotone non-decreasing, and so is the composition of two such
+divisions, so the k-th smallest quotient is the quotient of the k-th
+smallest sum: the result is the same float as the k-th smallest of the
+divided block densities.  The float expression does not depend on the
+batch, its chunking or the sums' integer type, so scalar and batched
+queries are bit-identical.  The exact-dyadic normalizer takes each
+cell's leaf ids from its integer cell codes rather than from a float
+cell centre.
 
 Leaf counts have one layout, ``FittedMFRDE.leaf_counts``: a C-contiguous
 int32 array of shape ``(T, 2**p, S)``, so a query's lookup in one tree
@@ -45,7 +49,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .datasets import Dataset, _write_atomic
-from .geometry import Box, Forest, build_forest, leaf_indices
+from .geometry import Box, Forest, _cell_leaf_ids, build_forest, leaf_indices
 
 __all__ = [
     "Quadrature",
@@ -66,10 +70,10 @@ MODEL_FORMAT_VERSION = 1
 _QUAD_CHUNK = 1 << 15
 # The median kernel walks the leaves this many points at a time (one
 # quadrature chunk per walk) and sums tree counts in sub-chunks of about
-# this many int32 sums: 256 KB, so the sums and their row buffer fit in L2.
+# this many sums: 256 KB in int32, so the sums and their row buffer fit in L2.
 _WALK_POINTS = _QUAD_CHUNK
 _GATHER_ELEMS = 1 << 16
-# Most quadrature nodes ``auto``, ``exact-dyadic`` and ``regular-grid`` may use.
+# Most quadrature nodes, or Monte Carlo draws, any method may use.
 _CELL_BUDGET = 1 << 24
 
 
@@ -90,8 +94,9 @@ class Quadrature:
     to floating-point summation; it refuses to run past ``_CELL_BUDGET``
     (``2**24``) cells.  ``regular-grid`` averages over an inclusive-endpoint
     lattice with ``grid_points`` nodes per axis; it refuses a lattice of
-    more than ``_CELL_BUDGET`` nodes.  ``monte-carlo`` averages
-    over ``mc_draws`` uniform draws.  ``auto`` stays within ``_CELL_BUDGET``
+    more than ``_CELL_BUDGET`` nodes.  ``monte-carlo`` averages over
+    ``mc_draws`` uniform draws; it refuses more than ``_CELL_BUDGET``
+    draws.  ``auto`` stays within ``_CELL_BUDGET``
     nodes: it picks exact-dyadic when the ``2**(p*d)`` cells fit, else the
     regular grid with the largest ``G <= grid_points`` such that ``G**d``
     fits, and raises ``ValueError`` when not even ``G = 2`` fits.
@@ -266,29 +271,46 @@ def _density_denom(forest: Forest, m: int) -> float:
 def _median_values(
     forest: Forest, leaf_major: np.ndarray, m: int, rank: int, points: np.ndarray
 ) -> np.ndarray:
-    """Lower median (k-th smallest, k=rank) of the block densities.
+    """Lower median (k-th smallest, k=rank) of the block densities at each point.
 
-    ``leaf_major`` is the ``(T, 2**p, S)`` count storage.  Selects on
-    the exact integer tree sums and divides only the k-th sum, once by
-    ``m`` times the leaf volume and once by the tree count.  That division
-    is monotone non-decreasing, so it commutes with the order statistic
-    and the result equals the k-th smallest of the divided densities, bit
-    for bit.  The leaves are walked ``_WALK_POINTS`` points at a time and
-    summed in sub-chunks of about ``_GATHER_ELEMS`` sums, so the sums and
-    their row buffer stay cache-sized whatever the batch and block count.
+    ``leaf_major`` is the ``(T, 2**p, S)`` count storage, whose integer
+    type the tree sums keep: int32, or a uint16 copy where ``T * m <
+    2**16``, exact either way.  The leaves are walked ``_WALK_POINTS``
+    points at a time, and :func:`_kth_densities` takes the median of each
+    walked chunk.
+    """
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _WALK_POINTS):
+        ids = leaf_indices(forest, points=points[start : start + _WALK_POINTS])
+        _kth_densities(forest, leaf_major, m, rank, ids, out[start : start + ids.shape[0]])
+    return out
+
+
+def _kth_densities(
+    forest: Forest, leaf_major: np.ndarray, m: int, rank: int, ids: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """The median kernel: fill ``out`` with the lower median at ``(n, T)`` leaf ids.
+
+    Selects on the exact integer tree sums, kept in ``leaf_major.dtype``
+    (int32, or uint16 where ``T * m < 2**16``), and divides only the k-th
+    sum, once by ``m`` times the leaf volume and once by the tree count.
+    That division is monotone non-decreasing, so it commutes with the
+    order statistic and the result equals the k-th smallest of the
+    divided densities, bit for bit, whichever integer type held the sums.
+    The sums are taken in sub-chunks of about ``_GATHER_ELEMS``, so they
+    and their row buffer stay cache-sized whatever the batch and block
+    count.
     """
     s = leaf_major.shape[2]
     denom = _density_denom(forest, m)
     sub = max(256, _GATHER_ELEMS // max(s, 1))
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _WALK_POINTS):
-        ids = leaf_indices(forest, points=points[start : start + _WALK_POINTS])
-        sums = np.empty((min(sub, ids.shape[0]), s), dtype=np.int32)
-        for lo in range(0, ids.shape[0], sub):
-            part = _tree_sums(leaf_major, ids[lo : lo + sub], sums[: ids.shape[0] - lo])
-            part.partition(rank - 1, axis=1)
-            kth = part[:, rank - 1]
-            out[start + lo : start + lo + kth.size] = kth / denom / forest.n_trees
+    sums = np.empty((min(sub, ids.shape[0]), s), dtype=leaf_major.dtype)
+    for lo in range(0, ids.shape[0], sub):
+        part = _tree_sums(leaf_major, ids[lo : lo + sub], sums[: ids.shape[0] - lo])
+        part.partition(rank - 1, axis=1)
+        kth = part[:, rank - 1]
+        out[lo : lo + kth.size] = kth / denom / forest.n_trees
     return out
 
 
@@ -348,6 +370,11 @@ def _resolve_quadrature(quad: Quadrature, p: int, d: int) -> Quadrature:
             f"{quad.grid_points**d} nodes, over the budget of {_CELL_BUDGET}; "
             "use fewer points per axis or monte-carlo"
         )
+    if quad.method == "monte-carlo" and quad.mc_draws > _CELL_BUDGET:
+        raise ValueError(
+            f"monte-carlo quadrature asks for {quad.mc_draws} draws, over the "
+            f"budget of {_CELL_BUDGET}; use fewer draws"
+        )
     return quad
 
 
@@ -404,10 +431,34 @@ def _compute_normalizer(
     quad: Quadrature,
     seed: int,
 ) -> float:
-    z = _integrate(
-        forest.box, forest.depth, quad, seed,
-        lambda pts: _median_values(forest, leaf_counts, m, rank, pts),
-    )
+    """Integral of the unnormalized median over the box with a resolved method.
+
+    Tree sums of ``T`` counts of at most ``m`` are exact in uint16 while
+    ``T * m < 2**16``; the kernel then sums a uint16 copy of the counts,
+    which halves the bytes it gathers.  ``exact-dyadic`` takes each cell's
+    leaf ids from its integer codes (:func:`geometry._cell_leaf_ids`),
+    not from a float centre, and sums the same ``_QUAD_CHUNK`` chunks in
+    the same order as :func:`_integrate`, so the value is the same float as
+    integrating at the cell centres.  The one exception is a box whose
+    cells are narrower than a few ulps of its offset, where a float centre
+    can round into a neighbouring cell: there this value is the exact sum
+    over the cells and the centres' is not.
+    """
+    if forest.n_trees * m < 2**16:
+        leaf_counts = leaf_counts.astype(np.uint16)
+    if quad.method == "exact-dyadic":
+        total = 2 ** (forest.depth * forest.box.d)
+        partials = []
+        for start in range(0, total, _QUAD_CHUNK):
+            ids = _cell_leaf_ids(forest, start, min(start + _QUAD_CHUNK, total)).T
+            values = _kth_densities(forest, leaf_counts, m, rank, ids, np.empty(ids.shape[0]))
+            partials.append(float(np.sum(values)))
+        z = forest.box.volume / total * math.fsum(partials)
+    else:
+        z = _integrate(
+            forest.box, forest.depth, quad, seed,
+            lambda pts: _median_values(forest, leaf_counts, m, rank, pts),
+        )
     if not z > 0:
         raise ValueError(
             "degenerate model: median density vanishes everywhere "
@@ -508,13 +559,45 @@ def save_model(model: FittedMFRDE, path) -> None:
         "median_rank": model.median_rank,
         "seed": model.seed,
         "trees": model.forest.labels.tolist(),
-        "counts": model.counts.tolist(),
+        "counts": None,  # spliced in below
         "normalizer": model.normalizer,
         "quadrature": {"method": model.quadrature.method, "params": quad_params},
     }
     # One-shot encoding runs json's C encoder; json.dump to a file handle
-    # always takes the pure-Python one.  Both give the same text.
-    _write_atomic(path, json.dumps(doc, separators=(",", ":")) + "\n")
+    # always takes the pure-Python one.  Both give the same text.  No
+    # string value comes before the counts, so the first "counts":null is
+    # the key.
+    head, _, tail = json.dumps(doc, separators=(",", ":")).partition('"counts":null')
+    _write_atomic(path, head + '"counts":' + _counts_json(model.counts) + tail + "\n")
+
+
+def _count_table(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """JSON texts of a table of counts, and each count's index into the table.
+
+    The table is ``range(max + 1)``, indexed by the counts themselves,
+    while it has no more entries than ``counts``; past that it holds the
+    distinct counts, indexed by ``np.unique``'s inverse.  Either way it
+    never outgrows the array, however large ``m`` is.
+    """
+    top = int(counts.max())
+    if top < counts.size:
+        values, index = np.arange(top + 1), counts
+    else:
+        values, index = np.unique(counts, return_inverse=True)
+    texts = np.array([str(v) for v in values.tolist()], dtype=object)
+    return texts, index.reshape(counts.shape)
+
+
+def _counts_json(counts: np.ndarray) -> str:
+    """``json.dumps(counts.tolist(), separators=(",", ":"))`` of ``(S, T, L)`` counts.
+
+    Each table entry of :func:`_count_table` is formatted once; the rows
+    are joined from the texts gathered into place.
+    """
+    texts, index = _count_table(counts)
+    blocks = texts[index].tolist()
+    trees = ["],[".join([",".join(row) for row in block]) for block in blocks]
+    return "[[[" + "]],[[".join(trees) + "]]]"
 
 
 def load_model(path) -> FittedMFRDE:

@@ -46,7 +46,10 @@ allocated; ``k = 0`` is a ``(T, 1)`` table of zeros.
 walks all trees at once through the other ``p - k`` levels on the codes'
 integer bits, by a per-(tree, node) table of (axis, bit) for those
 levels only; at ``k = p`` nothing is left to walk.  Neither step uses
-float geometry past the quantization.
+float geometry past the quantization.  A depth-``p`` dyadic cell of the
+box is one tuple of codes, so the leaf ids of whole cells, which the
+exact-dyadic normalizer needs, come from the same gather and walk with
+no quantization at all.
 
 All types in this module are immutable after construction and safe for
 concurrent reads.
@@ -323,25 +326,52 @@ def leaf_indices(forest: Forest, points) -> np.ndarray:
     """
     box = forest.box
     pts = _as_points(points, box.d)
-    if not np.all(box.contains_batch(pts)):
+    # NaN fails both comparisons, so it is outside too.
+    if not np.all((pts >= box.lo_array) & (pts <= box.hi_array)):
         raise ValueError("point outside domain")
     out = np.empty((pts.shape[0], forest.n_trees), dtype=np.int32)
-    walked = len(forest._level_base)
     for start in range(0, pts.shape[0], _WALK_CHUNK):
         chunk = pts[start : start + _WALK_CHUNK]
         codes = np.empty(chunk.shape, dtype=np.int32)
         for j in range(box.d):
             codes[:, j] = np.searchsorted(forest._inner[j], chunk[:, j], side="right")
-        # the top k bits of every axis, packed in C order
-        top = codes >> walked
-        index = top[:, 0].astype(np.intp)
-        for j in range(1, box.d):
-            index <<= forest.depth - walked
-            index |= top[:, j]
-        leaf = out[start : start + chunk.shape[0]]
-        leaf[...] = forest._leaf_table.take(index, axis=1).T
-        _walk(forest, codes, leaf)
+        _ids_of_codes(forest, codes, out[start : start + chunk.shape[0]])
     return out
+
+
+def _cell_leaf_ids(forest: Forest, start: int, stop: int) -> np.ndarray:
+    """``(T, stop - start)`` leaf ids of cells ``start`` to ``stop - 1``.
+
+    The cells are the ``2**(p*d)`` depth-``p`` dyadic cells of the box in
+    C order, axis 0 slowest: cell ``c`` has code ``(c >> p*(d-1-j)) &
+    (2**p - 1)`` on axis ``j``, the code :func:`leaf_indices` gives every
+    point of the cell, so no float geometry is involved.  The ids are
+    tree-major, so each tree's ids are one contiguous row.
+    """
+    p, d = forest.depth, forest.box.d
+    shifts = p * np.arange(d - 1, -1, -1, dtype=np.int64)
+    out = np.empty((forest.n_trees, stop - start), dtype=np.int32)
+    for lo in range(start, stop, _WALK_CHUNK):
+        cells = np.arange(lo, min(lo + _WALK_CHUNK, stop), dtype=np.int64)
+        codes = ((cells[:, None] >> shifts) & (2**p - 1)).astype(np.int32)
+        _ids_of_codes(forest, codes, out[:, lo - start : lo - start + cells.size].T)
+    return out
+
+
+def _ids_of_codes(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:
+    """Fill the ``(n, T)`` leaf ids ``leaf`` of the points with ``(n, d)`` codes.
+
+    Gathers the depth-``k`` ids by the top ``k`` bits of every axis,
+    packed in C order, then walks the other ``p - k`` levels.
+    """
+    walked = len(forest._level_base)
+    top = codes >> walked
+    index = top[:, 0].astype(np.intp)
+    for j in range(1, codes.shape[1]):
+        index <<= forest.depth - walked
+        index |= top[:, j]
+    leaf[...] = forest._leaf_table.take(index, axis=1).T
+    _walk(forest, codes, leaf)
 
 
 def _walk(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:

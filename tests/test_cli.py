@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import csv_writer_table, full_disk_open
-from mfrde import datasets, evaluation
+from mfrde import datasets, estimator, evaluation
 from mfrde.cli import main
 from mfrde.datasets import read_dataset
 from mfrde.estimator import evaluate_batch, load_model
@@ -521,6 +521,23 @@ class TestErrors:
         assert code == 2
         assert "G**d = 5000**2 = 25000000 nodes" in err
         assert not out.exists()
+
+    def test_mc_draws_past_budget_refused(self, tmp_path, capsys, monkeypatch):
+        # checked before any tree or draw: fit exits 2 and writes nothing
+        def no_forest(*args):
+            raise AssertionError("a forest was built for an over-budget draw count")
+
+        monkeypatch.setattr(estimator, "_CELL_BUDGET", 1000)
+        monkeypatch.setattr(estimator, "build_forest", no_forest)
+        d_csv, m_json = tmp_path / "d.csv", tmp_path / "m.json"
+        run(["generate", "--scheme", "uniform", "--n", "40", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        code, _, err = run(["fit", "--input", str(d_csv), "--m", "10", "--trees", "2",
+                            "--depth", "2", "--quadrature", "mc:1001",
+                            "--out", str(m_json)], capsys)
+        assert code == 2
+        assert "asks for 1001 draws, over the budget of 1000" in err
+        assert not m_json.exists()
 
     def test_bad_box_spec(self, tmp_path, capsys):
         d_csv = tmp_path / "d.csv"

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     block_densities,
@@ -22,7 +22,7 @@ from conftest import (
     naive_median_at,
     naive_sfde_at,
 )
-from mfrde import datasets, estimator
+from mfrde import datasets, estimator, geometry
 from mfrde.datasets import generate
 from mfrde.estimator import (
     EstimatorConfig,
@@ -37,7 +37,7 @@ from mfrde.estimator import (
     load_model,
     save_model,
 )
-from mfrde.geometry import Box, Forest, leaf_indices
+from mfrde.geometry import Box, Forest, build_forest, leaf_indices
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
 BLOCK = np.array([(0.25, 0.5), (0.75, 0.5), (0.9, 0.1)])
@@ -477,6 +477,22 @@ class TestNormalizer:
         with pytest.raises(ValueError, match="over the budget"):
             fit(np.random.default_rng(0).random((40, 2)), config)
 
+    def test_explicit_mc_over_budget_checked_before_forest(self, monkeypatch):
+        # an explicit draw count used to run whatever its size
+        def no_forest(*args):
+            raise AssertionError("a forest was built for an over-budget draw count")
+
+        monkeypatch.setattr(estimator, "_CELL_BUDGET", 16)
+        assert estimator._resolve_quadrature(Quadrature.parse("mc:16"), 8, 3).mc_draws == 16
+        with pytest.raises(ValueError, match=re.escape(
+                "monte-carlo quadrature asks for 17 draws, over the budget of 16")):
+            estimator._resolve_quadrature(Quadrature.parse("mc:17"), 1, 1)
+        monkeypatch.setattr(estimator, "build_forest", no_forest)
+        config = EstimatorConfig(m=10, trees=2, depth=2, seed=0, box=UNIT2,
+                                 quadrature=Quadrature.parse("mc:17"))
+        with pytest.raises(ValueError, match="17 draws, over the budget of 16"):
+            fit(np.random.default_rng(0).random((40, 2)), config)
+
 
 class TestLattice:
     """Quadrature bits pinned on a non-dyadic 3-D box.
@@ -535,6 +551,100 @@ class TestLattice:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+# (T, m) with T * m one below 2**16, where tree sums fit uint16, and at 2**16.
+NARROW_EDGE = [(t, (2**16 - 1) // t) for t in (1, 3, 5, 15, 17)]
+WIDE_EDGE = [(t, 2**16 // t) for t in (1, 2, 4, 8, 16)]
+# k = p, k = 0 and 0 < k < p: the geometry budgets behind each table regime.
+REGIMES = {
+    "full": ({}, lambda k, p: k == p),
+    "walk": ({"_TABLE_BYTES": 0}, lambda k, p: k == 0),
+    "partial": ({"_TABLE_LEAVES": 40}, lambda k, p: 0 < k < p),
+}
+
+
+@st.composite
+def offset_boxes(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    lo = draw(st.lists(st.floats(-1e6, 1e6 - 1e-3), min_size=d, max_size=d))
+    extent = [draw(st.floats(1e-3, 1e6 - a)) for a in lo]
+    return Box(tuple(lo), tuple(a + w for a, w in zip(lo, extent)))
+
+
+def edge_counts(trees: int, leaves: int, s: int, m: int, seed: int) -> np.ndarray:
+    """``(T, leaves, S)`` counts up to ``m``, all ``m`` in leaf 0: a tree sum of ``T * m``."""
+    counts = np.random.default_rng(seed).integers(0, m + 1, size=(trees, leaves, s))
+    counts[:, 0, :] = m
+    return counts.astype(np.int32)
+
+
+def dtype_spy(monkeypatch) -> list:
+    """Record the integer type of every tree sum the median kernel takes."""
+    seen = []
+    original = estimator._tree_sums
+
+    def spy(leaf_major, ids, out):
+        seen.append(out.dtype)
+        return original(leaf_major, ids, out)
+
+    monkeypatch.setattr(estimator, "_tree_sums", spy)
+    return seen
+
+
+class TestCodePathNormalizer:
+    """The exact-dyadic normalizer from cell codes against the float-centre oracle.
+
+    The oracle is the quadrature of the median kernel at the float cell
+    centres, through ``leaf_indices``, with int32 sums.  Cells here are at
+    least ``1e-3 / 2**12`` wide at offsets up to ``1e6``, far above a few
+    ulps, so both sides see the same cells and must agree bit for bit.
+    """
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @settings(max_examples=60, deadline=None)
+    @given(box=offset_boxes(), data=st.data())
+    def test_matches_float_centre_oracle(self, regime, box, data):
+        budgets, in_regime = REGIMES[regime]
+        p = data.draw(st.integers(0, 12 // box.d), label="p")
+        trees, m = data.draw(st.sampled_from(NARROW_EDGE + WIDE_EDGE), label="T, m")
+        s = data.draw(st.integers(1, 4), label="S")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        chunks = data.draw(st.sampled_from([{}, {"_QUAD_CHUNK": 37}]), label="chunks")
+        walk = data.draw(st.sampled_from([{}, {"_WALK_CHUNK": 16}]), label="walk")
+        quad = Quadrature(method="exact-dyadic")
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in {**budgets, **walk}.items():
+                mp.setattr(geometry, name, value)
+            for name, value in chunks.items():
+                mp.setattr(estimator, name, value)
+            forest = build_forest(box, p, trees, seed)
+            k = (forest._leaf_table.shape[1].bit_length() - 1) // box.d
+            assume(in_regime(k, p))
+            counts = edge_counts(trees, 2**p, s, m, seed)
+            rank = (s + 1) // 2
+            oracle = estimator._integrate(
+                box, p, quad, 0,
+                lambda q: estimator._median_values(forest, counts, m, rank, q),
+            )
+            seen = dtype_spy(mp)
+            z = estimator._compute_normalizer(forest, counts, m, rank, quad, 0)
+        assert z == oracle
+        assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
+
+    @pytest.mark.parametrize("spec", ["exact", "grid:9", "mc:3000"])
+    @pytest.mark.parametrize("trees, m", [NARROW_EDGE[2], WIDE_EDGE[2]])
+    def test_every_method_sums_narrow_below_2_16(self, monkeypatch, spec, trees, m):
+        box = Box((0.0, -3.0), (5.0, 4.0))
+        forest = build_forest(box, 3, trees, seed=5)
+        counts = edge_counts(trees, 8, 3, m, seed=6)
+        quad = Quadrature.parse(spec)
+        oracle = estimator._integrate(
+            box, 3, quad, 11, lambda q: estimator._median_values(forest, counts, m, 2, q)
+        )
+        seen = dtype_spy(monkeypatch)
+        assert estimator._compute_normalizer(forest, counts, m, 2, quad, 11) == oracle
+        assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
 
 
 class TestEvaluate:
@@ -956,6 +1066,58 @@ class TestSerialization:
         path.write_text(text.replace('"counts":[[[2,3,0,4]]]',
                                      '"counts" :\t[ [\n[ 2 ,3,\r\n0 , 4 ] ] ]  '))
         assert load_model(path).counts.tolist() == [[[2, 3, 0, 4]]]
+
+
+def encoder_model(case: str) -> FittedMFRDE:
+    if case == "all-zero":
+        forest = build_forest(UNIT2, 2, 3, seed=1)
+        return make_model(forest, np.zeros((2, 3, 4)), m=5)
+    if case == "one-value":
+        forest = build_forest(UNIT2, 2, 3, seed=1)
+        return make_model(forest, np.full((3, 3, 4), 7), m=30)
+    if case == "near-int32-max":
+        # T * m just below 2**31: every count in the low or high millions
+        # of a (2, T, 2) array, so a table of range(max + 1) would hold
+        # 2**19 texts for 2**14 counts
+        trees = 2**12
+        m = 2**31 // trees - 1
+        forest = Forest(box=Box((0.0,), (1.0,)), labels=np.zeros((trees, 1), dtype=np.int64))
+        low = np.arange(trees)[None, :] + np.array([[0], [trees]])
+        return make_model(forest, np.stack([m - low, low], axis=2), m=m)
+    assert case == "one-block"
+    data = np.random.default_rng(8).random((90, 2))
+    return fit(data, EstimatorConfig(m=90, trees=4, depth=3, seed=2, box=UNIT2))
+
+
+class TestCountsEncoder:
+    @pytest.mark.parametrize("case", ["all-zero", "one-value", "near-int32-max", "one-block"])
+    def test_same_text_as_json(self, tmp_path, monkeypatch, case):
+        model = encoder_model(case)
+        tables = []
+        original = estimator._count_table
+
+        def spy(counts):
+            texts, index = original(counts)
+            tables.append((texts.size, counts.size))
+            return texts, index
+
+        monkeypatch.setattr(estimator, "_count_table", spy)
+        expected = json.dumps(model.counts.tolist(), separators=(",", ":"))
+        assert estimator._counts_json(model.counts) == expected
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text()
+        assert f'"counts":{expected},"normalizer":' in text
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+        assert np.array_equal(load_model(path).leaf_counts, model.leaf_counts)
+        assert tables and all(size <= count_size for size, count_size in tables)
+
+    def test_table_never_outgrows_the_counts(self):
+        model = encoder_model("near-int32-max")
+        texts, index = estimator._count_table(model.counts)
+        assert texts.size == 2 * 2**13 <= model.counts.size
+        assert index.shape == model.counts.shape
+        assert np.array_equal(texts[index].astype(np.int64), model.counts)
 
 
 class TestPigeonhole:

@@ -110,6 +110,21 @@ class TestLeafIndex:
         with pytest.raises(ValueError, match="outside domain"):
             leaf_index(np.array([0]), UNIT2, (1.5, 0.5))
 
+    def test_points_normalized_once(self, monkeypatch):
+        # the box check compares the normalized points; it used to run
+        # them through Box.contains_batch, which normalized them again
+        calls = []
+        original = geometry._as_points
+
+        def spy(points, d):
+            calls.append(d)
+            return original(points, d)
+
+        monkeypatch.setattr(geometry, "_as_points", spy)
+        forest = build_forest(UNIT2, 3, 2, seed=0)
+        assert leaf_indices(forest, [(0.3, 0.9), (1.0, 0.0)]).shape == (2, 2)
+        assert calls == [2]
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         tree = draw_labels(3, 5, rng)
@@ -175,6 +190,12 @@ def oracle_ids(forest: Forest, pts: np.ndarray) -> np.ndarray:
         [[leaf_index(tree, forest.box, x) for tree in forest.labels] for x in pts],
         dtype=np.int64,
     ).reshape(len(pts), forest.n_trees)
+
+
+def cell_centres(box: Box, p: int, cells: np.ndarray) -> np.ndarray:
+    """Float centres of depth-``p`` dyadic cells, numbered in C order over the axes."""
+    codes = np.stack(np.unravel_index(cells, (2**p,) * box.d), axis=1)
+    return box.lo_array + (box.hi_array - box.lo_array) * ((codes + 0.5) / 2**p)
 
 
 def table_depth(forest: Forest) -> int:
@@ -269,6 +290,28 @@ class TestLeafKernel:
             leaf_indices(forest, np.insert(pts, at, bad, axis=0))
         with pytest.raises(ValueError, match="point outside domain"):
             leaf_indices(forest, bad)
+
+    @all_regimes
+    @given(forests(), st.data())
+    def test_cell_ids_match_float_walker_at_centres(self, forest, data):
+        self.drawn(forest)
+        cells = 2 ** (forest.depth * forest.box.d)
+        start = data.draw(st.integers(0, cells - 1))
+        stop = data.draw(st.integers(start, min(cells, start + 64)))
+        ids = geometry._cell_leaf_ids(forest, start, stop)
+        assert ids.shape == (forest.n_trees, stop - start)
+        assert ids.dtype == np.int32
+        centres = cell_centres(forest.box, forest.depth, np.arange(start, stop))
+        assert np.array_equal(ids.T, oracle_ids(forest, centres))
+
+    def test_cell_ids_in_walk_chunks(self, monkeypatch):
+        box = FIXED_BOXES[2]
+        forest = build_forest(box, 3, 4, seed=9)
+        monkeypatch.setattr(geometry, "_WALK_CHUNK", 5)
+        ids = geometry._cell_leaf_ids(forest, 3, 500)
+        assert ids.flags.c_contiguous
+        centres = cell_centres(box, 3, np.arange(3, 500))
+        assert np.array_equal(ids.T, leaf_indices(forest, centres))
 
     def test_upper_face_is_last_cell(self):
         box = FIXED_BOXES[2]
