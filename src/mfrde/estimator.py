@@ -450,7 +450,7 @@ def _compute_normalizer(
         total = 2 ** (forest.depth * forest.box.d)
         partials = []
         for start in range(0, total, _QUAD_CHUNK):
-            ids = _cell_leaf_ids(forest, start, min(start + _QUAD_CHUNK, total)).T
+            ids = _cell_leaf_ids(forest, start, min(start + _QUAD_CHUNK, total))
             values = _kth_densities(forest, leaf_counts, m, rank, ids, np.empty(ids.shape[0]))
             partials.append(float(np.sum(values)))
         z = forest.box.volume / total * math.fsum(partials)

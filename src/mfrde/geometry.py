@@ -340,21 +340,20 @@ def leaf_indices(forest: Forest, points) -> np.ndarray:
 
 
 def _cell_leaf_ids(forest: Forest, start: int, stop: int) -> np.ndarray:
-    """``(T, stop - start)`` leaf ids of cells ``start`` to ``stop - 1``.
+    """Leaf ids of cells ``start`` to ``stop - 1``, a ``(stop - start, T)`` int32 array.
 
     The cells are the ``2**(p*d)`` depth-``p`` dyadic cells of the box in
     C order, axis 0 slowest: cell ``c`` has code ``(c >> p*(d-1-j)) &
     (2**p - 1)`` on axis ``j``, the code :func:`leaf_indices` gives every
-    point of the cell, so no float geometry is involved.  The ids are
-    tree-major, so each tree's ids are one contiguous row.
+    point of the cell, so no float geometry is involved.
     """
     p, d = forest.depth, forest.box.d
     shifts = p * np.arange(d - 1, -1, -1, dtype=np.int64)
-    out = np.empty((forest.n_trees, stop - start), dtype=np.int32)
+    out = np.empty((stop - start, forest.n_trees), dtype=np.int32)
     for lo in range(start, stop, _WALK_CHUNK):
         cells = np.arange(lo, min(lo + _WALK_CHUNK, stop), dtype=np.int64)
         codes = ((cells[:, None] >> shifts) & (2**p - 1)).astype(np.int32)
-        _ids_of_codes(forest, codes, out[:, lo - start : lo - start + cells.size].T)
+        _ids_of_codes(forest, codes, out[lo - start : lo - start + cells.size])
     return out
 
 
