@@ -98,6 +98,30 @@ def test_fit_and_evaluate_batch_call_leaf_indices_at_call_time(monkeypatch):
     assert seen[1:] == [7]
 
 
+def test_estimator_passes_points_to_leaf_indices_by_keyword(monkeypatch):
+    # perfbench's leaf hook reads ``points`` from the keywords, else from a
+    # third positional argument, which leaf_indices does not have
+    from mfrde import estimator
+
+    calls = []
+    original = estimator.leaf_indices
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), tuple(kwargs)))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "leaf_indices", spy)
+    data = np.random.default_rng(2).random((40, 2))
+    for spec in ("exact", "grid:5", "mc:50"):
+        model = estimator.fit(data, estimator.EstimatorConfig(
+            m=10, trees=2, depth=2, seed=0, quadrature=estimator.Quadrature.parse(spec)))
+        estimator.evaluate_batch(model, data[:7])
+        estimator.evaluate(model, data[0])
+        estimator.integrate_estimate(model)
+    assert calls
+    assert set(calls) == {(1, ("points",))}
+
+
 def test_benchmark_forests_stay_on_the_full_table(monkeypatch):
     # perfbench's timings and reference digests assume that every forest it
     # builds reads its leaf ids in one gather (table depth k = p), and that
