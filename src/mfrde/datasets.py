@@ -177,7 +177,9 @@ def _write_table(path, header: list[str], values, labels=None) -> None:
     """CSV of float columns as ``%.17g`` plus an optional ``%d`` column.
 
     Writes the same bytes as ``csv.writer`` (CRLF line ends) for headers
-    that need no quoting, formatting whole rows at once.  A float column
+    that need no quoting.  The columns are interleaved into one flat list
+    of cells, and the whole body is formatted by one ``%`` of the row
+    format repeated once per row, whatever the table.  A float column
     in which at most two thirds of the rows are distinct, such as a
     density, which is piecewise constant, or a grid axis, has each
     distinct value formatted once and gathered into its rows.  Values are
@@ -201,9 +203,13 @@ def _write_table(path, header: list[str], values, labels=None) -> None:
     if labels is not None:
         columns.append(np.asarray(labels).tolist())
         formats.append("%d")
-    fmt = ",".join(formats) + "\r\n"
-    text = ",".join(header) + "\r\n" + "".join([fmt % row for row in zip(*columns)])
-    _write_atomic(path, text)
+    rows, width = values.shape[0], len(columns)
+    cells = [None] * (rows * width)
+    for j, column in enumerate(columns):
+        cells[j::width] = column
+    row_fmt = ",".join(formats) + "\r\n"
+    body = (row_fmt * rows) % tuple(cells)
+    _write_atomic(path, ",".join(header) + "\r\n" + body)
 
 
 def write_dataset(dataset: Dataset, path) -> None:

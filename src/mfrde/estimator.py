@@ -11,9 +11,10 @@ density averages that over the trees; the aggregate takes the k-th
 smallest block value with ``k = ceil(S / 2)``, the lower median.
 
 One kernel serves the normalizer and every query: it sums each block's
-integer leaf counts over the trees, exact in the counts' own integer
-type (int32 for queries; the normalizer sums a uint16 copy while ``T * m
-< 2**16``), selects the k-th smallest of those integer sums, and divides
+integer leaf counts over the trees, exact in one integer type chosen by
+one rule (:func:`_summed_counts`: a uint16 copy of the counts while ``T *
+m < 2**16``, else the int32 storage itself), selects the k-th smallest of
+those integer sums, and divides
 only that winner, once by ``m`` times the leaf volume and once by the
 tree count.  Dividing by a positive constant with round-to-nearest is
 monotone non-decreasing, and so is the composition of two such
@@ -30,7 +31,9 @@ int32 array of shape ``(T, 2**p, S)``, so a query's lookup in one tree
 reads one contiguous row of ``S`` block counts.  ``FittedMFRDE.counts``
 is only a read-only ``(S, T, 2**p)`` view of it, which indexes block by
 block and serializes to the model file's nested lists.  Every count is at
-most ``m``, so int32 sums over the trees are exact while ``T * m < 2**31``.
+most ``m``, so int32 sums over the trees are exact while ``T * m < 2**31``,
+and uint16 sums while ``T * m < 2**16``; the model keeps the array its
+kernel sums next to the storage, built once with the model.
 
 Fitted models are immutable; evaluation is safe for concurrent readers.
 Fitting itself is deterministic given the config seed: trees, the block
@@ -70,11 +73,15 @@ MODEL_FORMAT_VERSION = 1
 _QUAD_CHUNK = 1 << 15
 # The median kernel walks the leaves this many points at a time (one
 # quadrature chunk per walk) and sums tree counts in sub-chunks of about
-# this many sums: 256 KB in int32, so the sums and their row buffer fit in L2.
+# this many sums: 256 KB in int32 and 128 KB in uint16, so the sums and
+# their row buffer fit in L2.
 _WALK_POINTS = _QUAD_CHUNK
 _GATHER_ELEMS = 1 << 16
 # Most quadrature nodes, or Monte Carlo draws, any method may use.
 _CELL_BUDGET = 1 << 24
+# Most bytes a fit may ask for in one array: the forest's int64 split
+# labels (the forest's walk table is as large) or the int32 leaf counts.
+_BYTE_BUDGET = 1 << 30
 
 
 def _check_count_range(trees: int, m: int) -> None:
@@ -83,6 +90,39 @@ def _check_count_range(trees: int, m: int) -> None:
         raise ValueError(
             f"trees * m = {trees * m} must stay below 2**31 for int32 leaf counts"
         )
+
+
+def _check_fit_bytes(trees: int, p: int, s: int) -> None:
+    """A fit's split labels and leaf counts must each fit ``_BYTE_BUDGET``.
+
+    Sized in Python integers, before anything is drawn or allocated.
+    """
+    leaves = 2**p
+    for what, formula, size in (
+        ("split labels", f"T * (2**p - 1) * 8 = {trees} * {leaves - 1} * 8",
+         trees * (leaves - 1) * 8),
+        ("leaf counts", f"T * 2**p * S * 4 = {trees} * {leaves} * {s} * 4",
+         trees * leaves * s * 4),
+    ):
+        if size > _BYTE_BUDGET:
+            raise ValueError(
+                f"the {what} need {formula} = {size} bytes, over the budget of "
+                f"{_BYTE_BUDGET}; use fewer trees, less depth or larger blocks"
+            )
+
+
+def _summed_counts(leaf_counts: np.ndarray, trees: int, m: int) -> np.ndarray:
+    """The counts array the median kernel sums, read-only.
+
+    Tree sums of ``trees`` counts of at most ``m`` are exact in uint16
+    while ``trees * m < 2**16``: then a uint16 copy, which halves the bytes
+    each query gathers; otherwise the int32 storage itself.
+    """
+    if trees * m >= 2**16:
+        return leaf_counts
+    narrow = leaf_counts.astype(np.uint16)
+    narrow.setflags(write=False)
+    return narrow
 
 
 @dataclass(frozen=True)
@@ -192,6 +232,9 @@ class FittedMFRDE:
     leaf_counts: np.ndarray
     normalizer: float
     quadrature: Quadrature  # resolved method actually used for the normalizer
+    # Derived from ``leaf_counts``: the read-only array the median kernel
+    # sums (:func:`_summed_counts`).
+    _sum_counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.leaf_counts)
@@ -219,6 +262,7 @@ class FittedMFRDE:
         leaf_counts = np.ascontiguousarray(counts, dtype=np.int32)
         leaf_counts.setflags(write=False)
         object.__setattr__(self, "leaf_counts", leaf_counts)
+        object.__setattr__(self, "_sum_counts", _summed_counts(leaf_counts, t, self.m))
 
     @property
     def counts(self) -> np.ndarray:
@@ -273,9 +317,9 @@ def _median_values(
 ) -> np.ndarray:
     """Lower median (k-th smallest, k=rank) of the block densities at each point.
 
-    ``leaf_major`` is the ``(T, 2**p, S)`` count storage, whose integer
-    type the tree sums keep: int32, or a uint16 copy where ``T * m <
-    2**16``, exact either way.  The leaves are walked ``_WALK_POINTS``
+    ``leaf_major`` is the ``(T, 2**p, S)`` counts array, whose integer
+    type the tree sums keep: int32, or the uint16 copy of
+    :func:`_summed_counts`, exact either way.  The leaves are walked ``_WALK_POINTS``
     points at a time, and :func:`_kth_densities` takes the median of each
     walked chunk.
     """
@@ -293,7 +337,7 @@ def _kth_densities(
     """The median kernel: fill ``out`` with the lower median at ``(n, T)`` leaf ids.
 
     Selects on the exact integer tree sums, kept in ``leaf_major.dtype``
-    (int32, or uint16 where ``T * m < 2**16``), and divides only the k-th
+    (int32, or uint16 by :func:`_summed_counts`), and divides only the k-th
     sum, once by ``m`` times the leaf volume and once by the tree count.
     That division is monotone non-decreasing, so it commutes with the
     order statistic and the result equals the k-th smallest of the
@@ -337,7 +381,7 @@ def evaluate_batch(model: FittedMFRDE, points) -> np.ndarray:
             raise ValueError(f"{nan_rows} query row(s) hold NaN; no density is defined there")
     out = np.zeros(pts.shape[0])
     med = _median_values(
-        model.forest, model.leaf_counts, model.m, model.median_rank, pts[mask]
+        model.forest, model._sum_counts, model.m, model.median_rank, pts[mask]
     )
     out[mask] = med / model.normalizer
     return out
@@ -433,9 +477,8 @@ def _compute_normalizer(
 ) -> float:
     """Integral of the unnormalized median over the box with a resolved method.
 
-    Tree sums of ``T`` counts of at most ``m`` are exact in uint16 while
-    ``T * m < 2**16``; the kernel then sums a uint16 copy of the counts,
-    which halves the bytes it gathers.  ``exact-dyadic`` takes each cell's
+    The kernel sums the array :func:`_summed_counts` gives for the int32
+    ``leaf_counts``, by the same rule as every query.  ``exact-dyadic`` takes each cell's
     leaf ids from its integer codes (:func:`geometry._cell_leaf_ids`),
     not from a float centre, and sums the same ``_QUAD_CHUNK`` chunks in
     the same order as :func:`_integrate`, so the value is the same float as
@@ -444,8 +487,7 @@ def _compute_normalizer(
     can round into a neighbouring cell: there this value is the exact sum
     over the cells and the centres' is not.
     """
-    if forest.n_trees * m < 2**16:
-        leaf_counts = leaf_counts.astype(np.uint16)
+    leaf_counts = _summed_counts(leaf_counts, forest.n_trees, m)
     if quad.method == "exact-dyadic":
         total = 2 ** (forest.depth * forest.box.d)
         partials = []
@@ -499,6 +541,7 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
         )
     n, m = pts.shape[0], config.m
     _check_count_range(config.trees, m)
+    _check_fit_bytes(config.trees, config.depth, n // m)
     forest_stream, perm_stream, _ = _fit_streams(config.seed)
     blocks = assign_blocks(n, m, np.random.default_rng(perm_stream))
     box = config.box if config.box is not None else Box.bounding(pts, config.box_margin)
@@ -771,11 +814,12 @@ def _model_from_doc(doc, counts_span: bytes | None) -> FittedMFRDE:
         raise ValueError(f"unresolved quadrature method {method!r}")
     params = doc["quadrature"].get("params", {})
     _typed(params.get("cell_budget", _CELL_BUDGET), "cell_budget")  # checked, not kept
-    quad = Quadrature(
+    # The sizes fit refuses are refused here too, before anything integrates.
+    quad = _resolve_quadrature(Quadrature(
         method=method,
         grid_points=_typed(params.get("points_per_axis", 100), "points_per_axis"),
         mc_draws=_typed(params.get("draws", 100_000), "draws"),
-    )
+    ), p, box.d)
     model = FittedMFRDE(
         seed=seed,
         forest=forest,

@@ -81,7 +81,12 @@ _TABLE_LEAVES = 1 << 14
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangular domain with strictly positive volume."""
+    """Axis-aligned rectangular domain with finite, strictly positive volume.
+
+    Every bound, every extent ``hi - lo`` and the volume must be finite,
+    and each extent and the volume strictly positive, or ``ValueError``
+    is raised: densities divide by the volume.
+    """
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -101,11 +106,20 @@ class Box:
             raise ValueError("box must have strictly positive extent on every axis")
         lo_array = np.asarray(lo, dtype=float)
         hi_array = np.asarray(hi, dtype=float)
+        with np.errstate(over="ignore", under="ignore"):  # checked just below
+            extent = hi_array - lo_array
+            volume = float(np.prod(extent))
+        if not (np.isfinite(lo_array).all() and np.isfinite(hi_array).all()
+                and np.isfinite(extent).all() and 0 < volume < np.inf):
+            raise ValueError(
+                f"box bounds, extents and volume must be finite and positive: "
+                f"lo={lo}, hi={hi}, hi - lo={tuple(extent.tolist())}, volume={volume}"
+            )
         lo_array.setflags(write=False)
         hi_array.setflags(write=False)
         object.__setattr__(self, "lo_array", lo_array)
         object.__setattr__(self, "hi_array", hi_array)
-        object.__setattr__(self, "volume", float(np.prod(hi_array - lo_array)))
+        object.__setattr__(self, "volume", volume)
 
     @property
     def d(self) -> int:

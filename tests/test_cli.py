@@ -551,6 +551,69 @@ class TestErrors:
         assert code == 1
         assert "box" in err
 
+    def test_non_finite_box_spec(self, tmp_path, capsys):
+        # used to construct a box of volume inf, and the fit then ended in a
+        # misleading "degenerate model" error
+        d_csv, m_json = tmp_path / "d.csv", tmp_path / "m.json"
+        run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        code, _, err = run(["fit", "--input", str(d_csv), "--m", "10", "--box", "0:inf,0:5",
+                            "--out", str(m_json)], capsys)
+        assert code == 1
+        assert "must be finite and positive" in err
+        assert not m_json.exists()
+
+    @pytest.mark.parametrize(
+        "quadrature, field, value",
+        [(None, '"lo":[0.0,0.0]', '"lo":[-Infinity,0.0]'),
+         ("mc:500", '"draws":500', '"draws":1000000000000'),
+         ("grid:7", '"points_per_axis":7', '"points_per_axis":1000000')],
+        ids=["infinite-box", "mc-draws", "grid-points"],
+    )
+    def test_model_past_what_fit_accepts(self, tmp_path, capsys, monkeypatch, quadrature,
+                                         field, value):
+        # each edit used to load: the box served density 0 where it was
+        # positive, and the sizes asked for 10**12 quadrature nodes
+        def no_draw(*args):
+            raise AssertionError("a quadrature ran on a refused model")
+
+        d_csv, m_json, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "s.csv"
+        run(["generate", "--scheme", "uniform", "--n", "40", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        run(["fit", "--input", str(d_csv), "--m", "10", "--trees", "2", "--depth", "2",
+             "--box", "0:5,0:5", "--out", str(m_json)]
+            + (["--quadrature", quadrature] if quadrature else []), capsys)
+        text = m_json.read_text()
+        assert field in text
+        m_json.write_text(text.replace(field, value))
+        monkeypatch.setattr(estimator, "_integrate", no_draw)
+        monkeypatch.setattr(estimator, "_fit_streams", no_draw)
+        code, _, err = run(
+            ["score", "--model", str(m_json), "--input", str(d_csv), "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("mfrde: error: malformed model file: ")
+        assert ("must be finite and positive" if quadrature is None
+                else "over the budget of 16777216") in err
+        assert not out.exists()
+
+    def test_fit_arrays_past_byte_budget(self, tmp_path, capsys, monkeypatch):
+        # depth 30 passed the T * 2**p < 2**31 guard, then drew 8 GiB of labels
+        def no_forest(*args):
+            raise AssertionError("a forest was built past the byte budget")
+
+        monkeypatch.setattr(estimator, "build_forest", no_forest)
+        d_csv, m_json = tmp_path / "d.csv", tmp_path / "m.json"
+        run(["generate", "--scheme", "uniform", "--n", "40", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        code, _, err = run(["fit", "--input", str(d_csv), "--m", "10", "--trees", "1",
+                            "--depth", "30", "--out", str(m_json)], capsys)
+        assert code == 2
+        assert ("split labels need T * (2**p - 1) * 8 = 1 * 1073741823 * 8 = 8589934584 "
+                "bytes, over the budget of 1073741824") in err
+        assert not m_json.exists()
+
 
 # One to three byte edits: replace, insert or delete at a position taken
 # modulo the file's length.

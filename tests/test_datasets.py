@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.stats import chisquare, kstest
 
 from conftest import csv_float_read, csv_writer_table
@@ -327,10 +327,19 @@ def float_columns(draw, rows: int) -> list:
 
 @st.composite
 def float_tables(draw):
-    rows = draw(st.integers(0, 24))
+    rows = draw(st.integers(0, 24) | st.integers(25, 400))
     columns = [draw(float_columns(rows)) for _ in range(draw(st.integers(1, 3)))]
     labels = draw(st.none() | st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
+    if labels is not None and draw(st.booleans()):
+        labels = np.array(labels, dtype=np.int64)  # as write_dataset passes them
     return np.array(columns, dtype=float).T.reshape(rows, len(columns)), labels
+
+
+# Signed zeros, NaNs of either sign and infinities: six distinct values in
+# nine rows are on the table side of the two-thirds cut, nine are not.
+SIGNED = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf]
+BELOW_CUT = (SIGNED * 2)[:9]
+ABOVE_CUT = SIGNED + [5e-324, 0.1, 1e308]
 
 
 class TestCsvOracle:
@@ -351,10 +360,18 @@ class TestCsvOracle:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @given(table=float_tables())
+    @example(table=(np.zeros((0, 1)), None))
+    @example(table=(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)))
+    @example(table=(np.array([[-0.0]]), [1]))
+    @example(table=(np.array([ABOVE_CUT]).T, None))
+    @example(table=(np.array([BELOW_CUT, ABOVE_CUT]).T, [0, 1, 1, 0, 0, 1, 0, 1, 1]))
     def test_write_table_same_bytes_as_csv_writer(self, tmp_path_factory, table):
+        # one format call over the interleaved cells of every table, on
+        # either side of the distinct-value cut, has csv.writer's bytes
         values, labels = table
         path = tmp_path_factory.mktemp("table")
-        header = [f"x{j + 1}" for j in range(values.shape[1])] + (["label"] if labels else [])
+        header = [f"x{j + 1}" for j in range(values.shape[1])]
+        header += ["label"] if labels is not None else []
         _write_table(path / "new.csv", header, values, labels)
         csv_writer_table(path / "old.csv", header, values, labels)
         assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()

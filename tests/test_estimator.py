@@ -376,6 +376,47 @@ class TestFit:
         with pytest.raises(ValueError, match="2\\*\\*31"):
             make_model(forest, np.zeros((1, 2, 2), dtype=np.int64), m=2**30)
 
+    @pytest.mark.parametrize(
+        "trees, depth, m, message",
+        [(1, 30, 10, "split labels need T * (2**p - 1) * 8 = 1 * 1073741823 * 8 = "
+                     "8589934584 bytes"),
+         (20, 20, 1, "leaf counts need T * 2**p * S * 4 = 20 * 1048576 * 100 * 4 = "
+                     "8388608000 bytes")],
+        ids=["labels-8GiB", "counts-8GiB"],
+    )
+    def test_arrays_past_byte_budget_refused_unbuilt(self, monkeypatch, trees, depth, m,
+                                                     message):
+        # both used to pass every guard and allocate 8 GiB
+        def no_forest(*args):
+            raise AssertionError("a forest was built past the byte budget")
+
+        monkeypatch.setattr(estimator, "build_forest", no_forest)
+        config = EstimatorConfig(m=m, trees=trees, depth=depth, seed=0, box=UNIT2)
+        with pytest.raises(ValueError, match=re.escape(
+                message + ", over the budget of 1073741824")):
+            fit(np.random.default_rng(0).random((100, 2)), config)
+
+    @pytest.mark.parametrize(
+        "m, size, what",
+        [(10, 2 * 4 * 4 * 4, "leaf counts"), (40, 2 * 3 * 8, "split labels")],
+        ids=["counts-larger", "labels-larger"],
+    )
+    def test_byte_budget_edge(self, monkeypatch, m, size, what):
+        # T = 2, p = 2 on 40 points: S = 4 blocks of 10 or one block of 40;
+        # the larger array fits a budget of exactly its size, not one below
+        data = np.random.default_rng(0).random((40, 2))
+        config = EstimatorConfig(m=m, trees=2, depth=2, seed=0, box=UNIT2)
+        monkeypatch.setattr(estimator, "_BYTE_BUDGET", size)
+        fit(data, config)
+        built = []
+        monkeypatch.setattr(estimator, "_BYTE_BUDGET", size - 1)
+        monkeypatch.setattr(estimator, "build_forest", lambda *args: built.append(args))
+        monkeypatch.setattr(estimator.np, "zeros", lambda *args, **kw: built.append(args))
+        with pytest.raises(ValueError, match=f"the {what} need .* = {size} bytes, over the "
+                                             f"budget of {size - 1}"):
+            fit(data, config)
+        assert built == []
+
 
 class TestNormalizer:
     def test_full_histogram_integrates_to_one(self):
@@ -645,6 +686,63 @@ class TestCodePathNormalizer:
         seen = dtype_spy(monkeypatch)
         assert estimator._compute_normalizer(forest, counts, m, 2, quad, 11) == oracle
         assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
+
+
+def edge_model(trees: int, m: int, seed: int) -> FittedMFRDE:
+    """A valid depth-3, S = 3 model whose tree sums reach ``T * m`` at the box's low corner.
+
+    Blocks 0 and 1 hold all ``m`` points in leaf 0 of every tree, where
+    the low corner lies, so the median there is the sum ``T * m``; block 2
+    spreads a random total over random leaves.
+    """
+    rng = np.random.default_rng(seed)
+    forest = build_forest(Box((0.0, -3.0), (5.0, 4.0)), 3, trees, seed=seed)
+    counts = np.zeros((3, trees, 8), dtype=np.int64)
+    counts[:2, :, 0] = m
+    counts[2] = rng.multinomial(int(rng.integers(0, m + 1)), [1 / 8] * 8, size=trees)
+    return make_model(forest, counts, m=m, normalizer=0.75)
+
+
+class TestSumDtype:
+    """Every query sums by the normalizer's rule: uint16 exactly when ``T * m < 2**16``."""
+
+    @pytest.mark.parametrize("trees, m", NARROW_EDGE + WIDE_EDGE)
+    def test_queries_sum_narrow_below_2_16(self, monkeypatch, trees, m):
+        model = edge_model(trees, m, seed=trees)
+        box = model.box
+        pts = np.concatenate([
+            [box.lo, box.hi, (6.0, 0.0)],
+            box.lo_array + (box.hi_array - box.lo_array) * np.random.default_rng(m).random((40, 2)),
+        ])
+        # The oracle: the same kernel on the int32 storage.
+        inside = box.contains_batch(pts)
+        oracle = np.zeros(pts.shape[0])
+        oracle[inside] = estimator._median_values(
+            model.forest, model.leaf_counts, m, model.median_rank, pts[inside]
+        ) / model.normalizer
+        assert oracle[0] == trees * m / estimator._density_denom(model.forest, m) / trees / 0.75
+        seen = dtype_spy(monkeypatch)
+        batch = evaluate_batch(model, pts)
+        assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
+        assert batch.tobytes() == oracle.tobytes()
+        seen.clear()
+        assert [evaluate(model, x) for x in pts] == batch.tolist()
+        assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
+
+    @pytest.mark.parametrize("trees, m", [NARROW_EDGE[0], NARROW_EDGE[-1], WIDE_EDGE[0],
+                                          WIDE_EDGE[-1]])
+    def test_summed_counts_read_only(self, tmp_path, trees, m):
+        model = edge_model(trees, m, seed=1)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        for each in (model, load_model(path)):
+            summed = each._sum_counts
+            assert not summed.flags.writeable
+            assert np.array_equal(summed, each.leaf_counts)
+            if trees * m < 2**16:
+                assert summed.dtype == np.uint16 and summed.flags.c_contiguous
+            else:
+                assert summed is each.leaf_counts
 
 
 class TestEvaluate:
@@ -920,6 +1018,46 @@ class TestSerialization:
         assert load_model(path).counts.tolist() == [[[2, 3, 0, 4]]]
         path.write_text(json.dumps(self.MALFORMED[case](doc) or doc))
         with pytest.raises(ValueError, match="^malformed model file: "):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "spec, field, value",
+        [("mc:500", '"draws":500', '"draws":1000000000000'),
+         ("grid:7", '"points_per_axis":7', '"points_per_axis":1000000')],
+        ids=["mc-draws", "grid-points"],
+    )
+    def test_quadrature_past_budget_rejected(self, tmp_path, monkeypatch, spec, field, value):
+        # both used to load, and integrate_estimate would then have run
+        # 10**12 quadrature nodes
+        def no_draw(*args):
+            raise AssertionError("a quadrature ran on a refused model")
+
+        data = np.random.default_rng(1).random((40, 2))
+        model = fit(data, EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2,
+                                          quadrature=Quadrature.parse(spec)))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text()
+        assert field in text
+        path.write_text(text.replace(field, value))
+        monkeypatch.setattr(estimator, "_integrate", no_draw)
+        monkeypatch.setattr(estimator, "_fit_streams", no_draw)
+        with pytest.raises(ValueError, match="^malformed model file: .* over the budget of "
+                                             "16777216"):
+            load_model(path)
+
+    def test_infinite_box_rejected(self, tmp_path):
+        # json reads -Infinity; the box used to load with volume inf and
+        # serve density 0 where the saved model's was positive
+        data = np.random.default_rng(1).random((40, 2))
+        model = fit(data, EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text()
+        assert '"lo":[0.0,0.0]' in text
+        path.write_text(text.replace('"lo":[0.0,0.0]', '"lo":[-Infinity,0.0]'))
+        with pytest.raises(ValueError, match="^malformed model file: box bounds, extents "
+                                             "and volume must be finite and positive"):
             load_model(path)
 
     def test_version_mismatch(self, tmp_path):

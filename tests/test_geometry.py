@@ -38,6 +38,20 @@ class TestBox:
     def test_volume(self):
         assert Box((0.0, 0.0), (5.0, 5.0)).volume == 25.0
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [((-np.inf, 0.0), (np.inf, 1.0)), ((0.0, 0.0), (np.inf, 1.0)),
+         ((-1e308, 0.0), (1e308, 1.0)), ((0.0, 0.0), (1e200, 1e200)),
+         ((0.0, 0.0), (1e-200, 1e-200))],
+        ids=["infinite-bounds", "infinite-hi", "extent-overflows", "volume-overflows",
+             "volume-underflows"],
+    )
+    def test_rejects_non_finite_geometry(self, lo, hi):
+        # each used to construct with volume inf or 0, so densities came out
+        # 0 or inf, or a fit ended as a "degenerate model"
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            Box(lo, hi)
+
     def test_derived_arrays_read_only(self):
         box = Box((0.0, -1.5), (2.0, 3.0))
         assert box.lo_array.tolist() == [0.0, -1.5]

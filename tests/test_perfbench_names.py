@@ -146,3 +146,21 @@ def test_benchmark_forests_stay_on_the_full_table(monkeypatch):
         resolved = estimator._resolve_quadrature(quad, wl.depth, 2)
         assert resolved.method == "exact-dyadic"
         assert 2 ** (2 * wl.depth) <= estimator._CELL_BUDGET
+
+
+def test_benchmark_fits_stay_far_below_the_byte_budget(monkeypatch):
+    # every fit perfbench runs, served or in a sweep, would pass a byte
+    # budget 256 times smaller than the real one
+    from mfrde import estimator
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    served = list(workloads.WORKLOADS.values()) + list(workloads.TINY.values())
+    fits = [(wl.trees, wl.depth, wl.n // wl.m) for wl in served]
+    fits += [(trees, depth, wl.sweep["n"] // round(ratio * wl.sweep["n"]))
+             for wl in served for trees in wl.sweep["trees"]
+             for depth in wl.sweep["depths"] for ratio in wl.sweep["m_ratios"]]
+    assert len(fits) == 8
+    monkeypatch.setattr(estimator, "_BYTE_BUDGET", estimator._BYTE_BUDGET // 256)
+    for trees, depth, blocks in fits:
+        estimator._check_fit_bytes(trees, depth, blocks)
