@@ -11,20 +11,19 @@ density averages that over the trees; the aggregate takes the k-th
 smallest block value with ``k = ceil(S / 2)``, the lower median.
 
 One kernel serves the normalizer and every query: it sums each block's
-integer leaf counts over the trees, exact in one integer type chosen by
-one rule (:func:`_summed_counts`: a uint16 copy of the counts while ``T *
-m < 2**16``, else the int32 storage itself), selects the k-th smallest of
-those integer sums, and divides
-only that winner, once by ``m`` times the leaf volume and once by the
-tree count.  Dividing by a positive constant with round-to-nearest is
-monotone non-decreasing, and so is the composition of two such
-divisions, so the k-th smallest quotient is the quotient of the k-th
-smallest sum: the result is the same float as the k-th smallest of the
-divided block densities.  The float expression does not depend on the
-batch, its chunking or the sums' integer type, so scalar and batched
-queries are bit-identical.  The exact-dyadic normalizer takes each
-cell's leaf ids from its integer cell codes rather than from a float
-cell centre.
+integer leaf counts over the trees, exact in the type one rule picks
+(:func:`_summed_counts`: a uint16 copy of the counts while ``T * m <
+2**16``, else the int32 storage itself), selects the k-th smallest of
+those integer sums, and divides only that winner, once by ``m`` times the
+leaf volume and once by the tree count.  Dividing by a positive
+constant with round-to-nearest is monotone non-decreasing, and so is the
+composition of two such divisions, so the k-th smallest quotient is the
+quotient of the k-th smallest sum: the result is the same float as the
+k-th smallest of the divided block densities.  The float expression does
+not depend on the batch, its chunking or the sums' integer type, so
+scalar and batched queries are bit-identical.  The exact-dyadic
+normalizer takes each cell's leaf ids from its integer cell codes rather
+than from a float cell centre.
 
 Leaf counts have one layout, ``FittedMFRDE.leaf_counts``: a C-contiguous
 int32 array of shape ``(T, 2**p, S)``, so a query's lookup in one tree
@@ -32,8 +31,8 @@ reads one contiguous row of ``S`` block counts.  ``FittedMFRDE.counts``
 is only a read-only ``(S, T, 2**p)`` view of it, which indexes block by
 block and serializes to the model file's nested lists.  Every count is at
 most ``m``, so int32 sums over the trees are exact while ``T * m < 2**31``,
-and uint16 sums while ``T * m < 2**16``; the model keeps the array its
-kernel sums next to the storage, built once with the model.
+and uint16 sums while ``T * m < 2**16``.  The model builds the array its
+queries sum once, next to the storage.
 
 Fitted models are immutable; evaluation is safe for concurrent readers.
 Fitting itself is deterministic given the config seed: trees, the block
@@ -52,7 +51,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .datasets import Dataset, _write_atomic
-from .geometry import Box, Forest, _cell_leaf_ids, build_forest, leaf_indices
+from .geometry import (
+    Box, Forest, _cell_leaf_ids, _check_forest_size, build_forest, leaf_indices,
+)
 
 __all__ = [
     "Quadrature",
@@ -95,8 +96,10 @@ def _check_count_range(trees: int, m: int) -> None:
 def _check_fit_bytes(trees: int, p: int, s: int) -> None:
     """A fit's split labels and leaf counts must each fit ``_BYTE_BUDGET``.
 
-    Sized in Python integers, before anything is drawn or allocated.
+    Sized in Python integers, before anything is drawn or allocated, and
+    after the forest's own size check, which keeps the numbers short.
     """
+    _check_forest_size(trees, p)
     leaves = 2**p
     for what, formula, size in (
         ("split labels", f"T * (2**p - 1) * 8 = {trees} * {leaves - 1} * 8",
@@ -319,9 +322,9 @@ def _median_values(
 
     ``leaf_major`` is the ``(T, 2**p, S)`` counts array, whose integer
     type the tree sums keep: int32, or the uint16 copy of
-    :func:`_summed_counts`, exact either way.  The leaves are walked ``_WALK_POINTS``
-    points at a time, and :func:`_kth_densities` takes the median of each
-    walked chunk.
+    :func:`_summed_counts`, exact either way.  The leaves are walked
+    ``_WALK_POINTS`` points at a time, and :func:`_kth_densities` takes the
+    median of each walked chunk.
     """
     out = np.empty(points.shape[0])
     for start in range(0, points.shape[0], _WALK_POINTS):
@@ -478,14 +481,14 @@ def _compute_normalizer(
     """Integral of the unnormalized median over the box with a resolved method.
 
     The kernel sums the array :func:`_summed_counts` gives for the int32
-    ``leaf_counts``, by the same rule as every query.  ``exact-dyadic`` takes each cell's
-    leaf ids from its integer codes (:func:`geometry._cell_leaf_ids`),
-    not from a float centre, and sums the same ``_QUAD_CHUNK`` chunks in
-    the same order as :func:`_integrate`, so the value is the same float as
-    integrating at the cell centres.  The one exception is a box whose
-    cells are narrower than a few ulps of its offset, where a float centre
-    can round into a neighbouring cell: there this value is the exact sum
-    over the cells and the centres' is not.
+    ``leaf_counts``, the same rule as for every query.  ``exact-dyadic``
+    takes each cell's leaf ids from its integer codes
+    (:func:`geometry._cell_leaf_ids`), not from a float centre, and sums the
+    same ``_QUAD_CHUNK`` chunks in the same order as :func:`_integrate`, so
+    the value is the same float as integrating at the cell centres.  The
+    one exception is a box whose cells are narrower than a few ulps of its
+    offset, where a float centre can round into a neighbouring cell: there
+    this value is the exact sum over the cells and the centres' is not.
     """
     leaf_counts = _summed_counts(leaf_counts, forest.n_trees, m)
     if quad.method == "exact-dyadic":

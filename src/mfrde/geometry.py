@@ -109,8 +109,8 @@ class Box:
         with np.errstate(over="ignore", under="ignore"):  # checked just below
             extent = hi_array - lo_array
             volume = float(np.prod(extent))
-        if not (np.isfinite(lo_array).all() and np.isfinite(hi_array).all()
-                and np.isfinite(extent).all() and 0 < volume < np.inf):
+        # A finite extent has finite bounds on both sides.
+        if not (np.isfinite(extent).all() and 0 < volume < np.inf):
             raise ValueError(
                 f"box bounds, extents and volume must be finite and positive: "
                 f"lo={lo}, hi={hi}, hi - lo={tuple(extent.tolist())}, volume={volume}"

@@ -379,21 +379,22 @@ class TestFit:
     @pytest.mark.parametrize(
         "trees, depth, m, message",
         [(1, 30, 10, "split labels need T * (2**p - 1) * 8 = 1 * 1073741823 * 8 = "
-                     "8589934584 bytes"),
+                     "8589934584 bytes, over the budget of 1073741824"),
          (20, 20, 1, "leaf counts need T * 2**p * S * 4 = 20 * 1048576 * 100 * 4 = "
-                     "8388608000 bytes")],
-        ids=["labels-8GiB", "counts-8GiB"],
+                     "8388608000 bytes, over the budget of 1073741824"),
+         (1, 20000, 10, "forest too large: n_trees * 2**depth must stay below 2**31")],
+        ids=["labels-8GiB", "counts-8GiB", "depth-20000"],
     )
     def test_arrays_past_byte_budget_refused_unbuilt(self, monkeypatch, trees, depth, m,
                                                      message):
-        # both used to pass every guard and allocate 8 GiB
+        # the first two used to pass every guard and allocate 8 GiB; a depth
+        # whose 2**p has thousands of digits is refused before it is printed
         def no_forest(*args):
             raise AssertionError("a forest was built past the byte budget")
 
         monkeypatch.setattr(estimator, "build_forest", no_forest)
         config = EstimatorConfig(m=m, trees=trees, depth=depth, seed=0, box=UNIT2)
-        with pytest.raises(ValueError, match=re.escape(
-                message + ", over the budget of 1073741824")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             fit(np.random.default_rng(0).random((100, 2)), config)
 
     @pytest.mark.parametrize(
@@ -710,10 +711,9 @@ class TestSumDtype:
     def test_queries_sum_narrow_below_2_16(self, monkeypatch, trees, m):
         model = edge_model(trees, m, seed=trees)
         box = model.box
-        pts = np.concatenate([
-            [box.lo, box.hi, (6.0, 0.0)],
-            box.lo_array + (box.hi_array - box.lo_array) * np.random.default_rng(m).random((40, 2)),
-        ])
+        inner = np.random.default_rng(m).random((40, 2))
+        pts = np.concatenate([[box.lo, box.hi, (6.0, 0.0)],
+                              box.lo_array + (box.hi_array - box.lo_array) * inner])
         # The oracle: the same kernel on the int32 storage.
         inside = box.contains_batch(pts)
         oracle = np.zeros(pts.shape[0])
