@@ -106,7 +106,7 @@ class Box:
             raise ValueError("box must have strictly positive extent on every axis")
         lo_array = np.asarray(lo, dtype=float)
         hi_array = np.asarray(hi, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):  # checked just below
+        with np.errstate(over="ignore"):  # checked just below
             extent = hi_array - lo_array
             volume = float(np.prod(extent))
         # A finite extent has finite bounds on both sides.
