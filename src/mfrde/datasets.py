@@ -177,38 +177,39 @@ def _write_table(path, header: list[str], values, labels=None) -> None:
     """CSV of float columns as ``%.17g`` plus an optional ``%d`` column.
 
     Writes the same bytes as ``csv.writer`` (CRLF line ends) for headers
-    that need no quoting.  The columns are interleaved into one flat list
-    of cells, and the whole body is formatted by one ``%`` of the row
-    format repeated once per row, whatever the table.  A float column
-    in which at most two thirds of the rows are distinct, such as a
-    density, which is piecewise constant, or a grid axis, has each
-    distinct value formatted once and gathered into its rows.  Values are
-    distinct by bit pattern, so ``-0.0`` and ``0.0``, and NaNs of either
-    sign, stay apart.  Two thirds is where the two ways cost the same on
-    17-digit values; on short ones such as small integers they cross
-    nearer one half.
+    that need no quoting.  The body is the ``"".join`` of every cell's
+    piece, each ending in its separator, ``,`` or ``\r\n``.  A column in
+    which at most two thirds of the rows are distinct, such as a density,
+    which is piecewise constant, a grid axis or the labels, has each
+    distinct value formatted once and gathered into its rows as finished
+    text, which holds no ``%``.  Float values are distinct by bit pattern,
+    so ``-0.0`` and ``0.0``, and NaNs of either sign, stay apart.  Two
+    thirds is where the two ways cost the same on 17-digit values; on
+    short ones such as small integers they cross nearer one half.  Every
+    other cell's piece is its ``%.17g`` or ``%d`` conversion, and one
+    ``%`` of the joined body fills them all in.
     """
     values = np.asarray(values, dtype=float)
-    columns, formats = [], []
-    for col in values.T:
-        distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        if 3 * distinct.size <= 2 * col.size:
-            text = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()],
-                            dtype=object)
-            columns.append(text[inverse].tolist())
-            formats.append("%s")
-        else:
-            columns.append(col.tolist())
-            formats.append("%.17g")
+    columns = [(col.view(np.int64), "%.17g", np.float64) for col in values.T]
     if labels is not None:
-        columns.append(np.asarray(labels).tolist())
-        formats.append("%d")
+        columns.append((np.asarray(labels, dtype=np.int64), "%d", np.int64))
     rows, width = values.shape[0], len(columns)
-    cells = [None] * (rows * width)
-    for j, column in enumerate(columns):
-        cells[j::width] = column
-    row_fmt = ",".join(formats) + "\r\n"
-    body = (row_fmt * rows) % tuple(cells)
+    pieces, args = [None] * (rows * width), []
+    for j, (keys, fmt, dtype) in enumerate(columns):
+        fmt += "\r\n" if j == width - 1 else ","
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        if 3 * distinct.size <= 2 * rows:
+            text = np.array([fmt % v for v in distinct.view(dtype).tolist()], dtype=object)
+            pieces[j::width] = text[inverse].tolist()
+        else:
+            pieces[j::width] = [fmt] * rows
+            args.append(keys.view(dtype).tolist())
+    cells = [None] * (rows * len(args))
+    for j, column in enumerate(args):
+        cells[j :: len(args)] = column
+    body = "".join(pieces)
+    if cells:
+        body %= tuple(cells)
     _write_atomic(path, ",".join(header) + "\r\n" + body)
 
 

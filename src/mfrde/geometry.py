@@ -37,11 +37,13 @@ bits of its ``d`` codes, and every such node is a rectangle of them: on
 each axis, the codes that share the leading bits its path fixed.  A
 ``Forest`` keeps a read-only ``(T, 2**(k*d))`` table of depth-``k`` node
 ids (uint8 while ``k <= 8``, else uint16), indexed by the top ``k`` bits
-of every code packed in C order (axis 0 most significant) and filled
-with one slice write per depth-``k`` node of every tree.  ``k`` is the
-largest depth up to ``min(p, 16)`` within both budgets, ``_TABLE_BYTES``
-bytes and ``_TABLE_LEAVES`` slice writes, checked before anything is
-allocated; ``k = 0`` is a ``(T, 1)`` table of zeros.
+of every code packed in C order (axis 0 most significant).  A depth-``k``
+node's shape, its tuple of log2 widths in code space, fixes how it tiles
+the table, so the table is filled with one indexed write per shape, for
+every node of that shape in every tree at once.  ``k`` is the largest
+depth up to ``min(p, 16)`` within both budgets, ``_TABLE_BYTES`` bytes
+and ``_TABLE_LEAVES`` depth-``k`` nodes over all trees, checked before
+anything is allocated; ``k = 0`` is a ``(T, 1)`` table of zeros.
 :func:`leaf_indices` gathers each point's ``T`` depth-``k`` ids, then
 walks all trees at once through the other ``p - k`` levels on the codes'
 integer bits, by a per-(tree, node) table of (axis, bit) for those
@@ -71,10 +73,12 @@ __all__ = [
 # Points per walk chunk: bounds the kernel's temporaries, whatever the batch.
 _WALK_CHUNK = 1 << 12
 # A forest's table of depth-k node ids is as deep as both budgets allow:
-# the table's bytes, and the slice writes that fill it, one per depth-k
-# node of every tree.  A fill at either limit took about 15 ms on a 2-core
-# x86 host, and lookups in a 16 MiB table still beat the walk there
-# (d = 2, p = 10, T = 8: 25 against 48 ms per 100k points).
+# the table's bytes, and its depth-k nodes over all trees, whose
+# rectangles the fill builds.  On a 2-core x86 host the fill took 15 ms at
+# the byte limit for d = 2 (p = 10, T = 8), 25 ms there for d = 4 (p = 5,
+# T = 16), and 7 ms at the node limit (d = 2, p = 8, T = 64); lookups in a
+# 16 MiB table still beat the walk (d = 2, p = 10, T = 8: 25 against 48 ms
+# per 100k points).
 _TABLE_BYTES = 1 << 24
 _TABLE_LEAVES = 1 << 14
 
@@ -138,14 +142,18 @@ class Box:
             raise ValueError("cannot bound an empty point set")
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
-        ext = hi - lo
-        if np.any(ext <= 0) and margin <= 0:
-            raise ValueError(
-                "degenerate bounding box: a coordinate is constant; "
-                "pass an explicit box or a positive margin"
-            )
-        lo = lo - margin * ext
-        hi = hi + margin * ext
+        # An extent past the float range is Box's to name; 0 * inf would
+        # be NaN, so a zero margin leaves the bounds as they are.
+        with np.errstate(over="ignore"):
+            ext = hi - lo
+            if np.any(ext <= 0) and margin <= 0:
+                raise ValueError(
+                    "degenerate bounding box: a coordinate is constant; "
+                    "pass an explicit box or a positive margin"
+                )
+            if margin:
+                lo = lo - margin * ext
+                hi = hi + margin * ext
         return cls(tuple(lo), tuple(hi))
 
 
@@ -297,33 +305,50 @@ def _table_depth(n_trees: int, p: int, d: int) -> int:
 
 
 def _leaf_rects(labels: np.ndarray, p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Code-space rectangle of every leaf: ``(T, 2**p, d)`` low corners and widths.
+    """Code-space rectangle of every leaf: ``(T, 2**p, d)`` low corners and log2 widths.
 
     Built level by level, for all trees at once: a node's children halve
     its width on the split axis, and the right child starts at the half.
     """
     n_trees = labels.shape[0]
     low = np.zeros((n_trees, 1, d), dtype=np.int64)
-    width = np.full((n_trees, 1, d), 2**p, dtype=np.int64)
+    log_width = np.full((n_trees, 1, d), p, dtype=np.int64)
     for level in range(p):
         split = labels[:, 2**level - 1 : 2 ** (level + 1) - 1, None] == np.arange(d)
-        half = np.where(split, width // 2, width)
-        low = np.stack([low, low + width - half], axis=2).reshape(n_trees, -1, d)
-        width = np.repeat(half, 2, axis=1)
-    return low, width
+        half = log_width - split
+        low = np.stack([low, low + (split << half)], axis=2).reshape(n_trees, -1, d)
+        log_width = np.repeat(half, 2, axis=1)
+    return low, log_width
 
 
 def _leaf_table(labels: np.ndarray, p: int, d: int) -> np.ndarray:
     """``(T, 2**(p*d))`` depth-``p`` node ids of every tree by codes packed in C order.
 
-    Only the first ``p`` levels of ``labels`` are read.
+    Only the first ``p`` levels of ``labels`` are read.  A leaf's shape is
+    its tuple of log2 widths ``w``, and its low corner is a multiple of
+    ``2**w[j]`` on every axis, so the leaves of one shape are whole blocks
+    of the table viewed as ``(T, 2**(p - w[0]), ..., 2**w[0], ...)``.  All
+    of them, in every tree, are written by one indexed assignment to that
+    view: one write per shape, of which there are at most ``C(p + d - 1,
+    d - 1)``.
     """
     n_trees = labels.shape[0]
-    low, width = _leaf_rects(labels, p, d)
+    low, log_width = _leaf_rects(labels, p, d)
     table = np.empty((n_trees,) + (2**p,) * d, dtype=np.uint8 if p <= 8 else np.uint16)
-    for tree, lows, highs in zip(table, low.tolist(), (low + width).tolist()):
-        for leaf, (a, b) in enumerate(zip(lows, highs)):
-            tree[tuple(map(slice, a, b))] = leaf
+    # Leaf i of tree t is row t * 2**p + i; the rows are grouped by shape.
+    log_width = log_width.reshape(-1, d)
+    order = np.lexsort(log_width.T)
+    log_width = log_width[order]
+    block = (low.reshape(-1, d)[order] >> log_width).T
+    tree, leaf = np.divmod(order, 2**p)
+    leaf = leaf.astype(table.dtype).reshape((-1,) + (1,) * d)
+    starts = np.flatnonzero(np.any(log_width[1:] != log_width[:-1], axis=1)) + 1
+    for a, b in zip([0, *starts.tolist()], [*starts.tolist(), order.size]):
+        view = table.reshape((n_trees,) + tuple(
+            size for w in log_width[a].tolist() for size in (2 ** (p - w), 2**w)))
+        # block indices first, then the offsets within a block
+        view = view.transpose(0, *range(1, 2 * d, 2), *range(2, 2 * d + 1, 2))
+        view[(tree[a:b], *block[:, a:b])] = leaf[a:b]
     return table.reshape(n_trees, -1)
 
 

@@ -11,7 +11,9 @@ current cell, one point and one tree at a time.  It is the reference for
 the package's integer leaf kernel, ``mfrde.geometry.leaf_indices``.
 ``leaf_cell`` rebuilds a leaf's cell from a row by the same splits, and
 ``cell_contains`` tests membership under the boundary convention of
-``mfrde.geometry``.
+``mfrde.geometry``.  ``slice_write_leaf_table`` fills a forest's id table
+one slice write per leaf, the reference for the grouped fill of
+``mfrde.geometry._leaf_table``.
 
 The naive oracle (``naive_sfde_at``, ``naive_median_at``) answers each
 query by walking every row of the forest's labels and scanning raw block
@@ -159,6 +161,28 @@ def cell_contains(cell: Box, domain: Box, points) -> np.ndarray:
     ok = (pts >= lo) & ((pts < hi) | (closed_hi & (pts == hi)))
     out = np.all(ok, axis=1)
     return bool(out[0]) if single else out
+
+
+def slice_write_leaf_table(labels: np.ndarray, k: int, d: int) -> np.ndarray:
+    """``(T, 2**(k*d))`` depth-``k`` node ids by packed codes, one slice write per node.
+
+    Each node's code-space rectangle is built level by level over the
+    first ``k`` levels of ``labels``: the children halve the parent's
+    width on the split axis, and the right child starts at the half.
+    """
+    n_trees = labels.shape[0]
+    low = np.zeros((n_trees, 1, d), dtype=np.int64)
+    width = np.full((n_trees, 1, d), 2**k, dtype=np.int64)
+    for level in range(k):
+        split = labels[:, 2**level - 1 : 2 ** (level + 1) - 1, None] == np.arange(d)
+        half = np.where(split, width // 2, width)
+        low = np.stack([low, low + width - half], axis=2).reshape(n_trees, -1, d)
+        width = np.repeat(half, 2, axis=1)
+    table = np.empty((n_trees,) + (2**k,) * d, dtype=np.uint8 if k <= 8 else np.uint16)
+    for tree, lows, highs in zip(table, low.tolist(), (low + width).tolist()):
+        for leaf, (a, b) in enumerate(zip(lows, highs)):
+            tree[tuple(map(slice, a, b))] = leaf
+    return table.reshape(n_trees, -1)
 
 
 def naive_sfde_at(block_points: np.ndarray, forest: Forest, m: int, x) -> float:

@@ -342,6 +342,19 @@ BELOW_CUT = (SIGNED * 2)[:9]
 ABOVE_CUT = SIGNED + [5e-324, 0.1, 1e308]
 
 
+@pytest.mark.parametrize("labels", [
+    [-(2**40), 2**40, -1, 0, 7, -1, 0, 7, 7],      # four distinct in nine rows
+    [-(2**40), 2**40, -1, 0, 7, 3, 5, 9, -(2**62)],  # all distinct
+], ids=["below-cut", "above-cut"])
+def test_write_table_labels_either_side_of_the_cut(tmp_path, labels):
+    # labels take the distinct-value table like any column; wide and
+    # negative ones keep csv.writer's bytes on both sides of the cut
+    values = np.arange(9.0)[:, None]
+    _write_table(tmp_path / "new.csv", ["x1", "label"], values, np.array(labels))
+    csv_writer_table(tmp_path / "old.csv", ["x1", "label"], values, labels)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestCsvOracle:
     """Byte and bit identity with the row-at-a-time csv oracles."""
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from scipy.stats import chi2
 
 from conftest import (
@@ -10,6 +10,7 @@ from conftest import (
     leaf_cell,
     leaf_index,
     path_split_counts,
+    slice_write_leaf_table,
 )
 from mfrde import geometry
 from mfrde.geometry import Box, Forest, build_forest, leaf_indices
@@ -75,6 +76,13 @@ class TestBox:
     def test_bounding_degenerate(self):
         with pytest.raises(ValueError, match="degenerate"):
             Box.bounding([(0.0, 1.0), (0.0, 3.0)])
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    def test_bounding_names_an_overflowing_extent(self, margin):
+        # hi - lo overflowed with a numpy warning, and at margin 0 the
+        # bounds became lo - 0 * inf = NaN, reported as no positive extent
+        with pytest.raises(ValueError, match=r"must be finite and positive.*hi - lo=\(inf"):
+            Box.bounding([(-1e308, 0.0), (1e308, 1.0)], margin=margin)
 
 
 class TestBuildTree:
@@ -277,6 +285,31 @@ class TestLeafKernel:
         pts = mesh_points(box, p, np.random.default_rng(d))
         assert np.array_equal(leaf_indices(forest, pts), oracle_ids(forest, pts))
 
+    @settings(all_regimes, max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 9), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @example(2, 9, 30, 0)  # uint16 ids, near both budgets
+    @example(6, 9, 30, 0)  # the byte budget stops the table at k = 3
+    def test_table_matches_slice_writes(self, d, p, n_trees, seed):
+        labels = np.random.default_rng(seed).integers(0, d, size=(n_trees, 2**p - 1))
+        forest = Forest(box=Box((0.0,) * d, (1.0,) * d), labels=labels)
+        self.same_table_as_slice_writes(forest)
+
+    @pytest.mark.parametrize("d, n_trees, p", [
+        (2, 12, 8), (2, 20, 6), (2, 67, 7), (2, 20, 9),
+        (3, 20, 6), (5, 20, 3), (4, 20, 4), (8, 20, 2),
+    ])
+    def test_fill_shapes_match_slice_writes(self, d, n_trees, p):
+        self.same_table_as_slice_writes(build_forest(Box((0.0,) * d, (1.0,) * d), p, n_trees, seed=d))
+
+    @staticmethod
+    def same_table_as_slice_writes(forest: Forest) -> None:
+        k = table_depth(forest)
+        assert k == geometry._table_depth(forest.n_trees, forest.depth, forest.box.d)
+        table = slice_write_leaf_table(forest.labels, k, forest.box.d)
+        assert forest._leaf_table.dtype == table.dtype
+        assert forest._leaf_table.shape == table.shape
+        assert forest._leaf_table.tobytes() == table.tobytes()
+
     @all_regimes
     @given(forest_and_points())
     def test_one_point_calls_match_batch(self, case):
@@ -368,7 +401,7 @@ class TestLeafKernelWalk(TestLeafKernel):
 
 
 class TestLeafKernelPartial(TestLeafKernel):
-    """0 < k < p: at most 40 slice writes, so the table stops short of the leaves.
+    """0 < k < p: at most 40 depth-k nodes, so the table stops short of the leaves.
 
     With 40, each benchmark shape and the upper-face forest get a table of
     depth 1 to 4.
@@ -397,8 +430,8 @@ class TestLeafTable:
         assert forest._level_base.shape == (0, 12)
 
     def test_table_within_both_budgets_only(self, monkeypatch):
-        # d = 2, p = 3, T = 2: the full table holds 128 one-byte ids,
-        # filled by 16 slice writes; at one below either, depth 2 is next
+        # d = 2, p = 3, T = 2: the full table holds 128 one-byte ids
+        # of 16 leaves; at one below either, depth 2 is next
         for name, need in (("_TABLE_BYTES", 2 * 2**6), ("_TABLE_LEAVES", 2 * 2**3)):
             for budget, k in ((need, 3), (need - 1, 2)):
                 with monkeypatch.context() as mp:
@@ -424,7 +457,7 @@ class TestLeafTable:
 
     @pytest.mark.parametrize("d, p, n_trees, k", [
         (5, 8, 2, 4),    # 2 * 2**(5k) one-byte ids: 2**21 at k = 4, 2**26 at 5
-        (1, 15, 1, 14),  # 2**15 slice writes at k = 15: over the fill budget
+        (1, 15, 1, 14),  # 2**15 leaves at k = 15: over the fill budget
         (2, 0, 3, 0),    # depth 0: a (T, 1) table of zeros
     ], ids=["5-8-2", "1-15-1", "2-0-3"])
     def test_depth_past_the_full_table(self, d, p, n_trees, k):
