@@ -187,7 +187,7 @@ def _write_table(path, header: list[str], values, labels=None) -> None:
     thirds is where the two ways cost the same on 17-digit values; on
     short ones such as small integers they cross nearer one half.  Every
     other cell's piece is its ``%.17g`` or ``%d`` conversion, and one
-    ``%`` of the joined body fills them all in.
+    ``%`` of the joined body fills them in, when there are any.
     """
     values = np.asarray(values, dtype=float)
     columns = [(col.view(np.int64), "%.17g", np.float64) for col in values.T]

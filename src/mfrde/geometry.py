@@ -74,11 +74,11 @@ __all__ = [
 _WALK_CHUNK = 1 << 12
 # A forest's table of depth-k node ids is as deep as both budgets allow:
 # the table's bytes, and its depth-k nodes over all trees, whose
-# rectangles the fill builds.  On a 2-core x86 host the fill took 15 ms at
-# the byte limit for d = 2 (p = 10, T = 8), 25 ms there for d = 4 (p = 5,
-# T = 16), and 7 ms at the node limit (d = 2, p = 8, T = 64); lookups in a
-# 16 MiB table still beat the walk (d = 2, p = 10, T = 8: 25 against 48 ms
-# per 100k points).
+# rectangles the fill builds.  On a 2-core x86 host the fill took 15-19 ms
+# at the byte limit for d = 2 (p = 10, T = 8), 25-28 ms there for d = 4
+# (p = 5, T = 16), and 7-10 ms at the node limit (d = 2, p = 8, T = 64);
+# lookups in a 16 MiB table still beat the walk (d = 2, p = 10, T = 8: 25
+# against 48 ms per 100k points).
 _TABLE_BYTES = 1 << 24
 _TABLE_LEAVES = 1 << 14
 

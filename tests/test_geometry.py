@@ -299,7 +299,8 @@ class TestLeafKernel:
         (3, 20, 6), (5, 20, 3), (4, 20, 4), (8, 20, 2),
     ])
     def test_fill_shapes_match_slice_writes(self, d, n_trees, p):
-        self.same_table_as_slice_writes(build_forest(Box((0.0,) * d, (1.0,) * d), p, n_trees, seed=d))
+        box = Box((0.0,) * d, (1.0,) * d)
+        self.same_table_as_slice_writes(build_forest(box, p, n_trees, seed=d))
 
     @staticmethod
     def same_table_as_slice_writes(forest: Forest) -> None:
