@@ -10,29 +10,27 @@ For a block of size ``m`` and a depth-``p`` tree, the tree density at
 density averages that over the trees; the aggregate takes the k-th
 smallest block value with ``k = ceil(S / 2)``, the lower median.
 
-One kernel serves the normalizer and every query: it sums each block's
-integer leaf counts over the trees, exact in the type one rule picks
-(:func:`_summed_counts`: a uint16 copy of the counts while ``T * m <
-2**16``, else the int32 storage itself), selects the k-th smallest of
-those integer sums, and divides only that winner, once by ``m`` times the
-leaf volume and once by the tree count.  Dividing by a positive
-constant with round-to-nearest is monotone non-decreasing, and so is the
-composition of two such divisions, so the k-th smallest quotient is the
-quotient of the k-th smallest sum: the result is the same float as the
-k-th smallest of the divided block densities.  The float expression does
-not depend on the batch, its chunking or the sums' integer type, so
-scalar and batched queries are bit-identical.  The exact-dyadic
-normalizer takes each cell's leaf ids from its integer cell codes rather
-than from a float cell centre.
+One kernel, :func:`_kth_densities`, serves the normalizer and every
+query: it sums each block's integer leaf counts over the trees, exact in
+the type :func:`_summed_counts` picks, selects the k-th smallest sum and
+divides only that one, so the result is the k-th smallest of the divided
+block densities, bit for bit, whatever the batch, its chunking or the
+sums' integer type.  The exact-dyadic normalizer takes each cell's leaf
+ids from its integer cell codes rather than from a float cell centre.
+
+Every size is fixed before anything is drawn, allocated or decoded:
+:func:`fit`, :func:`load_model` (on a file's header) and every
+:class:`FittedMFRDE` first run one pure function of the numbers,
+:func:`_plan`.  It keeps int32 tree sums exact, ``T * m < 2**31``, as
+every count is at most ``m``; its ``auto`` quadrature also bounds the
+normalizer's work, ``T * S`` gathered counts per node, by ``_WORK_BUDGET``.
 
 Leaf counts have one layout, ``FittedMFRDE.leaf_counts``: a C-contiguous
 int32 array of shape ``(T, 2**p, S)``, so a query's lookup in one tree
 reads one contiguous row of ``S`` block counts.  ``FittedMFRDE.counts``
 is only a read-only ``(S, T, 2**p)`` view of it, which indexes block by
-block and serializes to the model file's nested lists.  Every count is at
-most ``m``, so int32 sums over the trees are exact while ``T * m < 2**31``,
-and uint16 sums while ``T * m < 2**16``.  The model builds the array its
-queries sum once, next to the storage.
+block and serializes to the model file's nested lists.  The model builds
+the array its queries sum once, next to the storage.
 
 Fitted models are immutable; evaluation is safe for concurrent readers.
 Fitting itself is deterministic given the config seed: trees, the block
@@ -80,38 +78,11 @@ _WALK_POINTS = _QUAD_CHUNK
 _GATHER_ELEMS = 1 << 16
 # Most quadrature nodes, or Monte Carlo draws, any method may use.
 _CELL_BUDGET = 1 << 24
+# Most counts the normalizer chosen by ``auto`` may gather: nodes * T * S.
+_WORK_BUDGET = 1 << 28
 # Most bytes a fit may ask for in one array: the forest's int64 split
 # labels (the forest's walk table is as large) or the int32 leaf counts.
 _BYTE_BUDGET = 1 << 30
-
-
-def _check_count_range(trees: int, m: int) -> None:
-    """Sums of ``trees`` counts of at most ``m`` each must fit in int32."""
-    if trees * m >= 2**31:
-        raise ValueError(
-            f"trees * m = {trees * m} must stay below 2**31 for int32 leaf counts"
-        )
-
-
-def _check_fit_bytes(trees: int, p: int, s: int) -> None:
-    """A fit's split labels and leaf counts must each fit ``_BYTE_BUDGET``.
-
-    Sized in Python integers, before anything is drawn or allocated, and
-    after the forest's own size check, which keeps the numbers short.
-    """
-    _check_forest_size(trees, p)
-    leaves = 2**p
-    for what, formula, size in (
-        ("split labels", f"T * (2**p - 1) * 8 = {trees} * {leaves - 1} * 8",
-         trees * (leaves - 1) * 8),
-        ("leaf counts", f"T * 2**p * S * 4 = {trees} * {leaves} * {s} * 4",
-         trees * leaves * s * 4),
-    ):
-        if size > _BYTE_BUDGET:
-            raise ValueError(
-                f"the {what} need {formula} = {size} bytes, over the budget of "
-                f"{_BYTE_BUDGET}; use fewer trees, less depth or larger blocks"
-            )
 
 
 def _summed_counts(leaf_counts: np.ndarray, trees: int, m: int) -> np.ndarray:
@@ -134,15 +105,13 @@ class Quadrature:
 
     ``exact-dyadic`` sums the median at the centers of the ``2**(p*d)``
     dyadic cells on which it is piecewise constant, an exact integral up
-    to floating-point summation; it refuses to run past ``_CELL_BUDGET``
-    (``2**24``) cells.  ``regular-grid`` averages over an inclusive-endpoint
-    lattice with ``grid_points`` nodes per axis; it refuses a lattice of
-    more than ``_CELL_BUDGET`` nodes.  ``monte-carlo`` averages over
-    ``mc_draws`` uniform draws; it refuses more than ``_CELL_BUDGET``
-    draws.  ``auto`` stays within ``_CELL_BUDGET``
-    nodes: it picks exact-dyadic when the ``2**(p*d)`` cells fit, else the
-    regular grid with the largest ``G <= grid_points`` such that ``G**d``
-    fits, and raises ``ValueError`` when not even ``G = 2`` fits.
+    to floating-point summation; ``regular-grid`` averages over an
+    inclusive-endpoint lattice of ``grid_points`` nodes per axis, and
+    ``monte-carlo`` over ``mc_draws`` uniform draws.  The fit plan,
+    :func:`_plan`, refuses more than ``_CELL_BUDGET`` nodes and resolves
+    ``auto`` to exact-dyadic, else to the largest regular grid ``G <=
+    grid_points``, within ``_CELL_BUDGET`` nodes and ``_WORK_BUDGET``
+    gathered counts (nodes * T * S); it raises when even ``G = 2`` fails.
     """
 
     method: str = "auto"
@@ -167,10 +136,11 @@ class Quadrature:
             return cls()
         if name in ("exact", "exact-dyadic"):
             return cls(method="exact-dyadic")
-        if name in ("grid", "regular-grid"):
-            return cls(method="regular-grid", grid_points=int(arg) if arg else 100)
-        if name in ("mc", "monte-carlo"):
-            return cls(method="monte-carlo", mc_draws=int(arg) if arg else 100_000)
+        grid = name in ("grid", "regular-grid")
+        if (grid or name in ("mc", "monte-carlo")) and (arg.isdecimal() or not arg):
+            size = int(arg) if arg else (100 if grid else 100_000)
+            return (cls(method="regular-grid", grid_points=size) if grid
+                    else cls(method="monte-carlo", mc_draws=size))
         raise ValueError(f"cannot parse quadrature spec {text!r}")
 
 
@@ -198,8 +168,8 @@ class EstimatorConfig:
             raise ValueError("tree count must be at least 1")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
-        if self.box_margin < 0:
-            raise ValueError("box margin must be non-negative")
+        if not (math.isfinite(self.box_margin) and self.box_margin >= 0):
+            raise ValueError(f"box margin must be finite and non-negative, got {self.box_margin}")
 
 
 def assign_blocks(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -214,6 +184,75 @@ def assign_blocks(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("block size exceeds sample size")
     s = n // m
     return rng.permutation(n)[: s * m].reshape(s, m)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What :func:`_plan` fixes: S, the dropped ``n mod m`` tail, the resolved quadrature."""
+
+    blocks: int
+    dropped: int
+    quadrature: Quadrature
+
+
+def _plan(trees: int, depth: int, m: int, n: int, d: int, quadrature: Quadrature) -> _Plan:
+    """Size a fit of ``n`` points in ``d`` dimensions, or refuse it.
+
+    Refuses, with a ``ValueError``: tree sums past int32, a forest, split
+    labels or leaf counts past their budgets, and a quadrature past
+    ``_CELL_BUDGET`` nodes.  Resolves ``auto`` as :class:`Quadrature` says.
+    """
+    if trees * m >= 2**31:
+        raise ValueError(f"trees * m = {trees * m} must stay below 2**31 for int32 leaf counts")
+    # The forest's own check comes first, which keeps the numbers below short.
+    _check_forest_size(trees, depth)
+    blocks, dropped = divmod(n, m)
+    leaves = 2**depth
+    for what, formula, size in (
+        ("split labels", f"T * (2**p - 1) * 8 = {trees} * {leaves - 1} * 8",
+         trees * (leaves - 1) * 8),
+        ("leaf counts", f"T * 2**p * S * 4 = {trees} * {leaves} * {blocks} * 4",
+         trees * leaves * blocks * 4),
+    ):
+        if size > _BYTE_BUDGET:
+            raise ValueError(
+                f"the {what} need {formula} = {size} bytes, over the budget of "
+                f"{_BYTE_BUDGET}; use fewer trees, less depth or larger blocks"
+            )
+    cells = 2 ** (depth * d)
+    if quadrature.method == "auto":
+        per_node = trees * max(blocks, 1)  # m > n: no block, and cutting blocks fails
+        nodes = min(_CELL_BUDGET, _WORK_BUDGET // per_node)
+        if cells <= nodes:
+            return _Plan(blocks, dropped, replace(quadrature, method="exact-dyadic"))
+        # Largest G <= grid_points with G**d within both budgets, in integers.
+        g = min(quadrature.grid_points, round(nodes ** (1 / d)) + 1)
+        while g >= 2 and g**d > nodes:
+            g -= 1
+        if g < 2:
+            raise ValueError(
+                f"auto quadrature: neither 2**(p*d) = {cells} dyadic cells nor a 2**d = "
+                f"{2**d}-node grid fits both {_WORK_BUDGET} gathered counts at T * S = "
+                f"{per_node} per node and the budget of {_CELL_BUDGET} nodes; use monte-carlo"
+            )
+        quadrature = replace(quadrature, method="regular-grid", grid_points=g)
+    elif quadrature.method == "exact-dyadic":
+        _check_nodes(cells, f"exact-dyadic quadrature needs 2**(p*d) = {cells} cells",
+                     "use regular-grid or monte-carlo")
+    elif quadrature.method == "regular-grid":
+        g = quadrature.grid_points
+        _check_nodes(g**d, f"regular-grid quadrature needs G**d = {g}**{d} = {g**d} nodes",
+                     "use fewer points per axis or monte-carlo")
+    else:
+        draws = quadrature.mc_draws
+        _check_nodes(draws, f"monte-carlo quadrature asks for {draws} draws", "use fewer draws")
+    return _Plan(blocks, dropped, quadrature)
+
+
+def _check_nodes(nodes: int, needs: str, advice: str) -> None:
+    """Refuse more than ``_CELL_BUDGET`` quadrature or grid nodes; ``needs`` says which."""
+    if nodes > _CELL_BUDGET:
+        raise ValueError(f"{needs}, over the budget of {_CELL_BUDGET}; {advice}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +290,7 @@ class FittedMFRDE:
                 f"sizes do not add up: S={s}, m={self.m}, n={self.n}, dropped="
                 f"{self.dropped}; need S >= 1 and n = S*m + dropped, 0 <= dropped < m"
             )
-        _check_count_range(t, self.m)
+        _plan(t, self.forest.depth, self.m, self.n, self.box.d, self.quadrature)
         if counts.min() < 0:
             raise ValueError("leaf counts must be non-negative")
         # Each count is checked first, so the int64 (T, S) totals cannot wrap.
@@ -390,41 +429,6 @@ def evaluate_batch(model: FittedMFRDE, points) -> np.ndarray:
     return out
 
 
-def _resolve_quadrature(quad: Quadrature, p: int, d: int) -> Quadrature:
-    cells = 2 ** (p * d)
-    if quad.method == "auto":
-        if cells <= _CELL_BUDGET:
-            return replace(quad, method="exact-dyadic")
-        # Largest G <= grid_points with G**d within budget, in integers.
-        g = min(quad.grid_points, round(_CELL_BUDGET ** (1 / d)) + 1)
-        while g >= 2 and g**d > _CELL_BUDGET:
-            g -= 1
-        if g < 2:
-            raise ValueError(
-                f"auto quadrature: neither 2**(p*d) = {cells} dyadic cells nor a "
-                f"2**d = {2**d}-node grid fits the budget of {_CELL_BUDGET} "
-                "nodes; use monte-carlo"
-            )
-        return replace(quad, method="regular-grid", grid_points=g)
-    if quad.method == "exact-dyadic" and cells > _CELL_BUDGET:
-        raise ValueError(
-            f"exact-dyadic quadrature needs 2**(p*d) = {cells} cells, over the "
-            f"budget of {_CELL_BUDGET}; use regular-grid or monte-carlo"
-        )
-    if quad.method == "regular-grid" and quad.grid_points**d > _CELL_BUDGET:
-        raise ValueError(
-            f"regular-grid quadrature needs G**d = {quad.grid_points}**{d} = "
-            f"{quad.grid_points**d} nodes, over the budget of {_CELL_BUDGET}; "
-            "use fewer points per axis or monte-carlo"
-        )
-    if quad.method == "monte-carlo" and quad.mc_draws > _CELL_BUDGET:
-        raise ValueError(
-            f"monte-carlo quadrature asks for {quad.mc_draws} draws, over the "
-            f"budget of {_CELL_BUDGET}; use fewer draws"
-        )
-    return quad
-
-
 def _lattice(axes: list[np.ndarray]) -> Iterator[np.ndarray]:
     """C-order product of per-axis node arrays, ``_QUAD_CHUNK`` points at a time."""
     shape = tuple(a.size for a in axes)
@@ -543,21 +547,19 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
             "drop or repair them before fitting"
         )
     n, m = pts.shape[0], config.m
-    _check_count_range(config.trees, m)
-    _check_fit_bytes(config.trees, config.depth, n // m)
+    if config.box is not None and pts.shape[1] != config.box.d:
+        raise ValueError("data dimension does not match the box")
+    plan = _plan(config.trees, config.depth, m, n, pts.shape[1], config.quadrature)
     forest_stream, perm_stream, _ = _fit_streams(config.seed)
     blocks = assign_blocks(n, m, np.random.default_rng(perm_stream))
     box = config.box if config.box is not None else Box.bounding(pts, config.box_margin)
-    if pts.shape[1] != box.d:
-        raise ValueError("data dimension does not match the box")
-    quad = _resolve_quadrature(config.quadrature, config.depth, box.d)
     forest = build_forest(box, config.depth, config.trees, forest_stream)
 
     # Per chunk of kept points, one bincount per tree over leaf-offset
     # block ids adds into the leaf-major (T, 2**p, S) storage, so no leaf
     # ids of the whole sample are held at once.  Integer adds make the
     # counts independent of the chunking.
-    s = blocks.shape[0]
+    s = plan.blocks
     leaves = 2**config.depth
     block_of = np.full(n, -1, dtype=np.int64)
     block_of[blocks.ravel()] = np.repeat(np.arange(s), m)
@@ -571,16 +573,16 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
                 ids[:, t] * np.int64(s) + block_of[rows], minlength=leaves * s
             ).reshape(leaves, s)
 
-    z = _compute_normalizer(forest, leaf_counts, m, (s + 1) // 2, quad, config.seed)
+    z = _compute_normalizer(forest, leaf_counts, m, (s + 1) // 2, plan.quadrature, config.seed)
     return FittedMFRDE(
         seed=config.seed,
         forest=forest,
         n=n,
         m=m,
-        dropped=n - s * m,
+        dropped=plan.dropped,
         leaf_counts=leaf_counts,
         normalizer=z,
-        quadrature=quad,
+        quadrature=plan.quadrature,
     )
 
 
@@ -680,7 +682,8 @@ def load_model(path) -> FittedMFRDE:
         return _model_from_doc(doc, span if counts_keys == 1 else None)
     except KeyError as exc:
         raise ValueError(f"malformed model file: missing field {exc}") from None
-    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
+    # ArithmeticError: a zero block size divides by zero in the plan.
+    except (TypeError, AttributeError, ValueError, ArithmeticError) as exc:
         raise ValueError(f"malformed model file: {exc}") from None
 
 
@@ -802,27 +805,26 @@ def _model_from_doc(doc, counts_span: bytes | None) -> FittedMFRDE:
     p, t, m, s, n, dropped, rank, seed = (
         _typed(doc[k], k) for k in ("p", "T", "m", "S", "n", "dropped", "median_rank", "seed")
     )
+    method = doc["quadrature"]["method"]
+    if method == "auto":
+        raise ValueError(f"unresolved quadrature method {method!r}")
+    params = doc["quadrature"].get("params", {})
+    _typed(params.get("cell_budget", _CELL_BUDGET), "cell_budget")  # checked, not kept
+    # Fit's plan, on the header alone, before any label or count is read.
+    plan = _plan(t, p, m, n, box.d, Quadrature(
+        method=method,
+        grid_points=_typed(params.get("points_per_axis", 100), "points_per_axis"),
+        mc_draws=_typed(params.get("draws", 100_000), "draws"),
+    ))
     if not all(type(v) is int for row in doc["trees"] for v in row):
         raise ValueError("split labels must be integers")
-    # A ragged list, or a label past int64, raises here.  T and p are
-    # checked on the labels' shape, so 2**p is never built from a wild p.
+    # A ragged list, or a label past int64, raises here.
     forest = Forest(box=box, labels=np.array(doc["trees"], dtype=np.int64))
     if (forest.n_trees, forest.depth) != (t, p):
         raise ValueError("split label array shape does not match T and p")
     if doc["counts"] is not None or counts_span is None:
         raise ValueError("counts must be one list of S lists of T lists of 2**p counts")
     counts = _decode_counts(counts_span, s, t, 2**p)
-    method = doc["quadrature"]["method"]
-    if method == "auto":
-        raise ValueError(f"unresolved quadrature method {method!r}")
-    params = doc["quadrature"].get("params", {})
-    _typed(params.get("cell_budget", _CELL_BUDGET), "cell_budget")  # checked, not kept
-    # The sizes fit refuses are refused here too, before anything integrates.
-    quad = _resolve_quadrature(Quadrature(
-        method=method,
-        grid_points=_typed(params.get("points_per_axis", 100), "points_per_axis"),
-        mc_draws=_typed(params.get("draws", 100_000), "draws"),
-    ), p, box.d)
     model = FittedMFRDE(
         seed=seed,
         forest=forest,
@@ -831,7 +833,7 @@ def _model_from_doc(doc, counts_span: bytes | None) -> FittedMFRDE:
         dropped=dropped,
         leaf_counts=counts,
         normalizer=float(_typed(doc["normalizer"], "normalizer", (int, float))),
-        quadrature=quad,
+        quadrature=plan.quadrature,
     )
     if rank != model.median_rank:
         raise ValueError("median rank must be ceil(S/2)")

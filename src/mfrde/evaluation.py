@@ -60,16 +60,13 @@ def make_grid(box: Box, per_axis: int) -> EvalGrid:
     """Lattice ``lo[j] + (hi[j]-lo[j]) * i/(G-1)``; both endpoints included.
 
     A lattice of more than ``estimator._CELL_BUDGET`` nodes is refused
-    before anything is allocated.
+    before anything is allocated, as the regular-grid quadrature is.
     """
     if per_axis < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    if per_axis**box.d > estimator._CELL_BUDGET:
-        raise ValueError(
-            f"evaluation grid needs G**d = {per_axis}**{box.d} = {per_axis**box.d} "
-            f"nodes, over the budget of {estimator._CELL_BUDGET}; "
-            "use fewer points per axis"
-        )
+    g, d = per_axis, box.d
+    estimator._check_nodes(g**d, f"evaluation grid needs G**d = {g}**{d} = {g**d} nodes",
+                           "use fewer points per axis")
     axes = [np.linspace(box.lo[j], box.hi[j], per_axis) for j in range(box.d)]
     return EvalGrid(points=np.concatenate(list(_lattice(axes))))
 

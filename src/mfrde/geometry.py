@@ -247,8 +247,8 @@ def build_forest(box: Box, p: int, n_trees: int, seed) -> Forest:
 
 
 def _check_forest_size(n_trees: int, depth: int) -> None:
-    """The kernel addresses nodes with int32, so T * 2**p stays below 2**31."""
-    if n_trees * 2**depth >= 2**31:
+    """Int32 node addresses need T * 2**p < 2**31; a huge depth fails before 2**p is built."""
+    if depth > 30 or n_trees * 2**depth >= 2**31:
         raise ValueError("forest too large: n_trees * 2**depth must stay below 2**31")
 
 

@@ -341,6 +341,23 @@ class TestErrors:
             assert "--m" in err
             assert not m_json.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--quadrature", "grid:abc"], "cannot parse quadrature spec 'grid:abc'"),
+         (["--quadrature", "mc:1e5"], "cannot parse quadrature spec 'mc:1e5'"),
+         (["--box-margin", "nan"], "box margin must be finite and non-negative")],
+        ids=["grid-count", "mc-count", "nan-margin"],
+    )
+    def test_fit_names_the_bad_flag_value(self, tmp_path, capsys, flags, message):
+        d_csv, m_json = tmp_path / "d.csv", tmp_path / "m.json"
+        run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        code, _, err = run(["fit", "--input", str(d_csv), "--m", "10", "--out", str(m_json)]
+                           + flags, capsys)
+        assert code == 2
+        assert message in err
+        assert not m_json.exists()
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
         assert code == 1

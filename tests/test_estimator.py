@@ -115,6 +115,19 @@ class TestConfig:
             with pytest.raises(ValueError, match="takes no argument"):
                 Quadrature.parse(spec)
 
+    @pytest.mark.parametrize("spec", ["grid:abc", "mc:1e5", "grid:7.5", "mc:-3", "grid: 7"])
+    def test_quadrature_parse_names_the_spec(self, spec):
+        # a count that is not a plain decimal integer raised int()'s
+        # "invalid literal", which never named the spec
+        with pytest.raises(ValueError, match=f"^cannot parse quadrature spec {spec!r}$"):
+            Quadrature.parse(spec)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -0.5])
+    def test_box_margin_finite_and_non_negative(self, margin):
+        # NaN passed the old "margin < 0" check, and fit then blamed the box
+        with pytest.raises(ValueError, match="^box margin must be finite and non-negative"):
+            EstimatorConfig(m=10, box_margin=margin)
+
 
 def one_tree_model(tree, box, points, m):
     """One tree (a label row), one block: the forest density is the tree's."""
@@ -488,26 +501,26 @@ class TestNormalizer:
 
     def test_auto_grid_within_budget(self):
         # d = 5, p = 6: 2**30 cells and a 100**5 grid are both over the
-        # 2**24 budget; 27**5 fits and 28**5 does not
-        quad = estimator._resolve_quadrature(Quadrature(), 6, 5)
+        # 2**24 budget; 27**5 fits and 28**5 does not (one tree, one block)
+        quad = estimator._plan(1, 6, 1, 1, 5, Quadrature()).quadrature
         assert quad.method == "regular-grid"
         assert quad.grid_points == 27
 
     def test_auto_over_budget_raises(self, monkeypatch):
         monkeypatch.setattr(estimator, "_CELL_BUDGET", 7)
         with pytest.raises(ValueError, match="budget of 7 nodes; use monte-carlo"):
-            estimator._resolve_quadrature(Quadrature(), 4, 3)
+            estimator._plan(1, 4, 1, 1, 3, Quadrature())
 
     def test_explicit_grid_over_budget_raises(self):
         # 10**12 nodes in d = 3; 256**3 is exactly the 2**24 budget
         with pytest.raises(ValueError, match=re.escape(
                 "G**d = 10000**3 = 1000000000000 nodes, over the budget of 16777216")):
-            estimator._resolve_quadrature(Quadrature.parse("grid:10000"), 6, 3)
+            estimator._plan(1, 6, 1, 1, 3, Quadrature.parse("grid:10000"))
         with pytest.raises(ValueError, match="257\\*\\*3 = 16974593 nodes"):
-            estimator._resolve_quadrature(Quadrature.parse("grid:257"), 6, 3)
+            estimator._plan(1, 6, 1, 1, 3, Quadrature.parse("grid:257"))
         for spec, d in (("grid:256", 3), ("grid:100", 2)):
             quad = Quadrature.parse(spec)
-            assert estimator._resolve_quadrature(quad, 8, d) == quad
+            assert estimator._plan(1, 8, 1, 1, d, quad).quadrature == quad
 
     def test_explicit_grid_over_budget_checked_before_forest(self, monkeypatch):
         def no_forest(*args):
@@ -525,15 +538,110 @@ class TestNormalizer:
             raise AssertionError("a forest was built for an over-budget draw count")
 
         monkeypatch.setattr(estimator, "_CELL_BUDGET", 16)
-        assert estimator._resolve_quadrature(Quadrature.parse("mc:16"), 8, 3).mc_draws == 16
+        assert estimator._plan(1, 8, 1, 1, 3, Quadrature.parse("mc:16")).quadrature.mc_draws == 16
         with pytest.raises(ValueError, match=re.escape(
                 "monte-carlo quadrature asks for 17 draws, over the budget of 16")):
-            estimator._resolve_quadrature(Quadrature.parse("mc:17"), 1, 1)
+            estimator._plan(1, 1, 1, 1, 1, Quadrature.parse("mc:17"))
         monkeypatch.setattr(estimator, "build_forest", no_forest)
         config = EstimatorConfig(m=10, trees=2, depth=2, seed=0, box=UNIT2,
                                  quadrature=Quadrature.parse("mc:17"))
         with pytest.raises(ValueError, match="17 draws, over the budget of 16"):
             fit(np.random.default_rng(0).random((40, 2)), config)
+
+
+# Every refusal the fit plan owns: the EstimatorConfig fields a fit of 100
+# points refuses, the header fields (quadrature sizes are params) that make
+# a saved model of those points (T = 2, p = 2, m = 10) ask for the same
+# sizes, and the message both give.
+PLAN_REFUSALS = {
+    "count-range": ({"m": 2**30}, {"m": 2**30},
+                    "trees * m = 2147483648 must stay below 2**31 for int32 leaf counts"),
+    "forest-size": ({"trees": 1, "depth": 20000}, {"T": 1, "p": 20000},
+                    "forest too large: n_trees * 2**depth must stay below 2**31"),
+    "label-bytes": ({"trees": 1, "depth": 30}, {"T": 1, "p": 30},
+                    "the split labels need T * (2**p - 1) * 8 = 1 * 1073741823 * 8 = "
+                    "8589934584 bytes, over the budget of 1073741824; use fewer trees, "
+                    "less depth or larger blocks"),
+    "count-bytes": ({"trees": 20, "depth": 20, "m": 1}, {"T": 20, "p": 20, "m": 1},
+                    "the leaf counts need T * 2**p * S * 4 = 20 * 1048576 * 100 * 4 = "
+                    "8388608000 bytes, over the budget of 1073741824; use fewer trees, "
+                    "less depth or larger blocks"),
+    "exact-cells": ({"depth": 13, "quadrature": "exact"}, {"p": 13},
+                    "exact-dyadic quadrature needs 2**(p*d) = 67108864 cells, over the "
+                    "budget of 16777216; use regular-grid or monte-carlo"),
+    "grid-nodes": ({"quadrature": "grid:4097"}, {"points_per_axis": 4097},
+                   "regular-grid quadrature needs G**d = 4097**2 = 16785409 nodes, over "
+                   "the budget of 16777216; use fewer points per axis or monte-carlo"),
+    "mc-draws": ({"quadrature": "mc:16777217"}, {"draws": 16777217},
+                 "monte-carlo quadrature asks for 16777217 draws, over the budget of "
+                 "16777216; use fewer draws"),
+}
+
+
+class TestFitPlan:
+    @pytest.mark.parametrize("case", list(PLAN_REFUSALS))
+    def test_fit_and_load_refuse_alike(self, tmp_path, monkeypatch, case):
+        fields, header, message = PLAN_REFUSALS[case]
+        quad = Quadrature.parse(fields.get("quadrature", "auto"))
+        small = {"auto": "auto", "exact-dyadic": "exact", "regular-grid": "grid:7",
+                 "monte-carlo": "mc:500"}[quad.method]
+        data = np.random.default_rng(1).random((100, 2))
+        base = dict(m=10, trees=2, depth=2, seed=1, box=UNIT2)
+        path = tmp_path / "model.json"
+        save_model(fit(data, EstimatorConfig(**base, quadrature=Quadrature.parse(small))), path)
+        doc = json.loads(path.read_text())
+        for key, value in header.items():
+            (doc["quadrature"]["params"] if key in ("points_per_axis", "draws") else doc)[
+                key] = value
+        path.write_text(json.dumps(doc))
+        ran = []
+        for owner, name in ((estimator, "build_forest"), (estimator, "assign_blocks"),
+                            (estimator, "Forest"), (estimator, "_decode_counts"),
+                            (estimator, "_compute_normalizer"), (estimator, "_integrate"),
+                            (estimator.np, "zeros")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name, **kw: ran.append(name))
+        with pytest.raises(ValueError) as fit_refusal:
+            fit(data, EstimatorConfig(**{**base, **fields, "quadrature": quad}))
+        with pytest.raises(ValueError) as load_refusal:
+            load_model(path)
+        assert str(fit_refusal.value) == message
+        assert str(load_refusal.value) == f"malformed model file: {message}"
+        assert ran == []
+
+    def test_auto_bounds_gathered_counts(self):
+        # d = 3, p = 8, T = 20, S = 10: the 2**24 cells fit the node budget,
+        # but exact-dyadic gathers 2**24 * 200 = 3.4e9 counts (a 7.6-s fit);
+        # the 100**3 grid gathers 2.0e8
+        plan = estimator._plan(20, 8, 3000, 30_000, 3, Quadrature())
+        assert (plan.blocks, plan.dropped) == (10, 0)
+        assert plan.quadrature == Quadrature(method="regular-grid", grid_points=100)
+        assert 100**3 * 20 * 10 <= estimator._WORK_BUDGET < 2**24 * 20 * 10
+        # an explicit method keeps the node budget only
+        exact = Quadrature(method="exact-dyadic")
+        assert estimator._plan(20, 8, 3000, 30_000, 3, exact).quadrature == exact
+
+    @pytest.mark.parametrize(
+        "budget, resolved",
+        [(16 * 8, Quadrature(method="exact-dyadic")),
+         (16 * 8 - 1, Quadrature(method="regular-grid", grid_points=3)),
+         (4 * 8 - 1, None)],
+        ids=["exact-at-budget", "grid-below", "none"],
+    )
+    def test_auto_work_budget_edge(self, monkeypatch, budget, resolved):
+        # 2**(2*2) = 16 cells at T * S = 2 * 4 = 8 counts per node: exact-dyadic
+        # fits 128 gathered counts; at 127 the budget allows 15 nodes, so 3**2;
+        # at 31 it allows 3, fewer than a 2**2 grid
+        monkeypatch.setattr(estimator, "_WORK_BUDGET", budget)
+        data = np.random.default_rng(0).random((40, 2))
+        config = EstimatorConfig(m=10, trees=2, depth=2, seed=0, box=UNIT2)
+        if resolved is not None:
+            assert fit(data, config).quadrature == resolved
+            return
+        with pytest.raises(ValueError, match=re.escape(
+                "neither 2**(p*d) = 16 dyadic cells nor a 2**d = 4-node grid fits both 31 "
+                "gathered counts at T * S = 8 per node and the budget of 16777216 nodes; "
+                "use monte-carlo")):
+            fit(data, config)
 
 
 class TestLattice:
@@ -1004,6 +1112,9 @@ class TestSerialization:
         "ragged-split-labels": lambda doc: doc.update(T=2, trees=[[0, 1, 1], [0]]),
         "tree-count": lambda doc: doc.__setitem__("T", 2),
         "huge-depth": lambda doc: doc.__setitem__("p", 2**40),
+        "negative-depth": lambda doc: doc.__setitem__("p", -1),
+        "zero-tree-count": lambda doc: doc.__setitem__("T", 0),
+        "zero-block-size": lambda doc: doc.__setitem__("m", 0),
         "bool-cell-budget": lambda doc: doc["quadrature"]["params"].__setitem__(
             "cell_budget", True),
         "string-cell-budget": lambda doc: doc["quadrature"]["params"].__setitem__(

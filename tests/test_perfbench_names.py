@@ -143,9 +143,10 @@ def test_benchmark_forests_stay_on_the_full_table(monkeypatch):
     for wl in served:
         quad = estimator.Quadrature.parse(wl.quadrature)
         assert quad.method == "auto"
-        resolved = estimator._resolve_quadrature(quad, wl.depth, 2)
+        resolved = estimator._plan(wl.trees, wl.depth, wl.m, wl.n, 2, quad).quadrature
         assert resolved.method == "exact-dyadic"
-        assert 2 ** (2 * wl.depth) <= estimator._CELL_BUDGET
+        # big-blocks gathers 7.9e6 counts and many-blocks 7.9e7
+        assert 2 ** (2 * wl.depth) * wl.trees * wl.blocks <= estimator._WORK_BUDGET
 
 
 def test_benchmark_fits_stay_far_below_the_byte_budget(monkeypatch):
@@ -156,11 +157,12 @@ def test_benchmark_fits_stay_far_below_the_byte_budget(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     served = list(workloads.WORKLOADS.values()) + list(workloads.TINY.values())
-    fits = [(wl.trees, wl.depth, wl.n // wl.m) for wl in served]
-    fits += [(trees, depth, wl.sweep["n"] // round(ratio * wl.sweep["n"]))
+    fits = [(wl.trees, wl.depth, wl.m, wl.n, wl.quadrature) for wl in served]
+    fits += [(trees, depth, round(ratio * wl.sweep["n"]), wl.sweep["n"],
+              wl.sweep["quadrature"])
              for wl in served for trees in wl.sweep["trees"]
              for depth in wl.sweep["depths"] for ratio in wl.sweep["m_ratios"]]
     assert len(fits) == 8
     monkeypatch.setattr(estimator, "_BYTE_BUDGET", estimator._BYTE_BUDGET // 256)
-    for trees, depth, blocks in fits:
-        estimator._check_fit_bytes(trees, depth, blocks)
+    for trees, depth, m, n, spec in fits:
+        estimator._plan(trees, depth, m, n, 2, estimator.Quadrature.parse(spec))
