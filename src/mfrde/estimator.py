@@ -15,8 +15,17 @@ query: it sums each block's integer leaf counts over the trees, exact in
 the type :func:`_summed_counts` picks, selects the k-th smallest sum and
 divides only that one, so the result is the k-th smallest of the divided
 block densities, bit for bit, whatever the batch, its chunking or the
-sums' integer type.  The exact-dyadic normalizer takes each cell's leaf
-ids from its integer cell codes rather than from a float cell centre.
+sums' integer type.
+
+Every tree splits at midpoints, so the median is constant on each of the
+forest's ``2**(p*d)`` depth-``p`` dyadic cells, and a cell's leaf ids
+come from its integer codes (:func:`geometry._cell_leaf_ids`).
+:func:`_cell_medians` takes the median once per cell, in C order.  The
+exact-dyadic normalizer sums it; a batch of at least ``2**(p*d)`` in-box
+points tabulates it and looks up each point's cell by the codes its
+quantization gives, so the table holds at most as many floats as the
+batch's result.  A smaller batch walks each point's leaves.  Both paths
+give the same floats, as a point's leaf ids are its cell's.
 
 Every size is fixed before anything is drawn, allocated or decoded:
 :func:`fit`, :func:`load_model` (on a file's header) and every
@@ -50,7 +59,8 @@ import numpy as np
 
 from .datasets import Dataset, _write_atomic
 from .geometry import (
-    Box, Forest, _cell_leaf_ids, _check_forest_size, build_forest, leaf_indices,
+    Box, Forest, _as_points, _cell_index, _cell_leaf_ids, _check_forest_size, build_forest,
+    leaf_indices,
 )
 
 __all__ = [
@@ -264,6 +274,7 @@ class FittedMFRDE:
     An array that already is C-contiguous int32 is kept, not copied, and
     made read-only.  ``n`` is ``S * m + dropped``, with ``0 <= dropped < m``.
     ``seed`` is the fit's seed, which Monte Carlo quadrature draws from.
+    ``quadrature`` is the resolved method: ``auto`` raises ``ValueError``.
     """
 
     seed: int
@@ -290,6 +301,8 @@ class FittedMFRDE:
                 f"sizes do not add up: S={s}, m={self.m}, n={self.n}, dropped="
                 f"{self.dropped}; need S >= 1 and n = S*m + dropped, 0 <= dropped < m"
             )
+        if self.quadrature.method == "auto":
+            raise ValueError(f"unresolved quadrature method {self.quadrature.method!r}")
         _plan(t, self.forest.depth, self.m, self.n, self.box.d, self.quadrature)
         if counts.min() < 0:
             raise ValueError("leaf counts must be non-negative")
@@ -361,15 +374,46 @@ def _median_values(
 
     ``leaf_major`` is the ``(T, 2**p, S)`` counts array, whose integer
     type the tree sums keep: int32, or the uint16 copy of
-    :func:`_summed_counts`, exact either way.  The leaves are walked
-    ``_WALK_POINTS`` points at a time, and :func:`_kth_densities` takes the
-    median of each walked chunk.
+    :func:`_summed_counts`, exact either way.  A batch of at least as many
+    points as the forest has depth-``p`` cells, ``2**(p*d)``, takes the
+    median once per cell (:func:`_cell_medians`) and looks up each point's
+    cell, ``_WALK_POINTS`` points at a time; the table holds at most as
+    many floats as the result.  A smaller batch walks the leaves of
+    ``_WALK_POINTS`` points at a time, and :func:`_kth_densities` takes
+    the median of each walked chunk.  Both give the same floats: a point's
+    leaf ids are those of its cell.
     """
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _WALK_POINTS):
-        ids = leaf_indices(forest, points=points[start : start + _WALK_POINTS])
-        _kth_densities(forest, leaf_major, m, rank, ids, out[start : start + ids.shape[0]])
+    n, cells = points.shape[0], 2 ** (forest.depth * forest.box.d)
+    table = np.empty(cells) if n >= cells else None
+    if table is not None:
+        for _ in _cell_medians(forest, leaf_major, m, rank, table):
+            pass
+    out = np.empty(n)
+    for start in range(0, n, _WALK_POINTS):
+        chunk = points[start : start + _WALK_POINTS]
+        if table is not None:
+            table.take(_cell_index(forest, chunk), out=out[start : start + chunk.shape[0]])
+        else:
+            ids = leaf_indices(forest, points=chunk)
+            _kth_densities(forest, leaf_major, m, rank, ids, out[start : start + ids.shape[0]])
     return out
+
+
+def _cell_medians(
+    forest: Forest, leaf_major: np.ndarray, m: int, rank: int, out: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """The lower median on every depth-``p`` dyadic cell, ``_QUAD_CHUNK`` cells at a time.
+
+    Yields each chunk's values, cells in the C order of
+    :func:`geometry._cell_leaf_ids`, whose integer codes give the leaf
+    ids; with ``out``, a ``(2**(p*d),)`` array, each chunk is a view of
+    it, and otherwise a fresh array.
+    """
+    total = 2 ** (forest.depth * forest.box.d)
+    for start in range(0, total, _QUAD_CHUNK):
+        ids = _cell_leaf_ids(forest, start, min(start + _QUAD_CHUNK, total))
+        part = np.empty(ids.shape[0]) if out is None else out[start : start + ids.shape[0]]
+        yield _kth_densities(forest, leaf_major, m, rank, ids, part)
 
 
 def _kth_densities(
@@ -401,20 +445,26 @@ def _kth_densities(
 
 
 def evaluate(model: FittedMFRDE, x) -> float:
-    """Normalized density at one point; zero outside the box."""
+    """Normalized density at one point of shape ``(d,)``; zero outside the box."""
     x = np.asarray(x, dtype=float)
-    return float(evaluate_batch(model, x[None, :])[0])
+    if x.shape != (model.box.d,):
+        raise ValueError(f"expected one point of shape ({model.box.d},), got shape {x.shape}")
+    return float(_densities(model, x[None, :])[0])
 
 
 def evaluate_batch(model: FittedMFRDE, points) -> np.ndarray:
     """Normalized density at each point, preserving input order.
 
-    A point outside the box, an infinite coordinate included, gets 0; a
-    row holding NaN raises ``ValueError``.
+    ``points`` is an ``(n, d)`` array, or one point of shape ``(d,)``; any
+    other shape raises ``ValueError``.  A point outside the box, an
+    infinite coordinate included, gets 0; a row holding NaN raises
+    ``ValueError``.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != model.box.d:
-        raise ValueError(f"expected points of dimension {model.box.d}")
+    return _densities(model, _as_points(points, model.box.d))
+
+
+def _densities(model: FittedMFRDE, pts: np.ndarray) -> np.ndarray:
+    """:func:`evaluate_batch` on an ``(n, d)`` float array."""
     mask = model.box.contains_batch(pts)
     if not mask.all():
         # NaN fails every comparison, so NaN rows are among the out-of-box ones.
@@ -461,15 +511,13 @@ def _integrate(
     elif quad.method == "regular-grid":
         total = quad.grid_points**d
         chunks = _lattice([np.linspace(lo[j], hi[j], quad.grid_points) for j in range(d)])
-    elif quad.method == "monte-carlo":
+    else:
         rng = np.random.default_rng(_fit_streams(seed)[2])
         total = quad.mc_draws
         chunks = (
             lo + (hi - lo) * rng.random((min(_QUAD_CHUNK, total - start), d))
             for start in range(0, total, _QUAD_CHUNK)
         )
-    else:
-        raise ValueError(f"unresolved quadrature method {quad.method!r}")
     partials = [float(np.sum(values(pts))) for pts in chunks]
     return box.volume / total * math.fsum(partials)
 
@@ -496,13 +544,8 @@ def _compute_normalizer(
     """
     leaf_counts = _summed_counts(leaf_counts, forest.n_trees, m)
     if quad.method == "exact-dyadic":
-        total = 2 ** (forest.depth * forest.box.d)
-        partials = []
-        for start in range(0, total, _QUAD_CHUNK):
-            ids = _cell_leaf_ids(forest, start, min(start + _QUAD_CHUNK, total))
-            values = _kth_densities(forest, leaf_counts, m, rank, ids, np.empty(ids.shape[0]))
-            partials.append(float(np.sum(values)))
-        z = forest.box.volume / total * math.fsum(partials)
+        partials = [float(np.sum(v)) for v in _cell_medians(forest, leaf_counts, m, rank)]
+        z = forest.box.volume / 2 ** (forest.depth * forest.box.d) * math.fsum(partials)
     else:
         z = _integrate(
             forest.box, forest.depth, quad, seed,

@@ -49,9 +49,13 @@ walks all trees at once through the other ``p - k`` levels on the codes'
 integer bits, by a per-(tree, node) table of (axis, bit) for those
 levels only; at ``k = p`` nothing is left to walk.  Neither step uses
 float geometry past the quantization.  A depth-``p`` dyadic cell of the
-box is one tuple of codes, so the leaf ids of whole cells, which the
-exact-dyadic normalizer needs, come from the same gather and walk with
-no quantization at all.
+box is one tuple of codes, so the leaf ids of whole cells come from the
+same gather and walk with no quantization at all
+(:func:`_cell_leaf_ids`), and :func:`_cell_index` packs a point's codes,
+from the quantization :func:`leaf_indices` uses, into the index of its
+cell.  The estimator uses both to take the median once per cell for the
+exact-dyadic normalizer and for any batch with at least as many points as
+cells.
 
 All types in this module are immutable after construction and safe for
 concurrent reads.
@@ -358,24 +362,56 @@ def leaf_indices(forest: Forest, points) -> np.ndarray:
     The id is the root-to-leaf path read as a bit string, left=0 and
     right=1, with the root bit most significant.  Points must lie in the
     closed box; any other point, NaN included, raises ``ValueError``.
-    Quantizes each coordinate once; then, in fixed-size chunks of points,
-    gathers the first ``k`` path bits of every tree from the forest's id
-    table and walks every tree through the remaining ``p - k`` levels on
-    the codes' bits (see the module docstring).
+    Quantizes each coordinate once (:func:`_codes`); then, in fixed-size
+    chunks of points, gathers the first ``k`` path bits of every tree from
+    the forest's id table and walks every tree through the remaining ``p -
+    k`` levels on the codes' bits (see the module docstring).
     """
-    box = forest.box
+    pts = _in_box(forest.box, points)
+    out = np.empty((pts.shape[0], forest.n_trees), dtype=np.int32)
+    for start in range(0, pts.shape[0], _WALK_CHUNK):
+        codes = _codes(forest, pts[start : start + _WALK_CHUNK])
+        _ids_of_codes(forest, codes, out[start : start + codes.shape[0]])
+    return out
+
+
+def _in_box(box: Box, points) -> np.ndarray:
+    """The ``(n, d)`` float points; any point outside the closed box, NaN included, raises."""
     pts = _as_points(points, box.d)
     # NaN fails both comparisons, so it is outside too.
     if not np.all((pts >= box.lo_array) & (pts <= box.hi_array)):
         raise ValueError("point outside domain")
-    out = np.empty((pts.shape[0], forest.n_trees), dtype=np.int32)
-    for start in range(0, pts.shape[0], _WALK_CHUNK):
-        chunk = pts[start : start + _WALK_CHUNK]
-        codes = np.empty(chunk.shape, dtype=np.int32)
-        for j in range(box.d):
-            codes[:, j] = np.searchsorted(forest._inner[j], chunk[:, j], side="right")
-        _ids_of_codes(forest, codes, out[start : start + chunk.shape[0]])
-    return out
+    return pts
+
+
+def _codes(forest: Forest, pts: np.ndarray) -> np.ndarray:
+    """The ``(n, d)`` int32 axis codes of ``(n, d)`` points in the closed box.
+
+    Code ``c`` on an axis is the number of inner breakpoints at or below
+    the coordinate (see the module docstring).
+    """
+    codes = np.empty(pts.shape, dtype=np.int32)
+    for j in range(pts.shape[1]):
+        codes[:, j] = np.searchsorted(forest._inner[j], pts[:, j], side="right")
+    return codes
+
+
+def _cell_index(forest: Forest, points) -> np.ndarray:
+    """Index of each point's depth-``p`` dyadic cell, in the C order of :func:`_cell_leaf_ids`.
+
+    Packs the codes :func:`leaf_indices` quantizes, so a point's cell
+    gives it the same leaf ids as its own walk; raises as it does.
+    """
+    return _pack(_codes(forest, _in_box(forest.box, points)), forest.depth)
+
+
+def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
+    """``(n, d)`` codes of ``bits`` bits each as one C-order index, axis 0 most significant."""
+    index = codes[:, 0].astype(np.intp)
+    for j in range(1, codes.shape[1]):
+        index <<= bits
+        index |= codes[:, j]
+    return index
 
 
 def _cell_leaf_ids(forest: Forest, start: int, stop: int) -> np.ndarray:
@@ -403,11 +439,7 @@ def _ids_of_codes(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:
     packed in C order, then walks the other ``p - k`` levels.
     """
     walked = len(forest._level_base)
-    top = codes >> walked
-    index = top[:, 0].astype(np.intp)
-    for j in range(1, codes.shape[1]):
-        index <<= forest.depth - walked
-        index |= top[:, j]
+    index = _pack(codes >> walked, forest.depth - walked)
     leaf[...] = forest._leaf_table.take(index, axis=1).T
     _walk(forest, codes, leaf)
 

@@ -853,6 +853,125 @@ class TestSumDtype:
                 assert summed is each.leaf_counts
 
 
+def mesh_points(box: Box, p: int, n: int, seed: int) -> np.ndarray:
+    """``n`` points of the box: about a third of the coordinates on a depth-``p``
+    breakpoint, the faces included, and the last point the upper corner."""
+    rng = np.random.default_rng(seed)
+    mesh = geometry._breakpoints(box, p)
+    pts = np.minimum(box.lo_array + (box.hi_array - box.lo_array) * rng.random((n, box.d)),
+                     box.hi_array)
+    on = rng.random((n, box.d)) < 1 / 3
+    pts[on] = mesh[np.arange(box.d), rng.integers(0, 2**p + 1, size=(n, box.d))][on]
+    pts[-1] = box.hi
+    return pts
+
+
+def point_path(forest: Forest, leaf_major: np.ndarray, m: int, rank: int, pts) -> np.ndarray:
+    """The median kernel on every point's own leaf walk, however large the batch."""
+    pts = np.asarray(pts, dtype=float)
+    ids = leaf_indices(forest, pts)
+    return estimator._kth_densities(forest, leaf_major, m, rank, ids, np.empty(len(ids)))
+
+
+def cell_path_spy(mp) -> list:
+    """Record the size of every batch that looks its values up per cell."""
+    seen = []
+    original = estimator._cell_index
+
+    def spy(forest, points):
+        seen.append(len(points))
+        return original(forest, points)
+
+    mp.setattr(estimator, "_cell_index", spy)
+    return seen
+
+
+def valid_counts(trees: int, leaves: int, s: int, m: int, seed: int) -> np.ndarray:
+    """Block-major ``(S, T, leaves)`` counts, each block's total the same in every tree."""
+    rng = np.random.default_rng(seed)
+    totals = rng.integers(0, m + 1, size=s)
+    return np.stack([rng.multinomial(c, [1 / leaves] * leaves, size=trees) for c in totals])
+
+
+class TestCellPath:
+    """A batch of at least ``2**(p*d)`` in-box points takes the median once per
+    cell; every value equals the point's own walk, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(box=offset_boxes(), data=st.data())
+    def test_cell_path_equals_point_path(self, box, data):
+        d = box.d
+        p = data.draw(st.integers(0, min(6, 12 // d)), label="p")
+        trees = data.draw(st.integers(1, 4), label="T")
+        s = data.draw(st.integers(1, 5), label="S")
+        wide = data.draw(st.booleans(), label="int32 sums")
+        m = -(-(2**16) // trees) if wide else data.draw(st.integers(1, 9), label="m")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        chunk = data.draw(st.sampled_from([None, 37]), label="_QUAD_CHUNK")
+        forest = build_forest(box, p, trees, seed)
+        model = make_model(forest, valid_counts(trees, 2**p, s, m, seed), m)
+        summed, rank = model._sum_counts, model.median_rank
+        assert summed.dtype == (np.int32 if wide else np.uint16)
+        cells = 2 ** (p * d)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk:
+                mp.setattr(estimator, "_QUAD_CHUNK", chunk)
+            seen = cell_path_spy(mp)
+            for n in (cells - 1, cells, cells + 1):
+                if n < 1:
+                    continue
+                pts = mesh_points(box, p, n, seed)
+                oracle = point_path(forest, summed, m, rank, pts)
+                seen.clear()
+                got = estimator._median_values(forest, summed, m, rank, pts)
+                assert seen == ([n] if n >= cells else [])
+                assert got.tobytes() == oracle.tobytes()
+            seen.clear()
+            batch = evaluate_batch(model, pts)
+            assert seen == [cells + 1]
+        assert batch.tobytes() == (oracle / model.normalizer).tobytes()
+        assert [evaluate(model, x) for x in pts] == batch.tolist()
+
+    @pytest.mark.parametrize("chunk", [None, 20])
+    @pytest.mark.parametrize("spec", ["grid:5", "grid:3", "mc:40", "mc:7"])
+    @pytest.mark.parametrize("trees, m", [NARROW_EDGE[2], WIDE_EDGE[2]])
+    def test_grid_and_mc_normalizers_equal_the_point_path(self, monkeypatch, chunk, spec,
+                                                          trees, m):
+        # 16 cells: grid:5 and mc:40 take the cell path, grid:3 and mc:7 the
+        # point path; a 20-node chunk splits grid:5 into a cell-path chunk
+        # and a point-path one
+        box = Box((0.0, -3.0), (5.0, 4.0))
+        forest = build_forest(box, 2, trees, seed=5)
+        counts = edge_counts(trees, 4, 3, m, seed=6)
+        quad = Quadrature.parse(spec)
+        if chunk:
+            monkeypatch.setattr(estimator, "_QUAD_CHUNK", chunk)
+        summed = estimator._summed_counts(counts, trees, m)
+        oracle = estimator._integrate(
+            box, 2, quad, 11, lambda q: point_path(forest, summed, m, 2, q)
+        )
+        seen = cell_path_spy(monkeypatch)
+        assert estimator._compute_normalizer(forest, counts, m, 2, quad, 11) == oracle
+        nodes = quad.grid_points**2 if quad.method == "regular-grid" else quad.mc_draws
+        step = chunk or nodes
+        assert seen == [size for size in
+                        (min(step, nodes - a) for a in range(0, nodes, step)) if size >= 16]
+
+    def test_exact_normalizer_sums_the_per_cell_medians(self):
+        model = edge_model(3, 1000, seed=2)
+        forest, summed = model.forest, model._sum_counts
+        chunks = list(estimator._cell_medians(forest, summed, model.m, model.median_rank))
+        centres = estimator._lattice([
+            lo + (hi - lo) * (np.arange(8) + 0.5) / 8 for lo, hi in zip(model.box.lo,
+                                                                        model.box.hi)])
+        oracle = np.concatenate([point_path(forest, summed, model.m, model.median_rank, c)
+                                 for c in centres])
+        assert np.concatenate(chunks).tobytes() == oracle.tobytes()
+        z = estimator._compute_normalizer(forest, model.leaf_counts, model.m,
+                                          model.median_rank, model.quadrature, 0)
+        assert z == model.box.volume / 64 * math.fsum(float(np.sum(c)) for c in chunks)
+
+
 class TestEvaluate:
     def test_outside_is_zero(self):
         model = fit(np.random.default_rng(1).random((30, 2)),
@@ -868,6 +987,29 @@ class TestEvaluate:
             evaluate_batch(model, pts)
         with pytest.raises(ValueError, match="^1 query row"):
             evaluate(model, (np.nan, np.nan))
+
+    def test_evaluate_takes_one_point_of_shape_d(self):
+        line = fit(np.random.default_rng(1).random((30, 1)),
+                   EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=Box((0.0,), (1.0,))))
+        plane = fit(np.random.default_rng(1).random((30, 2)),
+                    EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
+        assert evaluate(line, [0.5]) == evaluate_batch(line, [[0.5]])[0]
+        assert evaluate(plane, (0.5, 0.5)) == evaluate_batch(plane, [(0.5, 0.5)])[0]
+        for model, x, shape in ((line, 0.5, "()"), (line, [[0.5]], "(1, 1)"),
+                                (line, [0.5, 0.5], "(2,)"), (plane, [[0.5, 0.5]], "(1, 2)"),
+                                (plane, [0.5], "(1,)")):
+            d = model.box.d
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected one point of shape ({d},), got shape {shape}")):
+                evaluate(model, x)
+
+    def test_evaluate_batch_refuses_more_than_two_axes(self):
+        model = fit(np.random.default_rng(1).random((30, 2)),
+                    EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
+        assert evaluate_batch(model, (0.5, 0.5)).shape == (1,)
+        for pts in (np.full((2, 1, 2), 0.5), np.full((1, 2, 2), 0.5), np.full((3, 3), 0.5)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {pts.shape}")):
+                evaluate_batch(model, pts)
 
     def test_normalized_value(self):
         forest = Forest(box=UNIT2, labels=np.array([[0]]))
@@ -1076,6 +1218,17 @@ class TestSerialization:
             ValueError, match="^malformed model file: unresolved quadrature method 'auto'$"
         ):
             load_model(path)
+
+    def test_model_refuses_unresolved_quadrature(self, tmp_path):
+        # such a model used to construct, fail in integrate_estimate and save
+        # a file that load_model refuses
+        forest = build_forest(UNIT2, 1, 1, seed=0)
+        counts = np.array([[[3, 1]]])
+        with pytest.raises(ValueError, match="^unresolved quadrature method 'auto'$"):
+            FittedMFRDE(seed=0, forest=forest, n=4, m=4, dropped=0,
+                        leaf_counts=counts.transpose(1, 2, 0), normalizer=1.0,
+                        quadrature=Quadrature())
+        assert not list(tmp_path.iterdir())
 
     # A depth-2 model that loads as it is.
     VALID_DOC = {

@@ -166,3 +166,48 @@ def test_benchmark_fits_stay_far_below_the_byte_budget(monkeypatch):
     monkeypatch.setattr(estimator, "_BYTE_BUDGET", estimator._BYTE_BUDGET // 256)
     for trees, depth, m, n, spec in fits:
         estimator._plan(trees, depth, m, n, 2, estimator.Quadrature.parse(spec))
+
+
+def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
+    # The sweep's quadrature nodes and MAE grid, 10 000 points against
+    # 4 096 cells, look the median up per cell; the served score (about
+    # 18.5k in-box rows) and eval-grid (22 500 points) against 65 536 cells
+    # walk every point, as does the sweep's AUC on its 500 data points.
+    import mfrde
+    from mfrde import estimator, evaluation
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    batches, per_cell = [], []
+    median_values, cell_index = estimator._median_values, estimator._cell_index
+
+    def median_spy(forest, leaf_major, m, rank, points):
+        batches.append((len(points), 2 ** (forest.depth * forest.box.d)))
+        return median_values(forest, leaf_major, m, rank, points)
+
+    def cell_spy(forest, points):
+        per_cell.append(len(points))
+        return cell_index(forest, points)
+
+    monkeypatch.setattr(estimator, "_median_values", median_spy)
+    monkeypatch.setattr(estimator, "_cell_index", cell_spy)
+    for wl in workloads.WORKLOADS.values():
+        batches.clear(), per_cell.clear()
+        evaluation.benchmark(evaluation.BenchmarkConfig.from_dict(dict(wl.sweep, seed=1)))
+        # per fit of the 3 schemes, and of their single-block baselines: the
+        # quadrature nodes, the MAE grid and the in-box data points
+        assert {cells for _, cells in batches} == {4096}
+        assert sorted(n for n, _ in batches)[6:] == [10_000] * 12
+        assert max(sorted(n for n, _ in batches)[:6]) <= 500
+        assert per_cell == [10_000] * 12
+
+        batches.clear(), per_cell.clear()
+        query = workloads.query_data(mfrde, wl, seed=1)
+        lo, hi = zip(*(map(float, axis.split(":")) for axis in wl.box.split(",")))
+        model = estimator.fit(query, estimator.EstimatorConfig(
+            m=wl.m, trees=wl.trees, depth=wl.depth, box=mfrde.Box(lo, hi)))
+        estimator.evaluate_batch(model, query.points)
+        estimator.evaluate_batch(model, evaluation.make_grid(model.box, wl.grid).points)
+        (score, cells), (grid, _) = batches
+        assert 18_000 < score < 19_000 and grid == 22_500 and cells == 65_536
+        assert per_cell == []
