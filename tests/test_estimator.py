@@ -644,6 +644,33 @@ class TestFitPlan:
             fit(data, config)
 
 
+def point_path(forest: Forest, leaf_major: np.ndarray, m: int, rank: int, pts) -> np.ndarray:
+    """The median kernel on every point's own leaf walk, however large the batch."""
+    pts = np.asarray(pts, dtype=float)
+    ids = leaf_indices(forest, pts)
+    return estimator._kth_densities(forest, leaf_major, m, rank, ids, np.empty(len(ids)))
+
+
+def cell_path_spy(mp) -> list:
+    """Record the size of every batch that looks its values up per cell."""
+    seen = []
+    original = estimator._cell_index
+
+    def spy(forest, points):
+        seen.append(len(points))
+        return original(forest, points)
+
+    mp.setattr(estimator, "_cell_index", spy)
+    return seen
+
+
+def valid_counts(trees: int, leaves: int, s: int, m: int, seed: int) -> np.ndarray:
+    """Block-major ``(S, T, leaves)`` counts, each block's total the same in every tree."""
+    rng = np.random.default_rng(seed)
+    totals = rng.integers(0, m + 1, size=s)
+    return np.stack([rng.multinomial(c, [1 / leaves] * leaves, size=trees) for c in totals])
+
+
 class TestLattice:
     """Quadrature bits pinned on a non-dyadic 3-D box.
 
@@ -672,34 +699,67 @@ class TestLattice:
         assert integrate_estimate(model).hex() == integral
 
     def test_median_chunks_do_not_change_bits(self, monkeypatch):
+        # S = 20 blocks on 4096 cells: the 1600 grid nodes and the 2000
+        # queries walk their own leaves.  Walks of 700 points cut both with
+        # ragged tails, and gather sub-chunks of 300 points cut every walk,
+        # again with a ragged tail
+        self.check_chunks(monkeypatch, depth=6, lookups=([], []))
+
+    def test_cell_table_chunks_do_not_change_bits(self, monkeypatch):
+        # 1024 cells: the nodes and the queries take the cell path.  The
+        # gather sub-chunks cut the 1024-cell table, and the 700-point
+        # chunks cut both lookups
+        self.check_chunks(monkeypatch, depth=5,
+                          lookups=([1600, 2000], [700, 700, 200, 700, 700, 600]))
+
+    @staticmethod
+    def check_chunks(monkeypatch, depth: int, lookups: tuple[list, list]) -> None:
+        """Fit and query a depth-``depth`` model whole, then with 700-point
+        walks and 300-point gathers; ``lookups`` are the batch sizes each
+        run looks up per cell."""
         data = np.random.default_rng(4).random((400, 2)) ** 2
-        cfg = EstimatorConfig(m=20, trees=3, depth=4, seed=2, box=UNIT2,
+        cfg = EstimatorConfig(m=20, trees=3, depth=depth, seed=2, box=UNIT2,
                               quadrature=Quadrature(method="regular-grid", grid_points=40))
-        probe = np.random.default_rng(5).random((1000, 2))
+        probe = np.random.default_rng(5).random((2000, 2))
+        seen = cell_path_spy(monkeypatch)
         model = fit(data, cfg)
         dens = evaluate_batch(model, probe)
-        # S = 20 blocks: walks of 700 points cut the 1000 queries and the
-        # 1600 grid nodes with ragged tails; gather sub-chunks of 300 points
-        # cut every walk, again with a ragged tail
+        assert seen == lookups[0]
         monkeypatch.setattr(estimator, "_WALK_POINTS", 700)
         monkeypatch.setattr(estimator, "_GATHER_ELEMS", 20 * 300)
+        seen.clear()
         chunked = fit(data, cfg)
         assert chunked.normalizer == model.normalizer
         assert evaluate_batch(chunked, probe).tobytes() == dens.tobytes()
+        assert seen == lookups[1]
 
-    def test_median_kernel_memory_is_bounded(self):
-        # S = 400 blocks, 40k queries: the kernel's temporaries stay
-        # cache-sized instead of growing with the chunk times S
-        data = np.random.default_rng(8).random((8000, 2))
-        model = fit(data, EstimatorConfig(m=20, trees=4, depth=3, seed=1, box=UNIT2))
+    def test_median_kernel_memory_is_bounded(self, monkeypatch):
+        # 65 536 cells, more than the 40k queries, so they walk their own
+        # leaves.  The counts are built, not fitted: at depth 8, 20 points
+        # a block leave the median zero almost everywhere, and fit refuses
+        # that model
+        self.check_memory(monkeypatch, depth=8, cell_path=False)
+
+    def test_cell_table_memory_is_bounded(self, monkeypatch):
+        # 64 cells: the 40k queries look up the cell table
+        self.check_memory(monkeypatch, depth=3, cell_path=True)
+
+    @staticmethod
+    def check_memory(monkeypatch, depth: int, cell_path: bool) -> None:
+        """S = 400 blocks, 40k queries: the kernel's temporaries stay
+        cache-sized instead of growing with the chunk times S."""
+        forest = build_forest(UNIT2, depth, 4, seed=1)
+        model = make_model(forest, valid_counts(4, 2**depth, 400, 20, seed=8), m=20)
         assert model.n_blocks == 400
         probe = np.random.default_rng(9).random((40_000, 2))
+        seen = cell_path_spy(monkeypatch)
         tracemalloc.start()
         try:
             evaluate_batch(model, probe)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert bool(seen) == cell_path
         assert peak < 16 * 2**20
 
 
@@ -746,7 +806,8 @@ class TestCodePathNormalizer:
     """The exact-dyadic normalizer from cell codes against the float-centre oracle.
 
     The oracle is the quadrature of the median kernel at the float cell
-    centres, through ``leaf_indices``, with int32 sums.  Cells here are at
+    centres, each through its own ``leaf_indices`` walk (:func:`point_path`,
+    never the per-cell table), with int32 sums.  Cells here are at
     least ``1e-3 / 2**12`` wide at offsets up to ``1e6``, far above a few
     ulps, so both sides see the same cells and must agree bit for bit.
     """
@@ -775,7 +836,7 @@ class TestCodePathNormalizer:
             rank = (s + 1) // 2
             oracle = estimator._integrate(
                 box, p, quad, 0,
-                lambda q: estimator._median_values(forest, counts, m, rank, q),
+                lambda q: point_path(forest, counts, m, rank, q),
             )
             seen = dtype_spy(mp)
             z = estimator._compute_normalizer(forest, counts, m, rank, quad, 0)
@@ -790,7 +851,7 @@ class TestCodePathNormalizer:
         counts = edge_counts(trees, 8, 3, m, seed=6)
         quad = Quadrature.parse(spec)
         oracle = estimator._integrate(
-            box, 3, quad, 11, lambda q: estimator._median_values(forest, counts, m, 2, q)
+            box, 3, quad, 11, lambda q: point_path(forest, counts, m, 2, q)
         )
         seen = dtype_spy(monkeypatch)
         assert estimator._compute_normalizer(forest, counts, m, 2, quad, 11) == oracle
@@ -864,33 +925,6 @@ def mesh_points(box: Box, p: int, n: int, seed: int) -> np.ndarray:
     pts[on] = mesh[np.arange(box.d), rng.integers(0, 2**p + 1, size=(n, box.d))][on]
     pts[-1] = box.hi
     return pts
-
-
-def point_path(forest: Forest, leaf_major: np.ndarray, m: int, rank: int, pts) -> np.ndarray:
-    """The median kernel on every point's own leaf walk, however large the batch."""
-    pts = np.asarray(pts, dtype=float)
-    ids = leaf_indices(forest, pts)
-    return estimator._kth_densities(forest, leaf_major, m, rank, ids, np.empty(len(ids)))
-
-
-def cell_path_spy(mp) -> list:
-    """Record the size of every batch that looks its values up per cell."""
-    seen = []
-    original = estimator._cell_index
-
-    def spy(forest, points):
-        seen.append(len(points))
-        return original(forest, points)
-
-    mp.setattr(estimator, "_cell_index", spy)
-    return seen
-
-
-def valid_counts(trees: int, leaves: int, s: int, m: int, seed: int) -> np.ndarray:
-    """Block-major ``(S, T, leaves)`` counts, each block's total the same in every tree."""
-    rng = np.random.default_rng(seed)
-    totals = rng.integers(0, m + 1, size=s)
-    return np.stack([rng.multinomial(c, [1 / leaves] * leaves, size=trees) for c in totals])
 
 
 class TestCellPath:
