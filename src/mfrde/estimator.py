@@ -18,14 +18,16 @@ block densities, bit for bit, whatever the batch, its chunking or the
 sums' integer type.
 
 Every tree splits at midpoints, so the median is constant on each of the
-forest's ``2**(p*d)`` depth-``p`` dyadic cells, and a cell's leaf ids
-come from its integer codes (:func:`geometry._cell_leaf_ids`).
-:func:`_cell_medians` takes the median once per cell, in C order.  The
-exact-dyadic normalizer sums it; a batch of at least ``2**(p*d)`` in-box
-points tabulates it and looks up each point's cell by the codes its
-quantization gives, so the table holds at most as many floats as the
-batch's result.  A smaller batch walks each point's leaves.  Both paths
-give the same floats, as a point's leaf ids are its cell's.
+forest's ``2**(p*d)`` depth-``p`` dyadic cells.  The cells, the
+regular-grid nodes and the evaluation grid all come from one C-order
+lattice, :func:`_lattice`, and a cell's leaf ids from its integer codes.
+:func:`_cell_medians` takes the median once per cell.  The exact-dyadic
+normalizer sums it; a grid or Monte Carlo normalizer, or a batch, of at
+least ``2**(p*d)`` nodes or in-box points tabulates it
+(:func:`_cell_table`) and looks up each point's cell by its quantized
+codes, so the table holds at most as many floats as there are points.
+Anything smaller walks each point's leaves.  Both paths give the same
+floats, as a point's leaf ids are its cell's.
 
 Every size is fixed before anything is drawn, allocated or decoded:
 :func:`fit`, :func:`load_model` (on a file's header) and every
@@ -59,7 +61,7 @@ import numpy as np
 
 from .datasets import Dataset, _write_atomic
 from .geometry import (
-    Box, Forest, _as_points, _cell_index, _cell_leaf_ids, _check_forest_size, build_forest,
+    Box, Forest, _as_points, _cell_index, _check_forest_size, _ids_of_codes, build_forest,
     leaf_indices,
 )
 
@@ -368,26 +370,23 @@ def _density_denom(forest: Forest, m: int) -> float:
 
 
 def _median_values(
-    forest: Forest, leaf_major: np.ndarray, m: int, rank: int, points: np.ndarray
+    forest: Forest, leaf_major: np.ndarray, m: int, rank: int, points: np.ndarray,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Lower median (k-th smallest, k=rank) of the block densities at each point.
 
     ``leaf_major`` is the ``(T, 2**p, S)`` counts array, whose integer
     type the tree sums keep: int32, or the uint16 copy of
-    :func:`_summed_counts`, exact either way.  A batch of at least as many
-    points as the forest has depth-``p`` cells, ``2**(p*d)``, takes the
-    median once per cell (:func:`_cell_medians`) and looks up each point's
-    cell, ``_WALK_POINTS`` points at a time; the table holds at most as
-    many floats as the result.  A smaller batch walks the leaves of
-    ``_WALK_POINTS`` points at a time, and :func:`_kth_densities` takes
-    the median of each walked chunk.  Both give the same floats: a point's
-    leaf ids are those of its cell.
+    :func:`_summed_counts`, exact either way.  Each point's cell is looked
+    up in ``table``, the forest's :func:`_cell_table`, which a batch of at
+    least ``2**(p*d)`` points builds when none is given; a smaller batch
+    walks its leaves and :func:`_kth_densities` takes their median.  Both
+    run ``_WALK_POINTS`` points at a time and give the same floats: a
+    point's leaf ids are those of its cell.
     """
-    n, cells = points.shape[0], 2 ** (forest.depth * forest.box.d)
-    table = np.empty(cells) if n >= cells else None
-    if table is not None:
-        for _ in _cell_medians(forest, leaf_major, m, rank, table):
-            pass
+    n = points.shape[0]
+    if table is None and n >= 2 ** (forest.depth * forest.box.d):
+        table = _cell_table(forest, leaf_major, m, rank)
     out = np.empty(n)
     for start in range(0, n, _WALK_POINTS):
         chunk = points[start : start + _WALK_POINTS]
@@ -399,21 +398,30 @@ def _median_values(
     return out
 
 
+def _cell_table(forest: Forest, leaf_major: np.ndarray, m: int, rank: int) -> np.ndarray:
+    """The ``(2**(p*d),)`` lower medians of :func:`_cell_medians`, in one array."""
+    table = np.empty(2 ** (forest.depth * forest.box.d))
+    for _ in _cell_medians(forest, leaf_major, m, rank, table):
+        pass
+    return table
+
+
 def _cell_medians(
     forest: Forest, leaf_major: np.ndarray, m: int, rank: int, out: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """The lower median on every depth-``p`` dyadic cell, ``_QUAD_CHUNK`` cells at a time.
 
-    Yields each chunk's values, cells in the C order of
-    :func:`geometry._cell_leaf_ids`, whose integer codes give the leaf
-    ids; with ``out``, a ``(2**(p*d),)`` array, each chunk is a view of
-    it, and otherwise a fresh array.
+    Yields each chunk's values, cells in the C order of :func:`_lattice`
+    over every axis's ``2**p`` codes, which give the leaf ids; with
+    ``out``, a ``(2**(p*d),)`` array, each chunk is a view of it, and
+    otherwise a fresh array.
     """
-    total = 2 ** (forest.depth * forest.box.d)
-    for start in range(0, total, _QUAD_CHUNK):
-        ids = _cell_leaf_ids(forest, start, min(start + _QUAD_CHUNK, total))
-        part = np.empty(ids.shape[0]) if out is None else out[start : start + ids.shape[0]]
-        yield _kth_densities(forest, leaf_major, m, rank, ids, part)
+    start = 0
+    for codes in _lattice([np.arange(2**forest.depth, dtype=np.int32)] * forest.box.d):
+        part = np.empty(len(codes)) if out is None else out[start : start + len(codes)]
+        start += len(codes)
+        # The ids die before the yield, so no two chunks' ids are alive at once.
+        yield _kth_densities(forest, leaf_major, m, rank, _ids_of_codes(forest, codes), part)
 
 
 def _kth_densities(
@@ -484,8 +492,9 @@ def _lattice(axes: list[np.ndarray]) -> Iterator[np.ndarray]:
     shape = tuple(a.size for a in axes)
     total = math.prod(shape)
     for start in range(0, total, _QUAD_CHUNK):
-        multi = np.unravel_index(np.arange(start, min(start + _QUAD_CHUNK, total)), shape)
-        yield np.column_stack([a[i] for a, i in zip(axes, multi)])
+        # The index arrays die here, not across the yield.
+        yield np.column_stack([a[i] for a, i in zip(axes, np.unravel_index(
+            np.arange(start, min(start + _QUAD_CHUNK, total)), shape))])
 
 
 def _fit_streams(seed: int) -> tuple[np.random.SeedSequence, ...]:
@@ -535,21 +544,26 @@ def _compute_normalizer(
     The kernel sums the array :func:`_summed_counts` gives for the int32
     ``leaf_counts``, the same rule as for every query.  ``exact-dyadic``
     takes each cell's leaf ids from its integer codes
-    (:func:`geometry._cell_leaf_ids`), not from a float centre, and sums the
-    same ``_QUAD_CHUNK`` chunks in the same order as :func:`_integrate`, so
-    the value is the same float as integrating at the cell centres.  The
-    one exception is a box whose cells are narrower than a few ulps of its
+    (:func:`_cell_medians`), not from a float centre, and sums the same
+    ``_QUAD_CHUNK`` chunks in the same order as :func:`_integrate`, so the
+    value is the same float as integrating at the cell centres.  The one
+    exception is a box whose cells are narrower than a few ulps of its
     offset, where a float centre can round into a neighbouring cell: there
     this value is the exact sum over the cells and the centres' is not.
+    A grid or Monte Carlo normalizer with at least ``2**(p*d)`` nodes
+    builds the :func:`_cell_table` once and looks up every chunk in it.
     """
     leaf_counts = _summed_counts(leaf_counts, forest.n_trees, m)
+    cells = 2 ** (forest.depth * forest.box.d)
     if quad.method == "exact-dyadic":
         partials = [float(np.sum(v)) for v in _cell_medians(forest, leaf_counts, m, rank)]
-        z = forest.box.volume / 2 ** (forest.depth * forest.box.d) * math.fsum(partials)
+        z = forest.box.volume / cells * math.fsum(partials)
     else:
+        nodes = quad.grid_points**forest.box.d if quad.method == "regular-grid" else quad.mc_draws
+        table = _cell_table(forest, leaf_counts, m, rank) if nodes >= cells else None
         z = _integrate(
             forest.box, forest.depth, quad, seed,
-            lambda pts: _median_values(forest, leaf_counts, m, rank, pts),
+            lambda pts: _median_values(forest, leaf_counts, m, rank, pts, table),
         )
     if not z > 0:
         raise ValueError(

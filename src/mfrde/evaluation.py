@@ -247,86 +247,57 @@ def benchmark(config: BenchmarkConfig, threads: int = 1) -> EvalReport:
         )
     }
 
-    def fit_metrics(data, m: int, ti: int, pi: int, seed: int) -> tuple:
-        model = fit(
-            data,
-            EstimatorConfig(
-                m=m,
-                trees=config.trees[ti],
-                depth=config.depths[pi],
-                seed=seed,
-                quadrature=config.quadrature,
-                box=config.box,
-            ),
-        )
-        return _metrics(model, data, grid, truth_vals)
-
-    def run_baseline(job) -> tuple:
-        si, ri, ti, pi, rep = job
-        seed = _derived_seed(config.seed, 211, si, ri, ti, pi, rep)
-        return job, fit_metrics(datasets[(si, ri, rep)], config.n, ti, pi, seed)
-
-    def run_cell(job) -> dict:
+    def run(job) -> tuple | dict:
+        """One fit: a baseline's metrics when ``mi`` is None, else a sweep row."""
         si, ri, mi, ti, pi, rep = job
-        scheme, ratio = config.schemes[si], config.ratios[ri]
-        m_ratio = config.m_ratios[mi]
-        row = {
-            "scheme": scheme,
-            "ratio": ratio,
-            "m_ratio": m_ratio,
-            "trees": config.trees[ti],
-            "depth": config.depths[pi],
-            "repeat": rep,
-        }
-        m = int(round(m_ratio * config.n))
-        if m < 1 or m > config.n:
-            row.update(m=m, skipped="infeasible block size", mae=None, auc=None)
-            return row
-        seed = _derived_seed(config.seed, 307, si, ri, mi, ti, pi, rep)
+        if mi is None:
+            m, seed = config.n, _derived_seed(config.seed, 211, si, ri, ti, pi, rep)
+        else:
+            row = {
+                "scheme": config.schemes[si],
+                "ratio": config.ratios[ri],
+                "m_ratio": config.m_ratios[mi],
+                "trees": config.trees[ti],
+                "depth": config.depths[pi],
+                "repeat": rep,
+            }
+            m = int(round(config.m_ratios[mi] * config.n))
+            if m < 1 or m > config.n:
+                row.update(m=m, skipped="infeasible block size", mae=None, auc=None)
+                return row
+            seed = _derived_seed(config.seed, 307, si, ri, mi, ti, pi, rep)
+        data = datasets[(si, ri, rep)]
         try:
-            mae_val, auc_val = fit_metrics(datasets[(si, ri, rep)], m, ti, pi, seed)
+            model = fit(data, EstimatorConfig(
+                m=m, trees=config.trees[ti], depth=config.depths[pi], seed=seed,
+                quadrature=config.quadrature, box=config.box,
+            ))
         except ValueError as exc:
             # tiny blocks with deep trees can leave the median at zero
             # everywhere; such cells carry no usable estimate
-            if "degenerate model" not in str(exc):
+            if mi is None or "degenerate model" not in str(exc):
                 raise
             row.update(m=m, skipped="degenerate model", mae=None, auc=None)
             return row
+        mae_val, auc_val = _metrics(model, data, grid, truth_vals)
+        if mi is None:
+            return mae_val, auc_val
         row.update(m=m, mae=mae_val, auc=auc_val)
         return row
 
-    baseline_jobs = list(
-        itertools.product(
-            range(len(config.schemes)),
-            range(len(config.ratios)),
-            range(len(config.trees)),
-            range(len(config.depths)),
-            range(config.repeats),
-        )
-    )
-    cell_jobs = list(
-        itertools.product(
-            range(len(config.schemes)),
-            range(len(config.ratios)),
-            range(len(config.m_ratios)),
-            range(len(config.trees)),
-            range(len(config.depths)),
-            range(config.repeats),
-        )
-    )
+    baseline_jobs, cell_jobs = (list(itertools.product(
+        range(len(config.schemes)), range(len(config.ratios)), blocks,
+        range(len(config.trees)), range(len(config.depths)), range(config.repeats),
+    )) for blocks in ([None], range(len(config.m_ratios))))
     # At one thread the jobs run in the calling thread: a pool worker
     # changes nothing in the report and costs time on a small host.
     pool = nullcontext() if threads == 1 else ThreadPoolExecutor(max_workers=threads)
     with pool:
-        mapper = map if threads == 1 else pool.map
-        baselines = dict(mapper(run_baseline, baseline_jobs))
-        rows = list(mapper(run_cell, cell_jobs))
-
-    for row, job in zip(rows, cell_jobs):
-        si, ri, _, ti, pi, rep = job
-        base_mae, base_auc = baselines[(si, ri, ti, pi, rep)]
-        row["baseline_mae"] = base_mae
-        row["baseline_auc"] = base_auc
+        results = list((map if threads == 1 else pool.map)(run, baseline_jobs + cell_jobs))
+    baselines = dict(zip(baseline_jobs, results))
+    rows = results[len(baseline_jobs):]
+    for row, (si, ri, _, ti, pi, rep) in zip(rows, cell_jobs):
+        row["baseline_mae"], row["baseline_auc"] = baselines[(si, ri, None, ti, pi, rep)]
 
     summary = _summarize(rows)
     meta = {

@@ -48,14 +48,14 @@ anything is allocated; ``k = 0`` is a ``(T, 1)`` table of zeros.
 walks all trees at once through the other ``p - k`` levels on the codes'
 integer bits, by a per-(tree, node) table of (axis, bit) for those
 levels only; at ``k = p`` nothing is left to walk.  Neither step uses
-float geometry past the quantization.  A depth-``p`` dyadic cell of the
-box is one tuple of codes, so the leaf ids of whole cells come from the
-same gather and walk with no quantization at all
-(:func:`_cell_leaf_ids`), and :func:`_cell_index` packs a point's codes,
-from the quantization :func:`leaf_indices` uses, into the index of its
-cell.  The estimator uses both to take the median once per cell for the
-exact-dyadic normalizer and for any batch with at least as many points as
-cells.
+float geometry past the quantization.  Both steps run in
+:func:`_ids_of_codes`, the one function that takes codes to leaf ids.
+A depth-``p`` dyadic cell of the box is one tuple of codes, so the
+estimator hands it the codes of whole cells, with no quantization at all,
+and :func:`_cell_index` packs a point's codes, from the quantization
+:func:`leaf_indices` uses, into the C-order index of its cell.  The
+estimator uses both to take the median once per cell for the exact-dyadic
+normalizer and for any batch with at least as many points as cells.
 
 All types in this module are immutable after construction and safe for
 concurrent reads.
@@ -362,17 +362,11 @@ def leaf_indices(forest: Forest, points) -> np.ndarray:
     The id is the root-to-leaf path read as a bit string, left=0 and
     right=1, with the root bit most significant.  Points must lie in the
     closed box; any other point, NaN included, raises ``ValueError``.
-    Quantizes each coordinate once (:func:`_codes`); then, in fixed-size
-    chunks of points, gathers the first ``k`` path bits of every tree from
-    the forest's id table and walks every tree through the remaining ``p -
-    k`` levels on the codes' bits (see the module docstring).
+    Quantizes each coordinate once (:func:`_codes`) and takes the codes
+    to leaf ids (:func:`_ids_of_codes`).
     """
     pts = _in_box(forest.box, points)
-    out = np.empty((pts.shape[0], forest.n_trees), dtype=np.int32)
-    for start in range(0, pts.shape[0], _WALK_CHUNK):
-        codes = _codes(forest, pts[start : start + _WALK_CHUNK])
-        _ids_of_codes(forest, codes, out[start : start + codes.shape[0]])
-    return out
+    return _ids_of_codes(forest, _codes(forest, pts))
 
 
 def _in_box(box: Box, points) -> np.ndarray:
@@ -397,7 +391,7 @@ def _codes(forest: Forest, pts: np.ndarray) -> np.ndarray:
 
 
 def _cell_index(forest: Forest, points) -> np.ndarray:
-    """Index of each point's depth-``p`` dyadic cell, in the C order of :func:`_cell_leaf_ids`.
+    """Index of each point's depth-``p`` dyadic cell, codes packed in C order.
 
     Packs the codes :func:`leaf_indices` quantizes, so a point's cell
     gives it the same leaf ids as its own walk; raises as it does.
@@ -414,34 +408,23 @@ def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
     return index
 
 
-def _cell_leaf_ids(forest: Forest, start: int, stop: int) -> np.ndarray:
-    """Leaf ids of cells ``start`` to ``stop - 1``, a ``(stop - start, T)`` int32 array.
+def _ids_of_codes(forest: Forest, codes: np.ndarray) -> np.ndarray:
+    """Leaf id of each point with ``(n, d)`` int32 codes in each tree, ``(n, T)`` int32.
 
-    The cells are the ``2**(p*d)`` depth-``p`` dyadic cells of the box in
-    C order, axis 0 slowest: cell ``c`` has code ``(c >> p*(d-1-j)) &
-    (2**p - 1)`` on axis ``j``, the code :func:`leaf_indices` gives every
-    point of the cell, so no float geometry is involved.
-    """
-    p, d = forest.depth, forest.box.d
-    shifts = p * np.arange(d - 1, -1, -1, dtype=np.int64)
-    out = np.empty((stop - start, forest.n_trees), dtype=np.int32)
-    for lo in range(start, stop, _WALK_CHUNK):
-        cells = np.arange(lo, min(lo + _WALK_CHUNK, stop), dtype=np.int64)
-        codes = ((cells[:, None] >> shifts) & (2**p - 1)).astype(np.int32)
-        _ids_of_codes(forest, codes, out[lo - start : lo - start + cells.size])
-    return out
-
-
-def _ids_of_codes(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:
-    """Fill the ``(n, T)`` leaf ids ``leaf`` of the points with ``(n, d)`` codes.
-
-    Gathers the depth-``k`` ids by the top ``k`` bits of every axis,
-    packed in C order, then walks the other ``p - k`` levels.
+    In chunks of ``_WALK_CHUNK`` points, which bound the temporaries
+    whatever the batch: gathers the depth-``k`` ids by the top ``k`` bits
+    of every axis, packed in C order, then walks the other ``p - k``
+    levels.
     """
     walked = len(forest._level_base)
-    index = _pack(codes >> walked, forest.depth - walked)
-    leaf[...] = forest._leaf_table.take(index, axis=1).T
-    _walk(forest, codes, leaf)
+    out = np.empty((codes.shape[0], forest.n_trees), dtype=np.int32)
+    for start in range(0, codes.shape[0], _WALK_CHUNK):
+        chunk = codes[start : start + _WALK_CHUNK]
+        leaf = out[start : start + chunk.shape[0]]
+        index = _pack(chunk >> walked, forest.depth - walked)
+        leaf[...] = forest._leaf_table.take(index, axis=1).T
+        _walk(forest, chunk, leaf)
+    return out
 
 
 def _walk(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:

@@ -698,6 +698,19 @@ class TestLattice:
         assert model.normalizer.hex() == normalizer
         assert integrate_estimate(model).hex() == integral
 
+    @pytest.mark.parametrize("chunk", [37, None])
+    @pytest.mark.parametrize("d, p", [(1, 16), (2, 8), (3, 6)])
+    def test_cell_chunks_are_the_packed_order(self, monkeypatch, chunk, d, p):
+        # the estimator's cell chunks and geometry's cell index share one C order
+        if chunk:
+            monkeypatch.setattr(estimator, "_QUAD_CHUNK", chunk)
+        start = 0
+        for codes in estimator._lattice([np.arange(2**p, dtype=np.int32)] * d):
+            assert codes.dtype == np.int32
+            assert np.array_equal(geometry._pack(codes, p), np.arange(start, start + len(codes)))
+            start += len(codes)
+        assert start == 2 ** (p * d)
+
     def test_median_chunks_do_not_change_bits(self, monkeypatch):
         # S = 20 blocks on 4096 cells: the 1600 grid nodes and the 2000
         # queries walk their own leaves.  Walks of 700 points cut both with
@@ -966,14 +979,15 @@ class TestCellPath:
         assert batch.tobytes() == (oracle / model.normalizer).tobytes()
         assert [evaluate(model, x) for x in pts] == batch.tolist()
 
-    @pytest.mark.parametrize("chunk", [None, 20])
+    @pytest.mark.parametrize("chunk", [None, 20, 6])
     @pytest.mark.parametrize("spec", ["grid:5", "grid:3", "mc:40", "mc:7"])
     @pytest.mark.parametrize("trees, m", [NARROW_EDGE[2], WIDE_EDGE[2]])
     def test_grid_and_mc_normalizers_equal_the_point_path(self, monkeypatch, chunk, spec,
                                                           trees, m):
         # 16 cells: grid:5 and mc:40 take the cell path, grid:3 and mc:7 the
-        # point path; a 20-node chunk splits grid:5 into a cell-path chunk
-        # and a point-path one
+        # point path.  A 20-node chunk splits grid:5 into chunks of 20 and 5
+        # nodes, and 6-node chunks are all smaller than the cell count: every
+        # chunk of grid:5 and mc:40 looks its values up in one table
         box = Box((0.0, -3.0), (5.0, 4.0))
         forest = build_forest(box, 2, trees, seed=5)
         counts = edge_counts(trees, 4, 3, m, seed=6)
@@ -984,12 +998,14 @@ class TestCellPath:
         oracle = estimator._integrate(
             box, 2, quad, 11, lambda q: point_path(forest, summed, m, 2, q)
         )
-        seen = cell_path_spy(monkeypatch)
+        seen, tables, cell_medians = cell_path_spy(monkeypatch), [], estimator._cell_medians
+        monkeypatch.setattr(estimator, "_cell_medians",
+                            lambda *args: tables.append(args) or cell_medians(*args))
         assert estimator._compute_normalizer(forest, counts, m, 2, quad, 11) == oracle
         nodes = quad.grid_points**2 if quad.method == "regular-grid" else quad.mc_draws
         step = chunk or nodes
-        assert seen == [size for size in
-                        (min(step, nodes - a) for a in range(0, nodes, step)) if size >= 16]
+        assert seen == [min(step, nodes - a) for a in range(0, nodes, step) if nodes >= 16]
+        assert len(tables) == (nodes >= 16)
 
     def test_exact_normalizer_sums_the_per_cell_medians(self):
         model = edge_model(3, 1000, seed=2)

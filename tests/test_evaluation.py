@@ -245,6 +245,22 @@ class TestBenchmark:
         caller = threading.get_ident()
         assert all((ident == caller) == in_caller for ident in fitted_in)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_degenerate_baseline_raises(self, monkeypatch, threads):
+        # a sweep cell with a degenerate model is skipped; its baseline is not
+        original = evaluation.fit
+
+        def degenerate_baseline(data, config):
+            if config.m == data.n:
+                raise ValueError("degenerate model: planted")
+            return original(data, config)
+
+        monkeypatch.setattr(evaluation, "fit", degenerate_baseline)
+        cfg = BenchmarkConfig(trees=(2,), depths=(2,), repeats=2, n=60, grid_g=5,
+                              quadrature=Quadrature.parse("grid:5"))
+        with pytest.raises(ValueError, match="degenerate model: planted"):
+            benchmark(cfg, threads=threads)
+
     def test_infeasible_cells_skipped(self):
         cfg = BenchmarkConfig(
             schemes=("uniform",),

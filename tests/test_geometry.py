@@ -13,6 +13,7 @@ from conftest import (
     slice_write_leaf_table,
 )
 from mfrde import geometry
+from mfrde.estimator import _lattice
 from mfrde.geometry import Box, Forest, build_forest, leaf_indices
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
@@ -342,21 +343,28 @@ class TestLeafKernel:
     @all_regimes
     @given(forests(), st.data())
     def test_cell_ids_match_float_walker_at_centres(self, forest, data):
+        # the codes of a block of at most 64 cells, in the estimator's lattice order
         self.drawn(forest)
-        cells = 2 ** (forest.depth * forest.box.d)
-        start = data.draw(st.integers(0, cells - 1))
-        stop = data.draw(st.integers(start, min(cells, start + 64)))
-        ids = geometry._cell_leaf_ids(forest, start, stop)
-        assert ids.shape == (stop - start, forest.n_trees)
+        axes, side = [], 2**forest.depth
+        for _ in range(forest.box.d):
+            lo = data.draw(st.integers(0, side - 1))
+            room = 64 // int(np.prod([a.size for a in axes]))
+            axes.append(np.arange(lo, data.draw(st.integers(lo + 1, min(side, lo + room))),
+                                  dtype=np.int32))
+        codes = np.concatenate(list(_lattice(axes)))
+        ids = geometry._ids_of_codes(forest, codes)
+        assert ids.shape == (len(codes), forest.n_trees)
         assert ids.dtype == np.int32
-        centres = cell_centres(forest.box, forest.depth, np.arange(start, stop))
+        cells = np.ravel_multi_index(tuple(codes.T), (side,) * forest.box.d)
+        centres = cell_centres(forest.box, forest.depth, cells)
         assert np.array_equal(ids, oracle_ids(forest, centres))
 
     def test_cell_ids_in_walk_chunks(self, monkeypatch):
         box = FIXED_BOXES[2]
         forest = build_forest(box, 3, 4, seed=9)
         monkeypatch.setattr(geometry, "_WALK_CHUNK", 5)
-        ids = geometry._cell_leaf_ids(forest, 3, 500)
+        codes = np.concatenate(list(_lattice([np.arange(8, dtype=np.int32)] * 3)))
+        ids = geometry._ids_of_codes(forest, codes[3:500])
         centres = cell_centres(box, 3, np.arange(3, 500))
         assert np.array_equal(ids, leaf_indices(forest, centres))
 

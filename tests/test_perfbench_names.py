@@ -181,9 +181,9 @@ def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
     batches, per_cell = [], []
     median_values, cell_index = estimator._median_values, estimator._cell_index
 
-    def median_spy(forest, leaf_major, m, rank, points):
+    def median_spy(forest, leaf_major, m, rank, points, table=None):
         batches.append((len(points), 2 ** (forest.depth * forest.box.d)))
-        return median_values(forest, leaf_major, m, rank, points)
+        return median_values(forest, leaf_major, m, rank, points, table)
 
     def cell_spy(forest, points):
         per_cell.append(len(points))
