@@ -22,12 +22,15 @@ forest's ``2**(p*d)`` depth-``p`` dyadic cells.  The cells, the
 regular-grid nodes and the evaluation grid all come from one C-order
 lattice, :func:`_lattice`, and a cell's leaf ids from its integer codes.
 :func:`_cell_medians` takes the median once per cell.  The exact-dyadic
-normalizer sums it; a grid or Monte Carlo normalizer, or a batch, of at
-least ``2**(p*d)`` nodes or in-box points tabulates it
-(:func:`_cell_table`) and looks up each point's cell by its quantized
-codes, so the table holds at most as many floats as there are points.
-Anything smaller walks each point's leaves.  Both paths give the same
-floats, as a point's leaf ids are its cell's.
+normalizer sums it as it streams; a grid or Monte Carlo normalizer of at
+least ``2**(p*d)`` nodes tabulates it (:func:`_cell_table`) and looks up
+each node's cell by its quantized codes.  The model :func:`fit` returns
+keeps that table, so every later batch of it is a lookup too.  A model
+without one (loaded, or fitted with exact or fewer nodes) tabulates for a
+batch of at least ``2**(p*d)`` in-box points, so the table never holds
+more floats than there are points, and walks each point's leaves in a
+smaller batch.  Both paths give the same floats, as a point's leaf ids are
+its cell's.
 
 Every size is fixed before anything is drawn, allocated or decoded:
 :func:`fit`, :func:`load_model` (on a file's header) and every
@@ -54,7 +57,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -277,6 +280,18 @@ class FittedMFRDE:
     made read-only.  ``n`` is ``S * m + dropped``, with ``0 <= dropped < m``.
     ``seed`` is the fit's seed, which Monte Carlo quadrature draws from.
     ``quadrature`` is the resolved method: ``auto`` raises ``ValueError``.
+
+    ``_table`` is the ``(2**(p*d),)`` unnormalized lower median of every
+    dyadic cell (:func:`_cell_table`), or ``None``; any other shape raises
+    ``ValueError``.  Only :func:`fit` passes one, when its grid or Monte
+    Carlo normalizer had at least as many nodes as cells and so built it
+    whole; every batch of that model is then a lookup.  It is kept
+    read-only and never filled later, so concurrent readers stay safe, and
+    :func:`dataclasses.replace` drops it rather than pair it with other
+    counts.  The exact normalizer streams its cells and keeps none.  The
+    model file does not hold the table, and :func:`load_model` builds
+    none: that would cost a served ``score`` or ``eval-grid`` batch of
+    fewer points than cells more than it saves.
     """
 
     seed: int
@@ -287,11 +302,14 @@ class FittedMFRDE:
     leaf_counts: np.ndarray
     normalizer: float
     quadrature: Quadrature  # resolved method actually used for the normalizer
+    _table: InitVar[np.ndarray | None] = None
     # Derived from ``leaf_counts``: the read-only array the median kernel
     # sums (:func:`_summed_counts`).
     _sum_counts: np.ndarray = field(init=False, repr=False)
+    # ``_table``, read-only, or None.
+    _cells: np.ndarray | None = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _table: np.ndarray | None) -> None:
         counts = np.asarray(self.leaf_counts)
         t, leaves, s = counts.shape
         if t != self.forest.n_trees or leaves != 2**self.forest.depth:
@@ -320,6 +338,15 @@ class FittedMFRDE:
         leaf_counts.setflags(write=False)
         object.__setattr__(self, "leaf_counts", leaf_counts)
         object.__setattr__(self, "_sum_counts", _summed_counts(leaf_counts, t, self.m))
+        if _table is not None:
+            cells = 2 ** (self.depth * self.box.d)
+            if np.shape(_table) != (cells,):
+                raise ValueError(
+                    f"cell table shape {np.shape(_table)} does not match the {cells} cells"
+                )
+            _table = np.ascontiguousarray(_table, dtype=float)
+            _table.setflags(write=False)
+        object.__setattr__(self, "_cells", _table)
 
     @property
     def counts(self) -> np.ndarray:
@@ -378,11 +405,12 @@ def _median_values(
     ``leaf_major`` is the ``(T, 2**p, S)`` counts array, whose integer
     type the tree sums keep: int32, or the uint16 copy of
     :func:`_summed_counts`, exact either way.  Each point's cell is looked
-    up in ``table``, the forest's :func:`_cell_table`, which a batch of at
-    least ``2**(p*d)`` points builds when none is given; a smaller batch
-    walks its leaves and :func:`_kth_densities` takes their median.  Both
-    run ``_WALK_POINTS`` points at a time and give the same floats: a
-    point's leaf ids are those of its cell.
+    up in ``table``, the forest's :func:`_cell_table`: the normalizer's,
+    or a fitted model's, which kept it.  With none given, a batch of at
+    least ``2**(p*d)`` points builds one, and a smaller batch walks its
+    leaves and :func:`_kth_densities` takes their median.  Both run
+    ``_WALK_POINTS`` points at a time and give the same floats: a point's
+    leaf ids are those of its cell.
     """
     n = points.shape[0]
     if table is None and n >= 2 ** (forest.depth * forest.box.d):
@@ -395,6 +423,8 @@ def _median_values(
         else:
             ids = leaf_indices(forest, points=chunk)
             _kth_densities(forest, leaf_major, m, rank, ids, out[start : start + ids.shape[0]])
+            # Freed before the next chunk's ids exist, not when they replace it.
+            del ids
     return out
 
 
@@ -481,7 +511,7 @@ def _densities(model: FittedMFRDE, pts: np.ndarray) -> np.ndarray:
             raise ValueError(f"{nan_rows} query row(s) hold NaN; no density is defined there")
     out = np.zeros(pts.shape[0])
     med = _median_values(
-        model.forest, model._sum_counts, model.m, model.median_rank, pts[mask]
+        model.forest, model._sum_counts, model.m, model.median_rank, pts[mask], model._cells
     )
     out[mask] = med / model.normalizer
     return out
@@ -538,8 +568,9 @@ def _compute_normalizer(
     rank: int,
     quad: Quadrature,
     seed: int,
-) -> float:
-    """Integral of the unnormalized median over the box with a resolved method.
+) -> tuple[float, np.ndarray | None]:
+    """Integral of the unnormalized median over the box with a resolved method,
+    and the :func:`_cell_table` it built, or ``None``.
 
     The kernel sums the array :func:`_summed_counts` gives for the int32
     ``leaf_counts``, the same rule as for every query.  ``exact-dyadic``
@@ -551,10 +582,12 @@ def _compute_normalizer(
     offset, where a float centre can round into a neighbouring cell: there
     this value is the exact sum over the cells and the centres' is not.
     A grid or Monte Carlo normalizer with at least ``2**(p*d)`` nodes
-    builds the :func:`_cell_table` once and looks up every chunk in it.
+    builds the :func:`_cell_table` once, looks up every chunk in it and
+    returns it; the exact one streams its cells and returns no table.
     """
     leaf_counts = _summed_counts(leaf_counts, forest.n_trees, m)
     cells = 2 ** (forest.depth * forest.box.d)
+    table = None
     if quad.method == "exact-dyadic":
         partials = [float(np.sum(v)) for v in _cell_medians(forest, leaf_counts, m, rank)]
         z = forest.box.volume / cells * math.fsum(partials)
@@ -570,14 +603,15 @@ def _compute_normalizer(
             "degenerate model: median density vanishes everywhere "
             "(all data outside the box, or every block count zero)"
         )
-    return z
+    return z, table
 
 
 def integrate_estimate(model: FittedMFRDE) -> float:
     """Integrate the normalized density with the model's own quadrature.
 
     Returns a value near 1; the gap is pure floating-point summation
-    error for the deterministic methods.
+    error for the deterministic methods.  On a fitted model that kept its
+    normalizer's cell table, every chunk is a lookup in it.
     """
     return _integrate(
         model.box, model.depth, model.quadrature, model.seed,
@@ -629,8 +663,12 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
             leaf_counts[t] += np.bincount(
                 ids[:, t] * np.int64(s) + block_of[rows], minlength=leaves * s
             ).reshape(leaves, s)
+        # Freed before the next chunk's ids exist, not when they replace it.
+        del ids
 
-    z = _compute_normalizer(forest, leaf_counts, m, (s + 1) // 2, plan.quadrature, config.seed)
+    z, table = _compute_normalizer(
+        forest, leaf_counts, m, (s + 1) // 2, plan.quadrature, config.seed
+    )
     return FittedMFRDE(
         seed=config.seed,
         forest=forest,
@@ -640,6 +678,7 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
         leaf_counts=leaf_counts,
         normalizer=z,
         quadrature=plan.quadrature,
+        _table=table,
     )
 
 

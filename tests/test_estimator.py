@@ -757,6 +757,29 @@ class TestLattice:
         # 64 cells: the 40k queries look up the cell table
         self.check_memory(monkeypatch, depth=3, cell_path=True)
 
+    def test_walks_hold_one_chunk_of_leaf_ids(self, monkeypatch):
+        # 2.5 walks of 4096 points at T = 64, in fit's leaf counts and in a
+        # query batch smaller than its 2**14 cells: each walk's (4096, 64)
+        # int32 ids are 1 MiB, and are freed before the next walk's exist.
+        # Holding two walks' ids at once would put either peak near 2.6 MiB
+        monkeypatch.setattr(estimator, "_WALK_POINTS", 4096)
+        n, trees = 10_240, 64
+        data = np.random.default_rng(6).random((n, 2))
+        probe = np.random.default_rng(7).random((n, 2))
+        cfg = EstimatorConfig(m=n // 4, trees=trees, depth=2, seed=4, box=UNIT2)
+        deep = fit(data, dataclasses.replace(cfg, depth=7))
+        peaks = []
+        for run in (lambda: fit(data, cfg), lambda: evaluate_batch(deep, probe)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        walk_ids = 4096 * trees * 4
+        # one walk's ids, their temporaries, and the per-point arrays
+        assert max(peaks) < 1.5 * walk_ids + 32 * n, peaks
+
     @staticmethod
     def check_memory(monkeypatch, depth: int, cell_path: bool) -> None:
         """S = 400 blocks, 40k queries: the kernel's temporaries stay
@@ -852,8 +875,8 @@ class TestCodePathNormalizer:
                 lambda q: point_path(forest, counts, m, rank, q),
             )
             seen = dtype_spy(mp)
-            z = estimator._compute_normalizer(forest, counts, m, rank, quad, 0)
-        assert z == oracle
+            z, table = estimator._compute_normalizer(forest, counts, m, rank, quad, 0)
+        assert z == oracle and table is None
         assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
 
     @pytest.mark.parametrize("spec", ["exact", "grid:9", "mc:3000"])
@@ -867,7 +890,7 @@ class TestCodePathNormalizer:
             box, 3, quad, 11, lambda q: point_path(forest, counts, m, 2, q)
         )
         seen = dtype_spy(monkeypatch)
-        assert estimator._compute_normalizer(forest, counts, m, 2, quad, 11) == oracle
+        assert estimator._compute_normalizer(forest, counts, m, 2, quad, 11)[0] == oracle
         assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
 
 
@@ -1001,11 +1024,14 @@ class TestCellPath:
         seen, tables, cell_medians = cell_path_spy(monkeypatch), [], estimator._cell_medians
         monkeypatch.setattr(estimator, "_cell_medians",
                             lambda *args: tables.append(args) or cell_medians(*args))
-        assert estimator._compute_normalizer(forest, counts, m, 2, quad, 11) == oracle
+        z, table = estimator._compute_normalizer(forest, counts, m, 2, quad, 11)
+        assert z == oracle
         nodes = quad.grid_points**2 if quad.method == "regular-grid" else quad.mc_draws
         step = chunk or nodes
         assert seen == [min(step, nodes - a) for a in range(0, nodes, step) if nodes >= 16]
         assert len(tables) == (nodes >= 16)
+        # the table it built comes back, for the fitted model to keep
+        assert (table is not None) == (nodes >= 16)
 
     def test_exact_normalizer_sums_the_per_cell_medians(self):
         model = edge_model(3, 1000, seed=2)
@@ -1017,9 +1043,86 @@ class TestCellPath:
         oracle = np.concatenate([point_path(forest, summed, model.m, model.median_rank, c)
                                  for c in centres])
         assert np.concatenate(chunks).tobytes() == oracle.tobytes()
-        z = estimator._compute_normalizer(forest, model.leaf_counts, model.m,
-                                          model.median_rank, model.quadrature, 0)
+        z, table = estimator._compute_normalizer(forest, model.leaf_counts, model.m,
+                                                 model.median_rank, model.quadrature, 0)
+        assert table is None
         assert z == model.box.volume / 64 * math.fsum(float(np.sum(c)) for c in chunks)
+
+
+class TestKeptCellTable:
+    """A fit whose grid or Monte Carlo normalizer built the whole cell table
+    keeps it; a loaded copy of the model has none and gives the same bytes."""
+
+    BOX = Box((-1.0, 2.0), (4.0, 2.5))
+    CELLS = 64  # depth 3 on 2 axes
+
+    def fitted(self, spec: str) -> FittedMFRDE:
+        data = generate("beta", 300, 0.2, seed=12)
+        data = data.points * [1.0, 0.1] + [-1.0, 2.0]
+        return fit(data, EstimatorConfig(m=30, trees=4, depth=3, seed=8, box=self.BOX,
+                                         quadrature=Quadrature.parse(spec)))
+
+    @pytest.mark.parametrize("spec", ["grid:8", "grid:9", "mc:64", "mc:500"])
+    def test_fitted_and_loaded_models_agree(self, tmp_path, monkeypatch, spec):
+        model = self.fitted(spec)
+        assert model._cells.shape == (self.CELLS,)
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded._cells is None
+        # the table is not serialized
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        seen = cell_path_spy(monkeypatch)
+        lo, hi = self.BOX.lo_array, self.BOX.hi_array
+        for n in (1, self.CELLS - 1, self.CELLS, self.CELLS + 1):
+            pts = lo + (hi - lo) * np.random.default_rng(n).random((n, 2))
+            seen.clear()
+            fitted = evaluate_batch(model, pts)
+            assert seen == [n]
+            seen.clear()
+            assert evaluate_batch(loaded, pts).tobytes() == fitted.tobytes()
+            assert seen == ([n] if n >= self.CELLS else [])
+            for each in (model, loaded):
+                assert [evaluate(each, x) for x in pts] == fitted.tolist()
+
+    @pytest.mark.parametrize("spec", ["exact", "auto", "grid:7", "mc:63"])
+    def test_no_table_unless_the_normalizer_built_it(self, spec):
+        # the exact normalizer streams its cells; 49 and 63 nodes are fewer
+        # than the 64 cells and walk their own leaves
+        assert self.fitted(spec)._cells is None
+
+    def test_table_is_read_only(self):
+        model = self.fitted("grid:9")
+        with pytest.raises(ValueError):
+            model._cells[0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(63,), (65,), (64, 1), ()])
+    def test_wrong_table_shape_refused(self, shape):
+        model = self.fitted("grid:9")
+        with pytest.raises(ValueError, match="cell table shape"):
+            dataclasses.replace(model, _table=np.zeros(shape))
+
+    def test_replace_drops_the_table(self):
+        # the table belongs to the counts it was built from
+        model = self.fitted("grid:9")
+        assert dataclasses.replace(model, normalizer=1.0)._cells is None
+
+    def test_integral_check_walks_no_node(self, tmp_path, monkeypatch):
+        model = self.fitted("mc:500")
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        calls, leaf, table = [], estimator.leaf_indices, estimator._cell_table
+        monkeypatch.setattr(estimator, "leaf_indices",
+                            lambda *a, **k: calls.append("walk") or leaf(*a, **k))
+        monkeypatch.setattr(estimator, "_cell_table",
+                            lambda *a: calls.append("table") or table(*a))
+        integral = integrate_estimate(model)
+        assert calls == []
+        assert integral == pytest.approx(1.0)
+        # the loaded copy builds its own table for its 500 draws
+        assert integrate_estimate(loaded) == integral
+        assert calls == ["table"]
 
 
 class TestEvaluate:

@@ -169,45 +169,68 @@ def test_benchmark_fits_stay_far_below_the_byte_budget(monkeypatch):
 
 
 def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
-    # The sweep's quadrature nodes and MAE grid, 10 000 points against
-    # 4 096 cells, look the median up per cell; the served score (about
-    # 18.5k in-box rows) and eval-grid (22 500 points) against 65 536 cells
-    # walk every point, as does the sweep's AUC on its 500 data points.
+    # Each sweep fit's grid:100 normalizer, 10 000 nodes against 4 096
+    # cells, builds the cell table once; the fitted model keeps it, so the
+    # MAE grid and the AUC's 500 data points look it up too.  The served
+    # model is fitted with exact quadrature and keeps no table: its score
+    # (about 18.5k in-box rows) and eval-grid (22 500 points) against
+    # 65 536 cells walk every point.  This pins routing, not values.
     import mfrde
     from mfrde import estimator, evaluation
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    batches, per_cell = [], []
+    batches, per_cell, tables, walks = [], [], [], []
     median_values, cell_index = estimator._median_values, estimator._cell_index
+    cell_table, leaf_indices = estimator._cell_table, estimator.leaf_indices
 
     def median_spy(forest, leaf_major, m, rank, points, table=None):
-        batches.append((len(points), 2 ** (forest.depth * forest.box.d)))
+        batches.append((len(points), 2 ** (forest.depth * forest.box.d), table is not None))
         return median_values(forest, leaf_major, m, rank, points, table)
 
     def cell_spy(forest, points):
         per_cell.append(len(points))
         return cell_index(forest, points)
 
+    def table_spy(forest, leaf_major, m, rank):
+        tables.append(2 ** (forest.depth * forest.box.d))
+        return cell_table(forest, leaf_major, m, rank)
+
+    def leaf_spy(forest, points):
+        walks.append(len(points))
+        return leaf_indices(forest, points=points)
+
     monkeypatch.setattr(estimator, "_median_values", median_spy)
     monkeypatch.setattr(estimator, "_cell_index", cell_spy)
+    monkeypatch.setattr(estimator, "_cell_table", table_spy)
+    monkeypatch.setattr(estimator, "leaf_indices", leaf_spy)
     for wl in workloads.WORKLOADS.values():
-        batches.clear(), per_cell.clear()
+        for seen in (batches, per_cell, tables, walks):
+            seen.clear()
         evaluation.benchmark(evaluation.BenchmarkConfig.from_dict(dict(wl.sweep, seed=1)))
-        # per fit of the 3 schemes, and of their single-block baselines: the
-        # quadrature nodes, the MAE grid and the in-box data points
-        assert {cells for _, cells in batches} == {4096}
-        assert sorted(n for n, _ in batches)[6:] == [10_000] * 12
-        assert max(sorted(n for n, _ in batches)[:6]) <= 500
-        assert per_cell == [10_000] * 12
+        # 6 fits: the 3 schemes and their single-block baselines.  Each
+        # builds one table, in its normalizer, and walks its data once, in
+        # its leaf counts; the quadrature nodes, the MAE grid and the
+        # in-box data points are all looked up
+        assert tables == [4096] * 6
+        assert len(walks) == 6 and max(walks) <= 500
+        assert {cells for _, cells, _ in batches} == {4096}
+        assert all(kept for _, _, kept in batches)
+        assert sorted(n for n, _, _ in batches)[6:] == [10_000] * 12
+        assert max(sorted(n for n, _, _ in batches)[:6]) <= 500
+        assert len(per_cell) == 18
+        assert sorted(per_cell)[6:] == [10_000] * 12 and max(sorted(per_cell)[:6]) <= 500
 
-        batches.clear(), per_cell.clear()
+        for seen in (batches, per_cell, tables, walks):
+            seen.clear()
         query = workloads.query_data(mfrde, wl, seed=1)
         lo, hi = zip(*(map(float, axis.split(":")) for axis in wl.box.split(",")))
         model = estimator.fit(query, estimator.EstimatorConfig(
             m=wl.m, trees=wl.trees, depth=wl.depth, box=mfrde.Box(lo, hi)))
+        assert model._cells is None
         estimator.evaluate_batch(model, query.points)
         estimator.evaluate_batch(model, evaluation.make_grid(model.box, wl.grid).points)
-        (score, cells), (grid, _) = batches
+        (score, cells, score_table), (grid, _, grid_table) = batches
         assert 18_000 < score < 19_000 and grid == 22_500 and cells == 65_536
-        assert per_cell == []
+        assert not score_table and not grid_table
+        assert per_cell == [] and tables == []
