@@ -58,7 +58,10 @@ class Dataset:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.points.shape[0],):
                 raise ValueError("label array length must match the point count")
-            if not np.isin(self.labels, (INLIER, OUTLIER)).all():
+            # INLIER and OUTLIER are 0 and 1, so two reductions test every label.
+            if self.labels.size and (
+                self.labels.min() < INLIER or self.labels.max() > OUTLIER
+            ):
                 raise ValueError("labels must be 0 (inlier) or 1 (outlier)")
 
     @property
@@ -233,9 +236,17 @@ def read_dataset(path) -> Dataset:
     an integer ``label``.  Blank lines are skipped and ``#`` marks no
     comment.  A malformed body raises ``ValueError`` naming its first bad
     row, counted from 1 after the header.
+
+    ``csv`` reads the header.  A seekable file is then handed to
+    ``np.loadtxt`` as its path, told to skip the header's physical lines
+    and to decode with the header's encoding: given a path, numpy parses
+    the file in chunks in C, and given an iterator of lines, it pays one
+    Python ``next()`` per row.  A pipe can be read only once, so
+    ``np.loadtxt`` gets the rest of its lines from the open handle.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise ValueError("empty dataset file")
         header = [h.strip() for h in header]
@@ -249,23 +260,31 @@ def read_dataset(path) -> Dataset:
         if first is None:
             table = np.empty(0, dtype=fields)
         else:
+            if fh.seekable():
+                # Where reopening /dev/fd/N or /dev/stdin dups the descriptor
+                # (macOS, the BSDs), numpy's handle shares this one's offset,
+                # which the reads above have moved past the header.
+                fh.seek(0)
+                body, skip = path, reader.line_num
+            else:
+                body, skip = itertools.chain([first], fh), 0
             try:
                 table = np.loadtxt(
-                    itertools.chain([first], fh), dtype=fields, delimiter=",",
-                    quotechar='"', comments=None, ndmin=1,
+                    body, dtype=fields, delimiter=",", quotechar='"', comments=None,
+                    skiprows=skip, encoding=fh.encoding, ndmin=1,
                 )
             except ValueError as exc:
                 raise ValueError(
                     _bad_row(path, d, has_label) or f"malformed dataset file: {exc}"
                 ) from None
-    labels = np.ascontiguousarray(table["label"]) if has_label else None
-    if has_label and not np.isin(labels, (INLIER, OUTLIER)).all():
-        raise ValueError(_bad_row(path, d, has_label) or "unknown label value")
-    return Dataset(
-        points=np.ascontiguousarray(table["x"]),
-        labels=labels,
-        provenance={"source": str(path)},
-    )
+    try:
+        return Dataset(
+            points=np.ascontiguousarray(table["x"]),
+            labels=np.ascontiguousarray(table["label"]) if has_label else None,
+            provenance={"source": str(path)},
+        )
+    except ValueError:  # only a label outside {0, 1} fails here
+        raise ValueError(_bad_row(path, d, has_label) or "unknown label value") from None
 
 
 def _number(cell: str, kind: type):

@@ -503,7 +503,7 @@ def evaluate_batch(model: FittedMFRDE, points) -> np.ndarray:
 
 def _densities(model: FittedMFRDE, pts: np.ndarray) -> np.ndarray:
     """:func:`evaluate_batch` on an ``(n, d)`` float array."""
-    mask = model.box.contains_batch(pts)
+    mask = model.box.contains_rows(pts)
     if not mask.all():
         # NaN fails every comparison, so NaN rows are among the out-of-box ones.
         nan_rows = int(np.count_nonzero(np.isnan(pts[~mask]).any(axis=1)))
@@ -659,9 +659,10 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
     for start in range(0, kept.size, _WALK_POINTS):
         rows = kept[start : start + _WALK_POINTS]
         ids = leaf_indices(forest, points=pts[rows])
+        row_blocks = block_of[rows]
         for t in range(config.trees):
             leaf_counts[t] += np.bincount(
-                ids[:, t] * np.int64(s) + block_of[rows], minlength=leaves * s
+                ids[:, t] * np.int64(s) + row_blocks, minlength=leaves * s
             ).reshape(leaves, s)
         # Freed before the next chunk's ids exist, not when they replace it.
         del ids

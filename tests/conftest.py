@@ -267,6 +267,8 @@ def csv_float_read(path):
         d = len(header) - (1 if has_label else 0)
         points, labels = [], []
         for row in reader:
+            if not row:  # a blank line, which read_dataset skips too
+                continue
             points.append([float(c) for c in row[:d]])
             if has_label:
                 labels.append(int(row[d].strip()))

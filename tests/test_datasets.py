@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import struct
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from scipy.stats import chisquare, kstest
 
 from conftest import csv_float_read, csv_writer_table
+from mfrde import datasets
 from mfrde.datasets import (
     _STATE_BOX,
     DOMAIN,
@@ -213,6 +215,21 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             Dataset(points=np.zeros((3, 2)), labels=np.array([0, 1]))
 
+    @pytest.mark.parametrize("labels", [[0, 1, -1], [2, 0, 1], [-(2**62), 0, 2**62]])
+    def test_labels_outside_zero_one(self, labels):
+        with pytest.raises(ValueError, match=r"labels must be 0 \(inlier\) or 1 \(outlier\)"):
+            Dataset(points=np.zeros((3, 2)), labels=np.array(labels))
+
+    def test_empty_labels_accepted(self):
+        assert Dataset(points=np.zeros((0, 2)), labels=np.zeros(0)).labels.shape == (0,)
+
+    @pytest.mark.parametrize("label", ["-1", "2", "9223372036854775807"])
+    def test_label_row_named(self, tmp_path, label):
+        path = tmp_path / "lab.csv"
+        path.write_text(f"x1,x2,label\n0.5,0.5,0\n0.5,0.5,1\n0.5,0.5,{label}\n")
+        with pytest.raises(ValueError, match=rf"^row 3: unknown label value '{label}'$"):
+            read_dataset(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -257,6 +274,90 @@ class TestCsvRoundTrip:
         path.write_text("x1,x2\n0.5,0.5\n  \n")
         with pytest.raises(ValueError, match="row 2: expected 2 fields, got 1"):
             read_dataset(path)
+
+
+class TestLoadtxtSource:
+    """What ``np.loadtxt`` is handed: a seekable file's path, a pipe's lines.
+
+    numpy runs its chunked C reader only when given a path.
+    """
+
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch):
+        """The file argument and keywords of each ``np.loadtxt`` call."""
+        calls, loadtxt = [], np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            calls.append((fname, kwargs))
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(datasets.np, "loadtxt", spy)
+        return calls
+
+    @pytest.mark.parametrize("header, lines", [
+        ("x1,x2,label\r\n", 1),
+        ('"x\n1",x2,label\r\n', 2),
+        ('"x\r\n1","x\n2",label\n', 3),
+    ], ids=["plain", "quoted-lf", "quoted-crlf-and-lf"])
+    @pytest.mark.parametrize("as_str", [False, True], ids=["Path", "str"])
+    def test_path_and_physical_header_lines(self, tmp_path, loadtxt_calls, header, lines,
+                                            as_str):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "0.5,0.25,1\r\n0.75,1e-3,0\r\n", newline="")
+        arg = str(path) if as_str else path
+        data = read_dataset(arg)
+        assert len(loadtxt_calls) == 1
+        fname, kwargs = loadtxt_calls[0]
+        assert fname is arg
+        assert kwargs["skiprows"] == lines
+        assert data.points.tolist() == [[0.5, 0.25], [0.75, 1e-3]]
+        assert data.labels.tolist() == [1, 0]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self, tmp_path, loadtxt_calls):
+        # a path to a pipe cannot be opened again for loadtxt: every row
+        # after the first handle's read-ahead would be lost
+        write_dataset(generate("beta", 2000, 0.2, seed=3), tmp_path / "d.csv")
+        text = (tmp_path / "d.csv").read_bytes()
+        text = text[: text.rindex(b"\n", 0, 60_000) + 1]  # within one pipe buffer
+        (tmp_path / "cut.csv").write_bytes(text)
+        points, labels = csv_float_read(tmp_path / "cut.csv")
+        r, w = os.pipe()
+        try:
+            os.write(w, text)
+            os.close(w)
+            data = read_dataset(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert not isinstance(loadtxt_calls[0][0], str)
+        assert data.points.tobytes() == points.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
+
+    def test_reopen_that_shares_the_offset(self, tmp_path, monkeypatch):
+        # On macOS and the BSDs, opening /dev/fd/N or /dev/stdin dups the
+        # descriptor, so loadtxt's handle shares the offset of the handle
+        # that read the header.  Emulated here with os.dup on both opens.
+        write_dataset(generate("beta", 2000, 0.2, seed=3), tmp_path / "d.csv")
+        points, labels = csv_float_read(tmp_path / "d.csv")
+        name, fd = "/dev/fd/shared", os.open(tmp_path / "d.csv", os.O_RDONLY)
+        loadtxt = np.loadtxt
+
+        def dup_open(file, *args, **kwargs):
+            return open(os.dup(fd) if file == name else file, *args, **kwargs)
+
+        def dup_loadtxt(fname, *args, encoding=None, **kwargs):
+            assert fname == name
+            with dup_open(fname, encoding=encoding, newline="") as fh:
+                return loadtxt(fh, *args, encoding=encoding, **kwargs)
+
+        monkeypatch.setattr(datasets, "open", dup_open, raising=False)
+        monkeypatch.setattr(datasets.np, "loadtxt", dup_loadtxt)
+        try:
+            data = read_dataset(name)
+        finally:
+            os.close(fd)
+        assert data.points.tobytes() == points.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
 
 
 class TestCsvReaderChanges:
@@ -355,6 +456,17 @@ def test_write_table_labels_either_side_of_the_cut(tmp_path, labels):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+# Files whose header and line ends the csv module and np.loadtxt must count
+# alike: the body is handed to loadtxt as the path and a header line count.
+LAYOUTS = {
+    "quoted-header": lambda rows: '"x\n1",x2,label\r\n' + "".join(r + "\r\n" for r in rows),
+    "cr-only": lambda rows: "x1,x2,label\r" + "".join(r + "\r" for r in rows),
+    "no-final-newline": lambda rows: "x1,x2,label\n" + "\n".join(rows),
+    "leading-blanks": lambda rows: "x1,x2,label\n\n\r\n\n" + "".join(r + "\n" for r in rows),
+    "blanks-only": lambda rows: "x1,x2,label\r\n\r\n\n\r",
+}
+
+
 class TestCsvOracle:
     """Byte and bit identity with the row-at-a-time csv oracles."""
 
@@ -411,6 +523,22 @@ class TestCsvOracle:
         data = read_dataset(path)
         assert data.points.tobytes() == points.tobytes()
         assert data.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("as_str", [False, True], ids=["Path", "str"])
+    def test_read_line_ends_and_blank_lines(self, tmp_path, layout, as_str):
+        data = generate("beta", 40, 0.25, seed=5)
+        rows = [f"{a!r},{b:.17g},{lab}" for (a, b), lab in
+                zip(data.points.tolist(), data.labels.tolist())]
+        path = tmp_path / "d.csv"
+        path.write_text(LAYOUTS[layout](rows), newline="")
+        points, labels = csv_float_read(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on a body without data
+            back = read_dataset(str(path) if as_str else path)
+        assert back.points.tobytes() == points.tobytes()
+        assert back.labels.tobytes() == labels.tobytes()
+        assert back.n == (0 if layout == "blanks-only" else 40)
 
     @given(
         rows=st.lists(

@@ -1141,6 +1141,34 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="^1 query row"):
             evaluate(model, (np.nan, np.nan))
 
+    def test_in_box_batch_equals_mixed_batch(self):
+        # rows in the box, corners included, get the same bytes whether or
+        # not the batch also holds a row outside
+        model = fit(np.random.default_rng(1).random((60, 2)),
+                    EstimatorConfig(m=20, trees=3, depth=3, seed=1, box=UNIT2))
+        pts = np.vstack([np.random.default_rng(2).random((40, 2)),
+                         [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)]])
+        inside = evaluate_batch(model, pts)
+        mixed = evaluate_batch(model, np.vstack([pts, [(1.5, 0.5)]]))
+        assert inside.tobytes() == mixed[:-1].tobytes()
+        assert mixed[-1] == 0.0
+        assert [evaluate(model, p) for p in pts] == inside.tolist()
+
+    def test_queries_do_not_call_contains_batch(self, monkeypatch):
+        # evaluate and evaluate_batch have normalized the rows already
+        model = fit(np.random.default_rng(1).random((30, 2)),
+                    EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=UNIT2))
+        expected = evaluate_batch(model, [(0.5, 0.5), (2.0, 0.5)]).tolist()
+
+        def refuse(self, points):
+            raise AssertionError("contains_batch called on a query")
+
+        monkeypatch.setattr(Box, "contains_batch", refuse)
+        assert evaluate_batch(model, [(0.5, 0.5), (2.0, 0.5)]).tolist() == expected
+        assert evaluate(model, (0.5, 0.5)) == expected[0]
+        with pytest.raises(ValueError, match="^1 query row"):
+            evaluate_batch(model, [(0.5, 0.5), (np.nan, 0.5)])
+
     def test_evaluate_takes_one_point_of_shape_d(self):
         line = fit(np.random.default_rng(1).random((30, 1)),
                    EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=Box((0.0,), (1.0,))))
