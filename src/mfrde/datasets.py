@@ -55,9 +55,16 @@ class Dataset:
     def __post_init__(self) -> None:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.points.shape[0],):
+            labels = np.asarray(self.labels)
+            if labels.shape != (self.points.shape[0],):
                 raise ValueError("label array length must match the point count")
+            # The int64 cast truncates floats (0.7 to 0; NaN to anything) and
+            # objects, so those must equal 0 or 1 before it; integers pay nothing.
+            if labels.dtype.kind in "fcO" and not (
+                (labels == INLIER) | (labels == OUTLIER)
+            ).all():
+                raise ValueError("labels must be 0 (inlier) or 1 (outlier)")
+            self.labels = labels.astype(np.int64, copy=False)
             # INLIER and OUTLIER are 0 and 1, so two reductions test every label.
             if self.labels.size and (
                 self.labels.min() < INLIER or self.labels.max() > OUTLIER
@@ -242,9 +249,12 @@ def read_dataset(path) -> Dataset:
     and to decode with the header's encoding: given a path, numpy parses
     the file in chunks in C, and given an iterator of lines, it pays one
     Python ``next()`` per row.  A pipe can be read only once, so
-    ``np.loadtxt`` gets the rest of its lines from the open handle.
+    ``np.loadtxt`` gets the rest of its lines from the open handle, and a
+    malformed body read from one raises ``ValueError("malformed dataset
+    file: ...")`` with numpy's message, as no row can be named.
     """
     with open(path, newline="") as fh:
+        reread = fh.seekable()
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -260,7 +270,7 @@ def read_dataset(path) -> Dataset:
         if first is None:
             table = np.empty(0, dtype=fields)
         else:
-            if fh.seekable():
+            if reread:
                 # Where reopening /dev/fd/N or /dev/stdin dups the descriptor
                 # (macOS, the BSDs), numpy's handle shares this one's offset,
                 # which the reads above have moved past the header.
@@ -275,7 +285,7 @@ def read_dataset(path) -> Dataset:
                 )
             except ValueError as exc:
                 raise ValueError(
-                    _bad_row(path, d, has_label) or f"malformed dataset file: {exc}"
+                    (reread and _bad_row(path, d, has_label)) or f"malformed dataset file: {exc}"
                 ) from None
     try:
         return Dataset(
@@ -284,7 +294,9 @@ def read_dataset(path) -> Dataset:
             provenance={"source": str(path)},
         )
     except ValueError:  # only a label outside {0, 1} fails here
-        raise ValueError(_bad_row(path, d, has_label) or "unknown label value") from None
+        raise ValueError(
+            (reread and _bad_row(path, d, has_label)) or "unknown label value"
+        ) from None
 
 
 def _number(cell: str, kind: type):
@@ -298,8 +310,8 @@ def _number(cell: str, kind: type):
 def _bad_row(path, d: int, has_label: bool) -> str | None:
     """Name the first row :func:`read_dataset` rejects; the error path only.
 
-    Re-reads the file with ``csv`` and checks each row as ``np.loadtxt``
-    parses it.
+    Re-reads the file, which must be seekable, with ``csv`` and checks each
+    row as ``np.loadtxt`` parses it.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

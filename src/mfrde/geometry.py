@@ -142,7 +142,7 @@ class Box:
 
         A row holding NaN fails every comparison, so it is outside.
         """
-        return np.all((pts >= self.lo_array) & (pts <= self.hi_array), axis=1)
+        return ((pts >= self.lo_array) & (pts <= self.hi_array)).all(axis=1)
 
     @classmethod
     def bounding(cls, points, margin: float = 0.0) -> "Box":
@@ -381,7 +381,7 @@ def _in_box(box: Box, points) -> np.ndarray:
     # One flat reduction, not Box.contains_rows' per-row one: only "all
     # inside?" is asked, and on (n, 2) points the flat one is 2-3x faster.
     # NaN fails both comparisons, so it is outside too.
-    if not np.all((pts >= box.lo_array) & (pts <= box.hi_array)):
+    if not ((pts >= box.lo_array) & (pts <= box.hi_array)).all():
         raise ValueError("point outside domain")
     return pts
 
@@ -394,7 +394,7 @@ def _codes(forest: Forest, pts: np.ndarray) -> np.ndarray:
     """
     codes = np.empty(pts.shape, dtype=np.int32)
     for j in range(pts.shape[1]):
-        codes[:, j] = np.searchsorted(forest._inner[j], pts[:, j], side="right")
+        codes[:, j] = forest._inner[j].searchsorted(pts[:, j], side="right")
     return codes
 
 

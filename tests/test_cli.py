@@ -358,6 +358,21 @@ class TestErrors:
         assert message in err
         assert not m_json.exists()
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_malformed_piped_input(self, tmp_path, capsys):
+        # a row cut short, read through a pipe: a message and exit 2, no traceback
+        r, w = os.pipe()
+        try:
+            os.write(w, b"x1,x2,label\n1.0,2.0,0\n3.0,4")
+            os.close(w)
+            code, _, err = run(["fit", "--input", f"/dev/fd/{r}", "--m", "1",
+                                "--out", str(tmp_path / "m.json")], capsys)
+        finally:
+            os.close(r)
+        assert code == 2
+        assert "malformed dataset file: " in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(["frobnicate"], capsys)
         assert code == 1

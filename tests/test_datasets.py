@@ -223,6 +223,28 @@ class TestCsvRoundTrip:
     def test_empty_labels_accepted(self):
         assert Dataset(points=np.zeros((0, 2)), labels=np.zeros(0)).labels.shape == (0,)
 
+    @pytest.mark.parametrize("labels", [
+        [0.7, 1.9], [0.0, 0.5], [1.0, float("nan")], [0.0, float("inf")], [1 + 0.5j, 0j],
+        np.array([0, 0.25], dtype=object),
+    ], ids=["fractions", "half", "nan", "inf", "complex", "object"])
+    def test_non_integral_labels_refused(self, labels):
+        # a cast to int64 would truncate each into {0, 1}
+        with pytest.raises(ValueError, match=r"labels must be 0 \(inlier\) or 1 \(outlier\)"):
+            Dataset(points=np.zeros((2, 2)), labels=labels)
+
+    @pytest.mark.parametrize("labels", [
+        [1.0, 0.0], [True, False], np.array([1, 0], dtype=np.uint8),
+        np.array([1, 0], dtype=object),
+    ], ids=["float", "bool", "uint8", "object"])
+    def test_integral_labels_kept(self, labels):
+        got = Dataset(points=np.zeros((2, 2)), labels=labels).labels
+        assert got.dtype == np.int64 and got.tolist() == [1, 0]
+
+    def test_int64_labels_not_copied(self):
+        labels = generate("uniform", 50, 0.2, seed=1).labels
+        assert labels.dtype == np.int64
+        assert Dataset(points=np.zeros((50, 2)), labels=labels).labels is labels
+
     @pytest.mark.parametrize("label", ["-1", "2", "9223372036854775807"])
     def test_label_row_named(self, tmp_path, label):
         path = tmp_path / "lab.csv"
@@ -332,6 +354,23 @@ class TestLoadtxtSource:
         assert not isinstance(loadtxt_calls[0][0], str)
         assert data.points.tobytes() == points.tobytes()
         assert data.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("body, message", [
+        ("0.5,0.5,0\n0.25,0.75", "malformed dataset file: "),
+        ("0.5,0.5,0\n0.25,abc,1\n", "malformed dataset file: "),
+        ("0.5,0.5,0\n0.25,0.75,2\n", "unknown label value"),
+    ], ids=["cut-row", "bad-number", "bad-label"])
+    def test_malformed_pipe_raises_value_error(self, body, message):
+        # a pipe cannot be read again to name the bad row
+        r, w = os.pipe()
+        try:
+            os.write(w, ("x1,x2,label\n" + body).encode())
+            os.close(w)
+            with pytest.raises(ValueError, match="^" + message):
+                read_dataset(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
 
     def test_reopen_that_shares_the_offset(self, tmp_path, monkeypatch):
         # On macOS and the BSDs, opening /dev/fd/N or /dev/stdin dups the

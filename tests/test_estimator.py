@@ -950,6 +950,90 @@ class TestSumDtype:
                 assert summed is each.leaf_counts
 
 
+def sums_spy(monkeypatch) -> list:
+    """Record which tree-sum implementation runs, and on how many points."""
+    seen = []
+    for name in ("_one_gather_sums", "_per_tree_sums"):
+        original = getattr(estimator, name)
+
+        def spy(leaf_major, ids, out, name=name, original=original):
+            seen.append((name, ids.shape[0]))
+            return original(leaf_major, ids, out)
+
+        monkeypatch.setattr(estimator, name, spy)
+    return seen
+
+
+class TestTreeSums:
+    """Both tree-sum implementations give the same bytes; the batch size picks one."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_one_gather_equals_per_tree_loop(self, data):
+        trees = data.draw(st.integers(1, 20), label="T")
+        p = data.draw(st.integers(0, 8), label="p")
+        s = data.draw(st.integers(1, 120), label="S")
+        wide = data.draw(st.booleans(), label="int32 sums")
+        # tree sums reach T * m in leaf 0: one below 2**16 in uint16, near 2**31 in int32
+        m = (2**31 - 1) // trees if wide else (2**16 - 1) // trees
+        # from one point to past twice the threshold's point count
+        n = data.draw(st.integers(1, 2 * estimator._ONE_GATHER_ELEMS // (trees * s) + 2),
+                      label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        counts = estimator._summed_counts(edge_counts(trees, 2**p, s, m, seed), trees, m)
+        assert counts.dtype == (np.int32 if wide else np.uint16)
+        ids = np.random.default_rng(seed).integers(0, 2**p, size=(n, trees), dtype=np.int32)
+        ids[0] = 0
+        oracle = counts.astype(np.int64)[np.arange(trees), ids].sum(axis=1)
+        assert oracle[0].tolist() == [trees * m] * s
+        results = set()
+        # the module's threshold, then each side forced
+        for threshold in (estimator._ONE_GATHER_ELEMS, 0, 2**62):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimator, "_ONE_GATHER_ELEMS", threshold)
+                seen = sums_spy(mp)
+                out = np.full((n, s), 7, dtype=counts.dtype)
+                assert estimator._tree_sums(counts, ids, out) is out
+            below = n * trees * s < threshold
+            assert seen == [("_one_gather_sums" if below else "_per_tree_sums", n)]
+            results.add(out.tobytes())
+        assert results == {oracle.astype(counts.dtype).tobytes()}
+
+    @pytest.fixture(scope="class")
+    def big_blocks_model(self, tmp_path_factory):
+        """A loaded model of big-blocks' shape: (d, p, T, S) = (2, 8, 12, 10), m = 10 000."""
+        forest = build_forest(Box((0.0, 0.0), (5.0, 5.0)), 8, 12, seed=3)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(make_model(forest, valid_counts(12, 256, 10, 10_000, seed=4), 10_000), path)
+        return load_model(path)
+
+    def test_single_query_takes_one_gather(self, monkeypatch, big_blocks_model):
+        seen = sums_spy(monkeypatch)
+        evaluate(big_blocks_model, (1.3, 2.7))
+        assert seen == [("_one_gather_sums", 1)]
+
+    def test_large_batch_keeps_the_per_tree_loop(self, monkeypatch, big_blocks_model):
+        probe = np.random.default_rng(5).random((20_000, 2)) * 5
+        seen = sums_spy(monkeypatch)
+        evaluate_batch(big_blocks_model, probe)
+        assert seen and {name for name, _ in seen} == {"_per_tree_sums"}
+        assert sum(n for _, n in seen) == 20_000
+
+    def test_scalar_and_batch_agree_across_the_threshold(self, monkeypatch, big_blocks_model):
+        model = big_blocks_model
+        per_point = model.n_trees * model.n_blocks
+        last_below = (estimator._ONE_GATHER_ELEMS - 1) // per_point
+        probe = np.random.default_rng(6).random((last_below + 2, 2)) * 5
+        probe[:4] = [model.box.lo, model.box.hi, (2.5, 2.5), (5.0, 0.0)]
+        scalar = np.array([evaluate(model, x) for x in probe])
+        seen = sums_spy(monkeypatch)
+        for n in (last_below - 1, last_below, last_below + 1, last_below + 2):
+            seen.clear()
+            assert evaluate_batch(model, probe[:n]).tobytes() == scalar[:n].tobytes()
+            below = n <= last_below
+            assert seen == [("_one_gather_sums" if below else "_per_tree_sums", n)]
+
+
 def mesh_points(box: Box, p: int, n: int, seed: int) -> np.ndarray:
     """``n`` points of the box: about a third of the coordinates on a depth-``p``
     breakpoint, the faces included, and the last point the upper corner."""
