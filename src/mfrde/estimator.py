@@ -18,19 +18,22 @@ block densities, bit for bit, whatever the batch, its chunking or the
 sums' integer type.
 
 Every tree splits at midpoints, so the median is constant on each of the
-forest's ``2**(p*d)`` depth-``p`` dyadic cells.  The cells, the
-regular-grid nodes and the evaluation grid all come from one C-order
-lattice, :func:`_lattice`, and a cell's leaf ids from its integer codes.
-:func:`_cell_medians` takes the median once per cell.  The exact-dyadic
-normalizer sums it as it streams; a grid or Monte Carlo normalizer of at
-least ``2**(p*d)`` nodes tabulates it (:func:`_cell_table`) and looks up
-each node's cell by its quantized codes.  The model :func:`fit` returns
-keeps that table, so every later batch of it is a lookup too.  A model
-without one (loaded, or fitted with exact or fewer nodes) tabulates for a
-batch of at least ``2**(p*d)`` in-box points, so the table never holds
-more floats than there are points, and walks each point's leaves in a
-smaller batch.  Both paths give the same floats, as a point's leaf ids are
-its cell's.
+forest's ``2**(p*d)`` depth-``p`` dyadic cells, and depends on a cell only
+through its ``T`` leaf ids.  The cells, the regular-grid nodes and the
+evaluation grid all come from one C-order lattice, :func:`_lattice`, and a
+cell's leaf ids from its integer codes.  The cells with one tuple of ids
+form a rectangle, a cell of the forest's common refinement, so
+:func:`_cell_medians` takes the median once per such cell, at its lowest
+corner within each chunk, and copies it to the other dyadic cells.  The
+exact-dyadic normalizer sums the values as it streams; a grid or Monte
+Carlo normalizer of at least ``2**(p*d)`` nodes tabulates them
+(:func:`_cell_table`) and looks up each node's cell by its quantized codes.
+The model :func:`fit` returns keeps that table, so every later batch of it
+is a lookup too.  A model without one (loaded, or fitted with exact or
+fewer nodes) tabulates for a batch of at least ``2**(p*d)`` in-box points,
+so the table never holds more floats than there are points, and walks each
+point's leaves in a smaller batch.  All paths give the same floats, as the
+same leaf ids give the same sums.
 
 Every size is fixed before anything is drawn, allocated or decoded:
 :func:`fit`, :func:`load_model` (on a file's header) and every
@@ -443,10 +446,11 @@ def _median_values(
     :func:`_summed_counts`, exact either way.  Each point's cell is looked
     up in ``table``, the forest's :func:`_cell_table`: the normalizer's,
     or a fitted model's, which kept it.  With none given, a batch of at
-    least ``2**(p*d)`` points builds one, and a smaller batch walks its
-    leaves and :func:`_kth_densities` takes their median.  Both run
-    ``_WALK_POINTS`` points at a time and give the same floats: a point's
-    leaf ids are those of its cell.
+    least ``2**(p*d)`` points builds one, which takes the median once per
+    cell of the forest's common refinement, and a smaller batch walks its
+    leaves and :func:`_kth_densities` takes their median, once per point.
+    Both run ``_WALK_POINTS`` points at a time and give the same floats: a
+    point's leaf ids are those of its cell.
     """
     n = points.shape[0]
     if table is None and n >= 2 ** (forest.depth * forest.box.d):
@@ -465,7 +469,11 @@ def _median_values(
 
 
 def _cell_table(forest: Forest, leaf_major: np.ndarray, m: int, rank: int) -> np.ndarray:
-    """The ``(2**(p*d),)`` lower medians of :func:`_cell_medians`, in one array."""
+    """The ``(2**(p*d),)`` lower medians of :func:`_cell_medians`, in one array.
+
+    The median is taken once per cell of the forest's common refinement in
+    each chunk, not once per dyadic cell.
+    """
     table = np.empty(2 ** (forest.depth * forest.box.d))
     for _ in _cell_medians(forest, leaf_major, m, rank, table):
         pass
@@ -480,14 +488,61 @@ def _cell_medians(
     Yields each chunk's values, cells in the C order of :func:`_lattice`
     over every axis's ``2**p`` codes, which give the leaf ids; with
     ``out``, a ``(2**(p*d),)`` array, each chunk is a view of it, and
-    otherwise a fresh array.
+    otherwise a fresh array.  :func:`_kth_densities` runs only on the
+    chunk's corners (:func:`_corner_sources`), and every other cell copies
+    its corner's value: the same ``T`` ids give the same integer sums, the
+    same k-th sum and the same division, so each value has the bits of the
+    cell's own median.
     """
-    start = 0
-    for codes in _lattice([np.arange(2**forest.depth, dtype=np.int32)] * forest.box.d):
-        part = np.empty(len(codes)) if out is None else out[start : start + len(codes)]
-        start += len(codes)
+    p, cells = forest.depth, 2 ** (forest.depth * forest.box.d)
+    # An id table as deep as the trees holds every cell's ids, one column
+    # per cell in this order; a shallower one leaves a walk from the codes.
+    full = forest._leaf_table.shape[1] == cells
+    lattice = _lattice([np.arange(2**p, dtype=np.int32)] * forest.box.d)
+    for start in range(0, cells, _QUAD_CHUNK):
+        stop = min(start + _QUAD_CHUNK, cells)
+        part = np.empty(stop - start) if out is None else out[start:stop]
+        ids = forest._leaf_table[:, start:stop] if full else _ids_of_codes(forest, next(lattice)).T
+        src = _corner_sources(ids, start, p, forest.box.d)
+        corner = src == np.arange(src.size)
+        kth = _kth_densities(forest, leaf_major, m, rank,
+                             ids[:, corner].T.astype(np.int32, copy=False),
+                             np.empty(int(np.count_nonzero(corner))))
+        # ``kth`` holds the corners in order, so a running count of them indexes it.
+        kth.take((np.cumsum(corner) - 1)[src], out=part)
         # The ids die before the yield, so no two chunks' ids are alive at once.
-        yield _kth_densities(forest, leaf_major, m, rank, _ids_of_codes(forest, codes), part)
+        del ids
+        yield part
+
+
+def _corner_sources(ids: np.ndarray, start: int, p: int, d: int) -> np.ndarray:
+    """For each cell of a chunk, a corner cell of the chunk with the same leaf ids.
+
+    ``ids`` is the chunk's ``(T, n)`` leaf ids, its cells the depth-``p``
+    dyadic cells from C-order index ``start`` on.  A corner's ids differ
+    from those of its lower neighbour on every axis where that neighbour
+    lies in the chunk.  Every other cell points at a neighbour with the
+    same ids, its left one where it can; doubling the pointers (``src =
+    src[src]``) then takes every cell to a corner, as each step goes to a
+    lower index.  Returns the ``(n,)`` chunk positions: a corner's own.
+    """
+    n = ids.shape[1]
+    cell = np.arange(start, start + n)
+    src = np.arange(n)
+    # The last axis last, so that its pointers, to the left, win.
+    for shift in range(p * (d - 1), -1, -p) if p else ():
+        stride = 1 << shift
+        if stride >= n:
+            continue
+        same = (ids[:, stride:] == ids[:, :-stride]).all(axis=0)
+        # A cell with code 0 on this axis has no lower neighbour on it.
+        same &= (cell[stride:] >> shift) & (2**p - 1) != 0
+        src[stride:][same] = np.flatnonzero(same)
+    while True:
+        hop = src.take(src)
+        if np.array_equal(hop, src):
+            return src
+        src = hop
 
 
 def _kth_densities(

@@ -53,8 +53,11 @@ float geometry past the quantization.  Both steps run in
 A depth-``p`` dyadic cell of the box is one tuple of codes, so the
 estimator hands it the codes of whole cells, with no quantization at all,
 and :func:`_cell_index` packs a point's codes, from the quantization
-:func:`leaf_indices` uses, into the C-order index of its cell.  The
-estimator uses both to take the median once per cell for the exact-dyadic
+:func:`leaf_indices` uses, into the C-order index of its cell.  At ``k =
+p`` the table's columns are already every cell's ids, in that order, and
+the estimator reads them there.  It compares each cell's ids with its
+lower neighbours' and takes the median once per cell of the forest's
+common refinement (the cells with one tuple of ids), for the exact-dyadic
 normalizer and for any batch with at least as many points as cells.
 
 All types in this module are immutable after construction and safe for

@@ -22,7 +22,9 @@ counts, using the same float expressions as the estimator (exact integer
 count summed over trees, one division by m times the leaf volume, one by
 the tree count).  ``block_densities`` gives every block's forest density
 at a point from a fitted model's counts, through the package's own tree
-sums.
+sums.  ``dyadic_corners`` counts the cells whose medians the cell table
+must take, by comparing each cell's walked leaf ids with its lower
+neighbours'.
 
 The paper's notion of a local outlier: an outlier matters for a query
 ``x`` only if it shares a leaf with ``x`` in some tree
@@ -46,6 +48,7 @@ the suite draws the same examples.
 
 import csv
 import io
+import itertools
 import json
 
 import numpy as np
@@ -206,6 +209,25 @@ def block_densities(model: FittedMFRDE, x) -> np.ndarray:
     ids = leaf_indices(model.forest, points=np.atleast_2d(np.asarray(x, dtype=float)))
     sums = _tree_sums(model.leaf_counts, ids, np.empty((1, model.n_blocks), dtype=np.int32))
     return sums[0] / _density_denom(model.forest, model.m) / model.n_trees
+
+
+def dyadic_corners(forest: Forest, chunk: int) -> int:
+    """How many depth-``p`` dyadic cells are corners, the cells cut into C-order chunks.
+
+    A corner's leaf ids, walked from its centre, differ from those of its
+    lower neighbour on every axis where that neighbour exists and lies in
+    the same chunk of ``chunk`` cells.  One cell and one axis at a time.
+    """
+    box, p, d = forest.box, forest.depth, forest.box.d
+    axes = [lo + (hi - lo) * (np.arange(2**p) + 0.5) / 2**p for lo, hi in zip(box.lo, box.hi)]
+    centres = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    ids = [tuple(row) for row in leaf_indices(forest, centres).tolist()]
+    corners = 0
+    for cell, code in enumerate(itertools.product(range(2**p), repeat=d)):
+        first = cell - cell % chunk
+        lower = [cell - 2 ** (p * (d - 1 - j)) for j in range(d) if code[j] > 0]
+        corners += all(n < first or ids[n] != ids[cell] for n in lower)
+    return corners
 
 
 def local_outliers(forest: Forest, x, outlier_points) -> np.ndarray:

@@ -15,6 +15,7 @@ from conftest import (
     block_densities,
     clean_block_fraction,
     count_leaves,
+    dyadic_corners,
     full_disk_open,
     json_load_counts,
     leaf_index,
@@ -1049,11 +1050,15 @@ def mesh_points(box: Box, p: int, n: int, seed: int) -> np.ndarray:
 
 class TestCellPath:
     """A batch of at least ``2**(p*d)`` in-box points takes the median once per
-    cell; every value equals the point's own walk, bit for bit."""
+    cell of the forest's common refinement; every value equals the point's
+    own walk, bit for bit."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(box=offset_boxes(), data=st.data())
     def test_cell_path_equals_point_path(self, box, data):
+        # T = 1 gives the longest runs of cells with one leaf id tuple;
+        # chunks of 37 and of 2**p - 1 cells cut them inside a row, and the
+        # "walk" and "partial" budgets take the cells' ids from their codes
         d = box.d
         p = data.draw(st.integers(0, min(6, 12 // d)), label="p")
         trees = data.draw(st.integers(1, 4), label="T")
@@ -1061,15 +1066,22 @@ class TestCellPath:
         wide = data.draw(st.booleans(), label="int32 sums")
         m = -(-(2**16) // trees) if wide else data.draw(st.integers(1, 9), label="m")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        chunk = data.draw(st.sampled_from([None, 37]), label="_QUAD_CHUNK")
-        forest = build_forest(box, p, trees, seed)
+        chunk = data.draw(st.sampled_from([None, 37, 2**p - 1]), label="_QUAD_CHUNK")
+        budgets = REGIMES[data.draw(st.sampled_from(list(REGIMES)), label="table")][0]
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in budgets.items():
+                mp.setattr(geometry, name, value)
+            forest = build_forest(box, p, trees, seed)
         model = make_model(forest, valid_counts(trees, 2**p, s, m, seed), m)
         summed, rank = model._sum_counts, model.median_rank
         assert summed.dtype == (np.int32 if wide else np.uint16)
         cells = 2 ** (p * d)
+        walked, ids_of_codes = [], estimator._ids_of_codes
         with pytest.MonkeyPatch.context() as mp:
             if chunk:
                 mp.setattr(estimator, "_QUAD_CHUNK", chunk)
+            mp.setattr(estimator, "_ids_of_codes",
+                       lambda f, codes: walked.append(len(codes)) or ids_of_codes(f, codes))
             seen = cell_path_spy(mp)
             for n in (cells - 1, cells, cells + 1):
                 if n < 1:
@@ -1083,6 +1095,9 @@ class TestCellPath:
             seen.clear()
             batch = evaluate_batch(model, pts)
             assert seen == [cells + 1]
+        # each of the three tables above walks every cell's codes, unless the
+        # forest's id table is as deep as its trees
+        assert sum(walked) == (3 * cells if forest._leaf_table.shape[1] < cells else 0)
         assert batch.tobytes() == (oracle / model.normalizer).tobytes()
         assert [evaluate(model, x) for x in pts] == batch.tolist()
 
@@ -1116,6 +1131,32 @@ class TestCellPath:
         assert len(tables) == (nodes >= 16)
         # the table it built comes back, for the fitted model to keep
         assert (table is not None) == (nodes >= 16)
+
+    @pytest.mark.parametrize("d, p, trees, seed, chunk, share", [
+        # the served forest shape: about an eighth of the 65 536 cells are corners
+        (2, 8, 12, 1, None, 0.15),
+        (2, 8, 12, 2, None, 0.15),
+        # chunks of 5 cells: cell 6, (1, 1, 0), is a corner, though cell 5,
+        # (1, 0, 1), one step back across a row edge, has its ids
+        (3, 1, 1, 1, 5, 1.0),
+    ])
+    def test_cell_table_takes_one_median_per_corner(self, monkeypatch, d, p, trees, seed,
+                                                    chunk, share):
+        # only the corners reach the median kernel, and every cell gets its
+        # own walk's value
+        if chunk:
+            monkeypatch.setattr(estimator, "_QUAD_CHUNK", chunk)
+        box = Box((0.0,) * d, (5.0,) * d)
+        forest = build_forest(box, p, trees, seed)
+        summed = estimator._summed_counts(edge_counts(trees, 2**p, 5, 400, seed), trees, 400)
+        rows, kth = [], estimator._kth_densities
+        monkeypatch.setattr(estimator, "_kth_densities",
+                            lambda *args: rows.append(len(args[4])) or kth(*args))
+        table = estimator._cell_table(forest, summed, 400, 3)
+        assert sum(rows) == dyadic_corners(forest, estimator._QUAD_CHUNK) <= share * 2 ** (p * d)
+        centres = np.concatenate(list(estimator._lattice(
+            [(np.arange(2**p) + 0.5) * 5 / 2**p] * d)))
+        assert table.tobytes() == point_path(forest, summed, 400, 3, centres).tobytes()
 
     def test_exact_normalizer_sums_the_per_cell_medians(self):
         model = edge_model(3, 1000, seed=2)
