@@ -46,14 +46,16 @@ INLIER, OUTLIER = 0, 1
 
 @dataclass
 class Dataset:
-    """Points with optional inlier/outlier labels (1 marks an outlier)."""
+    """``(n, d)`` points, any other shape raising, with optional labels (1 marks an outlier)."""
 
     points: np.ndarray
     labels: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        self.points = np.asarray(self.points, dtype=float)
+        if self.points.ndim != 2:
+            raise ValueError(f"expected (n, d) points, got shape {self.points.shape}")
         if self.labels is not None:
             labels = np.asarray(self.labels)
             if labels.shape != (self.points.shape[0],):
@@ -114,9 +116,11 @@ def generate(
 
     Inliers, outliers and the shuffle draw from three substreams spawned
     from ``seed``, so a dataset is a pure function of the arguments, all of
-    which its provenance records.  An empty side takes the other's
-    dimension; otherwise the two must agree.
+    which its provenance records.  The family is two-dimensional, so a box
+    of another dimension raises ``ValueError`` before anything is drawn.
     """
+    if box.d != 2:
+        raise ValueError(f"the synthetic family is two-dimensional, got a {box.d}-D box")
     if not 0.0 <= outlier_ratio < 1.0:
         raise ValueError("outlier ratio must lie in [0, 1)")
     k_out = int(round(n * outlier_ratio))
@@ -136,12 +140,6 @@ def generate(
         [rng_in.exponential(scale=2.0, size=n_in), rng_in.uniform(0.0, 5.0, size=n_in)]
     )
     outliers = _outliers(scheme_name, k_out, box, rng_out)
-    if k_out == 0:
-        outliers = outliers.reshape(0, inliers.shape[1])
-    elif n_in == 0:
-        inliers = inliers.reshape(0, outliers.shape[1])
-    if inliers.shape[1] != outliers.shape[1]:
-        raise ValueError("inliers and outliers must share one dimension")
     points = np.concatenate([inliers, outliers])
     labels = np.repeat([INLIER, OUTLIER], [n_in, k_out])
     perm = rng_mix.permutation(n)

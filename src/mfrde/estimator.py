@@ -19,14 +19,11 @@ sums' integer type.
 
 Every tree splits at midpoints, so the median is constant on each of the
 forest's ``2**(p*d)`` depth-``p`` dyadic cells, and depends on a cell only
-through its ``T`` leaf ids.  The cells, the regular-grid nodes and the
-evaluation grid all come from one C-order lattice, :func:`_lattice`, and a
-cell's leaf ids from its integer codes.  The cells with one tuple of ids
-form a rectangle, a cell of the forest's common refinement, so
-:func:`_cell_medians` takes the median once per such cell, at its lowest
-corner within each chunk, and copies it to the other dyadic cells.  The
-exact-dyadic normalizer sums the values as it streams; a grid or Monte
-Carlo normalizer of at least ``2**(p*d)`` nodes tabulates them
+through its ``T`` leaf ids.  :func:`_cell_medians` takes it once per cell
+of the forest's common refinement, whose corners and their ids
+:func:`~mfrde.geometry._refinement` gives.  The exact-dyadic normalizer
+sums the values as it streams; a grid or Monte Carlo normalizer of at
+least ``2**(p*d)`` nodes tabulates them
 (:func:`_cell_table`) and looks up each node's cell by its quantized codes.
 The model :func:`fit` returns keeps that table, so every later batch of it
 is a lookup too.  A model without one (loaded, or fitted with exact or
@@ -67,8 +64,8 @@ import numpy as np
 
 from .datasets import Dataset, _write_atomic
 from .geometry import (
-    Box, Forest, _as_points, _cell_index, _check_forest_size, _ids_of_codes, build_forest,
-    leaf_indices,
+    Box, Forest, _as_points, _cell_index, _check_forest_size, _lattice, _refinement,
+    build_forest, leaf_indices,
 )
 
 __all__ = [
@@ -219,10 +216,9 @@ def assign_blocks(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Plan:
-    """What :func:`_plan` fixes: S, the dropped ``n mod m`` tail, the resolved quadrature."""
+    """What :func:`_plan` fixes: S and the resolved quadrature."""
 
     blocks: int
-    dropped: int
     quadrature: Quadrature
 
 
@@ -237,7 +233,7 @@ def _plan(trees: int, depth: int, m: int, n: int, d: int, quadrature: Quadrature
         raise ValueError(f"trees * m = {trees * m} must stay below 2**31 for int32 leaf counts")
     # The forest's own check comes first, which keeps the numbers below short.
     _check_forest_size(trees, depth)
-    blocks, dropped = divmod(n, m)
+    blocks = n // m
     leaves = 2**depth
     for what, formula, size in (
         ("split labels", f"T * (2**p - 1) * 8 = {trees} * {leaves - 1} * 8",
@@ -255,7 +251,7 @@ def _plan(trees: int, depth: int, m: int, n: int, d: int, quadrature: Quadrature
         per_node = trees * max(blocks, 1)  # m > n: no block, and cutting blocks fails
         nodes = min(_CELL_BUDGET, _WORK_BUDGET // per_node)
         if cells <= nodes:
-            return _Plan(blocks, dropped, replace(quadrature, method="exact-dyadic"))
+            return _Plan(blocks, replace(quadrature, method="exact-dyadic"))
         # Largest G <= grid_points with G**d within both budgets, in integers.
         g = min(quadrature.grid_points, round(nodes ** (1 / d)) + 1)
         while g >= 2 and g**d > nodes:
@@ -277,7 +273,7 @@ def _plan(trees: int, depth: int, m: int, n: int, d: int, quadrature: Quadrature
     else:
         draws = quadrature.mc_draws
         _check_nodes(draws, f"monte-carlo quadrature asks for {draws} draws", "use fewer draws")
-    return _Plan(blocks, dropped, quadrature)
+    return _Plan(blocks, quadrature)
 
 
 def _check_nodes(nodes: int, needs: str, advice: str) -> None:
@@ -293,7 +289,7 @@ class FittedMFRDE:
     ``leaf_counts`` holds the ``(T, 2**p, S)`` non-negative integer counts;
     a block's counts sum to the same total, at most ``m``, in every tree.
     An array that already is C-contiguous int32 is kept, not copied, and
-    made read-only.  ``n`` is ``S * m + dropped``, with ``0 <= dropped < m``.
+    made read-only.  ``n`` lies in ``[S * m, S * m + m)``; :attr:`dropped` is the rest.
     ``seed`` is the fit's seed, which Monte Carlo quadrature draws from.
     ``quadrature`` is the resolved method: ``auto`` raises ``ValueError``.
 
@@ -314,7 +310,6 @@ class FittedMFRDE:
     forest: Forest
     n: int
     m: int
-    dropped: int
     leaf_counts: np.ndarray
     normalizer: float
     quadrature: Quadrature  # resolved method actually used for the normalizer
@@ -332,10 +327,10 @@ class FittedMFRDE:
             raise ValueError("count array shape does not match the forest")
         if counts.dtype.kind != "i":
             raise ValueError(f"leaf counts must be signed integers, not {counts.dtype}")
-        if s < 1 or not 0 <= self.dropped < self.m or self.n != s * self.m + self.dropped:
+        if s < 1 or not 0 <= self.n - s * self.m < self.m:
             raise ValueError(
-                f"sizes do not add up: S={s}, m={self.m}, n={self.n}, dropped="
-                f"{self.dropped}; need S >= 1 and n = S*m + dropped, 0 <= dropped < m"
+                f"sizes do not add up: S={s}, m={self.m}, n={self.n}; "
+                "need S >= 1 and S*m <= n < S*m + m"
             )
         if self.quadrature.method == "auto":
             raise ValueError(f"unresolved quadrature method {self.quadrature.method!r}")
@@ -371,8 +366,12 @@ class FittedMFRDE:
 
     @property
     def median_rank(self) -> int:
-        """``ceil(S / 2)``: the lower median is the k-th smallest block value."""
-        return (self.n_blocks + 1) // 2
+        return _median_rank(self.n_blocks)
+
+    @property
+    def dropped(self) -> int:
+        """The ``n mod m`` tail of the block permutation, ``n - S*m``."""
+        return self.n - self.n_blocks * self.m
 
     @property
     def box(self) -> Box:
@@ -389,6 +388,11 @@ class FittedMFRDE:
     @property
     def depth(self) -> int:
         return self.forest.depth
+
+
+def _median_rank(blocks: int) -> int:
+    """``ceil(S / 2)``: the lower median is the k-th smallest block value."""
+    return (blocks + 1) // 2
 
 
 def _tree_sums(leaf_major: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -436,10 +440,10 @@ def _density_denom(forest: Forest, m: int) -> float:
 
 
 def _median_values(
-    forest: Forest, leaf_major: np.ndarray, m: int, rank: int, points: np.ndarray,
+    forest: Forest, leaf_major: np.ndarray, m: int, points: np.ndarray,
     table: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Lower median (k-th smallest, k=rank) of the block densities at each point.
+    """Lower median (the :func:`_median_rank`-th smallest) of the block densities at each point.
 
     ``leaf_major`` is the ``(T, 2**p, S)`` counts array, whose integer
     type the tree sums keep: int32, or the uint16 copy of
@@ -454,7 +458,7 @@ def _median_values(
     """
     n = points.shape[0]
     if table is None and n >= 2 ** (forest.depth * forest.box.d):
-        table = _cell_table(forest, leaf_major, m, rank)
+        table = _cell_table(forest, leaf_major, m)
     out = np.empty(n)
     for start in range(0, n, _WALK_POINTS):
         chunk = points[start : start + _WALK_POINTS]
@@ -462,98 +466,50 @@ def _median_values(
             table.take(_cell_index(forest, chunk), out=out[start : start + chunk.shape[0]])
         else:
             ids = leaf_indices(forest, points=chunk)
-            _kth_densities(forest, leaf_major, m, rank, ids, out[start : start + ids.shape[0]])
+            _kth_densities(forest, leaf_major, m, ids, out[start : start + ids.shape[0]])
             # Freed before the next chunk's ids exist, not when they replace it.
             del ids
     return out
 
 
-def _cell_table(forest: Forest, leaf_major: np.ndarray, m: int, rank: int) -> np.ndarray:
-    """The ``(2**(p*d),)`` lower medians of :func:`_cell_medians`, in one array.
-
-    The median is taken once per cell of the forest's common refinement in
-    each chunk, not once per dyadic cell.
-    """
+def _cell_table(forest: Forest, leaf_major: np.ndarray, m: int) -> np.ndarray:
+    """The ``(2**(p*d),)`` lower medians of :func:`_cell_medians`, in one array."""
     table = np.empty(2 ** (forest.depth * forest.box.d))
-    for _ in _cell_medians(forest, leaf_major, m, rank, table):
+    for _ in _cell_medians(forest, leaf_major, m, table):
         pass
     return table
 
 
 def _cell_medians(
-    forest: Forest, leaf_major: np.ndarray, m: int, rank: int, out: np.ndarray | None = None,
+    forest: Forest, leaf_major: np.ndarray, m: int, out: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """The lower median on every depth-``p`` dyadic cell, ``_QUAD_CHUNK`` cells at a time.
 
-    Yields each chunk's values, cells in the C order of :func:`_lattice`
-    over every axis's ``2**p`` codes, which give the leaf ids; with
-    ``out``, a ``(2**(p*d),)`` array, each chunk is a view of it, and
-    otherwise a fresh array.  :func:`_kth_densities` runs only on the
-    chunk's corners (:func:`_corner_sources`), and every other cell copies
-    its corner's value: the same ``T`` ids give the same integer sums, the
-    same k-th sum and the same division, so each value has the bits of the
-    cell's own median.
+    Yields each chunk's values, cells in C order; with ``out``, a
+    ``(2**(p*d),)`` array, each chunk is a view of it, and otherwise a
+    fresh array.  :func:`_kth_densities` runs only on the chunk's corners
+    in the forest's common refinement (:func:`~mfrde.geometry._refinement`),
+    and every other cell copies its corner's value: the same ``T`` ids give
+    the same integer sums, the same k-th sum and the same division, so each
+    value has the bits of the cell's own median.
     """
-    p, cells = forest.depth, 2 ** (forest.depth * forest.box.d)
-    # An id table as deep as the trees holds every cell's ids, one column
-    # per cell in this order; a shallower one leaves a walk from the codes.
-    full = forest._leaf_table.shape[1] == cells
-    lattice = _lattice([np.arange(2**p, dtype=np.int32)] * forest.box.d)
-    for start in range(0, cells, _QUAD_CHUNK):
-        stop = min(start + _QUAD_CHUNK, cells)
-        part = np.empty(stop - start) if out is None else out[start:stop]
-        ids = forest._leaf_table[:, start:stop] if full else _ids_of_codes(forest, next(lattice)).T
-        src = _corner_sources(ids, start, p, forest.box.d)
-        corner = src == np.arange(src.size)
-        kth = _kth_densities(forest, leaf_major, m, rank,
-                             ids[:, corner].T.astype(np.int32, copy=False),
-                             np.empty(int(np.count_nonzero(corner))))
-        # ``kth`` holds the corners in order, so a running count of them indexes it.
-        kth.take((np.cumsum(corner) - 1)[src], out=part)
-        # The ids die before the yield, so no two chunks' ids are alive at once.
-        del ids
+    start = 0
+    for ids, corner_row in _refinement(forest, _QUAD_CHUNK):
+        part = np.empty(corner_row.size) if out is None else out[start : start + corner_row.size]
+        _kth_densities(forest, leaf_major, m, ids, np.empty(len(ids))).take(corner_row, out=part)
+        start += corner_row.size
         yield part
 
 
-def _corner_sources(ids: np.ndarray, start: int, p: int, d: int) -> np.ndarray:
-    """For each cell of a chunk, a corner cell of the chunk with the same leaf ids.
-
-    ``ids`` is the chunk's ``(T, n)`` leaf ids, its cells the depth-``p``
-    dyadic cells from C-order index ``start`` on.  A corner's ids differ
-    from those of its lower neighbour on every axis where that neighbour
-    lies in the chunk.  Every other cell points at a neighbour with the
-    same ids, its left one where it can; doubling the pointers (``src =
-    src[src]``) then takes every cell to a corner, as each step goes to a
-    lower index.  Returns the ``(n,)`` chunk positions: a corner's own.
-    """
-    n = ids.shape[1]
-    cell = np.arange(start, start + n)
-    src = np.arange(n)
-    # The last axis last, so that its pointers, to the left, win.
-    for shift in range(p * (d - 1), -1, -p) if p else ():
-        stride = 1 << shift
-        if stride >= n:
-            continue
-        same = (ids[:, stride:] == ids[:, :-stride]).all(axis=0)
-        # A cell with code 0 on this axis has no lower neighbour on it.
-        same &= (cell[stride:] >> shift) & (2**p - 1) != 0
-        src[stride:][same] = np.flatnonzero(same)
-    while True:
-        hop = src.take(src)
-        if np.array_equal(hop, src):
-            return src
-        src = hop
-
-
 def _kth_densities(
-    forest: Forest, leaf_major: np.ndarray, m: int, rank: int, ids: np.ndarray,
-    out: np.ndarray,
+    forest: Forest, leaf_major: np.ndarray, m: int, ids: np.ndarray, out: np.ndarray,
 ) -> np.ndarray:
     """The median kernel: fill ``out`` with the lower median at ``(n, T)`` leaf ids.
 
     Selects on the exact integer tree sums, kept in ``leaf_major.dtype``
     (int32, or uint16 by :func:`_summed_counts`), and divides only the k-th
-    sum, once by ``m`` times the leaf volume and once by the tree count.
+    sum, k = :func:`_median_rank` of the ``S`` blocks on the counts' last
+    axis, once by ``m`` times the leaf volume and once by the tree count.
     That division is monotone non-decreasing, so it commutes with the
     order statistic and the result equals the k-th smallest of the
     divided densities, bit for bit, whichever integer type held the sums.
@@ -562,13 +518,14 @@ def _kth_densities(
     count.
     """
     s = leaf_major.shape[2]
+    k = _median_rank(s) - 1
     denom = _density_denom(forest, m)
     sub = max(256, _GATHER_ELEMS // max(s, 1))
     sums = np.empty((min(sub, ids.shape[0]), s), dtype=leaf_major.dtype)
     for lo in range(0, ids.shape[0], sub):
         part = _tree_sums(leaf_major, ids[lo : lo + sub], sums[: ids.shape[0] - lo])
-        part.partition(rank - 1, axis=1)
-        kth = part[:, rank - 1]
+        part.partition(k, axis=1)
+        kth = part[:, k]
         out[lo : lo + kth.size] = kth / denom / forest.n_trees
     return out
 
@@ -601,21 +558,9 @@ def _densities(model: FittedMFRDE, pts: np.ndarray) -> np.ndarray:
         if nan_rows:
             raise ValueError(f"{nan_rows} query row(s) hold NaN; no density is defined there")
     out = np.zeros(pts.shape[0])
-    med = _median_values(
-        model.forest, model._sum_counts, model.m, model.median_rank, pts[mask], model._cells
-    )
+    med = _median_values(model.forest, model._sum_counts, model.m, pts[mask], model._cells)
     out[mask] = med / model.normalizer
     return out
-
-
-def _lattice(axes: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """C-order product of per-axis node arrays, ``_QUAD_CHUNK`` points at a time."""
-    shape = tuple(a.size for a in axes)
-    total = math.prod(shape)
-    for start in range(0, total, _QUAD_CHUNK):
-        # The index arrays die here, not across the yield.
-        yield np.column_stack([a[i] for a, i in zip(axes, np.unravel_index(
-            np.arange(start, min(start + _QUAD_CHUNK, total)), shape))])
 
 
 def _fit_streams(seed: int) -> tuple[np.random.SeedSequence, ...]:
@@ -637,10 +582,11 @@ def _integrate(
     if quad.method == "exact-dyadic":
         centres = (np.arange(2**p) + 0.5) / 2**p
         total = 2 ** (p * d)
-        chunks = _lattice([lo[j] + (hi[j] - lo[j]) * centres for j in range(d)])
+        chunks = _lattice([lo[j] + (hi[j] - lo[j]) * centres for j in range(d)], _QUAD_CHUNK)
     elif quad.method == "regular-grid":
         total = quad.grid_points**d
-        chunks = _lattice([np.linspace(lo[j], hi[j], quad.grid_points) for j in range(d)])
+        chunks = _lattice([np.linspace(lo[j], hi[j], quad.grid_points) for j in range(d)],
+                          _QUAD_CHUNK)
     else:
         rng = np.random.default_rng(_fit_streams(seed)[2])
         total = quad.mc_draws
@@ -653,12 +599,7 @@ def _integrate(
 
 
 def _compute_normalizer(
-    forest: Forest,
-    leaf_counts: np.ndarray,
-    m: int,
-    rank: int,
-    quad: Quadrature,
-    seed: int,
+    forest: Forest, leaf_counts: np.ndarray, m: int, quad: Quadrature, seed: int,
 ) -> tuple[float, np.ndarray | None]:
     """Integral of the unnormalized median over the box with a resolved method,
     and the :func:`_cell_table` it built, or ``None``.
@@ -680,14 +621,14 @@ def _compute_normalizer(
     cells = 2 ** (forest.depth * forest.box.d)
     table = None
     if quad.method == "exact-dyadic":
-        partials = [float(np.sum(v)) for v in _cell_medians(forest, leaf_counts, m, rank)]
+        partials = [float(np.sum(v)) for v in _cell_medians(forest, leaf_counts, m)]
         z = forest.box.volume / cells * math.fsum(partials)
     else:
         nodes = quad.grid_points**forest.box.d if quad.method == "regular-grid" else quad.mc_draws
-        table = _cell_table(forest, leaf_counts, m, rank) if nodes >= cells else None
+        table = _cell_table(forest, leaf_counts, m) if nodes >= cells else None
         z = _integrate(
             forest.box, forest.depth, quad, seed,
-            lambda pts: _median_values(forest, leaf_counts, m, rank, pts, table),
+            lambda pts: _median_values(forest, leaf_counts, m, pts, table),
         )
     if not z > 0:
         raise ValueError(
@@ -714,14 +655,12 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
     """Fit the median-of-forests estimator.
 
     ``data`` is a :class:`~mfrde.datasets.Dataset` or an ``(n, d)`` array
-    of finite values; a row holding NaN or an infinity raises
-    ``ValueError``.  Points outside the box are excluded from the leaf
+    of finite values; any other shape, or a row holding NaN or an infinity,
+    raises ``ValueError``.  Points outside the box are excluded from the leaf
     counts (each block still divides by its nominal size ``m``); their
     number per block is visible as ``m - leaf_counts[t, :, s].sum()``.
     """
-    pts = data.points if isinstance(data, Dataset) else np.atleast_2d(
-        np.asarray(data, dtype=float)
-    )
+    pts = Dataset(data.points if isinstance(data, Dataset) else data).points
     bad_rows = int(np.count_nonzero(~np.isfinite(pts).all(axis=1)))
     if bad_rows:
         raise ValueError(
@@ -758,15 +697,12 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
         # Freed before the next chunk's ids exist, not when they replace it.
         del ids
 
-    z, table = _compute_normalizer(
-        forest, leaf_counts, m, (s + 1) // 2, plan.quadrature, config.seed
-    )
+    z, table = _compute_normalizer(forest, leaf_counts, m, plan.quadrature, config.seed)
     return FittedMFRDE(
         seed=config.seed,
         forest=forest,
         n=n,
         m=m,
-        dropped=plan.dropped,
         leaf_counts=leaf_counts,
         normalizer=z,
         quadrature=plan.quadrature,
@@ -1018,11 +954,12 @@ def _model_from_doc(doc, counts_span: bytes | None) -> FittedMFRDE:
         forest=forest,
         n=n,
         m=m,
-        dropped=dropped,
         leaf_counts=counts,
         normalizer=float(_typed(doc["normalizer"], "normalizer", (int, float))),
         quadrature=plan.quadrature,
     )
     if rank != model.median_rank:
         raise ValueError("median rank must be ceil(S/2)")
+    if dropped != model.dropped:
+        raise ValueError("dropped must be n - S*m")
     return model

@@ -27,12 +27,11 @@ from .estimator import (
     EstimatorConfig,
     Quadrature,
     _box_of,
-    _lattice,
     _typed,
     evaluate_batch,
     fit,
 )
-from .geometry import Box
+from .geometry import Box, _lattice
 
 __all__ = [
     "EvalGrid",
@@ -68,14 +67,15 @@ def make_grid(box: Box, per_axis: int) -> EvalGrid:
     estimator._check_nodes(g**d, f"evaluation grid needs G**d = {g}**{d} = {g**d} nodes",
                            "use fewer points per axis")
     axes = [np.linspace(box.lo[j], box.hi[j], per_axis) for j in range(box.d)]
-    return EvalGrid(points=np.concatenate(list(_lattice(axes))))
+    return EvalGrid(points=np.concatenate(list(_lattice(axes, estimator._QUAD_CHUNK))))
 
 
 def auc(scores, labels) -> float:
     """Exact Mann-Whitney AUC of anomaly scores against outlier labels.
 
     Outliers (label 1) are the positive class and should receive high
-    scores; rank ties get half credit.  Ranks are average ranks over the
+    scores, inliers are label 0, and any other label raises ``ValueError``
+    (``True`` and ``1.0`` are 1); rank ties get half credit.  Ranks are average ranks over the
     distinct values ``np.unique`` finds in its sort: a group of equal
     scores (``-0.0`` equals ``0.0``) takes the mean of the ranks it spans.
     ±inf scores are valid and rank as the extremes; a NaN score has no
@@ -86,6 +86,8 @@ def auc(scores, labels) -> float:
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
     pos = y == 1
+    if not (pos | (y == 0)).all():
+        raise ValueError("labels must be 0 (inlier) or 1 (outlier)")
     n_pos = int(pos.sum())
     n_neg = int(s.size - n_pos)
     if n_pos == 0 or n_neg == 0:

@@ -50,15 +50,17 @@ integer bits, by a per-(tree, node) table of (axis, bit) for those
 levels only; at ``k = p`` nothing is left to walk.  Neither step uses
 float geometry past the quantization.  Both steps run in
 :func:`_ids_of_codes`, the one function that takes codes to leaf ids.
-A depth-``p`` dyadic cell of the box is one tuple of codes, so the
-estimator hands it the codes of whole cells, with no quantization at all,
-and :func:`_cell_index` packs a point's codes, from the quantization
-:func:`leaf_indices` uses, into the C-order index of its cell.  At ``k =
-p`` the table's columns are already every cell's ids, in that order, and
-the estimator reads them there.  It compares each cell's ids with its
-lower neighbours' and takes the median once per cell of the forest's
-common refinement (the cells with one tuple of ids), for the exact-dyadic
-normalizer and for any batch with at least as many points as cells.
+
+Common refinement.  A depth-``p`` dyadic cell is one tuple of codes, and
+all its points share its ``T`` leaf ids.  Cells are numbered by their
+codes packed in C order (:func:`_pack`), the order :func:`_lattice` yields
+them in and :func:`_cell_index` finds a point's cell by.  The cells with
+one tuple of ids form a rectangle, a cell of the forest's common
+refinement, and which cells share ids is decided here alone:
+:func:`_refinement` hands out, per C-order chunk of cells, the ids of the
+chunk's corners and each cell's corner.  At ``k = p`` the id table's
+columns are already every cell's ids, in C order; below that the ids come
+from the cells' codes, with no quantization at all.
 
 All types in this module are immutable after construction and safe for
 concurrent reads.
@@ -419,6 +421,16 @@ def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
     return index
 
 
+def _lattice(axes: list[np.ndarray], chunk: int):
+    """Yield the C-order product of per-axis node arrays, ``(n, d)``, ``chunk`` rows at a time."""
+    shape = tuple(a.size for a in axes)
+    total = int(np.prod(shape))
+    for start in range(0, total, chunk):
+        # The index arrays die here, not across the yield.
+        yield np.column_stack([a[i] for a, i in zip(axes, np.unravel_index(
+            np.arange(start, min(start + chunk, total)), shape))])
+
+
 def _ids_of_codes(forest: Forest, codes: np.ndarray) -> np.ndarray:
     """Leaf id of each point with ``(n, d)`` int32 codes in each tree, ``(n, T)`` int32.
 
@@ -436,6 +448,61 @@ def _ids_of_codes(forest: Forest, codes: np.ndarray) -> np.ndarray:
         leaf[...] = forest._leaf_table.take(index, axis=1).T
         _walk(forest, chunk, leaf)
     return out
+
+
+def _refinement(forest: Forest, chunk: int):
+    """Yield the forest's common refinement, ``chunk`` depth-``p`` cells at a time.
+
+    Per C-order chunk of cells: the ``(c, T)`` int32 leaf ids of its ``c``
+    corners (:func:`_corner_sources`), in cell order, and for each cell of
+    the chunk the row of its corner, whose ids are the cell's own.
+    """
+    p, d = forest.depth, forest.box.d
+    lattice = _lattice([np.arange(2**p, dtype=np.int32)] * d, chunk)
+    for start in range(0, 2 ** (p * d), chunk):
+        # An id table as deep as the trees holds every cell's ids, one column
+        # per cell in this order; a shallower one leaves a walk from the codes.
+        ids = (forest._leaf_table[:, start : start + chunk] if not len(forest._level_base)
+               else _ids_of_codes(forest, next(lattice)).T)
+        src = _corner_sources(ids, start, p, d)
+        corner = src == np.arange(src.size)
+        corners = ids[:, corner].T.astype(np.int32, copy=False)
+        # ``corners`` holds the corners in order, so a running count of them
+        # indexes it; rebinding ``src`` keeps one (n,) array alive, not two.
+        src = (np.cumsum(corner) - 1)[src]
+        # The ids die before the yield, so no two chunks' ids are alive at once.
+        del ids
+        yield corners, src
+
+
+def _corner_sources(ids: np.ndarray, start: int, p: int, d: int) -> np.ndarray:
+    """For each cell of a chunk, a corner cell of the chunk with the same leaf ids.
+
+    ``ids`` is the chunk's ``(T, n)`` leaf ids, its cells the depth-``p``
+    dyadic cells from C-order index ``start`` on.  A corner's ids differ
+    from those of its lower neighbour on every axis where that neighbour
+    lies in the chunk.  Every other cell points at a neighbour with the
+    same ids, its left one where it can; doubling the pointers (``src =
+    src[src]``) then takes every cell to a corner, as each step goes to a
+    lower index.  Returns the ``(n,)`` chunk positions: a corner's own.
+    """
+    n = ids.shape[1]
+    cell = np.arange(start, start + n)
+    src = np.arange(n)
+    # The last axis last, so that its pointers, to the left, win.
+    for shift in range(p * (d - 1), -1, -p) if p else ():
+        stride = 1 << shift
+        if stride >= n:
+            continue
+        same = (ids[:, stride:] == ids[:, :-stride]).all(axis=0)
+        # A cell with code 0 on this axis has no lower neighbour on it.
+        same &= (cell[stride:] >> shift) & (2**p - 1) != 0
+        src[stride:][same] = np.flatnonzero(same)
+    while True:
+        hop = src.take(src)
+        if np.array_equal(hop, src):
+            return src
+        src = hop
 
 
 def _walk(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:

@@ -534,7 +534,7 @@ class TestErrors:
     def test_grid_past_node_budget_refused(self, tmp_path, capsys, monkeypatch):
         # 10**10 nodes for eval-grid and 5000**2 for a sweep's MAE grid: both
         # exit 2 before any lattice is built, and write nothing
-        def no_lattice(axes):
+        def no_lattice(axes, chunk):
             raise AssertionError("a lattice was built past the node budget")
 
         monkeypatch.setattr(evaluation, "_lattice", no_lattice)
@@ -570,6 +570,18 @@ class TestErrors:
         assert code == 2
         assert "asks for 1001 draws, over the budget of 1000" in err
         assert not m_json.exists()
+
+    @pytest.mark.parametrize("ratio", ["0", "0.2"])
+    def test_generate_box_of_another_dimension(self, tmp_path, capsys, ratio):
+        # at ratio 0 this used to exit 0 with 2-D rows and a 1-D box in the
+        # provenance; at 0.2, exit 2 only after drawing both sides
+        d_csv, prov = tmp_path / "d.csv", tmp_path / "d.json"
+        code, _, err = run(["generate", "--scheme", "beta", "--n", "40", "--box", "0:5",
+                            "--outlier-ratio", ratio, "--out", str(d_csv),
+                            "--provenance", str(prov)], capsys)
+        assert code == 2
+        assert "the synthetic family is two-dimensional, got a 1-D box" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_box_spec(self, tmp_path, capsys):
         d_csv = tmp_path / "d.csv"

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import struct
 import warnings
 
@@ -25,6 +26,7 @@ from mfrde.datasets import (
 from mfrde.geometry import Box
 
 BOX3 = Box((0.0, 0.0, 0.0), (5.0, 5.0, 5.0))
+PLANE = Box((-1.0, 2.0), (4.0, 9.0))
 
 
 def sha(array) -> str:
@@ -33,11 +35,13 @@ def sha(array) -> str:
 
 # Recorded from the scheme-class generators these replaced; labels depend
 # only on the shuffle stream, so all three schemes share one label digest.
+# Inliers never read the box, so at ratio 0 its bounds leave the points as
+# they are.
 PINNED = {
     ("uniform", 0.2, DOMAIN): "b5c8861435499bd4e30ed09b74c476ad5b3930f19b2720dfdfe1ca913378c362",
     ("beta", 0.2, DOMAIN): "f7d9df8edf9dbc0d34b4c5e5ebf90f4f5a58bfbea18af1c7fe2f63d079c19968",
     ("discrete", 0.2, DOMAIN): "943a9a77478a114f4ea55855e1a40bbf90aa1765e591f1e744e204336d848a69",
-    ("beta", 0.0, BOX3): "09830d97280bdb103bba71c434342ef6add8fe94e6c2c900abd1e8487a50656b",
+    ("beta", 0.0, PLANE): "09830d97280bdb103bba71c434342ef6add8fe94e6c2c900abd1e8487a50656b",
 }
 PINNED_LABELS = {
     0.2: "803b9fe934a7f1d1fd2fb5214c5ad02cae62ce7f5ac6cd2ac9c4609a158e63af",
@@ -140,13 +144,22 @@ class TestMix:
         assert ((data.points[:, 0] < 0) == (data.labels == 1)).all()
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="share one dimension"):
+        with pytest.raises(ValueError, match="two-dimensional, got a 3-D box"):
             generate("uniform", 10, 0.3, seed=0, box=BOX3)
 
-    def test_empty_side_takes_other_dimension(self):
-        assert generate("uniform", 10, 0.0, seed=0, box=BOX3).points.shape == (10, 2)
-        # round(1 * 0.6) = 1 outlier and no inlier
-        assert generate("uniform", 1, 0.6, seed=0, box=BOX3).points.shape == (1, 3)
+    @pytest.mark.parametrize("box", [Box((0.0,), (5.0,)), BOX3], ids=["1-D", "3-D"])
+    @pytest.mark.parametrize("scheme", ["uniform", "beta", "discrete"])
+    @pytest.mark.parametrize("ratio", [0.0, 0.2, 0.6])
+    def test_box_of_another_dimension_refused_undrawn(self, monkeypatch, box, scheme, ratio):
+        # inliers, and beta and discrete outliers, never read the box: at
+        # ratio 0 such a box used to give 2-D rows with its bounds in the
+        # provenance, and a lone outlier of n = 1 at 0.6 took its dimension
+        def no_draw(*args):
+            raise AssertionError("a stream was drawn from before the box was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=f"two-dimensional, got a {box.d}-D box"):
+            generate(scheme, 1 if ratio == 0.6 else 10, ratio, seed=0, box=box)
 
     @pytest.mark.parametrize(
         "n, ratio, message",
@@ -210,6 +223,12 @@ class TestCsvRoundTrip:
         path.write_text("x1,x2,label\n0.5,0.5,0\n0.5,0.5,1.0\n")
         with pytest.raises(ValueError, match=r"row 2: unknown label value '1.0'"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("shape", [(), (40,), (40, 2, 1)])
+    def test_points_not_two_dimensional_refused(self, shape):
+        # each used to be padded to (1, n) or kept as it was
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            Dataset(points=np.zeros(shape))
 
     def test_bad_label_array(self):
         with pytest.raises(ValueError):

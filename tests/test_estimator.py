@@ -52,7 +52,6 @@ def make_model(forest, counts, m, normalizer=1.0):
         forest=forest,
         n=counts.shape[0] * m,
         m=m,
-        dropped=0,
         leaf_counts=counts.transpose(1, 2, 0),
         normalizer=normalizer,
         quadrature=Quadrature(method="exact-dyadic"),
@@ -62,7 +61,7 @@ def make_model(forest, counts, m, normalizer=1.0):
 def median_at(model, x) -> float:
     """The unnormalized lower median of the block densities at one point."""
     return estimator._median_values(
-        model.forest, model.leaf_counts, model.m, model.median_rank, np.atleast_2d(x)
+        model.forest, model.leaf_counts, model.m, np.atleast_2d(x)
     )[0]
 
 
@@ -238,9 +237,7 @@ def test_median_sandwich_order_statistic(spare_models, data):
         for t, leaf in enumerate(x_leaves):
             room = model.m - int(leaf_counts[t, :, b].sum())
             leaf_counts[t, leaf, b] += data.draw(st.integers(0, room))
-    median = estimator._median_values(
-        model.forest, leaf_counts, model.m, model.median_rank, x[None, :]
-    )[0]
+    median = estimator._median_values(model.forest, leaf_counts, model.m, x[None, :])[0]
     untouched = np.delete(block_densities(model, x), bad)
     assert untouched.min() <= median <= untouched.max()
 
@@ -281,7 +278,7 @@ class TestLocalOutliers:
         assert block_densities(planted, self.X0) - block_densities(away, self.X0) == (
             pytest.approx(copies / (m * leaf_volume), rel=1e-12, abs=1e-12))
         median = estimator._median_values(planted.forest, planted.leaf_counts, m,
-                                          planted.median_rank, self.X0[None, :])[0]
+                                          self.X0[None, :])[0]
         clean_densities = block_densities(planted, self.X0)[clean]
         assert clean_densities.min() <= median <= clean_densities.max()
 
@@ -351,6 +348,19 @@ class TestFit:
         data[[3, 17, 40, 41, 99], [0, 1, 0, 1, 0]] = [np.nan, np.inf, np.nan, -np.inf, np.nan]
         with pytest.raises(ValueError, match="5 data row"):
             fit(data, EstimatorConfig(m=20, trees=2, depth=2, seed=1, box=box))
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 2, 1)], ids=["1-D", "3-D"])
+    def test_points_not_two_dimensional_rejected(self, shape):
+        # a 1-D array used to be read as one point of dimension 40, and a
+        # 3-D one to escape as a TypeError
+        data = np.random.default_rng(0).random(shape)
+        config = EstimatorConfig(m=10, trees=2, depth=2)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            fit(data, config)
+        dataset = datasets.Dataset(np.zeros((40, 2)))
+        dataset.points = data
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            fit(dataset, config)
 
     def test_leaf_major_storage(self):
         model = fit(np.random.default_rng(6).random((90, 2)),
@@ -479,7 +489,7 @@ class TestNormalizer:
         probe = rng.random((n_draws, 2))
         from mfrde.estimator import _median_values
 
-        vals = _median_values(exact.forest, exact.leaf_counts, exact.m, exact.median_rank, probe)
+        vals = _median_values(exact.forest, exact.leaf_counts, exact.m, probe)
         se = UNIT2.volume * vals.std(ddof=1) / math.sqrt(n_draws)
         assert abs(mc.normalizer - exact.normalizer) <= 3.0 * se
 
@@ -614,7 +624,7 @@ class TestFitPlan:
         # but exact-dyadic gathers 2**24 * 200 = 3.4e9 counts (a 7.6-s fit);
         # the 100**3 grid gathers 2.0e8
         plan = estimator._plan(20, 8, 3000, 30_000, 3, Quadrature())
-        assert (plan.blocks, plan.dropped) == (10, 0)
+        assert plan.blocks == 10
         assert plan.quadrature == Quadrature(method="regular-grid", grid_points=100)
         assert 100**3 * 20 * 10 <= estimator._WORK_BUDGET < 2**24 * 20 * 10
         # an explicit method keeps the node budget only
@@ -645,11 +655,11 @@ class TestFitPlan:
             fit(data, config)
 
 
-def point_path(forest: Forest, leaf_major: np.ndarray, m: int, rank: int, pts) -> np.ndarray:
+def point_path(forest: Forest, leaf_major: np.ndarray, m: int, pts) -> np.ndarray:
     """The median kernel on every point's own leaf walk, however large the batch."""
     pts = np.asarray(pts, dtype=float)
     ids = leaf_indices(forest, pts)
-    return estimator._kth_densities(forest, leaf_major, m, rank, ids, np.empty(len(ids)))
+    return estimator._kth_densities(forest, leaf_major, m, ids, np.empty(len(ids)))
 
 
 def cell_path_spy(mp) -> list:
@@ -701,12 +711,11 @@ class TestLattice:
 
     @pytest.mark.parametrize("chunk", [37, None])
     @pytest.mark.parametrize("d, p", [(1, 16), (2, 8), (3, 6)])
-    def test_cell_chunks_are_the_packed_order(self, monkeypatch, chunk, d, p):
-        # the estimator's cell chunks and geometry's cell index share one C order
-        if chunk:
-            monkeypatch.setattr(estimator, "_QUAD_CHUNK", chunk)
+    def test_cell_chunks_are_the_packed_order(self, chunk, d, p):
+        # the lattice's chunks of cell codes and the cell index share one C order
         start = 0
-        for codes in estimator._lattice([np.arange(2**p, dtype=np.int32)] * d):
+        for codes in geometry._lattice([np.arange(2**p, dtype=np.int32)] * d,
+                                       chunk or estimator._QUAD_CHUNK):
             assert codes.dtype == np.int32
             assert np.array_equal(geometry._pack(codes, p), np.arange(start, start + len(codes)))
             start += len(codes)
@@ -870,13 +879,12 @@ class TestCodePathNormalizer:
             k = (forest._leaf_table.shape[1].bit_length() - 1) // box.d
             assume(in_regime(k, p))
             counts = edge_counts(trees, 2**p, s, m, seed)
-            rank = (s + 1) // 2
             oracle = estimator._integrate(
                 box, p, quad, 0,
-                lambda q: point_path(forest, counts, m, rank, q),
+                lambda q: point_path(forest, counts, m, q),
             )
             seen = dtype_spy(mp)
-            z, table = estimator._compute_normalizer(forest, counts, m, rank, quad, 0)
+            z, table = estimator._compute_normalizer(forest, counts, m, quad, 0)
         assert z == oracle and table is None
         assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
 
@@ -888,10 +896,10 @@ class TestCodePathNormalizer:
         counts = edge_counts(trees, 8, 3, m, seed=6)
         quad = Quadrature.parse(spec)
         oracle = estimator._integrate(
-            box, 3, quad, 11, lambda q: point_path(forest, counts, m, 2, q)
+            box, 3, quad, 11, lambda q: point_path(forest, counts, m, q)
         )
         seen = dtype_spy(monkeypatch)
-        assert estimator._compute_normalizer(forest, counts, m, 2, quad, 11)[0] == oracle
+        assert estimator._compute_normalizer(forest, counts, m, quad, 11)[0] == oracle
         assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
 
 
@@ -924,7 +932,7 @@ class TestSumDtype:
         inside = box.contains_batch(pts)
         oracle = np.zeros(pts.shape[0])
         oracle[inside] = estimator._median_values(
-            model.forest, model.leaf_counts, m, model.median_rank, pts[inside]
+            model.forest, model.leaf_counts, m, pts[inside]
         ) / model.normalizer
         assert oracle[0] == trees * m / estimator._density_denom(model.forest, m) / trees / 0.75
         seen = dtype_spy(monkeypatch)
@@ -1073,23 +1081,29 @@ class TestCellPath:
                 mp.setattr(geometry, name, value)
             forest = build_forest(box, p, trees, seed)
         model = make_model(forest, valid_counts(trees, 2**p, s, m, seed), m)
-        summed, rank = model._sum_counts, model.median_rank
+        summed = model._sum_counts
         assert summed.dtype == (np.int32 if wide else np.uint16)
         cells = 2 ** (p * d)
-        walked, ids_of_codes = [], estimator._ids_of_codes
+        walked, lattice = [], geometry._lattice
+
+        def lattice_spy(axes, step):
+            # the refinement's cell codes, which it walks to ids chunk by chunk
+            for codes in lattice(axes, step):
+                walked.append(len(codes))
+                yield codes
+
         with pytest.MonkeyPatch.context() as mp:
             if chunk:
                 mp.setattr(estimator, "_QUAD_CHUNK", chunk)
-            mp.setattr(estimator, "_ids_of_codes",
-                       lambda f, codes: walked.append(len(codes)) or ids_of_codes(f, codes))
+            mp.setattr(geometry, "_lattice", lattice_spy)
             seen = cell_path_spy(mp)
             for n in (cells - 1, cells, cells + 1):
                 if n < 1:
                     continue
                 pts = mesh_points(box, p, n, seed)
-                oracle = point_path(forest, summed, m, rank, pts)
+                oracle = point_path(forest, summed, m, pts)
                 seen.clear()
-                got = estimator._median_values(forest, summed, m, rank, pts)
+                got = estimator._median_values(forest, summed, m, pts)
                 assert seen == ([n] if n >= cells else [])
                 assert got.tobytes() == oracle.tobytes()
             seen.clear()
@@ -1118,12 +1132,12 @@ class TestCellPath:
             monkeypatch.setattr(estimator, "_QUAD_CHUNK", chunk)
         summed = estimator._summed_counts(counts, trees, m)
         oracle = estimator._integrate(
-            box, 2, quad, 11, lambda q: point_path(forest, summed, m, 2, q)
+            box, 2, quad, 11, lambda q: point_path(forest, summed, m, q)
         )
         seen, tables, cell_medians = cell_path_spy(monkeypatch), [], estimator._cell_medians
         monkeypatch.setattr(estimator, "_cell_medians",
                             lambda *args: tables.append(args) or cell_medians(*args))
-        z, table = estimator._compute_normalizer(forest, counts, m, 2, quad, 11)
+        z, table = estimator._compute_normalizer(forest, counts, m, quad, 11)
         assert z == oracle
         nodes = quad.grid_points**2 if quad.method == "regular-grid" else quad.mc_draws
         step = chunk or nodes
@@ -1151,25 +1165,25 @@ class TestCellPath:
         summed = estimator._summed_counts(edge_counts(trees, 2**p, 5, 400, seed), trees, 400)
         rows, kth = [], estimator._kth_densities
         monkeypatch.setattr(estimator, "_kth_densities",
-                            lambda *args: rows.append(len(args[4])) or kth(*args))
-        table = estimator._cell_table(forest, summed, 400, 3)
+                            lambda *args: rows.append(len(args[3])) or kth(*args))
+        table = estimator._cell_table(forest, summed, 400)
         assert sum(rows) == dyadic_corners(forest, estimator._QUAD_CHUNK) <= share * 2 ** (p * d)
-        centres = np.concatenate(list(estimator._lattice(
-            [(np.arange(2**p) + 0.5) * 5 / 2**p] * d)))
-        assert table.tobytes() == point_path(forest, summed, 400, 3, centres).tobytes()
+        centres = np.concatenate(list(geometry._lattice(
+            [(np.arange(2**p) + 0.5) * 5 / 2**p] * d, estimator._QUAD_CHUNK)))
+        assert table.tobytes() == point_path(forest, summed, 400, centres).tobytes()
 
     def test_exact_normalizer_sums_the_per_cell_medians(self):
         model = edge_model(3, 1000, seed=2)
         forest, summed = model.forest, model._sum_counts
-        chunks = list(estimator._cell_medians(forest, summed, model.m, model.median_rank))
-        centres = estimator._lattice([
+        chunks = list(estimator._cell_medians(forest, summed, model.m))
+        centres = geometry._lattice([
             lo + (hi - lo) * (np.arange(8) + 0.5) / 8 for lo, hi in zip(model.box.lo,
-                                                                        model.box.hi)])
-        oracle = np.concatenate([point_path(forest, summed, model.m, model.median_rank, c)
-                                 for c in centres])
+                                                                        model.box.hi)],
+            estimator._QUAD_CHUNK)
+        oracle = np.concatenate([point_path(forest, summed, model.m, c) for c in centres])
         assert np.concatenate(chunks).tobytes() == oracle.tobytes()
         z, table = estimator._compute_normalizer(forest, model.leaf_counts, model.m,
-                                                 model.median_rank, model.quadrature, 0)
+                                                 model.quadrature, 0)
         assert table is None
         assert z == model.box.volume / 64 * math.fsum(float(np.sum(c)) for c in chunks)
 
@@ -1392,9 +1406,7 @@ class TestOracleEquivalence:
             blocks = assign_blocks(n, m, np.random.default_rng(perm_stream))
             blocks_points = [pts[b] for b in blocks]
             queries = rng.random((60, 2))
-            batch = estimator._median_values(
-                model.forest, model.leaf_counts, m, model.median_rank, queries
-            )
+            batch = estimator._median_values(model.forest, model.leaf_counts, m, queries)
             for q, value in zip(queries, batch):
                 expected = naive_median_at(blocks_points, model.forest, m, q)
                 assert median_at(model, q) == expected
@@ -1531,7 +1543,7 @@ class TestSerialization:
         forest = build_forest(UNIT2, 1, 1, seed=0)
         counts = np.array([[[3, 1]]])
         with pytest.raises(ValueError, match="^unresolved quadrature method 'auto'$"):
-            FittedMFRDE(seed=0, forest=forest, n=4, m=4, dropped=0,
+            FittedMFRDE(seed=0, forest=forest, n=4, m=4,
                         leaf_counts=counts.transpose(1, 2, 0), normalizer=1.0,
                         quadrature=Quadrature())
         assert not list(tmp_path.iterdir())
@@ -1589,6 +1601,15 @@ class TestSerialization:
         path.write_text(json.dumps(self.MALFORMED[case](doc) or doc))
         with pytest.raises(ValueError, match="^malformed model file: "):
             load_model(path)
+
+    def test_dropped_is_the_tail(self, tmp_path):
+        # the file's field must be n - S*m, which the model derives itself
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(self.VALID_DOC, dropped=1)))
+        with pytest.raises(ValueError, match=r"^malformed model file: dropped must be n - S\*m$"):
+            load_model(path)
+        path.write_text(json.dumps(dict(self.VALID_DOC, n=11, dropped=2)))
+        assert load_model(path).dropped == 2
 
     @pytest.mark.parametrize(
         "spec, field, value",

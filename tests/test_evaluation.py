@@ -36,7 +36,7 @@ class TestMakeGrid:
 
     def test_over_budget_refused_before_allocating(self, monkeypatch):
         # the budget is read at call time; no lattice is built past it
-        def no_lattice(axes):
+        def no_lattice(axes, chunk):
             raise AssertionError("a lattice was built past the node budget")
 
         monkeypatch.setattr(evaluation, "_lattice", no_lattice)
@@ -126,6 +126,19 @@ class TestAuc:
     def test_single_class_undefined(self):
         with pytest.raises(ValueError, match="AUC undefined"):
             auc(np.array([0.1, 0.2]), np.array([1, 1]))
+
+    @pytest.mark.parametrize("labels", [[1, 2, 0], [1, 1.5, 0], [1, -1, 0], [1.0, math.nan, 0.0]])
+    def test_labels_outside_zero_one_refused(self, labels):
+        # each used to count the odd label as an inlier, or to raise that a
+        # class was missing
+        with pytest.raises(ValueError, match=r"^labels must be 0 \(inlier\) or 1 \(outlier\)$"):
+            auc([0.1, 0.9, 0.5], labels)
+
+    @pytest.mark.parametrize("labels", [
+        [True, False, False], [1.0, 0.0, 0.0], np.array([1, 0, 0], dtype=np.uint8),
+    ], ids=["bool", "float", "uint8"])
+    def test_bool_and_float_labels_kept(self, labels):
+        assert auc([0.9, 0.1, 0.5], labels) == 1.0
 
     def test_nan_score_rejected(self):
         # scipy's ranks spread a NaN into an AUC of nan; numpy's would rank it last

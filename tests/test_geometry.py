@@ -7,13 +7,15 @@ from conftest import (
     cell_contains,
     count_leaves,
     draw_labels,
+    dyadic_corners,
     leaf_cell,
     leaf_index,
     path_split_counts,
     slice_write_leaf_table,
 )
 from mfrde import geometry
-from mfrde.estimator import _lattice
+from mfrde.estimator import _QUAD_CHUNK
+from mfrde.geometry import _lattice
 from mfrde.geometry import Box, Forest, build_forest, leaf_indices
 
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
@@ -180,6 +182,13 @@ def forests(draw):
     p = draw(st.integers(min_value=0, max_value=10))
     n_trees = draw(st.integers(min_value=1, max_value=3))
     return build_forest(box, p, n_trees, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def boxes_and_depths(draw):
+    """A box and a depth that cut it into at most ``2**12`` dyadic cells."""
+    box = draw(st.one_of(st.sampled_from(FIXED_BOXES), random_boxes()))
+    return box, draw(st.integers(0, 12 // box.d))
 
 
 @st.composite
@@ -351,7 +360,7 @@ class TestLeafKernel:
             room = 64 // int(np.prod([a.size for a in axes]))
             axes.append(np.arange(lo, data.draw(st.integers(lo + 1, min(side, lo + room))),
                                   dtype=np.int32))
-        codes = np.concatenate(list(_lattice(axes)))
+        codes = np.concatenate(list(_lattice(axes, _QUAD_CHUNK)))
         ids = geometry._ids_of_codes(forest, codes)
         assert ids.shape == (len(codes), forest.n_trees)
         assert ids.dtype == np.int32
@@ -359,11 +368,37 @@ class TestLeafKernel:
         centres = cell_centres(forest.box, forest.depth, cells)
         assert np.array_equal(ids, oracle_ids(forest, centres))
 
+    @settings(all_regimes, max_examples=40, deadline=None)
+    @given(boxes_and_depths(), st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
+    # seed 18 draws one depth-2 tree that splits axis 0 twice, so cell 40,
+    # (2, 2, 0), first of its row in the second 37-cell chunk, has the ids of
+    # cell 39 before it but is a corner: its lower neighbours lie outside
+    @example((FIXED_BOXES[2], 2), 1, 18, False)
+    def test_refinement_matches_centre_walks(self, box_and_depth, trees, seed, row_cut):
+        # chunks of 37 cells, or of 2**p - 1, which cut every row of cells
+        box, p = box_and_depth
+        forest = build_forest(box, p, trees, seed)
+        self.drawn(forest)
+        chunk = max(2**p - 1, 1) if row_cut else 37
+        cells = 2 ** (p * box.d)
+        centre_ids = leaf_indices(forest, cell_centres(box, p, np.arange(cells)))
+        corners = start = 0
+        for ids, row in geometry._refinement(forest, chunk):
+            assert ids.dtype == np.int32 and ids.shape[1:] == (forest.n_trees,)
+            assert row.shape == (min(chunk, cells - start),)
+            # every corner is some cell's, and each cell gets its own walk's ids
+            assert np.array_equal(np.unique(row), np.arange(len(ids)))
+            assert np.array_equal(ids[row], centre_ids[start : start + row.size])
+            corners += len(ids)
+            start += row.size
+        assert start == cells
+        assert corners == dyadic_corners(forest, chunk)
+
     def test_cell_ids_in_walk_chunks(self, monkeypatch):
         box = FIXED_BOXES[2]
         forest = build_forest(box, 3, 4, seed=9)
         monkeypatch.setattr(geometry, "_WALK_CHUNK", 5)
-        codes = np.concatenate(list(_lattice([np.arange(8, dtype=np.int32)] * 3)))
+        codes = np.concatenate(list(_lattice([np.arange(8, dtype=np.int32)] * 3, _QUAD_CHUNK)))
         ids = geometry._ids_of_codes(forest, codes[3:500])
         centres = cell_centres(box, 3, np.arange(3, 500))
         assert np.array_equal(ids, leaf_indices(forest, centres))

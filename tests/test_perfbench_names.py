@@ -184,17 +184,17 @@ def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
     median_values, cell_index = estimator._median_values, estimator._cell_index
     cell_table, leaf_indices = estimator._cell_table, estimator.leaf_indices
 
-    def median_spy(forest, leaf_major, m, rank, points, table=None):
+    def median_spy(forest, leaf_major, m, points, table=None):
         batches.append((len(points), 2 ** (forest.depth * forest.box.d), table is not None))
-        return median_values(forest, leaf_major, m, rank, points, table)
+        return median_values(forest, leaf_major, m, points, table)
 
     def cell_spy(forest, points):
         per_cell.append(len(points))
         return cell_index(forest, points)
 
-    def table_spy(forest, leaf_major, m, rank):
+    def table_spy(forest, leaf_major, m):
         tables.append(2 ** (forest.depth * forest.box.d))
-        return cell_table(forest, leaf_major, m, rank)
+        return cell_table(forest, leaf_major, m)
 
     def leaf_spy(forest, points):
         walks.append(len(points))
