@@ -119,10 +119,13 @@ def generate(
     which its provenance records.  The family is two-dimensional, so a box
     of another dimension raises ``ValueError`` before anything is drawn.
     """
+    if n < 0:
+        raise ValueError("sample count must be non-negative")
     if box.d != 2:
         raise ValueError(f"the synthetic family is two-dimensional, got a {box.d}-D box")
     if not 0.0 <= outlier_ratio < 1.0:
         raise ValueError("outlier ratio must lie in [0, 1)")
+    # 0 <= round(n * ratio) <= n, so neither side's count is negative.
     k_out = int(round(n * outlier_ratio))
     if scheme_name not in _SCHEME_NAMES:
         raise ValueError(
@@ -132,10 +135,6 @@ def generate(
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
     n_in = n - k_out
-    if n_in < 0:
-        raise ValueError("sample count must be non-negative")
-    if k_out < 0:
-        raise ValueError("outlier count must be non-negative")
     inliers = np.column_stack(
         [rng_in.exponential(scale=2.0, size=n_in), rng_in.uniform(0.0, 5.0, size=n_in)]
     )

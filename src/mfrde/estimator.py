@@ -10,8 +10,9 @@ For a block of size ``m`` and a depth-``p`` tree, the tree density at
 density averages that over the trees; the aggregate takes the k-th
 smallest block value with ``k = ceil(S / 2)``, the lower median.
 
-One kernel, :func:`_kth_densities`, serves the normalizer and every
-query: it sums each block's integer leaf counts over the trees, exact in
+One kernel, :func:`_kth_densities`, takes every median, for the
+normalizer, the cell table and a walked query alike: it sums each
+block's integer leaf counts over the trees, exact in
 the type :func:`_summed_counts` picks, selects the k-th smallest sum and
 divides only that one, so the result is the k-th smallest of the divided
 block densities, bit for bit, whatever the batch, its chunking or the
@@ -21,16 +22,15 @@ Every tree splits at midpoints, so the median is constant on each of the
 forest's ``2**(p*d)`` depth-``p`` dyadic cells, and depends on a cell only
 through its ``T`` leaf ids.  :func:`_cell_medians` takes it once per cell
 of the forest's common refinement, whose corners and their ids
-:func:`~mfrde.geometry._refinement` gives.  The exact-dyadic normalizer
-sums the values as it streams; a grid or Monte Carlo normalizer of at
-least ``2**(p*d)`` nodes tabulates them
-(:func:`_cell_table`) and looks up each node's cell by its quantized codes.
-The model :func:`fit` returns keeps that table, so every later batch of it
-is a lookup too.  A model without one (loaded, or fitted with exact or
-fewer nodes) tabulates for a batch of at least ``2**(p*d)`` in-box points,
-so the table never holds more floats than there are points, and walks each
-point's leaves in a smaller batch.  All paths give the same floats, as the
-same leaf ids give the same sums.
+:func:`~mfrde.geometry._refinement` gives.  A model of at most
+``_TABLE_CELLS`` cells holds one table of every cell's normalized
+density, built once when the model is: :func:`fit` hands over the table
+its normalizer filled, and :func:`load_model` and
+:func:`dataclasses.replace` rebuild it from the counts.  Every query of
+such a model looks up its point's cell; the table is read-only, so
+concurrent readers stay safe.  Only past the budget (``d >= 3`` at ``p =
+8``) does a query walk its point's leaves and take their median.  Both
+give the same floats: a point's leaf ids are those of its cell.
 
 Every size is fixed before anything is drawn, allocated or decoded:
 :func:`fit`, :func:`load_model` (on a file's header) and every
@@ -64,7 +64,7 @@ import numpy as np
 
 from .datasets import Dataset, _write_atomic
 from .geometry import (
-    Box, Forest, _as_points, _cell_index, _check_forest_size, _lattice, _refinement,
+    Box, Forest, _as_points, _check_forest_size, _codes, _lattice, _pack, _refinement,
     build_forest, leaf_indices,
 )
 
@@ -91,19 +91,14 @@ _QUAD_CHUNK = 1 << 15
 # their row buffer fit in L2.
 _WALK_POINTS = _QUAD_CHUNK
 _GATHER_ELEMS = 1 << 16
-# Below this many gathered counts (n * T * S), :func:`_tree_sums` gathers
-# every tree's rows in one ``take`` and adds them in one reduction; at or
-# above it, one ``take`` and one add per tree.  A single query is mostly
-# fixed per-call cost, which the one gather cuts from 2T - 1 calls to 3;
-# a larger batch loses more to the (T, n, S) copy than the calls cost, so
-# the ``_GATHER_ELEMS`` sub-chunks of score, grid and normalizer batches
-# keep the loop.  Per-tree loop / one gather at T = 12, p = 8 (medians of
-# 7 interleaved in-process passes, 2-core x86 host, numpy 2.4):
-# int32, S = 10:   n = 1 24/5.6 us, 128 34/17 us, 512 63/152 us;
-# uint16, S = 100: n = 1 25/6.1 us, 128 50/35 us, 512 119/131 us.
-# 2**15 counts (n = 273 at S = 10, n = 27 at S = 100) lies below both
-# crossovers.
-_ONE_GATHER_ELEMS = 1 << 15
+# Most dyadic cells a model tabulates: 2**18 float64 densities, 2 MiB.
+# Builds from the counts (medians of 5 in-process builds, 2-core x86 host,
+# numpy 2.4), with the forest's id table as deep as its trees (k = p):
+# 3.2 ms at 65 536 cells, (d, p, T, S) = (2, 8, 12, 10), and 5.7 ms at
+# S = 100; 10 ms at 262 144 cells, (2, 9, 12, 10) and (3, 6, 20, 10).
+# Past the budget k < p: 187 ms at 2**20 cells, (2, 10, 12, 10), and
+# 527 ms at 2**21, (3, 7, 20, 10), too much to add to every load.
+_TABLE_CELLS = 1 << 18
 # Most quadrature nodes, or Monte Carlo draws, any method may use.
 _CELL_BUDGET = 1 << 24
 # Most counts the normalizer chosen by ``auto`` may gather: nodes * T * S.
@@ -293,17 +288,17 @@ class FittedMFRDE:
     ``seed`` is the fit's seed, which Monte Carlo quadrature draws from.
     ``quadrature`` is the resolved method: ``auto`` raises ``ValueError``.
 
-    ``_table`` is the ``(2**(p*d),)`` unnormalized lower median of every
-    dyadic cell (:func:`_cell_table`), or ``None``; any other shape raises
-    ``ValueError``.  Only :func:`fit` passes one, when its grid or Monte
-    Carlo normalizer had at least as many nodes as cells and so built it
-    whole; every batch of that model is then a lookup.  It is kept
-    read-only and never filled later, so concurrent readers stay safe, and
-    :func:`dataclasses.replace` drops it rather than pair it with other
-    counts.  The exact normalizer streams its cells and keeps none.  The
-    model file does not hold the table, and :func:`load_model` builds
-    none: that would cost a served ``score`` or ``eval-grid`` batch of
-    fewer points than cells more than it saves.
+    A model of at most ``_TABLE_CELLS`` dyadic cells holds one read-only
+    ``(2**(p*d),)`` table of every cell's normalized density, built here,
+    once: every query looks its point's cell up in it, and as nothing
+    writes it later, concurrent readers stay safe.  ``_table`` is
+    :func:`fit`'s hand-over, the unnormalized :func:`_cell_table` its
+    normalizer filled, which the model takes over and divides in place by
+    ``normalizer``; any other shape raises ``ValueError``.  Without it,
+    which is how :func:`load_model` and :func:`dataclasses.replace` build
+    a model, the table is built from the counts.  A model past the budget
+    holds none, refuses a ``_table``, and walks each query's leaves.  The
+    model file never holds the table.
     """
 
     seed: int
@@ -317,7 +312,7 @@ class FittedMFRDE:
     # Derived from ``leaf_counts``: the read-only array the median kernel
     # sums (:func:`_summed_counts`).
     _sum_counts: np.ndarray = field(init=False, repr=False)
-    # ``_table``, read-only, or None.
+    # Each dyadic cell's normalized density, read-only; None past the budget.
     _cells: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self, _table: np.ndarray | None) -> None:
@@ -349,13 +344,16 @@ class FittedMFRDE:
         leaf_counts.setflags(write=False)
         object.__setattr__(self, "leaf_counts", leaf_counts)
         object.__setattr__(self, "_sum_counts", _summed_counts(leaf_counts, t, self.m))
-        if _table is not None:
-            cells = 2 ** (self.depth * self.box.d)
-            if np.shape(_table) != (cells,):
-                raise ValueError(
-                    f"cell table shape {np.shape(_table)} does not match the {cells} cells"
-                )
-            _table = np.ascontiguousarray(_table, dtype=float)
+        cells = 2 ** (self.depth * self.box.d)
+        tabulated = _tabulated(self.forest)
+        if _table is not None and (not tabulated or np.shape(_table) != (cells,)):
+            raise ValueError(f"cell table shape {np.shape(_table)} does not match the "
+                             f"{cells if tabulated else 0} cells the model tabulates")
+        if tabulated:
+            if _table is None:
+                _table = _cell_table(self.forest, self._sum_counts, self.m)
+            # The division each query's median took before: the same bits.
+            _table = np.divide(_table, self.normalizer, out=_table)
             _table.setflags(write=False)
         object.__setattr__(self, "_cells", _table)
 
@@ -390,41 +388,24 @@ class FittedMFRDE:
         return self.forest.depth
 
 
+def _tabulated(forest: Forest) -> bool:
+    """Whether a model of ``forest`` holds a cell table: ``2**(p*d) <= _TABLE_CELLS``."""
+    return 2 ** (forest.depth * forest.box.d) <= _TABLE_CELLS
+
+
 def _median_rank(blocks: int) -> int:
     """``ceil(S / 2)``: the lower median is the k-th smallest block value."""
     return (blocks + 1) // 2
 
 
-def _tree_sums(leaf_major: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _per_tree_sums(leaf_major: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Exact sums over the trees of each point's leaf row, in ``leaf_major.dtype``.
 
     ``leaf_major`` is the ``(T, 2**p, S)`` counts array and ``ids`` the
-    ``(n, T)`` leaf ids; fills and returns ``out``, shape ``(n, S)``.
-    Fewer than ``_ONE_GATHER_ELEMS`` gathered counts, such as a single
-    query's, take :func:`_one_gather_sums`, whose three calls cost less
-    than ``2T - 1``; more take :func:`_per_tree_sums`, which copies no
-    ``(T, n, S)`` block.  Both add integers in the counts' own type, which
-    :func:`_summed_counts` keeps exact, so they give the same bytes.
+    ``(n, T)`` leaf ids; fills and returns ``out``, shape ``(n, S)``, by one
+    gather of contiguous ``S``-rows and one add per tree, which copies no
+    ``(T, n, S)`` block.
     """
-    t, _, s = leaf_major.shape
-    if ids.shape[0] * t * s < _ONE_GATHER_ELEMS:
-        return _one_gather_sums(leaf_major, ids, out)
-    return _per_tree_sums(leaf_major, ids, out)
-
-
-def _one_gather_sums(leaf_major: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`_tree_sums` by one gather of every tree's rows and one reduction."""
-    t, leaves, s = leaf_major.shape
-    # Tree t's leaf i is row t * 2**p + i of the (T * 2**p, S) view;
-    # T * 2**p fits int32, as the plan bounds the int32 counts' bytes.
-    at = ids.T + np.arange(0, t * leaves, leaves, dtype=ids.dtype)[:, None]
-    rows = leaf_major.reshape(t * leaves, s).take(at, axis=0, mode="wrap")
-    # With ``out`` and no dtype, the reduction adds in ``out``'s type.
-    return np.add.reduce(rows, axis=0, out=out)
-
-
-def _per_tree_sums(leaf_major: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`_tree_sums` by one gather of contiguous ``S``-rows and one add per tree."""
     rows = np.empty_like(out)
     # Leaf ids are in range by construction; "wrap" skips the bounds check.
     leaf_major[0].take(ids[:, 0], axis=0, out=out, mode="wrap")
@@ -443,30 +424,27 @@ def _median_values(
     forest: Forest, leaf_major: np.ndarray, m: int, points: np.ndarray,
     table: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Lower median (the :func:`_median_rank`-th smallest) of the block densities at each point.
+    """A value per cell at each in-box point: looked up in ``table``, or the walked median.
 
-    ``leaf_major`` is the ``(T, 2**p, S)`` counts array, whose integer
-    type the tree sums keep: int32, or the uint16 copy of
-    :func:`_summed_counts`, exact either way.  Each point's cell is looked
-    up in ``table``, the forest's :func:`_cell_table`: the normalizer's,
-    or a fitted model's, which kept it.  With none given, a batch of at
-    least ``2**(p*d)`` points builds one, which takes the median once per
-    cell of the forest's common refinement, and a smaller batch walks its
-    leaves and :func:`_kth_densities` takes their median, once per point.
-    Both run ``_WALK_POINTS`` points at a time and give the same floats: a
-    point's leaf ids are those of its cell.
+    ``table`` is a ``(2**(p*d),)`` array of per-cell values, a point's
+    cell its codes packed in C order (:func:`~mfrde.geometry._pack`).
+    Without one, each point walks its leaves and :func:`_kth_densities`
+    takes the lower median (the :func:`_median_rank`-th smallest) of the
+    block densities there, summing ``leaf_major``, the ``(T, 2**p, S)``
+    counts, in their own integer type.  Either way ``_WALK_POINTS``
+    points at a time.  The points must lie in the closed box: the lookup
+    does not check, and the walk raises.
     """
     n = points.shape[0]
-    if table is None and n >= 2 ** (forest.depth * forest.box.d):
-        table = _cell_table(forest, leaf_major, m)
     out = np.empty(n)
     for start in range(0, n, _WALK_POINTS):
         chunk = points[start : start + _WALK_POINTS]
+        part = out[start : start + chunk.shape[0]]
         if table is not None:
-            table.take(_cell_index(forest, chunk), out=out[start : start + chunk.shape[0]])
+            table.take(_pack(_codes(forest, chunk), forest.depth), out=part)
         else:
             ids = leaf_indices(forest, points=chunk)
-            _kth_densities(forest, leaf_major, m, ids, out[start : start + ids.shape[0]])
+            _kth_densities(forest, leaf_major, m, ids, part)
             # Freed before the next chunk's ids exist, not when they replace it.
             del ids
     return out
@@ -523,7 +501,7 @@ def _kth_densities(
     sub = max(256, _GATHER_ELEMS // max(s, 1))
     sums = np.empty((min(sub, ids.shape[0]), s), dtype=leaf_major.dtype)
     for lo in range(0, ids.shape[0], sub):
-        part = _tree_sums(leaf_major, ids[lo : lo + sub], sums[: ids.shape[0] - lo])
+        part = _per_tree_sums(leaf_major, ids[lo : lo + sub], sums[: ids.shape[0] - lo])
         part.partition(k, axis=1)
         kth = part[:, k]
         out[lo : lo + kth.size] = kth / denom / forest.n_trees
@@ -552,15 +530,22 @@ def evaluate_batch(model: FittedMFRDE, points) -> np.ndarray:
 def _densities(model: FittedMFRDE, pts: np.ndarray) -> np.ndarray:
     """:func:`evaluate_batch` on an ``(n, d)`` float array."""
     mask = model.box.contains_rows(pts)
-    if not mask.all():
-        # NaN fails every comparison, so NaN rows are among the out-of-box ones.
-        nan_rows = int(np.count_nonzero(np.isnan(pts[~mask]).any(axis=1)))
-        if nan_rows:
-            raise ValueError(f"{nan_rows} query row(s) hold NaN; no density is defined there")
+    if mask.all():
+        return _model_values(model, pts)
+    # NaN fails every comparison, so NaN rows are among the out-of-box ones.
+    nan_rows = int(np.count_nonzero(np.isnan(pts[~mask]).any(axis=1)))
+    if nan_rows:
+        raise ValueError(f"{nan_rows} query row(s) hold NaN; no density is defined there")
     out = np.zeros(pts.shape[0])
-    med = _median_values(model.forest, model._sum_counts, model.m, pts[mask], model._cells)
-    out[mask] = med / model.normalizer
+    out[mask] = _model_values(model, pts[mask])
     return out
+
+
+def _model_values(model: FittedMFRDE, inside: np.ndarray) -> np.ndarray:
+    """The normalized density at in-box points: the cell table's, else the walked median's."""
+    if model._cells is not None:
+        return _median_values(model.forest, model._sum_counts, model.m, inside, model._cells)
+    return _median_values(model.forest, model._sum_counts, model.m, inside) / model.normalizer
 
 
 def _fit_streams(seed: int) -> tuple[np.random.SeedSequence, ...]:
@@ -602,7 +587,7 @@ def _compute_normalizer(
     forest: Forest, leaf_counts: np.ndarray, m: int, quad: Quadrature, seed: int,
 ) -> tuple[float, np.ndarray | None]:
     """Integral of the unnormalized median over the box with a resolved method,
-    and the :func:`_cell_table` it built, or ``None``.
+    and the :func:`_cell_table` it filled, or ``None`` past ``_TABLE_CELLS``.
 
     The kernel sums the array :func:`_summed_counts` gives for the int32
     ``leaf_counts``, the same rule as for every query.  ``exact-dyadic``
@@ -613,19 +598,20 @@ def _compute_normalizer(
     exception is a box whose cells are narrower than a few ulps of its
     offset, where a float centre can round into a neighbouring cell: there
     this value is the exact sum over the cells and the centres' is not.
-    A grid or Monte Carlo normalizer with at least ``2**(p*d)`` nodes
-    builds the :func:`_cell_table` once, looks up every chunk in it and
-    returns it; the exact one streams its cells and returns no table.
+    Within the budget the exact normalizer fills the table as it streams
+    its chunks, and a grid or Monte Carlo one builds it first and looks up
+    every node in it; past the budget the exact one keeps no cell and the
+    others walk every node's leaves.
     """
     leaf_counts = _summed_counts(leaf_counts, forest.n_trees, m)
     cells = 2 ** (forest.depth * forest.box.d)
-    table = None
+    tabulated = _tabulated(forest)
     if quad.method == "exact-dyadic":
-        partials = [float(np.sum(v)) for v in _cell_medians(forest, leaf_counts, m)]
+        table = np.empty(cells) if tabulated else None
+        partials = [float(np.sum(v)) for v in _cell_medians(forest, leaf_counts, m, table)]
         z = forest.box.volume / cells * math.fsum(partials)
     else:
-        nodes = quad.grid_points**forest.box.d if quad.method == "regular-grid" else quad.mc_draws
-        table = _cell_table(forest, leaf_counts, m) if nodes >= cells else None
+        table = _cell_table(forest, leaf_counts, m) if tabulated else None
         z = _integrate(
             forest.box, forest.depth, quad, seed,
             lambda pts: _median_values(forest, leaf_counts, m, pts, table),
@@ -642,8 +628,8 @@ def integrate_estimate(model: FittedMFRDE) -> float:
     """Integrate the normalized density with the model's own quadrature.
 
     Returns a value near 1; the gap is pure floating-point summation
-    error for the deterministic methods.  On a fitted model that kept its
-    normalizer's cell table, every chunk is a lookup in it.
+    error for the deterministic methods.  Within the table budget every
+    chunk is a lookup in the model's cell table, fitted or loaded.
     """
     return _integrate(
         model.box, model.depth, model.quadrature, model.seed,

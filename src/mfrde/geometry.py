@@ -54,9 +54,9 @@ float geometry past the quantization.  Both steps run in
 Common refinement.  A depth-``p`` dyadic cell is one tuple of codes, and
 all its points share its ``T`` leaf ids.  Cells are numbered by their
 codes packed in C order (:func:`_pack`), the order :func:`_lattice` yields
-them in and :func:`_cell_index` finds a point's cell by.  The cells with
-one tuple of ids form a rectangle, a cell of the forest's common
-refinement, and which cells share ids is decided here alone:
+them in; a point's cell is its :func:`_codes`, packed.  The cells with one
+tuple of ids form a rectangle, a cell of the forest's common refinement,
+and which cells share ids is decided here alone:
 :func:`_refinement` hands out, per C-order chunk of cells, the ids of the
 chunk's corners and each cell's corner.  At ``k = p`` the id table's
 columns are already every cell's ids, in C order; below that the ids come
@@ -401,15 +401,6 @@ def _codes(forest: Forest, pts: np.ndarray) -> np.ndarray:
     for j in range(pts.shape[1]):
         codes[:, j] = forest._inner[j].searchsorted(pts[:, j], side="right")
     return codes
-
-
-def _cell_index(forest: Forest, points) -> np.ndarray:
-    """Index of each point's depth-``p`` dyadic cell, codes packed in C order.
-
-    Packs the codes :func:`leaf_indices` quantizes, so a point's cell
-    gives it the same leaf ids as its own walk; raises as it does.
-    """
-    return _pack(_codes(forest, _in_box(forest.box, points)), forest.depth)
 
 
 def _pack(codes: np.ndarray, bits: int) -> np.ndarray:

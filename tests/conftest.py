@@ -21,10 +21,13 @@ points against the query's reconstructed leaf cell, with no precomputed
 counts, using the same float expressions as the estimator (exact integer
 count summed over trees, one division by m times the leaf volume, one by
 the tree count).  ``block_densities`` gives every block's forest density
-at a point from a fitted model's counts, through the package's own tree
-sums.  ``dyadic_corners`` counts the cells whose medians the cell table
-must take, by comparing each cell's walked leaf ids with its lower
-neighbours'.
+at a point from a fitted model's counts, summed in int64.  The point path
+is the oracle of every model's lookups: ``walked_medians`` walks each
+point's leaves (``mfrde.geometry.leaf_indices``) and takes the naive
+per-block median of its int64 tree sums, and ``walked_densities`` is
+``evaluate_batch`` by that walk.  ``dyadic_corners`` counts the cells
+whose medians the cell table must take, by comparing each cell's walked
+leaf ids with its lower neighbours'.
 
 The paper's notion of a local outlier: an outlier matters for a query
 ``x`` only if it shares a leaf with ``x`` in some tree
@@ -55,7 +58,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mfrde.estimator import FittedMFRDE, _density_denom, _tree_sums
+from mfrde.estimator import FittedMFRDE, _density_denom
 from mfrde.geometry import Box, Forest, leaf_indices
 
 settings.register_profile("mfrde", derandomize=True)
@@ -207,8 +210,39 @@ def naive_median_at(blocks_points: list, forest: Forest, m: int, x) -> float:
 def block_densities(model: FittedMFRDE, x) -> np.ndarray:
     """The ``S`` block forest densities of the model at one in-box point."""
     ids = leaf_indices(model.forest, points=np.atleast_2d(np.asarray(x, dtype=float)))
-    sums = _tree_sums(model.leaf_counts, ids, np.empty((1, model.n_blocks), dtype=np.int32))
-    return sums[0] / _density_denom(model.forest, model.m) / model.n_trees
+    sums = model.leaf_counts.astype(np.int64)[np.arange(model.n_trees), ids[0]].sum(axis=0)
+    return sums / _density_denom(model.forest, model.m) / model.n_trees
+
+
+def walked_medians(forest: Forest, leaf_counts: np.ndarray, m: int, points) -> np.ndarray:
+    """The lower median of the block densities at in-box points, each by its own walk.
+
+    ``leaf_counts`` is ``(T, 2**p, S)``.  Each point's ``S`` block sums
+    over its ``leaf_indices`` leaves are added in int64 and sorted; the
+    ``ceil(S / 2)``-th is divided once by ``m`` times the leaf volume and
+    once by ``T``.  A few thousand points at a time.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, forest.box.d)
+    counts = np.asarray(leaf_counts).astype(np.int64)
+    k = (counts.shape[2] + 1) // 2 - 1
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), 4096):
+        ids = leaf_indices(forest, pts[start : start + 4096])
+        sums = counts[np.arange(forest.n_trees), ids].sum(axis=1)
+        kth = np.sort(sums, axis=1)[:, k]
+        out[start : start + len(ids)] = kth / _density_denom(forest, m) / forest.n_trees
+    return out
+
+
+def walked_densities(model: FittedMFRDE, points) -> np.ndarray:
+    """``evaluate_batch``'s oracle: 0 outside the closed box, else the walked
+    median over the normalizer."""
+    pts = np.asarray(points, dtype=float).reshape(-1, model.box.d)
+    inside = model.box.contains_batch(pts)
+    out = np.zeros(len(pts))
+    out[inside] = walked_medians(model.forest, model.leaf_counts, model.m,
+                                 pts[inside]) / model.normalizer
+    return out
 
 
 def dyadic_corners(forest: Forest, chunk: int) -> int:

@@ -163,7 +163,7 @@ class TestMix:
 
     @pytest.mark.parametrize(
         "n, ratio, message",
-        [(-10, 0.1, "sample count"), (-1, 0.9, "outlier count"), (-1, 0.0, "sample count")],
+        [(-10, 0.1, "sample count"), (-1, 0.9, "sample count"), (-1, 0.0, "sample count")],
     )
     def test_negative_sizes(self, n, ratio, message):
         with pytest.raises(ValueError, match=message + " must be non-negative"):

@@ -22,6 +22,8 @@ from conftest import (
     local_outliers,
     naive_median_at,
     naive_sfde_at,
+    walked_densities,
+    walked_medians,
 )
 from mfrde import datasets, estimator, geometry
 from mfrde.datasets import generate
@@ -655,23 +657,16 @@ class TestFitPlan:
             fit(data, config)
 
 
-def point_path(forest: Forest, leaf_major: np.ndarray, m: int, pts) -> np.ndarray:
-    """The median kernel on every point's own leaf walk, however large the batch."""
-    pts = np.asarray(pts, dtype=float)
-    ids = leaf_indices(forest, pts)
-    return estimator._kth_densities(forest, leaf_major, m, ids, np.empty(len(ids)))
-
-
 def cell_path_spy(mp) -> list:
     """Record the size of every batch that looks its values up per cell."""
     seen = []
-    original = estimator._cell_index
+    original = estimator._pack
 
-    def spy(forest, points):
-        seen.append(len(points))
-        return original(forest, points)
+    def spy(codes, bits):
+        seen.append(len(codes))
+        return original(codes, bits)
 
-    mp.setattr(estimator, "_cell_index", spy)
+    mp.setattr(estimator, "_pack", spy)
     return seen
 
 
@@ -722,11 +717,16 @@ class TestLattice:
         assert start == 2 ** (p * d)
 
     def test_median_chunks_do_not_change_bits(self, monkeypatch):
-        # S = 20 blocks on 4096 cells: the 1600 grid nodes and the 2000
-        # queries walk their own leaves.  Walks of 700 points cut both with
-        # ragged tails, and gather sub-chunks of 300 points cut every walk,
-        # again with a ragged tail
-        self.check_chunks(monkeypatch, depth=6, lookups=([], []))
+        # S = 20 blocks on 4096 cells, past a table budget set to 0: the
+        # 1600 grid nodes and the 2000 queries walk their own leaves.  Walks
+        # of 700 points cut both with ragged tails, and gather sub-chunks of
+        # 300 points cut every walk, again with a ragged tail.  Every run
+        # gives the bits of the in-budget model's lookups
+        data, cfg, probe = self.chunk_case(depth=6)
+        looked_up = evaluate_batch(fit(data, cfg), probe)
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
+        walked = self.check_chunks(monkeypatch, depth=6, lookups=([], []))
+        assert walked.tobytes() == looked_up.tobytes()
 
     def test_cell_table_chunks_do_not_change_bits(self, monkeypatch):
         # 1024 cells: the nodes and the queries take the cell path.  The
@@ -736,14 +736,19 @@ class TestLattice:
                           lookups=([1600, 2000], [700, 700, 200, 700, 700, 600]))
 
     @staticmethod
-    def check_chunks(monkeypatch, depth: int, lookups: tuple[list, list]) -> None:
-        """Fit and query a depth-``depth`` model whole, then with 700-point
-        walks and 300-point gathers; ``lookups`` are the batch sizes each
-        run looks up per cell."""
+    def chunk_case(depth: int):
+        """S = 20 blocks of a depth-``depth`` grid:40 fit, and 2000 queries."""
         data = np.random.default_rng(4).random((400, 2)) ** 2
         cfg = EstimatorConfig(m=20, trees=3, depth=depth, seed=2, box=UNIT2,
                               quadrature=Quadrature(method="regular-grid", grid_points=40))
-        probe = np.random.default_rng(5).random((2000, 2))
+        return data, cfg, np.random.default_rng(5).random((2000, 2))
+
+    @classmethod
+    def check_chunks(cls, monkeypatch, depth: int, lookups: tuple[list, list]) -> np.ndarray:
+        """Fit and query a :meth:`chunk_case` model whole, then with 700-point
+        walks and 300-point gathers; ``lookups`` are the batch sizes each
+        run looks up per cell.  Returns the queries' densities."""
+        data, cfg, probe = cls.chunk_case(depth)
         seen = cell_path_spy(monkeypatch)
         model = fit(data, cfg)
         dens = evaluate_batch(model, probe)
@@ -755,12 +760,14 @@ class TestLattice:
         assert chunked.normalizer == model.normalizer
         assert evaluate_batch(chunked, probe).tobytes() == dens.tobytes()
         assert seen == lookups[1]
+        return dens
 
     def test_median_kernel_memory_is_bounded(self, monkeypatch):
-        # 65 536 cells, more than the 40k queries, so they walk their own
-        # leaves.  The counts are built, not fitted: at depth 8, 20 points
-        # a block leave the median zero almost everywhere, and fit refuses
-        # that model
+        # 65 536 cells, past a table budget set to 0, so the 40k queries
+        # walk their own leaves.  The counts are built, not fitted: at depth
+        # 8, 20 points a block leave the median zero almost everywhere, and
+        # fit refuses that model
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
         self.check_memory(monkeypatch, depth=8, cell_path=False)
 
     def test_cell_table_memory_is_bounded(self, monkeypatch):
@@ -769,15 +776,18 @@ class TestLattice:
 
     def test_walks_hold_one_chunk_of_leaf_ids(self, monkeypatch):
         # 2.5 walks of 4096 points at T = 64, in fit's leaf counts and in a
-        # query batch smaller than its 2**14 cells: each walk's (4096, 64)
-        # int32 ids are 1 MiB, and are freed before the next walk's exist.
-        # Holding two walks' ids at once would put either peak near 2.6 MiB
+        # query batch of a model past the table budget (set to 0 here): each
+        # walk's (4096, 64) int32 ids are 1 MiB, and are freed before the
+        # next walk's exist.  Holding two walks' ids at once would put
+        # either peak near 2.6 MiB
         monkeypatch.setattr(estimator, "_WALK_POINTS", 4096)
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
         n, trees = 10_240, 64
         data = np.random.default_rng(6).random((n, 2))
         probe = np.random.default_rng(7).random((n, 2))
         cfg = EstimatorConfig(m=n // 4, trees=trees, depth=2, seed=4, box=UNIT2)
         deep = fit(data, dataclasses.replace(cfg, depth=7))
+        assert deep._cells is None
         peaks = []
         for run in (lambda: fit(data, cfg), lambda: evaluate_batch(deep, probe)):
             tracemalloc.start()
@@ -797,6 +807,7 @@ class TestLattice:
         forest = build_forest(UNIT2, depth, 4, seed=1)
         model = make_model(forest, valid_counts(4, 2**depth, 400, 20, seed=8), m=20)
         assert model.n_blocks == 400
+        assert (model._cells is not None) == cell_path
         probe = np.random.default_rng(9).random((40_000, 2))
         seen = cell_path_spy(monkeypatch)
         tracemalloc.start()
@@ -838,22 +849,23 @@ def edge_counts(trees: int, leaves: int, s: int, m: int, seed: int) -> np.ndarra
 def dtype_spy(monkeypatch) -> list:
     """Record the integer type of every tree sum the median kernel takes."""
     seen = []
-    original = estimator._tree_sums
+    original = estimator._per_tree_sums
 
     def spy(leaf_major, ids, out):
         seen.append(out.dtype)
         return original(leaf_major, ids, out)
 
-    monkeypatch.setattr(estimator, "_tree_sums", spy)
+    monkeypatch.setattr(estimator, "_per_tree_sums", spy)
     return seen
 
 
 class TestCodePathNormalizer:
     """The exact-dyadic normalizer from cell codes against the float-centre oracle.
 
-    The oracle is the quadrature of the median kernel at the float cell
-    centres, each through its own ``leaf_indices`` walk (:func:`point_path`,
-    never the per-cell table), with int32 sums.  Cells here are at
+    The oracle is the quadrature of the naive median at the float cell
+    centres, each through its own ``leaf_indices`` walk
+    (``conftest.walked_medians``, never the per-cell table), with int64
+    sums; the table the normalizer fills holds its values.  Cells here are at
     least ``1e-3 / 2**12`` wide at offsets up to ``1e6``, far above a few
     ulps, so both sides see the same cells and must agree bit for bit.
     """
@@ -879,13 +891,15 @@ class TestCodePathNormalizer:
             k = (forest._leaf_table.shape[1].bit_length() - 1) // box.d
             assume(in_regime(k, p))
             counts = edge_counts(trees, 2**p, s, m, seed)
+            centres = []
             oracle = estimator._integrate(
                 box, p, quad, 0,
-                lambda q: point_path(forest, counts, m, q),
+                lambda q: centres.append(walked_medians(forest, counts, m, q)) or centres[-1],
             )
             seen = dtype_spy(mp)
             z, table = estimator._compute_normalizer(forest, counts, m, quad, 0)
-        assert z == oracle and table is None
+        assert z == oracle
+        assert table.tobytes() == np.concatenate(centres).tobytes()
         assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
 
     @pytest.mark.parametrize("spec", ["exact", "grid:9", "mc:3000"])
@@ -896,7 +910,7 @@ class TestCodePathNormalizer:
         counts = edge_counts(trees, 8, 3, m, seed=6)
         quad = Quadrature.parse(spec)
         oracle = estimator._integrate(
-            box, 3, quad, 11, lambda q: point_path(forest, counts, m, q)
+            box, 3, quad, 11, lambda q: walked_medians(forest, counts, m, q)
         )
         seen = dtype_spy(monkeypatch)
         assert estimator._compute_normalizer(forest, counts, m, quad, 11)[0] == oracle
@@ -919,29 +933,33 @@ def edge_model(trees: int, m: int, seed: int) -> FittedMFRDE:
 
 
 class TestSumDtype:
-    """Every query sums by the normalizer's rule: uint16 exactly when ``T * m < 2**16``."""
+    """Every tree sum follows the normalizer's rule: uint16 exactly when ``T * m < 2**16``."""
 
     @pytest.mark.parametrize("trees, m", NARROW_EDGE + WIDE_EDGE)
     def test_queries_sum_narrow_below_2_16(self, monkeypatch, trees, m):
+        # an in-budget model's table is built by the rule and its queries
+        # sum nothing; past the budget (set to 0) every query sums by it
+        narrow = {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
+        seen = dtype_spy(monkeypatch)
         model = edge_model(trees, m, seed=trees)
+        assert set(seen) == narrow
         box = model.box
         inner = np.random.default_rng(m).random((40, 2))
         pts = np.concatenate([[box.lo, box.hi, (6.0, 0.0)],
                               box.lo_array + (box.hi_array - box.lo_array) * inner])
-        # The oracle: the same kernel on the int32 storage.
-        inside = box.contains_batch(pts)
-        oracle = np.zeros(pts.shape[0])
-        oracle[inside] = estimator._median_values(
-            model.forest, model.leaf_counts, m, pts[inside]
-        ) / model.normalizer
+        oracle = walked_densities(model, pts)
         assert oracle[0] == trees * m / estimator._density_denom(model.forest, m) / trees / 0.75
-        seen = dtype_spy(monkeypatch)
-        batch = evaluate_batch(model, pts)
-        assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
-        assert batch.tobytes() == oracle.tobytes()
-        seen.clear()
-        assert [evaluate(model, x) for x in pts] == batch.tolist()
-        assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
+        walking = dataclasses.replace(model)
+        assert walking._cells is None
+        for each, sums in ((model, set()), (walking, narrow)):
+            seen.clear()
+            batch = evaluate_batch(each, pts)
+            assert set(seen) == sums
+            assert batch.tobytes() == oracle.tobytes()
+            seen.clear()
+            assert np.array([evaluate(each, x) for x in pts]).tobytes() == batch.tobytes()
+            assert set(seen) == sums
 
     @pytest.mark.parametrize("trees, m", [NARROW_EDGE[0], NARROW_EDGE[-1], WIDE_EDGE[0],
                                           WIDE_EDGE[-1]])
@@ -959,35 +977,33 @@ class TestSumDtype:
                 assert summed is each.leaf_counts
 
 
-def sums_spy(monkeypatch) -> list:
-    """Record which tree-sum implementation runs, and on how many points."""
+def walk_spy(monkeypatch) -> list:
+    """Record each tree-sum and leaf-walk call, and on how many points."""
     seen = []
-    for name in ("_one_gather_sums", "_per_tree_sums"):
+    for name in ("_per_tree_sums", "leaf_indices"):
         original = getattr(estimator, name)
 
-        def spy(leaf_major, ids, out, name=name, original=original):
-            seen.append((name, ids.shape[0]))
-            return original(leaf_major, ids, out)
+        def spy(*args, name=name, original=original, **kwargs):
+            seen.append((name, len(args[1] if len(args) > 1 else kwargs["points"])))
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(estimator, name, spy)
     return seen
 
 
 class TestTreeSums:
-    """Both tree-sum implementations give the same bytes; the batch size picks one."""
+    """The per-tree loop sums exactly; only a model past the table budget takes it."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
-    def test_one_gather_equals_per_tree_loop(self, data):
+    def test_per_tree_loop_equals_int64_sums(self, data):
         trees = data.draw(st.integers(1, 20), label="T")
         p = data.draw(st.integers(0, 8), label="p")
         s = data.draw(st.integers(1, 120), label="S")
         wide = data.draw(st.booleans(), label="int32 sums")
         # tree sums reach T * m in leaf 0: one below 2**16 in uint16, near 2**31 in int32
         m = (2**31 - 1) // trees if wide else (2**16 - 1) // trees
-        # from one point to past twice the threshold's point count
-        n = data.draw(st.integers(1, 2 * estimator._ONE_GATHER_ELEMS // (trees * s) + 2),
-                      label="n")
+        n = data.draw(st.integers(1, 600), label="n")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         counts = estimator._summed_counts(edge_counts(trees, 2**p, s, m, seed), trees, m)
         assert counts.dtype == (np.int32 if wide else np.uint16)
@@ -995,18 +1011,9 @@ class TestTreeSums:
         ids[0] = 0
         oracle = counts.astype(np.int64)[np.arange(trees), ids].sum(axis=1)
         assert oracle[0].tolist() == [trees * m] * s
-        results = set()
-        # the module's threshold, then each side forced
-        for threshold in (estimator._ONE_GATHER_ELEMS, 0, 2**62):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(estimator, "_ONE_GATHER_ELEMS", threshold)
-                seen = sums_spy(mp)
-                out = np.full((n, s), 7, dtype=counts.dtype)
-                assert estimator._tree_sums(counts, ids, out) is out
-            below = n * trees * s < threshold
-            assert seen == [("_one_gather_sums" if below else "_per_tree_sums", n)]
-            results.add(out.tobytes())
-        assert results == {oracle.astype(counts.dtype).tobytes()}
+        out = np.full((n, s), 7, dtype=counts.dtype)
+        assert estimator._per_tree_sums(counts, ids, out) is out
+        assert out.tobytes() == oracle.astype(counts.dtype).tobytes()
 
     @pytest.fixture(scope="class")
     def big_blocks_model(self, tmp_path_factory):
@@ -1016,31 +1023,37 @@ class TestTreeSums:
         save_model(make_model(forest, valid_counts(12, 256, 10, 10_000, seed=4), 10_000), path)
         return load_model(path)
 
-    def test_single_query_takes_one_gather(self, monkeypatch, big_blocks_model):
-        seen = sums_spy(monkeypatch)
+    def test_single_query_is_one_lookup(self, monkeypatch, big_blocks_model):
+        seen, cells = walk_spy(monkeypatch), cell_path_spy(monkeypatch)
         evaluate(big_blocks_model, (1.3, 2.7))
-        assert seen == [("_one_gather_sums", 1)]
+        assert seen == [] and cells == [1]
 
     def test_large_batch_keeps_the_per_tree_loop(self, monkeypatch, big_blocks_model):
+        # past the table budget (set to 0 here); within it, no tree is summed
         probe = np.random.default_rng(5).random((20_000, 2)) * 5
-        seen = sums_spy(monkeypatch)
-        evaluate_batch(big_blocks_model, probe)
-        assert seen and {name for name, _ in seen} == {"_per_tree_sums"}
-        assert sum(n for _, n in seen) == 20_000
+        seen = walk_spy(monkeypatch)
+        looked_up = evaluate_batch(big_blocks_model, probe)
+        assert seen == []
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
+        walking = dataclasses.replace(big_blocks_model)
+        assert evaluate_batch(walking, probe).tobytes() == looked_up.tobytes()
+        assert {name for name, _ in seen} == {"_per_tree_sums", "leaf_indices"}
+        assert sum(n for name, n in seen if name == "leaf_indices") == 20_000
 
     def test_scalar_and_batch_agree_across_the_threshold(self, monkeypatch, big_blocks_model):
-        model = big_blocks_model
-        per_point = model.n_trees * model.n_blocks
-        last_below = (estimator._ONE_GATHER_ELEMS - 1) // per_point
-        probe = np.random.default_rng(6).random((last_below + 2, 2)) * 5
-        probe[:4] = [model.box.lo, model.box.hi, (2.5, 2.5), (5.0, 0.0)]
-        scalar = np.array([evaluate(model, x) for x in probe])
-        seen = sums_spy(monkeypatch)
-        for n in (last_below - 1, last_below, last_below + 1, last_below + 2):
-            seen.clear()
-            assert evaluate_batch(model, probe[:n]).tobytes() == scalar[:n].tobytes()
-            below = n <= last_below
-            assert seen == [("_one_gather_sums" if below else "_per_tree_sums", n)]
+        # a table budget of exactly the 65 536 cells keeps the table, one
+        # below it walks: scalar and batch give one set of bytes either way
+        probe = np.random.default_rng(6).random((300, 2)) * 6 - 0.5
+        probe[:4] = [big_blocks_model.box.lo, big_blocks_model.box.hi, (2.5, 2.5), (5.0, 0.0)]
+        results = set()
+        for budget, tabulated in ((2**16, True), (2**16 - 1, False)):
+            monkeypatch.setattr(estimator, "_TABLE_CELLS", budget)
+            model = dataclasses.replace(big_blocks_model)
+            assert (model._cells is not None) == tabulated
+            batch = evaluate_batch(model, probe)
+            assert np.array([evaluate(model, x) for x in probe]).tobytes() == batch.tobytes()
+            results.add(batch.tobytes())
+        assert results == {walked_densities(big_blocks_model, probe).tobytes()}
 
 
 def mesh_points(box: Box, p: int, n: int, seed: int) -> np.ndarray:
@@ -1057,9 +1070,9 @@ def mesh_points(box: Box, p: int, n: int, seed: int) -> np.ndarray:
 
 
 class TestCellPath:
-    """A batch of at least ``2**(p*d)`` in-box points takes the median once per
-    cell of the forest's common refinement; every value equals the point's
-    own walk, bit for bit."""
+    """A model's cell table takes the median once per cell of the forest's
+    common refinement; every value looked up in it equals the point's own
+    walk, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(box=offset_boxes(), data=st.data())
@@ -1080,9 +1093,6 @@ class TestCellPath:
             for name, value in budgets.items():
                 mp.setattr(geometry, name, value)
             forest = build_forest(box, p, trees, seed)
-        model = make_model(forest, valid_counts(trees, 2**p, s, m, seed), m)
-        summed = model._sum_counts
-        assert summed.dtype == (np.int32 if wide else np.uint16)
         cells = 2 ** (p * d)
         walked, lattice = [], geometry._lattice
 
@@ -1096,34 +1106,35 @@ class TestCellPath:
             if chunk:
                 mp.setattr(estimator, "_QUAD_CHUNK", chunk)
             mp.setattr(geometry, "_lattice", lattice_spy)
+            model = make_model(forest, valid_counts(trees, 2**p, s, m, seed), m, 0.75)
+        # the model's one table walks every cell's codes, unless the
+        # forest's id table is as deep as its trees
+        assert sum(walked) == (cells if forest._leaf_table.shape[1] < cells else 0)
+        summed = model._sum_counts
+        assert summed.dtype == (np.int32 if wide else np.uint16)
+        with pytest.MonkeyPatch.context() as mp:
             seen = cell_path_spy(mp)
-            for n in (cells - 1, cells, cells + 1):
+            for n in (1, cells - 1, cells, cells + 1):
                 if n < 1:
                     continue
                 pts = mesh_points(box, p, n, seed)
-                oracle = point_path(forest, summed, m, pts)
+                oracle = walked_medians(forest, summed, m, pts) / 0.75
                 seen.clear()
-                got = estimator._median_values(forest, summed, m, pts)
-                assert seen == ([n] if n >= cells else [])
-                assert got.tobytes() == oracle.tobytes()
-            seen.clear()
-            batch = evaluate_batch(model, pts)
-            assert seen == [cells + 1]
-        # each of the three tables above walks every cell's codes, unless the
-        # forest's id table is as deep as its trees
-        assert sum(walked) == (3 * cells if forest._leaf_table.shape[1] < cells else 0)
-        assert batch.tobytes() == (oracle / model.normalizer).tobytes()
-        assert [evaluate(model, x) for x in pts] == batch.tolist()
+                batch = evaluate_batch(model, pts)
+                assert seen == [n]
+                assert batch.tobytes() == oracle.tobytes()
+        assert np.array([evaluate(model, x) for x in pts]).tobytes() == batch.tobytes()
 
     @pytest.mark.parametrize("chunk", [None, 20, 6])
     @pytest.mark.parametrize("spec", ["grid:5", "grid:3", "mc:40", "mc:7"])
     @pytest.mark.parametrize("trees, m", [NARROW_EDGE[2], WIDE_EDGE[2]])
     def test_grid_and_mc_normalizers_equal_the_point_path(self, monkeypatch, chunk, spec,
                                                           trees, m):
-        # 16 cells: grid:5 and mc:40 take the cell path, grid:3 and mc:7 the
-        # point path.  A 20-node chunk splits grid:5 into chunks of 20 and 5
-        # nodes, and 6-node chunks are all smaller than the cell count: every
-        # chunk of grid:5 and mc:40 looks its values up in one table
+        # 16 cells, within the table budget: every method builds the table
+        # once and looks up every node in it, whether it has more nodes than
+        # cells or fewer.  A 20-node chunk splits grid:5 into chunks of 20
+        # and 5 nodes, and 6-node chunks are all smaller than the cell
+        # count.  With the budget one cell short, every node walks its leaves
         box = Box((0.0, -3.0), (5.0, 4.0))
         forest = build_forest(box, 2, trees, seed=5)
         counts = edge_counts(trees, 4, 3, m, seed=6)
@@ -1132,19 +1143,24 @@ class TestCellPath:
             monkeypatch.setattr(estimator, "_QUAD_CHUNK", chunk)
         summed = estimator._summed_counts(counts, trees, m)
         oracle = estimator._integrate(
-            box, 2, quad, 11, lambda q: point_path(forest, summed, m, q)
+            box, 2, quad, 11, lambda q: walked_medians(forest, summed, m, q)
         )
         seen, tables, cell_medians = cell_path_spy(monkeypatch), [], estimator._cell_medians
         monkeypatch.setattr(estimator, "_cell_medians",
                             lambda *args: tables.append(args) or cell_medians(*args))
-        z, table = estimator._compute_normalizer(forest, counts, m, quad, 11)
-        assert z == oracle
         nodes = quad.grid_points**2 if quad.method == "regular-grid" else quad.mc_draws
         step = chunk or nodes
-        assert seen == [min(step, nodes - a) for a in range(0, nodes, step) if nodes >= 16]
-        assert len(tables) == (nodes >= 16)
-        # the table it built comes back, for the fitted model to keep
-        assert (table is not None) == (nodes >= 16)
+        for budget, tabulated in ((16, True), (15, False)):
+            monkeypatch.setattr(estimator, "_TABLE_CELLS", budget)
+            seen.clear()
+            tables.clear()
+            z, table = estimator._compute_normalizer(forest, counts, m, quad, 11)
+            assert z == oracle
+            assert seen == ([min(step, nodes - a) for a in range(0, nodes, step)]
+                            if tabulated else [])
+            assert len(tables) == tabulated
+            # the table it built comes back, for the fitted model to keep
+            assert (table is not None) == tabulated
 
     @pytest.mark.parametrize("d, p, trees, seed, chunk, share", [
         # the served forest shape: about an eighth of the 65 536 cells are corners
@@ -1170,7 +1186,7 @@ class TestCellPath:
         assert sum(rows) == dyadic_corners(forest, estimator._QUAD_CHUNK) <= share * 2 ** (p * d)
         centres = np.concatenate(list(geometry._lattice(
             [(np.arange(2**p) + 0.5) * 5 / 2**p] * d, estimator._QUAD_CHUNK)))
-        assert table.tobytes() == point_path(forest, summed, 400, centres).tobytes()
+        assert table.tobytes() == walked_medians(forest, summed, 400, centres).tobytes()
 
     def test_exact_normalizer_sums_the_per_cell_medians(self):
         model = edge_model(3, 1000, seed=2)
@@ -1180,17 +1196,73 @@ class TestCellPath:
             lo + (hi - lo) * (np.arange(8) + 0.5) / 8 for lo, hi in zip(model.box.lo,
                                                                         model.box.hi)],
             estimator._QUAD_CHUNK)
-        oracle = np.concatenate([point_path(forest, summed, model.m, c) for c in centres])
+        oracle = np.concatenate([walked_medians(forest, summed, model.m, c) for c in centres])
         assert np.concatenate(chunks).tobytes() == oracle.tobytes()
         z, table = estimator._compute_normalizer(forest, model.leaf_counts, model.m,
                                                  model.quadrature, 0)
-        assert table is None
+        # it fills the table it streams, and the model's is that over its normalizer
+        assert table.tobytes() == oracle.tobytes()
+        assert model._cells.tobytes() == (oracle / model.normalizer).tobytes()
         assert z == model.box.volume / 64 * math.fsum(float(np.sum(c)) for c in chunks)
 
 
+class TestQueriesEqualTheWalk:
+    """``evaluate`` and ``evaluate_batch`` of fitted and loaded models equal the
+    naive walk of ``conftest.walked_densities``, bit for bit: on breakpoints,
+    on the upper face, outside the box and at infinite coordinates, in every
+    id-table regime, looked up in the cell table or, past its budget, walked."""
+
+    @pytest.mark.parametrize("budget", ["table", "walk"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @settings(max_examples=20, deadline=None)
+    @given(box=offset_boxes(), data=st.data())
+    def test_fitted_and_loaded_queries_equal_the_walk(self, tmp_path_factory, regime, budget,
+                                                      box, data):
+        budgets, in_regime = REGIMES[regime]
+        d = box.d
+        p = data.draw(st.integers(2 if regime == "partial" else 0, min(6, 12 // d)), label="p")
+        trees = data.draw(st.integers(1, 4), label="T")
+        m = data.draw(st.integers(1, 30), label="m")
+        s = data.draw(st.integers(1, 5), label="S")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        spec = data.draw(st.sampled_from(["exact", "grid:5", "mc:50"]), label="quadrature")
+        rng = np.random.default_rng(seed)
+        lo, hi = box.lo_array, box.hi_array
+        points = lo + (hi - lo) * rng.random((s * m + m // 2, d)) * 1.1
+        config = EstimatorConfig(m=m, trees=trees, depth=p, seed=seed, box=box,
+                                 quadrature=Quadrature.parse(spec))
+        path = tmp_path_factory.mktemp("walk") / "model.json"
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in budgets.items():
+                mp.setattr(geometry, name, value)
+            if budget == "walk":
+                mp.setattr(estimator, "_TABLE_CELLS", 0)
+            try:
+                fitted = fit(points, config)
+            except ValueError as exc:  # the median may vanish on every cell
+                assume("degenerate" not in str(exc))
+                raise
+            k = (fitted.forest._leaf_table.shape[1].bit_length() - 1) // d
+            assume(in_regime(k, p))
+            save_model(fitted, path)
+            loaded = load_model(path)
+        queries = np.concatenate([
+            mesh_points(box, p, 30, seed),
+            [lo - 1.0, hi + 1.0, np.where(np.arange(d) == 0, hi, lo),
+             np.full(d, np.inf), np.full(d, -np.inf), np.where(np.arange(d) == 0, np.inf, hi)],
+        ])
+        oracle = walked_densities(fitted, queries)
+        assert box.contains_batch(queries[-6:]).tolist() == [False, False, True] + [False] * 3
+        for model in (fitted, loaded):
+            assert (model._cells is None) == (budget == "walk")
+            assert evaluate_batch(model, queries).tobytes() == oracle.tobytes()
+            assert np.array([evaluate(model, x) for x in queries]).tobytes() == oracle.tobytes()
+
+
 class TestKeptCellTable:
-    """A fit whose grid or Monte Carlo normalizer built the whole cell table
-    keeps it; a loaded copy of the model has none and gives the same bytes."""
+    """Every model within the table budget holds one normalized cell table: a
+    fit keeps the one its normalizer filled, a loaded or replaced model builds
+    it from the counts, and all give the same bytes."""
 
     BOX = Box((-1.0, 2.0), (4.0, 2.5))
     CELLS = 64  # depth 3 on 2 axes
@@ -1208,7 +1280,7 @@ class TestKeptCellTable:
         path, again = tmp_path / "model.json", tmp_path / "again.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded._cells is None
+        assert loaded._cells.tobytes() == model._cells.tobytes()
         # the table is not serialized
         save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
@@ -1221,15 +1293,29 @@ class TestKeptCellTable:
             assert seen == [n]
             seen.clear()
             assert evaluate_batch(loaded, pts).tobytes() == fitted.tobytes()
-            assert seen == ([n] if n >= self.CELLS else [])
+            assert seen == [n]
             for each in (model, loaded):
                 assert [evaluate(each, x) for x in pts] == fitted.tolist()
 
     @pytest.mark.parametrize("spec", ["exact", "auto", "grid:7", "mc:63"])
-    def test_no_table_unless_the_normalizer_built_it(self, spec):
-        # the exact normalizer streams its cells; 49 and 63 nodes are fewer
-        # than the 64 cells and walk their own leaves
-        assert self.fitted(spec)._cells is None
+    def test_no_table_unless_the_normalizer_built_it(self, monkeypatch, spec):
+        # every method fills the table in its normalizer, once, and the
+        # model keeps that one.  Past the budget (set to 0) the exact
+        # normalizer still streams its cells, the others walk their nodes,
+        # and no model holds a table
+        builds, refinement = [], estimator._refinement
+        monkeypatch.setattr(estimator, "_refinement",
+                            lambda *args: builds.append(args) or refinement(*args))
+        model = self.fitted(spec)
+        assert len(builds) == 1
+        table = estimator._cell_table(model.forest, model._sum_counts, model.m)
+        assert model._cells.tobytes() == (table / model.normalizer).tobytes()
+        builds.clear()
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
+        past = self.fitted(spec)
+        assert past._cells is None
+        assert len(builds) == (past.quadrature.method == "exact-dyadic")
+        assert past.normalizer == model.normalizer
 
     def test_table_is_read_only(self):
         model = self.fitted("grid:9")
@@ -1242,26 +1328,39 @@ class TestKeptCellTable:
         with pytest.raises(ValueError, match="cell table shape"):
             dataclasses.replace(model, _table=np.zeros(shape))
 
-    def test_replace_drops_the_table(self):
-        # the table belongs to the counts it was built from
+    def test_table_past_the_budget_refused(self, monkeypatch):
         model = self.fitted("grid:9")
-        assert dataclasses.replace(model, normalizer=1.0)._cells is None
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", self.CELLS - 1)
+        with pytest.raises(ValueError, match=re.escape(
+                "cell table shape (64,) does not match the 0 cells the model tabulates")):
+            dataclasses.replace(model, _table=np.zeros(self.CELLS))
+
+    def test_replace_rebuilds_the_table(self):
+        # the table belongs to the counts and the normalizer it was built from
+        model = self.fitted("grid:9")
+        again = dataclasses.replace(model)
+        assert again._cells is not model._cells
+        assert again._cells.tobytes() == model._cells.tobytes()
+        table = estimator._cell_table(model.forest, model._sum_counts, model.m)
+        assert dataclasses.replace(model, normalizer=0.5)._cells.tobytes() == (
+            table / 0.5).tobytes()
 
     def test_integral_check_walks_no_node(self, tmp_path, monkeypatch):
-        model = self.fitted("mc:500")
-        save_model(model, tmp_path / "model.json")
-        loaded = load_model(tmp_path / "model.json")
-        calls, leaf, table = [], estimator.leaf_indices, estimator._cell_table
+        # fitted or loaded, the model looks every node up in its table
+        calls, leaf, kth = [], estimator.leaf_indices, estimator._kth_densities
         monkeypatch.setattr(estimator, "leaf_indices",
                             lambda *a, **k: calls.append("walk") or leaf(*a, **k))
-        monkeypatch.setattr(estimator, "_cell_table",
-                            lambda *a: calls.append("table") or table(*a))
-        integral = integrate_estimate(model)
-        assert calls == []
-        assert integral == pytest.approx(1.0)
-        # the loaded copy builds its own table for its 500 draws
-        assert integrate_estimate(loaded) == integral
-        assert calls == ["table"]
+        monkeypatch.setattr(estimator, "_kth_densities",
+                            lambda *a: calls.append("median") or kth(*a))
+        for spec in ("mc:500", "exact", "grid:9"):
+            model = self.fitted(spec)
+            save_model(model, tmp_path / "model.json")
+            loaded = load_model(tmp_path / "model.json")
+            calls.clear()
+            integral = integrate_estimate(model)
+            assert integral == pytest.approx(1.0)
+            assert integrate_estimate(loaded).hex() == integral.hex()
+            assert calls == []
 
 
 class TestEvaluate:

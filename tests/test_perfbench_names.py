@@ -5,6 +5,7 @@ drops the metrics of any name that no longer resolves, so an API cut would
 only show up there as ``missing_layers``.  These tests make it a failure.
 """
 
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -78,7 +79,8 @@ def test_integrate_estimate_calls_evaluate_batch_at_call_time(monkeypatch):
 
 
 def test_fit_and_evaluate_batch_call_leaf_indices_at_call_time(monkeypatch):
-    # perfbench's geometry.leaf_indices_s spans wrap this name
+    # perfbench's geometry.leaf_indices_s spans wrap this name, and count
+    # the walks of the data inside ``cli.fit`` as geometry.leaf_walks
     from mfrde import estimator
 
     data = np.random.default_rng(1).random((40, 2))
@@ -94,7 +96,12 @@ def test_fit_and_evaluate_batch_call_leaf_indices_at_call_time(monkeypatch):
     # the 40 data points; the exact-dyadic normalizer takes its cells'
     # leaf ids from their integer codes, not through this name
     assert seen == [40]
+    # an in-budget model looks its points up in its cell table: no walk
     estimator.evaluate_batch(model, data[:7])
+    assert seen == [40]
+    # past the table budget (set to 0 here) a query walks through the name
+    monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
+    estimator.evaluate_batch(dataclasses.replace(model), data[:7])
     assert seen[1:] == [7]
 
 
@@ -112,13 +119,16 @@ def test_estimator_passes_points_to_leaf_indices_by_keyword(monkeypatch):
 
     monkeypatch.setattr(estimator, "leaf_indices", spy)
     data = np.random.default_rng(2).random((40, 2))
-    for spec in ("exact", "grid:5", "mc:50"):
-        model = estimator.fit(data, estimator.EstimatorConfig(
-            m=10, trees=2, depth=2, seed=0, quadrature=estimator.Quadrature.parse(spec)))
-        estimator.evaluate_batch(model, data[:7])
-        estimator.evaluate(model, data[0])
-        estimator.integrate_estimate(model)
-    assert calls
+    # within the table budget and past it (0), where queries walk too
+    for budget in (estimator._TABLE_CELLS, 0):
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", budget)
+        for spec in ("exact", "grid:5", "mc:50"):
+            model = estimator.fit(data, estimator.EstimatorConfig(
+                m=10, trees=2, depth=2, seed=0, quadrature=estimator.Quadrature.parse(spec)))
+            estimator.evaluate_batch(model, data[:7])
+            estimator.evaluate(model, data[0])
+            estimator.integrate_estimate(model)
+    assert len(calls) > 6
     assert set(calls) == {(1, ("points",))}
 
 
@@ -169,28 +179,30 @@ def test_benchmark_fits_stay_far_below_the_byte_budget(monkeypatch):
 
 
 def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
-    # Each sweep fit's grid:100 normalizer, 10 000 nodes against 4 096
-    # cells, builds the cell table once; the fitted model keeps it, so the
-    # MAE grid and the AUC's 500 data points look it up too.  The served
-    # model is fitted with exact quadrature and keeps no table: its score
-    # (about 18.5k in-box rows) and eval-grid (22 500 points) against
-    # 65 536 cells walk every point.  This pins routing, not values.
+    # Every model perfbench builds has at most 65 536 cells and holds its
+    # cell table.  Each sweep fit's grid:100 normalizer builds the table
+    # once and looks up its 10 000 nodes in it; the fitted model keeps it,
+    # so the MAE grid and the AUC's 500 data points look it up too.  The
+    # served model's exact normalizer fills its table as it streams, so its
+    # score (about 18.5k in-box rows) and eval-grid (22 500 points) are
+    # lookups that build no table and walk no leaf.  This pins routing,
+    # not values.
     import mfrde
     from mfrde import estimator, evaluation
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     batches, per_cell, tables, walks = [], [], [], []
-    median_values, cell_index = estimator._median_values, estimator._cell_index
+    median_values, pack = estimator._median_values, estimator._pack
     cell_table, leaf_indices = estimator._cell_table, estimator.leaf_indices
 
     def median_spy(forest, leaf_major, m, points, table=None):
         batches.append((len(points), 2 ** (forest.depth * forest.box.d), table is not None))
         return median_values(forest, leaf_major, m, points, table)
 
-    def cell_spy(forest, points):
-        per_cell.append(len(points))
-        return cell_index(forest, points)
+    def cell_spy(codes, bits):
+        per_cell.append(len(codes))
+        return pack(codes, bits)
 
     def table_spy(forest, leaf_major, m):
         tables.append(2 ** (forest.depth * forest.box.d))
@@ -201,7 +213,7 @@ def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
         return leaf_indices(forest, points=points)
 
     monkeypatch.setattr(estimator, "_median_values", median_spy)
-    monkeypatch.setattr(estimator, "_cell_index", cell_spy)
+    monkeypatch.setattr(estimator, "_pack", cell_spy)
     monkeypatch.setattr(estimator, "_cell_table", table_spy)
     monkeypatch.setattr(estimator, "leaf_indices", leaf_spy)
     for wl in workloads.WORKLOADS.values():
@@ -221,16 +233,18 @@ def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
         assert len(per_cell) == 18
         assert sorted(per_cell)[6:] == [10_000] * 12 and max(sorted(per_cell)[:6]) <= 500
 
-        for seen in (batches, per_cell, tables, walks):
-            seen.clear()
         query = workloads.query_data(mfrde, wl, seed=1)
         lo, hi = zip(*(map(float, axis.split(":")) for axis in wl.box.split(",")))
         model = estimator.fit(query, estimator.EstimatorConfig(
             m=wl.m, trees=wl.trees, depth=wl.depth, box=mfrde.Box(lo, hi)))
-        assert model._cells is None
+        assert model.quadrature.method == "exact-dyadic"
+        assert model._cells.shape == (65_536,)
+        for seen in (batches, per_cell, tables, walks):
+            seen.clear()
         estimator.evaluate_batch(model, query.points)
         estimator.evaluate_batch(model, evaluation.make_grid(model.box, wl.grid).points)
         (score, cells, score_table), (grid, _, grid_table) = batches
         assert 18_000 < score < 19_000 and grid == 22_500 and cells == 65_536
-        assert not score_table and not grid_table
-        assert per_cell == [] and tables == []
+        assert score_table and grid_table
+        assert per_cell == [score, grid]
+        assert tables == [] and walks == []
