@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, _as_real
 
 __all__ = [
     "DOMAIN",
@@ -46,14 +46,15 @@ INLIER, OUTLIER = 0, 1
 
 @dataclass
 class Dataset:
-    """``(n, d)`` points, any other shape raising, with optional labels (1 marks an outlier)."""
+    """``(n, d)`` real points, any other shape or a complex dtype raising, with
+    optional labels (1 marks an outlier)."""
 
     points: np.ndarray
     labels: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=float)
+        self.points = _as_real(self.points)
         if self.points.ndim != 2:
             raise ValueError(f"expected (n, d) points, got shape {self.points.shape}")
         if self.labels is not None:

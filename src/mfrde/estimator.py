@@ -22,15 +22,19 @@ Every tree splits at midpoints, so the median is constant on each of the
 forest's ``2**(p*d)`` depth-``p`` dyadic cells, and depends on a cell only
 through its ``T`` leaf ids.  :func:`_cell_medians` takes it once per cell
 of the forest's common refinement, whose corners and their ids
-:func:`~mfrde.geometry._refinement` gives.  A model of at most
-``_TABLE_CELLS`` cells holds one table of every cell's normalized
-density, built once when the model is: :func:`fit` hands over the table
-its normalizer filled, and :func:`load_model` and
-:func:`dataclasses.replace` rebuild it from the counts.  Every query of
-such a model looks up its point's cell; the table is read-only, so
-concurrent readers stay safe.  Only past the budget (``d >= 3`` at ``p =
-8``) does a query walk its point's leaves and take their median.  Both
-give the same floats: a point's leaf ids are those of its cell.
+:func:`~mfrde.geometry._refinement` gives.  A model whose bordered table,
+``(2**p + 2)**d`` entries, is at most ``_TABLE_CELLS`` holds every cell's
+normalized density in it, built once when the model is: :func:`fit`
+hands over the cell values its normalizer filled, and :func:`load_model`
+and :func:`dataclasses.replace` rebuild them from the counts.  The
+table's border holds 0, so every query of such a model is one NaN test
+and one read of the table at its edge searches
+(:func:`~mfrde.geometry._lookup`), in the box or out of it; NaN is
+tested on its own because its searches would land on the border and
+read 0.  The table is read-only, so concurrent readers stay safe.  Only past the budget (``d
+>= 3`` at ``p = 8``) does a query test the box and walk its in-box
+points' leaves to take their median.  Both give the same floats: a
+point's leaf ids are those of its cell.
 
 Every size is fixed before anything is drawn, allocated or decoded:
 :func:`fit`, :func:`load_model` (on a file's header) and every
@@ -64,8 +68,8 @@ import numpy as np
 
 from .datasets import Dataset, _write_atomic
 from .geometry import (
-    Box, Forest, _as_points, _check_forest_size, _codes, _lattice, _pack, _refinement,
-    build_forest, leaf_indices,
+    Box, Forest, _as_points, _as_real, _bordered, _bordered_cells, _check_forest_size,
+    _lattice, _lookup, _refinement, build_forest, leaf_indices,
 )
 
 __all__ = [
@@ -91,14 +95,20 @@ _QUAD_CHUNK = 1 << 15
 # their row buffer fit in L2.
 _WALK_POINTS = _QUAD_CHUNK
 _GATHER_ELEMS = 1 << 16
-# Most dyadic cells a model tabulates: 2**18 float64 densities, 2 MiB.
+# Most entries of a model's bordered cell table, (2**p + 2)**d float64
+# densities, the 2**(p*d) cells inside a border of zeros that points
+# outside the box read: 4 MiB.  As (2**p + 2)**d > 2**(p*d), no table
+# it admits has more than 2**18 cells: (d, p) = (2, 9) and (3, 6) have
+# that many, in 264 196 and 287 496 entries.  A shape whose border more
+# than doubles its table walks instead, such as (6, 3): 2**18 cells in
+# 10**6 entries.
 # Builds from the counts (medians of 5 in-process builds, 2-core x86 host,
 # numpy 2.4), with the forest's id table as deep as its trees (k = p):
 # 3.2 ms at 65 536 cells, (d, p, T, S) = (2, 8, 12, 10), and 5.7 ms at
 # S = 100; 10 ms at 262 144 cells, (2, 9, 12, 10) and (3, 6, 20, 10).
 # Past the budget k < p: 187 ms at 2**20 cells, (2, 10, 12, 10), and
 # 527 ms at 2**21, (3, 7, 20, 10), too much to add to every load.
-_TABLE_CELLS = 1 << 18
+_TABLE_CELLS = 1 << 19
 # Most quadrature nodes, or Monte Carlo draws, any method may use.
 _CELL_BUDGET = 1 << 24
 # Most counts the normalizer chosen by ``auto`` may gather: nodes * T * S.
@@ -160,8 +170,10 @@ class Quadrature:
         if name in ("exact", "exact-dyadic"):
             return cls(method="exact-dyadic")
         grid = name in ("grid", "regular-grid")
-        if (grid or name in ("mc", "monte-carlo")) and (arg.isdecimal() or not arg):
-            size = int(arg) if arg else (100 if grid else 100_000)
+        # A colon needs a count, in ASCII digits: isdecimal() alone takes "٣".
+        digits = arg.isascii() and arg.isdecimal()
+        if (grid or name in ("mc", "monte-carlo")) and (digits or not colon):
+            size = int(arg) if colon else (100 if grid else 100_000)
             return (cls(method="regular-grid", grid_points=size) if grid
                     else cls(method="monte-carlo", mc_draws=size))
         raise ValueError(f"cannot parse quadrature spec {text!r}")
@@ -288,17 +300,21 @@ class FittedMFRDE:
     ``seed`` is the fit's seed, which Monte Carlo quadrature draws from.
     ``quadrature`` is the resolved method: ``auto`` raises ``ValueError``.
 
-    A model of at most ``_TABLE_CELLS`` dyadic cells holds one read-only
-    ``(2**(p*d),)`` table of every cell's normalized density, built here,
-    once: every query looks its point's cell up in it, and as nothing
-    writes it later, concurrent readers stay safe.  ``_table`` is
-    :func:`fit`'s hand-over, the unnormalized :func:`_cell_table` its
-    normalizer filled, which the model takes over and divides in place by
-    ``normalizer``; any other shape raises ``ValueError``.  Without it,
-    which is how :func:`load_model` and :func:`dataclasses.replace` build
-    a model, the table is built from the counts.  A model past the budget
-    holds none, refuses a ``_table``, and walks each query's leaves.  The
-    model file never holds the table.
+    A model whose bordered cell table has at most ``_TABLE_CELLS``
+    entries holds it, read-only and built here, once: the ``(2**p +
+    2)**d`` array of :func:`~mfrde.geometry._bordered`, every dyadic cell's
+    normalized density inside a border of 0.0 that every point outside
+    the box reads.  Every query reads its point's entry, after a NaN test:
+    NaN would read the border too.  As nothing writes the table later,
+    concurrent readers stay safe.  ``_table`` is
+    :func:`fit`'s hand-over, the unnormalized ``(2**(p*d),)``
+    :func:`_cell_table` its normalizer filled, which is divided by
+    ``normalizer`` as it is written into the table; any other shape
+    raises ``ValueError``.  Without it, which is how :func:`load_model` and
+    :func:`dataclasses.replace` build a model, the cell values are taken
+    from the counts.  A model past the budget holds none, refuses a
+    ``_table``, and walks each query's leaves.  The model file never holds
+    the table.
     """
 
     seed: int
@@ -312,7 +328,8 @@ class FittedMFRDE:
     # Derived from ``leaf_counts``: the read-only array the median kernel
     # sums (:func:`_summed_counts`).
     _sum_counts: np.ndarray = field(init=False, repr=False)
-    # Each dyadic cell's normalized density, read-only; None past the budget.
+    # Each dyadic cell's normalized density in the bordered layout of
+    # ``geometry``, read-only; None past the budget.
     _cells: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self, _table: np.ndarray | None) -> None:
@@ -340,6 +357,7 @@ class FittedMFRDE:
             raise ValueError("a block's count total differs between trees")
         if not (self.normalizer > 0 and math.isfinite(self.normalizer)):
             raise ValueError("normalizer must be finite and strictly positive")
+        _density_denom(self.forest, self.m)  # raises if it overflows
         leaf_counts = np.ascontiguousarray(counts, dtype=np.int32)
         leaf_counts.setflags(write=False)
         object.__setattr__(self, "leaf_counts", leaf_counts)
@@ -349,13 +367,14 @@ class FittedMFRDE:
         if _table is not None and (not tabulated or np.shape(_table) != (cells,)):
             raise ValueError(f"cell table shape {np.shape(_table)} does not match the "
                              f"{cells if tabulated else 0} cells the model tabulates")
+        table = None
         if tabulated:
             if _table is None:
                 _table = _cell_table(self.forest, self._sum_counts, self.m)
             # The division each query's median took before: the same bits.
-            _table = np.divide(_table, self.normalizer, out=_table)
-            _table.setflags(write=False)
-        object.__setattr__(self, "_cells", _table)
+            table = _bordered(self.forest, _table, self.normalizer)
+            table.setflags(write=False)
+        object.__setattr__(self, "_cells", table)
 
     @property
     def counts(self) -> np.ndarray:
@@ -389,8 +408,8 @@ class FittedMFRDE:
 
 
 def _tabulated(forest: Forest) -> bool:
-    """Whether a model of ``forest`` holds a cell table: ``2**(p*d) <= _TABLE_CELLS``."""
-    return 2 ** (forest.depth * forest.box.d) <= _TABLE_CELLS
+    """Whether a model of ``forest`` holds a cell table: ``(2**p + 2)**d <= _TABLE_CELLS``."""
+    return _bordered_cells(forest) <= _TABLE_CELLS
 
 
 def _median_rank(blocks: int) -> int:
@@ -416,37 +435,38 @@ def _per_tree_sums(leaf_major: np.ndarray, ids: np.ndarray, out: np.ndarray) -> 
 
 
 def _density_denom(forest: Forest, m: int) -> float:
-    """``m`` times the leaf volume: a tree sum over it, then over T, is a density."""
-    return m * (forest.box.volume * 2.0**-forest.depth)
+    """``m`` times the leaf volume: a tree sum over it, then over T, is a density.
+
+    A box near the float maximum can push the product past it, where every
+    density would read 0; that raises ``ValueError``.
+    """
+    denom = m * (forest.box.volume * 2.0**-forest.depth)
+    if denom == math.inf:
+        raise ValueError(
+            f"m times the leaf volume, {m} * {forest.box.volume} * 2**-{forest.depth}, "
+            "overflows the float range; use smaller blocks, more depth or a smaller box"
+        )
+    return denom
 
 
 def _median_values(
     forest: Forest, leaf_major: np.ndarray, m: int, points: np.ndarray,
-    table: np.ndarray | None = None,
 ) -> np.ndarray:
-    """A value per cell at each in-box point: looked up in ``table``, or the walked median.
+    """The walked median at each in-box point, ``_WALK_POINTS`` points at a time.
 
-    ``table`` is a ``(2**(p*d),)`` array of per-cell values, a point's
-    cell its codes packed in C order (:func:`~mfrde.geometry._pack`).
-    Without one, each point walks its leaves and :func:`_kth_densities`
-    takes the lower median (the :func:`_median_rank`-th smallest) of the
-    block densities there, summing ``leaf_major``, the ``(T, 2**p, S)``
-    counts, in their own integer type.  Either way ``_WALK_POINTS``
-    points at a time.  The points must lie in the closed box: the lookup
-    does not check, and the walk raises.
+    Each point walks its leaves and :func:`_kth_densities` takes the lower
+    median (the :func:`_median_rank`-th smallest) of the block densities
+    there, summing ``leaf_major``, the ``(T, 2**p, S)`` counts, in their
+    own integer type.  A point outside the closed box raises.
     """
     n = points.shape[0]
     out = np.empty(n)
     for start in range(0, n, _WALK_POINTS):
         chunk = points[start : start + _WALK_POINTS]
-        part = out[start : start + chunk.shape[0]]
-        if table is not None:
-            table.take(_pack(_codes(forest, chunk), forest.depth), out=part)
-        else:
-            ids = leaf_indices(forest, points=chunk)
-            _kth_densities(forest, leaf_major, m, ids, part)
-            # Freed before the next chunk's ids exist, not when they replace it.
-            del ids
+        ids = leaf_indices(forest, points=chunk)
+        _kth_densities(forest, leaf_major, m, ids, out[start : start + chunk.shape[0]])
+        # Freed before the next chunk's ids exist, not when they replace it.
+        del ids
     return out
 
 
@@ -509,8 +529,11 @@ def _kth_densities(
 
 
 def evaluate(model: FittedMFRDE, x) -> float:
-    """Normalized density at one point of shape ``(d,)``; zero outside the box."""
-    x = np.asarray(x, dtype=float)
+    """Normalized density at one point of shape ``(d,)``; zero outside the box.
+
+    A complex or NaN coordinate raises ``ValueError``.
+    """
+    x = _as_real(x)
     if x.shape != (model.box.d,):
         raise ValueError(f"expected one point of shape ({model.box.d},), got shape {x.shape}")
     return float(_densities(model, x[None, :])[0])
@@ -521,31 +544,32 @@ def evaluate_batch(model: FittedMFRDE, points) -> np.ndarray:
 
     ``points`` is an ``(n, d)`` array, or one point of shape ``(d,)``; any
     other shape raises ``ValueError``.  A point outside the box, an
-    infinite coordinate included, gets 0; a row holding NaN raises
-    ``ValueError``.
+    infinite coordinate included, gets 0; a complex coordinate, or a row
+    holding NaN, raises ``ValueError``.
     """
     return _densities(model, _as_points(points, model.box.d))
 
 
 def _densities(model: FittedMFRDE, pts: np.ndarray) -> np.ndarray:
-    """:func:`evaluate_batch` on an ``(n, d)`` float array."""
+    """:func:`evaluate_batch` on an ``(n, d)`` float array.
+
+    A model with a cell table looks every row up in it, the border giving
+    0 outside the box; past the budget the in-box rows walk their leaves.
+    """
+    # NaN has no cell: the table's searches would put it on the border.
+    # count_nonzero costs a single query half of what .any() does.
+    if np.count_nonzero(np.isnan(pts)):
+        nan_rows = int(np.count_nonzero(np.isnan(pts).any(axis=1)))
+        raise ValueError(f"{nan_rows} query row(s) hold NaN; no density is defined there")
+    if model._cells is not None:
+        return _lookup(model.forest, model._cells, pts)
     mask = model.box.contains_rows(pts)
     if mask.all():
-        return _model_values(model, pts)
-    # NaN fails every comparison, so NaN rows are among the out-of-box ones.
-    nan_rows = int(np.count_nonzero(np.isnan(pts[~mask]).any(axis=1)))
-    if nan_rows:
-        raise ValueError(f"{nan_rows} query row(s) hold NaN; no density is defined there")
+        return _median_values(model.forest, model._sum_counts, model.m, pts) / model.normalizer
     out = np.zeros(pts.shape[0])
-    out[mask] = _model_values(model, pts[mask])
+    out[mask] = _median_values(model.forest, model._sum_counts, model.m,
+                               pts[mask]) / model.normalizer
     return out
-
-
-def _model_values(model: FittedMFRDE, inside: np.ndarray) -> np.ndarray:
-    """The normalized density at in-box points: the cell table's, else the walked median's."""
-    if model._cells is not None:
-        return _median_values(model.forest, model._sum_counts, model.m, inside, model._cells)
-    return _median_values(model.forest, model._sum_counts, model.m, inside) / model.normalizer
 
 
 def _fit_streams(seed: int) -> tuple[np.random.SeedSequence, ...]:
@@ -600,8 +624,8 @@ def _compute_normalizer(
     this value is the exact sum over the cells and the centres' is not.
     Within the budget the exact normalizer fills the table as it streams
     its chunks, and a grid or Monte Carlo one builds it first and looks up
-    every node in it; past the budget the exact one keeps no cell and the
-    others walk every node's leaves.
+    every node in it, bordered; past the budget the exact one keeps no
+    cell and the others walk every node's leaves.
     """
     leaf_counts = _summed_counts(leaf_counts, forest.n_trees, m)
     cells = 2 ** (forest.depth * forest.box.d)
@@ -610,12 +634,16 @@ def _compute_normalizer(
         table = np.empty(cells) if tabulated else None
         partials = [float(np.sum(v)) for v in _cell_medians(forest, leaf_counts, m, table)]
         z = forest.box.volume / cells * math.fsum(partials)
+    elif tabulated:
+        table = _cell_table(forest, leaf_counts, m)
+        # Bordered over 1.0, which divides every value exactly.
+        bordered = _bordered(forest, table, 1.0)
+        z = _integrate(forest.box, forest.depth, quad, seed,
+                       lambda pts: _lookup(forest, bordered, pts))
     else:
-        table = _cell_table(forest, leaf_counts, m) if tabulated else None
-        z = _integrate(
-            forest.box, forest.depth, quad, seed,
-            lambda pts: _median_values(forest, leaf_counts, m, pts, table),
-        )
+        table = None
+        z = _integrate(forest.box, forest.depth, quad, seed,
+                       lambda pts: _median_values(forest, leaf_counts, m, pts))
     if not z > 0:
         raise ValueError(
             "degenerate model: median density vanishes everywhere "
@@ -661,6 +689,7 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
     blocks = assign_blocks(n, m, np.random.default_rng(perm_stream))
     box = config.box if config.box is not None else Box.bounding(pts, config.box_margin)
     forest = build_forest(box, config.depth, config.trees, forest_stream)
+    _density_denom(forest, m)  # raises if it overflows, before any count
 
     # Per chunk of kept points, one bincount per tree over leaf-offset
     # block ids adds into the leaf-major (T, 2**p, S) storage, so no leaf

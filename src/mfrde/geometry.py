@@ -22,15 +22,23 @@ the tree: they are the level-``s`` points of one dyadic mesh.  Each axis
 therefore has ``2**p + 1`` breakpoints, built from ``lo`` and ``hi`` by
 the same float recursion ``0.5 * (lo + hi)`` that a float walker would
 evaluate on the way down, so the kernel compares against bit-identical
-values.  A coordinate is quantized once per query into a code ``c`` in
-``[0, 2**p)`` with ``searchsorted(inner_breakpoints, x, side="right")``:
-the number of inner breakpoints at or below ``x``.  A coordinate equal to
-a breakpoint counts it and lands in the right-hand cell, which is the
-half-open convention; the upper face ``x == hi`` is above every inner
-breakpoint and lands in the last cell, which is the closed upper face.
-A node that splits an axis for the ``s``-th time on its path (``s`` from
-0) compares ``x`` with the breakpoint whose index has bit ``p - 1 - s`` as
-its lowest set bit, so going right is exactly bit ``p - 1 - s`` of ``c``.
+values; only where that sum overflows is the midpoint ``0.5 * lo + 0.5 *
+hi``, the same rounding of the same real number.  Each axis keeps one
+sorted edge array, ``[lo, inner breakpoints..., nextafter(hi, +inf)]``,
+and a coordinate is quantized once per query with ``searchsorted(edges,
+x, side="right")``: the number of edges at or below ``x``.  That is 0
+below the box, ``2**p + 1`` above it (``+inf`` included, even when ``hi``
+is the float maximum and the last edge is ``+inf``), and inside the box
+``1 + c``, where the code ``c`` in ``[0, 2**p)`` counts the inner
+breakpoints at or below ``x``, tied breakpoints included; the leaf walk
+searches the inner breakpoints alone, for ``c`` (:func:`_codes`).  A
+coordinate equal to a breakpoint counts it and lands in the right-hand
+cell, which is the half-open convention; the upper face ``x == hi`` is
+above every inner breakpoint and below the last edge, and lands in the
+last cell, which is the closed upper face.  A node that splits an axis
+for the ``s``-th time on its path (``s`` from 0) compares ``x`` with the
+breakpoint whose index has bit ``p - 1 - s`` as its lowest set bit, so
+going right is exactly bit ``p - 1 - s`` of ``c``.
 
 So the node a point reaches on level ``k`` depends only on the top ``k``
 bits of its ``d`` codes, and every such node is a rectangle of them: on
@@ -61,6 +69,17 @@ and which cells share ids is decided here alone:
 chunk's corners and each cell's corner.  At ``k = p`` the id table's
 columns are already every cell's ids, in C order; below that the ids come
 from the cells' codes, with no quantization at all.
+
+Bordered cell table.  A value per dyadic cell is looked up in a
+``(2**p + 2)**d`` array, C order over ``d`` axes of ``2**p + 2``
+entries: :func:`_bordered` writes the ``2**(p*d)`` cells' values, in
+their packed order, into its interior, ``1 + c`` on every axis, and
+leaves ``0.0`` on the border around it.  A point's entry is its edge
+searches packed in base ``2**p + 2`` (:func:`_bordered_index`), so a
+point outside the closed box, an infinite coordinate included, reads the
+border's ``0.0`` with no box test.  NaN is placed above every edge and
+would read the border too, so :func:`_lookup`'s callers test for it
+first.
 
 All types in this module are immutable after construction and safe for
 concurrent reads.
@@ -152,7 +171,7 @@ class Box:
     @classmethod
     def bounding(cls, points, margin: float = 0.0) -> "Box":
         """Tight bounding box of the points, expanded by a relative margin."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(_as_real(points))
         if pts.size == 0:
             raise ValueError("cannot bound an empty point set")
         lo = pts.min(axis=0)
@@ -189,8 +208,9 @@ class Forest:
     box: Box
     labels: np.ndarray
     # Leaf-kernel tables, derived from ``box`` and ``labels``:
-    # (d, 2**p - 1) inner breakpoints per axis;
-    _inner: np.ndarray = field(init=False, repr=False)
+    # (d, 2**p + 1) sorted edges per axis: lo, the inner breakpoints,
+    # nextafter(hi, +inf);
+    _edges: np.ndarray = field(init=False, repr=False)
     # (T, 2**(k*d)) depth-k node ids by packed top-k code bits;
     _leaf_table: np.ndarray = field(init=False, repr=False)
     # (2, T * (2**p - 2**k)) axis and code bit of each walked node, tree-major;
@@ -219,7 +239,7 @@ class Forest:
         levels = np.arange(k, depth, dtype=np.int32)[:, None]
         tables = {
             "labels": labels,
-            "_inner": _breakpoints(self.box, depth)[:, 1:-1],
+            "_edges": _edges(self.box, depth),
             "_leaf_table": _leaf_table(labels, k, self.box.d),
             "_bit_table": _bit_table(labels, depth, k).reshape(2, -1),
             "_level_base": (np.arange(n_trees, dtype=np.int32) * (2**depth - 2**k)
@@ -272,7 +292,10 @@ def _breakpoints(box: Box, p: int) -> np.ndarray:
 
     Level by level, each new point is ``0.5 * (left + right)`` of its two
     neighbours on the coarser level: the float expression of a midpoint
-    split of the cell between them.
+    split of the cell between them.  Where ``left + right`` overflows,
+    which a box near the float maximum allows, the point is ``0.5 * left
+    + 0.5 * right``: both halves are exact there, so it is the same
+    rounding of the same midpoint.
     """
     n = 2**p
     mesh = np.empty((box.d, n + 1))
@@ -281,9 +304,22 @@ def _breakpoints(box: Box, p: int) -> np.ndarray:
     step = n
     while step > 1:
         half = step // 2
-        mesh[:, half::step] = 0.5 * (mesh[:, 0:n:step] + mesh[:, step::step])
+        left, right = mesh[:, 0:n:step], mesh[:, step::step]
+        with np.errstate(over="ignore"):
+            total = left + right
+        mesh[:, half::step] = np.where(np.isfinite(total), 0.5 * total,
+                                       0.5 * left + 0.5 * right)
         step = half
     return mesh
+
+
+def _edges(box: Box, p: int) -> np.ndarray:
+    """Each axis's sorted search edges, ``(d, 2**p + 1)``: ``lo``, the inner
+    breakpoints and ``nextafter(hi, +inf)``, which is ``+inf`` at the float maximum."""
+    edges = _breakpoints(box, p)
+    with np.errstate(over="ignore"):  # the step past the float maximum is +inf
+        edges[:, -1] = np.nextafter(box.hi_array, np.inf)
+    return edges
 
 
 def _bit_table(labels: np.ndarray, p: int, k: int) -> np.ndarray:
@@ -399,8 +435,51 @@ def _codes(forest: Forest, pts: np.ndarray) -> np.ndarray:
     """
     codes = np.empty(pts.shape, dtype=np.int32)
     for j in range(pts.shape[1]):
-        codes[:, j] = forest._inner[j].searchsorted(pts[:, j], side="right")
+        codes[:, j] = forest._edges[j, 1:-1].searchsorted(pts[:, j], side="right")
     return codes
+
+
+def _bordered_cells(forest: Forest) -> int:
+    """Entries of the forest's bordered cell table, ``(2**p + 2)**d``."""
+    return (2**forest.depth + 2) ** forest.box.d
+
+
+def _bordered(forest: Forest, values: np.ndarray, normalizer: float) -> np.ndarray:
+    """The bordered cell table of ``values`` over ``normalizer``, a new
+    ``(2**p + 2)**d`` float array.
+
+    ``values`` holds the ``2**(p*d)`` cells' values in packed C order; each
+    is divided by ``normalizer`` as it is written into the interior, and
+    the border holds ``0.0``.
+    """
+    side = 2**forest.depth + 2
+    table = np.zeros((side,) * forest.box.d)
+    np.divide(values.reshape((side - 2,) * forest.box.d), normalizer,
+              out=table[(slice(1, -1),) * forest.box.d])
+    return table.reshape(-1)
+
+
+def _bordered_index(forest: Forest, pts: np.ndarray) -> np.ndarray:
+    """Each ``(n, d)`` point's entry in a bordered cell table, an ``(n,)`` intp array.
+
+    Its edge search on every axis, packed in base ``2**p + 2``, axis 0
+    most significant.  Every point gets an entry in range: one outside
+    the closed box, or holding NaN, lies on the border.
+    """
+    edges = forest._edges
+    index = edges[0].searchsorted(pts[:, 0], side="right")
+    for j in range(1, pts.shape[1]):
+        # Not in place: on one row, *= and += cost more than a new array.
+        index = index * (edges.shape[1] + 1) + edges[j].searchsorted(pts[:, j], side="right")
+    return index
+
+
+def _lookup(forest: Forest, table: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Each ``(n, d)`` point's value in a :func:`_bordered` table: ``0.0``
+    outside the closed box.  A row holding NaN reads ``0.0`` too; callers
+    refuse it first."""
+    # Every entry is in range; "wrap" skips the bounds check.
+    return table.take(_bordered_index(forest, pts), mode="wrap")
 
 
 def _pack(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -512,8 +591,20 @@ def _walk(forest: Forest, codes: np.ndarray, leaf: np.ndarray) -> None:
         leaf |= went_right
 
 
+def _as_real(values) -> np.ndarray:
+    """``values`` as a float array; complex ones raise ``ValueError``.
+
+    A cast to float would drop the imaginary part with only a warning.
+    The dtype test reads no element, so a float array passes through.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"coordinates must be real numbers, not {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def _as_points(points, d: int) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(_as_real(points))
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"expected points of dimension {d}, got shape {pts.shape}")
     return pts

@@ -27,7 +27,10 @@ point's leaves (``mfrde.geometry.leaf_indices``) and takes the naive
 per-block median of its int64 tree sums, and ``walked_densities`` is
 ``evaluate_batch`` by that walk.  ``dyadic_corners`` counts the cells
 whose medians the cell table must take, by comparing each cell's walked
-leaf ids with its lower neighbours'.
+leaf ids with its lower neighbours'.  ``table_cells`` reads the cells
+back out of a model's bordered table, and ``mask_path_cells`` is the
+oracle of its index: the box test, then every coordinate's code counted
+against the whole mesh, packed.
 
 The paper's notion of a local outlier: an outlier matters for a query
 ``x`` only if it shares a leaf with ``x`` in some tree
@@ -58,6 +61,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from mfrde import geometry
 from mfrde.estimator import FittedMFRDE, _density_denom
 from mfrde.geometry import Box, Forest, leaf_indices
 
@@ -243,6 +247,31 @@ def walked_densities(model: FittedMFRDE, points) -> np.ndarray:
     out[inside] = walked_medians(model.forest, model.leaf_counts, model.m,
                                  pts[inside]) / model.normalizer
     return out
+
+
+def mask_path_cells(forest: Forest, points) -> np.ndarray:
+    """The cell a query read before the bordered table: ``-1`` outside the
+    closed box (``Box.contains_rows``; NaN is outside), else its codes, each
+    the count of inner breakpoints at or below the coordinate, packed in C
+    order.  Every breakpoint is compared with every point."""
+    box, p = forest.box, forest.depth
+    pts = np.asarray(points, dtype=float).reshape(-1, box.d)
+    inner = geometry._breakpoints(box, p)[:, 1:-1]
+    codes = (inner[None, :, :] <= pts[:, :, None]).sum(axis=2)
+    cells = np.ravel_multi_index(codes.T, (2**p,) * box.d)
+    return np.where(box.contains_rows(pts), cells, -1)
+
+
+def table_cells(model: FittedMFRDE) -> np.ndarray:
+    """The ``2**(p*d)`` cell values of a model's bordered table, in packed C
+    order; its border must hold only ``0.0``."""
+    p, d = model.depth, model.box.d
+    table = model._cells.reshape((2**p + 2,) * d)
+    inside = (slice(1, -1),) * d
+    border = np.ones(table.shape, dtype=bool)
+    border[inside] = False
+    assert not table[border].any()
+    return table[inside].reshape(-1)
 
 
 def dyadic_corners(forest: Forest, chunk: int) -> int:

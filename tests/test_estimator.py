@@ -20,8 +20,10 @@ from conftest import (
     json_load_counts,
     leaf_index,
     local_outliers,
+    mask_path_cells,
     naive_median_at,
     naive_sfde_at,
+    table_cells,
     walked_densities,
     walked_medians,
 )
@@ -110,6 +112,10 @@ class TestConfig:
         assert Quadrature.parse("grid:50").grid_points == 50
         assert Quadrature.parse("mc:1000").mc_draws == 1000
         assert Quadrature.parse("auto").method == "auto"
+        # a bare name takes the default count
+        assert Quadrature.parse("grid") == Quadrature(method="regular-grid", grid_points=100)
+        assert Quadrature.parse("monte-carlo") == Quadrature(method="monte-carlo",
+                                                             mc_draws=100_000)
         with pytest.raises(ValueError):
             Quadrature.parse("simpson")
         # these used to parse, and the number was ignored
@@ -117,10 +123,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="takes no argument"):
                 Quadrature.parse(spec)
 
-    @pytest.mark.parametrize("spec", ["grid:abc", "mc:1e5", "grid:7.5", "mc:-3", "grid: 7"])
+    @pytest.mark.parametrize("spec", [
+        "grid:abc", "mc:1e5", "grid:7.5", "mc:-3", "grid: 7",
+        "grid:", "mc:", "monte-carlo:", "regular-grid:", "grid:\u0663", "mc:\uff15",
+    ])
     def test_quadrature_parse_names_the_spec(self, spec):
         # a count that is not a plain decimal integer raised int()'s
-        # "invalid literal", which never named the spec
+        # "invalid literal", which never named the spec; an empty count
+        # parsed as the default, and non-ASCII digits ("\u0663" is Arabic-Indic
+        # 3, "\uff15" fullwidth 5) as their value
         with pytest.raises(ValueError, match=f"^cannot parse quadrature spec {spec!r}$"):
             Quadrature.parse(spec)
 
@@ -658,15 +669,15 @@ class TestFitPlan:
 
 
 def cell_path_spy(mp) -> list:
-    """Record the size of every batch that looks its values up per cell."""
+    """Record the size of every batch that looks its values up in a cell table."""
     seen = []
-    original = estimator._pack
+    original = geometry._bordered_index
 
-    def spy(codes, bits):
-        seen.append(len(codes))
-        return original(codes, bits)
+    def spy(forest, pts):
+        seen.append(len(pts))
+        return original(forest, pts)
 
-    mp.setattr(estimator, "_pack", spy)
+    mp.setattr(geometry, "_bordered_index", spy)
     return seen
 
 
@@ -725,15 +736,14 @@ class TestLattice:
         data, cfg, probe = self.chunk_case(depth=6)
         looked_up = evaluate_batch(fit(data, cfg), probe)
         monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
-        walked = self.check_chunks(monkeypatch, depth=6, lookups=([], []))
+        walked = self.check_chunks(monkeypatch, depth=6, lookups=[])
         assert walked.tobytes() == looked_up.tobytes()
 
     def test_cell_table_chunks_do_not_change_bits(self, monkeypatch):
         # 1024 cells: the nodes and the queries take the cell path.  The
-        # gather sub-chunks cut the 1024-cell table, and the 700-point
-        # chunks cut both lookups
-        self.check_chunks(monkeypatch, depth=5,
-                          lookups=([1600, 2000], [700, 700, 200, 700, 700, 600]))
+        # gather sub-chunks cut the 1024-cell table; the 700-point chunks
+        # cut only walks, so each lookup stays one batch
+        self.check_chunks(monkeypatch, depth=5, lookups=[1600, 2000])
 
     @staticmethod
     def chunk_case(depth: int):
@@ -744,22 +754,22 @@ class TestLattice:
         return data, cfg, np.random.default_rng(5).random((2000, 2))
 
     @classmethod
-    def check_chunks(cls, monkeypatch, depth: int, lookups: tuple[list, list]) -> np.ndarray:
+    def check_chunks(cls, monkeypatch, depth: int, lookups: list) -> np.ndarray:
         """Fit and query a :meth:`chunk_case` model whole, then with 700-point
-        walks and 300-point gathers; ``lookups`` are the batch sizes each
-        run looks up per cell.  Returns the queries' densities."""
+        walks and 300-point gathers; ``lookups`` are the batch sizes both
+        runs look up in a cell table.  Returns the queries' densities."""
         data, cfg, probe = cls.chunk_case(depth)
         seen = cell_path_spy(monkeypatch)
         model = fit(data, cfg)
         dens = evaluate_batch(model, probe)
-        assert seen == lookups[0]
+        assert seen == lookups
         monkeypatch.setattr(estimator, "_WALK_POINTS", 700)
         monkeypatch.setattr(estimator, "_GATHER_ELEMS", 20 * 300)
         seen.clear()
         chunked = fit(data, cfg)
         assert chunked.normalizer == model.normalizer
         assert evaluate_batch(chunked, probe).tobytes() == dens.tobytes()
-        assert seen == lookups[1]
+        assert seen == lookups
         return dens
 
     def test_median_kernel_memory_is_bounded(self, monkeypatch):
@@ -1024,9 +1034,14 @@ class TestTreeSums:
         return load_model(path)
 
     def test_single_query_is_one_lookup(self, monkeypatch, big_blocks_model):
+        # one bordered index and its take: no tree sum, no walk, no box test
         seen, cells = walk_spy(monkeypatch), cell_path_spy(monkeypatch)
-        evaluate(big_blocks_model, (1.3, 2.7))
-        assert seen == [] and cells == [1]
+        box_tests, contains_rows = [], Box.contains_rows
+        monkeypatch.setattr(Box, "contains_rows", lambda self, pts: (
+            box_tests.append(len(pts)) or contains_rows(self, pts)))
+        for x in ((1.3, 2.7), (5.0, 5.0), (-1.0, 2.7), (np.inf, 0.0)):
+            evaluate(big_blocks_model, x)
+        assert seen == [] and cells == [1] * 4 and box_tests == []
 
     def test_large_batch_keeps_the_per_tree_loop(self, monkeypatch, big_blocks_model):
         # past the table budget (set to 0 here); within it, no tree is summed
@@ -1041,12 +1056,13 @@ class TestTreeSums:
         assert sum(n for name, n in seen if name == "leaf_indices") == 20_000
 
     def test_scalar_and_batch_agree_across_the_threshold(self, monkeypatch, big_blocks_model):
-        # a table budget of exactly the 65 536 cells keeps the table, one
-        # below it walks: scalar and batch give one set of bytes either way
+        # a table budget of exactly the 258**2 entries of the bordered
+        # 65 536 cells keeps the table, one below it walks: scalar and
+        # batch give one set of bytes either way
         probe = np.random.default_rng(6).random((300, 2)) * 6 - 0.5
         probe[:4] = [big_blocks_model.box.lo, big_blocks_model.box.hi, (2.5, 2.5), (5.0, 0.0)]
         results = set()
-        for budget, tabulated in ((2**16, True), (2**16 - 1, False)):
+        for budget, tabulated in ((258**2, True), (258**2 - 1, False)):
             monkeypatch.setattr(estimator, "_TABLE_CELLS", budget)
             model = dataclasses.replace(big_blocks_model)
             assert (model._cells is not None) == tabulated
@@ -1130,11 +1146,12 @@ class TestCellPath:
     @pytest.mark.parametrize("trees, m", [NARROW_EDGE[2], WIDE_EDGE[2]])
     def test_grid_and_mc_normalizers_equal_the_point_path(self, monkeypatch, chunk, spec,
                                                           trees, m):
-        # 16 cells, within the table budget: every method builds the table
-        # once and looks up every node in it, whether it has more nodes than
-        # cells or fewer.  A 20-node chunk splits grid:5 into chunks of 20
-        # and 5 nodes, and 6-node chunks are all smaller than the cell
-        # count.  With the budget one cell short, every node walks its leaves
+        # 16 cells, 36 with the border, within the table budget: every
+        # method builds the table once and looks up every node in it,
+        # whether it has more nodes than cells or fewer.  A 20-node chunk
+        # splits grid:5 into chunks of 20 and 5 nodes, and 6-node chunks are
+        # all smaller than the cell count.  With the budget one entry short,
+        # every node walks its leaves
         box = Box((0.0, -3.0), (5.0, 4.0))
         forest = build_forest(box, 2, trees, seed=5)
         counts = edge_counts(trees, 4, 3, m, seed=6)
@@ -1150,7 +1167,7 @@ class TestCellPath:
                             lambda *args: tables.append(args) or cell_medians(*args))
         nodes = quad.grid_points**2 if quad.method == "regular-grid" else quad.mc_draws
         step = chunk or nodes
-        for budget, tabulated in ((16, True), (15, False)):
+        for budget, tabulated in ((36, True), (35, False)):
             monkeypatch.setattr(estimator, "_TABLE_CELLS", budget)
             seen.clear()
             tables.clear()
@@ -1202,7 +1219,7 @@ class TestCellPath:
                                                  model.quadrature, 0)
         # it fills the table it streams, and the model's is that over its normalizer
         assert table.tobytes() == oracle.tobytes()
-        assert model._cells.tobytes() == (oracle / model.normalizer).tobytes()
+        assert table_cells(model).tobytes() == (oracle / model.normalizer).tobytes()
         assert z == model.box.volume / 64 * math.fsum(float(np.sum(c)) for c in chunks)
 
 
@@ -1259,6 +1276,95 @@ class TestQueriesEqualTheWalk:
             assert np.array([evaluate(model, x) for x in queries]).tobytes() == oracle.tobytes()
 
 
+@st.composite
+def ulp_boxes(draw):
+    """Boxes a few ulps wide on every axis, so that most breakpoints tie."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    lo = [draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 1e6)) for _ in range(d)]
+    ulps = [draw(st.integers(1, 16)) for _ in range(d)]
+    return Box(tuple(lo), tuple(a + k * abs(np.spacing(a)) for a, k in zip(lo, ulps)))
+
+
+def edge_probes(box: Box, p: int, seed: int) -> np.ndarray:
+    """Rows that put, on each axis in turn, every breakpoint, its two float
+    neighbours (so the first value past each face), +-0.0, +-inf and NaN;
+    the other coordinates are drawn from the same values."""
+    mesh = geometry._breakpoints(box, p)
+    values = [np.concatenate([row, np.nextafter(row, -np.inf), np.nextafter(row, np.inf),
+                              [0.0, -0.0, np.inf, -np.inf, np.nan]]) for row in mesh]
+    rng = np.random.default_rng(seed)
+    rows = []
+    for j, own in enumerate(values):
+        block = np.stack([rng.choice(v, size=own.size) for v in values], axis=1)
+        block[:, j] = own
+        rows.append(block)
+    return np.concatenate(rows)
+
+
+class TestBorderedLookup:
+    """A bordered table's index equals the mask path it replaced: the box
+    test, each coordinate's code and their C-order pack
+    (``conftest.mask_path_cells``), with every point outside the closed box,
+    NaN included, on the border; and every query of a fitted or loaded
+    model equals ``conftest.walked_densities``, bit for bit.  Probed on
+    every breakpoint and its float neighbours, on offset boxes and on boxes
+    a few ulps wide, whose breakpoints tie."""
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    @settings(max_examples=25, deadline=None)
+    @given(box=st.one_of(offset_boxes(), ulp_boxes()), data=st.data())
+    def test_index_equals_the_mask_path(self, tmp_path_factory, regime, box, data):
+        budgets, in_regime = REGIMES[regime]
+        d = box.d
+        p = data.draw(st.integers(2 if regime == "partial" else 0, {1: 8, 2: 5, 3: 3}[d]),
+                      label="p")
+        trees = data.draw(st.integers(1, 4), label="T")
+        m = data.draw(st.integers(1, 40), label="m")
+        s = data.draw(st.integers(1, 3), label="S")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        lo, hi = box.lo_array, box.hi_array
+        points = lo + (hi - lo) * np.random.default_rng(seed).random((s * m, d))
+        config = EstimatorConfig(m=m, trees=trees, depth=p, seed=seed, box=box,
+                                 quadrature=Quadrature(method="exact-dyadic"))
+        path = tmp_path_factory.mktemp("bordered") / "model.json"
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in budgets.items():
+                mp.setattr(geometry, name, value)
+            try:
+                fitted = fit(points, config)
+            except ValueError as exc:  # the median may vanish on every cell
+                assume("degenerate" not in str(exc))
+                raise
+            k = (fitted.forest._leaf_table.shape[1].bit_length() - 1) // d
+            assume(in_regime(k, p))
+            save_model(fitted, path)
+            loaded = load_model(path)
+        forest, side = fitted.forest, 2**p + 2
+        probes = edge_probes(box, p, seed)
+        index = geometry._bordered_index(forest, probes)
+        oracle = mask_path_cells(forest, probes)
+        axes = np.stack(np.unravel_index(index, (side,) * d), axis=1)
+        inside = oracle >= 0
+        assert np.ravel_multi_index(axes[inside].T - 1, (2**p,) * d).tolist() == (
+            oracle[inside].tolist())
+        assert ((axes[~inside] == 0) | (axes[~inside] == side - 1)).any(axis=1).all()
+        assert geometry._bordered_index(forest, probes[:0]).shape == (0,)
+
+        nan = np.isnan(probes).any(axis=1)
+        finite = probes[~nan]
+        expected = walked_densities(fitted, finite)
+        for model in (fitted, loaded):
+            assert model._cells is not None
+            assert evaluate_batch(model, finite).tobytes() == expected.tobytes()
+            assert np.array([evaluate(model, x) for x in finite]).tobytes() == (
+                expected.tobytes())
+            with pytest.raises(ValueError, match=f"^{nan.sum()} query row"):
+                evaluate_batch(model, probes)
+            with pytest.raises(ValueError, match="^1 query row"):
+                evaluate(model, probes[nan][0])
+            assert evaluate_batch(model, probes[:0]).shape == (0,)
+
+
 class TestKeptCellTable:
     """Every model within the table budget holds one normalized cell table: a
     fit keeps the one its normalizer filled, a loaded or replaced model builds
@@ -1266,6 +1372,7 @@ class TestKeptCellTable:
 
     BOX = Box((-1.0, 2.0), (4.0, 2.5))
     CELLS = 64  # depth 3 on 2 axes
+    ENTRIES = 100  # (2**3 + 2)**2, with the border
 
     def fitted(self, spec: str) -> FittedMFRDE:
         data = generate("beta", 300, 0.2, seed=12)
@@ -1276,7 +1383,7 @@ class TestKeptCellTable:
     @pytest.mark.parametrize("spec", ["grid:8", "grid:9", "mc:64", "mc:500"])
     def test_fitted_and_loaded_models_agree(self, tmp_path, monkeypatch, spec):
         model = self.fitted(spec)
-        assert model._cells.shape == (self.CELLS,)
+        assert model._cells.shape == (self.ENTRIES,)
         path, again = tmp_path / "model.json", tmp_path / "again.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -1309,7 +1416,7 @@ class TestKeptCellTable:
         model = self.fitted(spec)
         assert len(builds) == 1
         table = estimator._cell_table(model.forest, model._sum_counts, model.m)
-        assert model._cells.tobytes() == (table / model.normalizer).tobytes()
+        assert table_cells(model).tobytes() == (table / model.normalizer).tobytes()
         builds.clear()
         monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
         past = self.fitted(spec)
@@ -1330,7 +1437,7 @@ class TestKeptCellTable:
 
     def test_table_past_the_budget_refused(self, monkeypatch):
         model = self.fitted("grid:9")
-        monkeypatch.setattr(estimator, "_TABLE_CELLS", self.CELLS - 1)
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", self.ENTRIES - 1)
         with pytest.raises(ValueError, match=re.escape(
                 "cell table shape (64,) does not match the 0 cells the model tabulates")):
             dataclasses.replace(model, _table=np.zeros(self.CELLS))
@@ -1342,7 +1449,7 @@ class TestKeptCellTable:
         assert again._cells is not model._cells
         assert again._cells.tobytes() == model._cells.tobytes()
         table = estimator._cell_table(model.forest, model._sum_counts, model.m)
-        assert dataclasses.replace(model, normalizer=0.5)._cells.tobytes() == (
+        assert table_cells(dataclasses.replace(model, normalizer=0.5)).tobytes() == (
             table / 0.5).tobytes()
 
     def test_integral_check_walks_no_node(self, tmp_path, monkeypatch):
@@ -1361,6 +1468,39 @@ class TestKeptCellTable:
             assert integral == pytest.approx(1.0)
             assert integrate_estimate(loaded).hex() == integral.hex()
             assert calls == []
+
+
+class TestHugeBox:
+    """Boxes near the float maximum: finite bounds, extents and volume."""
+
+    @pytest.mark.parametrize("hi", [1.7e308, np.finfo(float).max])
+    def test_fit_near_the_float_maximum(self, hi):
+        # every axis-0 breakpoint was inf: each query read 4.357 times the
+        # uniform density, and the integral came to 4.50
+        box = Box((1e308, 0.0), (hi, 1.0))
+        pts = box.lo_array + (box.hi_array - box.lo_array) * np.random.default_rng(0).random(
+            (400, 2))
+        model = fit(pts, EstimatorConfig(m=20, trees=10, depth=4, seed=0, box=box))
+        assert integrate_estimate(model) == pytest.approx(1.0)
+        assert 0.5 < np.median(evaluate_batch(model, pts)) * box.volume < 1.5
+        # the upper face is in; +inf, past a last edge of +inf at the maximum, is out
+        probe = np.vstack([pts, [(hi, 0.5), (np.inf, 0.5), (np.nextafter(1e308, 0), 0.5)]])
+        assert evaluate_batch(model, probe).tobytes() == walked_densities(model, probe).tobytes()
+        assert evaluate(model, (np.inf, 0.5)) == 0.0
+
+    def test_overflowing_leaf_volume_named(self):
+        # m times the leaf volume overflowed, every density read 0, and fit
+        # blamed "all data outside the box"
+        box = Box((1e308, 0.0), (1.7e308, 1.0))
+        pts = box.lo_array + (box.hi_array - box.lo_array) * np.random.default_rng(0).random(
+            (4000, 2))
+        message = re.escape("m times the leaf volume, 2000 * 6.999999999999999e+307 * 2**-4, "
+                            "overflows the float range")
+        with pytest.raises(ValueError, match=message):
+            fit(pts, EstimatorConfig(m=2000, trees=10, depth=4, seed=0, box=box))
+        forest = build_forest(box, 4, 2, seed=0)
+        with pytest.raises(ValueError, match=message):
+            make_model(forest, np.zeros((2, 2, 16)), m=2000)
 
 
 class TestEvaluate:
@@ -1421,6 +1561,23 @@ class TestEvaluate:
             with pytest.raises(ValueError, match=re.escape(
                     f"expected one point of shape ({d},), got shape {shape}")):
                 evaluate(model, x)
+
+    def test_complex_coordinates_refused(self):
+        # a cast to float dropped the imaginary part with only a warning:
+        # evaluate(model, [2+3j, 1]) read the density at (2, 1)
+        model = fit(np.random.default_rng(1).random((30, 2)) * 4,
+                    EstimatorConfig(m=10, trees=2, depth=2, seed=1, box=Box((0, 0), (4, 4))))
+        message = "^coordinates must be real numbers, not complex128$"
+        for call in (lambda: evaluate(model, [2 + 3j, 1]),
+                     lambda: evaluate_batch(model, np.array([[2, 1], [2 + 3j, 1]])),
+                     lambda: evaluate_batch(model, [[2 + 0j, 1.0]]),
+                     lambda: datasets.Dataset(np.array([[0.5 + 1j, 0.5]])),
+                     lambda: Box.bounding([[0, 1j], [1, 1]]),
+                     lambda: fit([[2 + 3j, 1]] * 30, EstimatorConfig(m=10))):
+            with pytest.raises(ValueError, match=message):
+                call()
+        # real dtypes still cast
+        assert evaluate(model, [2, 1]) == evaluate(model, np.array([2.0, 1.0], dtype=np.float32))
 
     def test_evaluate_batch_refuses_more_than_two_axes(self):
         model = fit(np.random.default_rng(1).random((30, 2)),

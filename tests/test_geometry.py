@@ -617,6 +617,23 @@ class TestForest:
             with pytest.raises(ValueError, match=message):
                 Forest(box=UNIT2, labels=labels)
 
+    @pytest.mark.parametrize("hi", [1.7e308, np.finfo(float).max])
+    def test_mesh_near_the_float_maximum(self, hi):
+        # 0.5 * (a + b) overflowed once a + b passed the float maximum, so
+        # every axis-0 breakpoint of this box was inf.  Halving is exact at
+        # these magnitudes, so the mesh is a scaled-down box's, scaled up
+        box = Box((1e308, 0.0), (hi, 1.0))
+        scale = 2.0**-4
+        small = geometry._breakpoints(Box((1e308 * scale, 0.0), (hi * scale, 1.0)), 6)
+        mesh = geometry._breakpoints(box, 6)
+        assert mesh[0].tolist() == (small[0] / scale).tolist()
+        assert mesh[1].tolist() == small[1].tolist()
+        # the last edge steps past hi: +inf when hi is the float maximum
+        edges = build_forest(box, 6, 2, seed=0)._edges
+        assert edges[:, :-1].tolist() == mesh[:, :-1].tolist()
+        with np.errstate(over="ignore"):
+            assert edges[:, -1].tolist() == [np.nextafter(hi, np.inf), np.nextafter(1.0, 2.0)]
+
     def test_label_out_of_dimension_rejected(self):
         for label in (2, 5, -1):
             with pytest.raises(ValueError, match="must lie in \\[0, 2\\)"):

@@ -2,7 +2,10 @@
 
 A forest's tables and geometry's code-to-id helpers are read only in
 ``geometry.py``; every other module takes the common refinement from
-``geometry._refinement``.  The median kernel derives the median rank from
+``geometry._refinement``.  So is the bordered cell table's layout: its
+per-axis edges and the index into it stay in ``geometry``, and other
+modules build the table with ``geometry._bordered`` and read it with
+``geometry._lookup``.  The median kernel derives the median rank from
 the counts it is given, so no function takes it as an argument, and a
 model derives its dropped tail from ``n``, ``S`` and ``m``.
 """
@@ -16,8 +19,8 @@ from mfrde.estimator import FittedMFRDE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Forest tables and the helpers that read them, private to geometry.
-GEOMETRY_ONLY = {"_leaf_table", "_level_base", "_bit_table", "_inner",
-                 "_ids_of_codes", "_corner_sources"}
+GEOMETRY_ONLY = {"_leaf_table", "_level_base", "_bit_table", "_edges",
+                 "_ids_of_codes", "_corner_sources", "_bordered_index"}
 
 
 def geometry_leaks(root: Path) -> list[str]:

@@ -180,29 +180,29 @@ def test_benchmark_fits_stay_far_below_the_byte_budget(monkeypatch):
 
 def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
     # Every model perfbench builds has at most 65 536 cells and holds its
-    # cell table.  Each sweep fit's grid:100 normalizer builds the table
-    # once and looks up its 10 000 nodes in it; the fitted model keeps it,
-    # so the MAE grid and the AUC's 500 data points look it up too.  The
-    # served model's exact normalizer fills its table as it streams, so its
-    # score (about 18.5k in-box rows) and eval-grid (22 500 points) are
-    # lookups that build no table and walk no leaf.  This pins routing,
-    # not values.
+    # bordered cell table.  Each sweep fit's grid:100 normalizer builds the
+    # table once and looks up its 10 000 nodes in it; the fitted model
+    # keeps it, so the MAE grid and the AUC's 500 data points look it up
+    # too.  The served model's exact normalizer fills its table as it
+    # streams, so its score (20 000 rows, out-of-box ones included) and
+    # eval-grid (22 500 points) are lookups that build no table, take no
+    # median and walk no leaf.  This pins routing, not values.
     import mfrde
-    from mfrde import estimator, evaluation
+    from mfrde import estimator, evaluation, geometry
 
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    batches, per_cell, tables, walks = [], [], [], []
-    median_values, pack = estimator._median_values, estimator._pack
+    lookups, tables, walks, medians = [], [], [], []
+    bordered_index, median_values = geometry._bordered_index, estimator._median_values
     cell_table, leaf_indices = estimator._cell_table, estimator.leaf_indices
 
-    def median_spy(forest, leaf_major, m, points, table=None):
-        batches.append((len(points), 2 ** (forest.depth * forest.box.d), table is not None))
-        return median_values(forest, leaf_major, m, points, table)
+    def index_spy(forest, pts):
+        lookups.append((len(pts), 2 ** (forest.depth * forest.box.d)))
+        return bordered_index(forest, pts)
 
-    def cell_spy(codes, bits):
-        per_cell.append(len(codes))
-        return pack(codes, bits)
+    def median_spy(forest, leaf_major, m, points):
+        medians.append(len(points))
+        return median_values(forest, leaf_major, m, points)
 
     def table_spy(forest, leaf_major, m):
         tables.append(2 ** (forest.depth * forest.box.d))
@@ -212,39 +212,35 @@ def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
         walks.append(len(points))
         return leaf_indices(forest, points=points)
 
+    monkeypatch.setattr(geometry, "_bordered_index", index_spy)
     monkeypatch.setattr(estimator, "_median_values", median_spy)
-    monkeypatch.setattr(estimator, "_pack", cell_spy)
     monkeypatch.setattr(estimator, "_cell_table", table_spy)
     monkeypatch.setattr(estimator, "leaf_indices", leaf_spy)
     for wl in workloads.WORKLOADS.values():
-        for seen in (batches, per_cell, tables, walks):
+        for seen in (lookups, tables, walks, medians):
             seen.clear()
         evaluation.benchmark(evaluation.BenchmarkConfig.from_dict(dict(wl.sweep, seed=1)))
         # 6 fits: the 3 schemes and their single-block baselines.  Each
         # builds one table, in its normalizer, and walks its data once, in
-        # its leaf counts; the quadrature nodes, the MAE grid and the
-        # in-box data points are all looked up
+        # its leaf counts; the quadrature nodes, the MAE grid and the data
+        # points are all looked up
         assert tables == [4096] * 6
         assert len(walks) == 6 and max(walks) <= 500
-        assert {cells for _, cells, _ in batches} == {4096}
-        assert all(kept for _, _, kept in batches)
-        assert sorted(n for n, _, _ in batches)[6:] == [10_000] * 12
-        assert max(sorted(n for n, _, _ in batches)[:6]) <= 500
-        assert len(per_cell) == 18
-        assert sorted(per_cell)[6:] == [10_000] * 12 and max(sorted(per_cell)[:6]) <= 500
+        assert medians == []
+        assert {cells for _, cells in lookups} == {4096}
+        assert len(lookups) == 18
+        assert sorted(n for n, _ in lookups)[6:] == [10_000] * 12
+        assert max(sorted(n for n, _ in lookups)[:6]) <= 500
 
         query = workloads.query_data(mfrde, wl, seed=1)
         lo, hi = zip(*(map(float, axis.split(":")) for axis in wl.box.split(",")))
         model = estimator.fit(query, estimator.EstimatorConfig(
             m=wl.m, trees=wl.trees, depth=wl.depth, box=mfrde.Box(lo, hi)))
         assert model.quadrature.method == "exact-dyadic"
-        assert model._cells.shape == (65_536,)
-        for seen in (batches, per_cell, tables, walks):
+        assert model._cells.shape == (258**2,)
+        for seen in (lookups, tables, walks, medians):
             seen.clear()
         estimator.evaluate_batch(model, query.points)
         estimator.evaluate_batch(model, evaluation.make_grid(model.box, wl.grid).points)
-        (score, cells, score_table), (grid, _, grid_table) = batches
-        assert 18_000 < score < 19_000 and grid == 22_500 and cells == 65_536
-        assert score_table and grid_table
-        assert per_cell == [score, grid]
-        assert tables == [] and walks == []
+        assert lookups == [(20_000, 65_536), (22_500, 65_536)]
+        assert tables == [] and walks == [] and medians == []
