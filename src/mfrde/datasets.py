@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, _as_real
+from .geometry import Box, _as_real, _check_seed
 
 __all__ = [
     "DOMAIN",
@@ -118,10 +118,12 @@ def generate(
     Inliers, outliers and the shuffle draw from three substreams spawned
     from ``seed``, so a dataset is a pure function of the arguments, all of
     which its provenance records.  The family is two-dimensional, so a box
-    of another dimension raises ``ValueError`` before anything is drawn.
+    of another dimension raises ``ValueError`` before anything is drawn, as
+    does a negative seed.
     """
     if n < 0:
         raise ValueError("sample count must be non-negative")
+    _check_seed(seed)
     if box.d != 2:
         raise ValueError(f"the synthetic family is two-dimensional, got a {box.d}-D box")
     if not 0.0 <= outlier_ratio < 1.0:

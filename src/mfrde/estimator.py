@@ -31,10 +31,10 @@ table's border holds 0, so every query of such a model is one NaN test
 and one read of the table at its edge searches
 (:func:`~mfrde.geometry._lookup`), in the box or out of it; NaN is
 tested on its own because its searches would land on the border and
-read 0.  The table is read-only, so concurrent readers stay safe.  Only past the budget (``d
->= 3`` at ``p = 8``) does a query test the box and walk its in-box
-points' leaves to take their median.  Both give the same floats: a
-point's leaf ids are those of its cell.
+read 0.  The table is read-only, so concurrent readers stay safe.  Only
+past the budget (``d >= 3`` at ``p = 8``) does a query test the box and
+walk its in-box points' leaves to take their median.  Both give the same
+floats: a point's leaf ids are those of its cell.
 
 Every size is fixed before anything is drawn, allocated or decoded:
 :func:`fit`, :func:`load_model` (on a file's header) and every
@@ -47,8 +47,9 @@ Leaf counts have one layout, ``FittedMFRDE.leaf_counts``: a C-contiguous
 int32 array of shape ``(T, 2**p, S)``, so a query's lookup in one tree
 reads one contiguous row of ``S`` block counts.  ``FittedMFRDE.counts``
 is only a read-only ``(S, T, 2**p)`` view of it, which indexes block by
-block and serializes to the model file's nested lists.  The model builds
-the array its queries sum once, next to the storage.
+block and serializes to the model file's nested lists.  A model holds one
+query structure beside it: the cell table, or past the table's budget the
+array each walked query sums (:func:`_summed_counts`), never both.
 
 Fitted models are immutable; evaluation is safe for concurrent readers.
 Fitting itself is deterministic given the config seed: trees, the block
@@ -69,7 +70,7 @@ import numpy as np
 from .datasets import Dataset, _write_atomic
 from .geometry import (
     Box, Forest, _as_points, _as_real, _bordered, _bordered_cells, _check_forest_size,
-    _lattice, _lookup, _refinement, build_forest, leaf_indices,
+    _check_seed, _lattice, _lookup, _refinement, build_forest, leaf_indices,
 )
 
 __all__ = [
@@ -123,7 +124,9 @@ def _summed_counts(leaf_counts: np.ndarray, trees: int, m: int) -> np.ndarray:
 
     Tree sums of ``trees`` counts of at most ``m`` are exact in uint16
     while ``trees * m < 2**16``: then a uint16 copy, which halves the bytes
-    each query gathers; otherwise the int32 storage itself.
+    each gather reads, whether it builds a cell table, takes a normalizer's
+    medians or walks a query past the table budget; otherwise the int32
+    storage itself.
     """
     if trees * m >= 2**16:
         return leaf_counts
@@ -185,7 +188,8 @@ class EstimatorConfig:
 
     ``m`` is the block size; :func:`fit` raises ``ValueError`` when it
     exceeds the sample size.  ``box=None`` means the tight bounding box of
-    the data expanded by ``box_margin`` relative to its extent.
+    the data expanded by ``box_margin`` relative to its extent.  A
+    negative ``seed`` raises ``ValueError``.
     """
 
     m: int
@@ -203,6 +207,7 @@ class EstimatorConfig:
             raise ValueError("tree count must be at least 1")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
+        _check_seed(self.seed)
         if not (math.isfinite(self.box_margin) and self.box_margin >= 0):
             raise ValueError(f"box margin must be finite and non-negative, got {self.box_margin}")
 
@@ -297,24 +302,27 @@ class FittedMFRDE:
     a block's counts sum to the same total, at most ``m``, in every tree.
     An array that already is C-contiguous int32 is kept, not copied, and
     made read-only.  ``n`` lies in ``[S * m, S * m + m)``; :attr:`dropped` is the rest.
-    ``seed`` is the fit's seed, which Monte Carlo quadrature draws from.
+    ``seed`` is the fit's seed, non-negative, which Monte Carlo quadrature
+    draws from.
     ``quadrature`` is the resolved method: ``auto`` raises ``ValueError``.
 
-    A model whose bordered cell table has at most ``_TABLE_CELLS``
-    entries holds it, read-only and built here, once: the ``(2**p +
-    2)**d`` array of :func:`~mfrde.geometry._bordered`, every dyadic cell's
-    normalized density inside a border of 0.0 that every point outside
-    the box reads.  Every query reads its point's entry, after a NaN test:
-    NaN would read the border too.  As nothing writes the table later,
-    concurrent readers stay safe.  ``_table`` is
-    :func:`fit`'s hand-over, the unnormalized ``(2**(p*d),)``
-    :func:`_cell_table` its normalizer filled, which is divided by
-    ``normalizer`` as it is written into the table; any other shape
-    raises ``ValueError``.  Without it, which is how :func:`load_model` and
-    :func:`dataclasses.replace` build a model, the cell values are taken
-    from the counts.  A model past the budget holds none, refuses a
-    ``_table``, and walks each query's leaves.  The model file never holds
-    the table.
+    A model holds exactly one query structure.  One whose bordered cell
+    table has at most ``_TABLE_CELLS`` entries holds that table, read-only
+    and built here, once: the ``(2**p + 2)**d`` array of
+    :func:`~mfrde.geometry._bordered`, every dyadic cell's normalized
+    density inside a border of 0.0 that every point outside the box reads.
+    Every query reads its point's entry, after a NaN test: NaN would read
+    the border too.  As nothing writes the table later, concurrent readers
+    stay safe.  ``_table`` is :func:`fit`'s hand-over, the unnormalized
+    ``(2**(p*d),)`` :func:`_cell_table` its normalizer filled, which is
+    divided by ``normalizer`` as it is written into the table; any other
+    shape raises ``ValueError``.  Without it, which is how
+    :func:`load_model` and :func:`dataclasses.replace` build a model, the
+    cell values are taken from the counts, summed in the type
+    :func:`_summed_counts` picks, and that array is dropped once the table
+    is built.  A model past the budget holds no table, refuses a
+    ``_table``, and keeps the summed counts instead, which each query's
+    walk of its leaves reads.  The model file holds neither.
     """
 
     seed: int
@@ -325,11 +333,11 @@ class FittedMFRDE:
     normalizer: float
     quadrature: Quadrature  # resolved method actually used for the normalizer
     _table: InitVar[np.ndarray | None] = None
-    # Derived from ``leaf_counts``: the read-only array the median kernel
-    # sums (:func:`_summed_counts`).
-    _sum_counts: np.ndarray = field(init=False, repr=False)
-    # Each dyadic cell's normalized density in the bordered layout of
-    # ``geometry``, read-only; None past the budget.
+    # Past the table budget, the read-only array each walked query sums,
+    # derived from ``leaf_counts`` (:func:`_summed_counts`); None within it.
+    _sum_counts: np.ndarray | None = field(init=False, repr=False)
+    # Within the budget, each dyadic cell's normalized density in the
+    # bordered layout of ``geometry``, read-only; None past it.
     _cells: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self, _table: np.ndarray | None) -> None:
@@ -346,6 +354,7 @@ class FittedMFRDE:
             )
         if self.quadrature.method == "auto":
             raise ValueError(f"unresolved quadrature method {self.quadrature.method!r}")
+        _check_seed(self.seed)
         _plan(t, self.forest.depth, self.m, self.n, self.box.d, self.quadrature)
         if counts.min() < 0:
             raise ValueError("leaf counts must be non-negative")
@@ -361,19 +370,23 @@ class FittedMFRDE:
         leaf_counts = np.ascontiguousarray(counts, dtype=np.int32)
         leaf_counts.setflags(write=False)
         object.__setattr__(self, "leaf_counts", leaf_counts)
-        object.__setattr__(self, "_sum_counts", _summed_counts(leaf_counts, t, self.m))
         cells = 2 ** (self.depth * self.box.d)
         tabulated = _tabulated(self.forest)
         if _table is not None and (not tabulated or np.shape(_table) != (cells,)):
             raise ValueError(f"cell table shape {np.shape(_table)} does not match the "
                              f"{cells if tabulated else 0} cells the model tabulates")
-        table = None
+        # One query structure: the cell table, or past its budget the
+        # counts each walk sums.
+        table = summed = None
         if tabulated:
             if _table is None:
-                _table = _cell_table(self.forest, self._sum_counts, self.m)
+                _table = _cell_table(self.forest, _summed_counts(leaf_counts, t, self.m), self.m)
             # The division each query's median took before: the same bits.
             table = _bordered(self.forest, _table, self.normalizer)
             table.setflags(write=False)
+        else:
+            summed = _summed_counts(leaf_counts, t, self.m)
+        object.__setattr__(self, "_sum_counts", summed)
         object.__setattr__(self, "_cells", table)
 
     @property
@@ -554,7 +567,8 @@ def _densities(model: FittedMFRDE, pts: np.ndarray) -> np.ndarray:
     """:func:`evaluate_batch` on an ``(n, d)`` float array.
 
     A model with a cell table looks every row up in it, the border giving
-    0 outside the box; past the budget the in-box rows walk their leaves.
+    0 outside the box; past the budget the in-box rows walk their leaves
+    and every other row gets 0.
     """
     # NaN has no cell: the table's searches would put it on the border.
     # count_nonzero costs a single query half of what .any() does.
@@ -564,8 +578,6 @@ def _densities(model: FittedMFRDE, pts: np.ndarray) -> np.ndarray:
     if model._cells is not None:
         return _lookup(model.forest, model._cells, pts)
     mask = model.box.contains_rows(pts)
-    if mask.all():
-        return _median_values(model.forest, model._sum_counts, model.m, pts) / model.normalizer
     out = np.zeros(pts.shape[0])
     out[mask] = _median_values(model.forest, model._sum_counts, model.m,
                                pts[mask]) / model.normalizer
@@ -614,8 +626,8 @@ def _compute_normalizer(
     and the :func:`_cell_table` it filled, or ``None`` past ``_TABLE_CELLS``.
 
     The kernel sums the array :func:`_summed_counts` gives for the int32
-    ``leaf_counts``, the same rule as for every query.  ``exact-dyadic``
-    takes each cell's leaf ids from its integer codes
+    ``leaf_counts``, the rule every table build and walked query follows.
+    ``exact-dyadic`` takes each cell's leaf ids from its integer codes
     (:func:`_cell_medians`), not from a float centre, and sums the same
     ``_QUAD_CHUNK`` chunks in the same order as :func:`_integrate`, so the
     value is the same float as integrating at the cell centres.  The one

@@ -31,7 +31,7 @@ from .estimator import (
     evaluate_batch,
     fit,
 )
-from .geometry import Box, _lattice
+from .geometry import Box, _check_seed, _lattice
 
 __all__ = [
     "EvalGrid",
@@ -106,8 +106,8 @@ class BenchmarkConfig:
 
     ``m_ratios`` are block-size fractions of the sample (``m`` is the
     rounded product, cells with ``m < 1`` or ``m > n`` are skipped).
-    ``repeats`` and ``n`` must be at least 1, ``grid_g`` at least 2, and
-    every list non-empty.
+    ``repeats`` and ``n`` must be at least 1, ``grid_g`` at least 2,
+    ``seed`` non-negative, and every list non-empty.
     """
 
     schemes: tuple[str, ...] = ("uniform",)
@@ -134,6 +134,7 @@ class BenchmarkConfig:
         for key in ("schemes", "ratios", "m_ratios", "trees", "depths"):
             if not getattr(self, key):
                 raise ValueError(f"benchmark config {key} must not be empty")
+        _check_seed(self.seed)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkConfig":

@@ -30,15 +30,18 @@ x, side="right")``: the number of edges at or below ``x``.  That is 0
 below the box, ``2**p + 1`` above it (``+inf`` included, even when ``hi``
 is the float maximum and the last edge is ``+inf``), and inside the box
 ``1 + c``, where the code ``c`` in ``[0, 2**p)`` counts the inner
-breakpoints at or below ``x``, tied breakpoints included; the leaf walk
-searches the inner breakpoints alone, for ``c`` (:func:`_codes`).  A
-coordinate equal to a breakpoint counts it and lands in the right-hand
-cell, which is the half-open convention; the upper face ``x == hi`` is
-above every inner breakpoint and below the last edge, and lands in the
-last cell, which is the closed upper face.  A node that splits an axis
-for the ``s``-th time on its path (``s`` from 0) compares ``x`` with the
-breakpoint whose index has bit ``p - 1 - s`` as its lowest set bit, so
-going right is exactly bit ``p - 1 - s`` of ``c``.
+breakpoints at or below ``x``, tied breakpoints included.  NaN is placed
+above every edge.  The leaf walk and the cell table share that one
+search: :func:`leaf_indices` takes the search less one as the code, and a
+point lies in the closed box exactly when every one of its codes is in
+``[0, 2**p)``, so no float box test is made.  A coordinate equal to a
+breakpoint counts it and lands in the right-hand cell, which is the
+half-open convention; the upper face ``x == hi`` is above every inner
+breakpoint and below the last edge, and lands in the last cell, which is
+the closed upper face.  A node that splits an axis for the ``s``-th time
+on its path (``s`` from 0) compares ``x`` with the breakpoint whose index
+has bit ``p - 1 - s`` as its lowest set bit, so going right is exactly
+bit ``p - 1 - s`` of ``c``.
 
 So the node a point reaches on level ``k`` depends only on the top ``k``
 bits of its ``d`` codes, and every such node is a rectangle of them: on
@@ -62,7 +65,7 @@ float geometry past the quantization.  Both steps run in
 Common refinement.  A depth-``p`` dyadic cell is one tuple of codes, and
 all its points share its ``T`` leaf ids.  Cells are numbered by their
 codes packed in C order (:func:`_pack`), the order :func:`_lattice` yields
-them in; a point's cell is its :func:`_codes`, packed.  The cells with one
+them in; a point's cell is its codes, packed.  The cells with one
 tuple of ids form a rectangle, a cell of the forest's common refinement,
 and which cells share ids is decided here alone:
 :func:`_refinement` hands out, per C-order chunk of cells, the ids of the
@@ -77,9 +80,8 @@ their packed order, into its interior, ``1 + c`` on every axis, and
 leaves ``0.0`` on the border around it.  A point's entry is its edge
 searches packed in base ``2**p + 2`` (:func:`_bordered_index`), so a
 point outside the closed box, an infinite coordinate included, reads the
-border's ``0.0`` with no box test.  NaN is placed above every edge and
-would read the border too, so :func:`_lookup`'s callers test for it
-first.
+border's ``0.0`` with no box test.  NaN, above every edge, would read the
+border too, so :func:`_lookup`'s callers test for it first.
 
 All types in this module are immutable after construction and safe for
 concurrent reads.
@@ -264,7 +266,8 @@ def build_forest(box: Box, p: int, n_trees: int, seed) -> Forest:
     Every node of a tree splits a uniform coordinate: one row of ``2**p -
     1`` labels in ``[0, box.d)``.  ``seed`` may be an integer or a
     ``numpy.random.SeedSequence``.  Each tree gets its own spawned stream,
-    so construction may run in parallel without changing the result.
+    so construction may run in parallel without changing the result.  A
+    negative integer seed raises ``ValueError``.
     """
     if n_trees < 1:
         raise ValueError("tree count must be at least 1")
@@ -273,12 +276,19 @@ def build_forest(box: Box, p: int, n_trees: int, seed) -> Forest:
     # Checked before any tree is drawn: each tree allocates 2**p - 1 labels.
     _check_forest_size(n_trees, p)
     if not isinstance(seed, np.random.SeedSequence):
+        _check_seed(seed)
         seed = np.random.SeedSequence(int(seed))
     labels = np.stack([
         np.random.default_rng(s).integers(0, box.d, size=2**p - 1, dtype=np.int64)
         for s in seed.spawn(n_trees)
     ])
     return Forest(box=box, labels=labels)
+
+
+def _check_seed(seed) -> None:
+    """Refuse a negative seed by name: numpy's own refusal names no seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def _check_forest_size(n_trees: int, depth: int) -> None:
@@ -409,34 +419,19 @@ def leaf_indices(forest: Forest, points) -> np.ndarray:
     The id is the root-to-leaf path read as a bit string, left=0 and
     right=1, with the root bit most significant.  Points must lie in the
     closed box; any other point, NaN included, raises ``ValueError``.
-    Quantizes each coordinate once (:func:`_codes`) and takes the codes
-    to leaf ids (:func:`_ids_of_codes`).
+    Each coordinate's code is its edge search less one (see the module
+    docstring), and a point is in the closed box exactly when every code
+    lies in ``[0, 2**p)``; :func:`_ids_of_codes` takes the codes to leaf ids.
     """
-    pts = _in_box(forest.box, points)
-    return _ids_of_codes(forest, _codes(forest, pts))
-
-
-def _in_box(box: Box, points) -> np.ndarray:
-    """The ``(n, d)`` float points; any point outside the closed box, NaN included, raises."""
-    pts = _as_points(points, box.d)
-    # One flat reduction, not Box.contains_rows' per-row one: only "all
-    # inside?" is asked, and on (n, 2) points the flat one is 2-3x faster.
-    # NaN fails both comparisons, so it is outside too.
-    if not ((pts >= box.lo_array) & (pts <= box.hi_array)).all():
-        raise ValueError("point outside domain")
-    return pts
-
-
-def _codes(forest: Forest, pts: np.ndarray) -> np.ndarray:
-    """The ``(n, d)`` int32 axis codes of ``(n, d)`` points in the closed box.
-
-    Code ``c`` on an axis is the number of inner breakpoints at or below
-    the coordinate (see the module docstring).
-    """
+    pts = _as_points(points, forest.box.d)
     codes = np.empty(pts.shape, dtype=np.int32)
     for j in range(pts.shape[1]):
-        codes[:, j] = forest._edges[j, 1:-1].searchsorted(pts[:, j], side="right")
-    return codes
+        codes[:, j] = forest._edges[j].searchsorted(pts[:, j], side="right")
+    codes -= 1
+    # Read as unsigned, a code of -1 (below the box) is past 2**p too.
+    if (codes.view(np.uint32) >= 2**forest.depth).any():
+        raise ValueError("point outside domain")
+    return _ids_of_codes(forest, codes)
 
 
 def _bordered_cells(forest: Forest) -> int:

@@ -49,7 +49,12 @@ with ``%.17g`` (labels with ``str(int(...))``) and writes rows through
 work, and a write lands a prefix of the text, then raises ``OSError``.
 
 Hypothesis runs derandomized under the ``mfrde`` profile, so every run of
-the suite draws the same examples.
+the suite draws the same examples.  The profile leaves out the explain
+phase: on a failing property that fits a model per example, its traced
+replays grew pytest by about 4 MB/s, to 358 MB over 66 s on a 2-core x86
+host, before the report, where the same property shrank to its minimal
+example in 2 s at 81 MB without it.  A property passes or fails alike
+either way.
 """
 
 import csv
@@ -59,13 +64,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from mfrde import geometry
 from mfrde.estimator import FittedMFRDE, _density_denom
 from mfrde.geometry import Box, Forest, leaf_indices
 
-settings.register_profile("mfrde", derandomize=True)
+settings.register_profile("mfrde", derandomize=True,
+                          phases=[phase for phase in Phase if phase is not Phase.explain])
 settings.load_profile("mfrde")
 
 

@@ -341,6 +341,18 @@ class TestErrors:
             assert "--m" in err
             assert not m_json.exists()
 
+    def test_negative_seed_named(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" named no seed
+        d_csv, m_json = tmp_path / "d.csv", tmp_path / "m.json"
+        run(["generate", "--scheme", "uniform", "--n", "30", "--seed", "1",
+             "--out", str(d_csv)], capsys)
+        for argv, out in ((["generate", "--scheme", "uniform", "--n", "30"], tmp_path / "e.csv"),
+                          (["fit", "--input", str(d_csv), "--m", "10"], m_json)):
+            code, _, err = run(argv + ["--seed", "-1", "--out", str(out)], capsys)
+            assert code == 2
+            assert err == "mfrde: error: seed must be a non-negative integer, got -1\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [(["--quadrature", "grid:abc"], "cannot parse quadrature spec 'grid:abc'"),
@@ -514,11 +526,12 @@ class TestErrors:
             ({"n": 0}, "benchmark config n must be at least 1, not 0"),
             ({"n": -5}, "benchmark config n must be at least 1, not -5"),
             ({"grid_G": 1}, "benchmark config grid_G must be at least 2, not 1"),
+            ({"seed": -1}, "seed must be a non-negative integer, got -1"),
         ],
         ids=["unknown-keys", "float-n", "string-grid", "bool-repeats", "top-level-list",
              "float-tree", "string-schemes", "int-quadrature", "box-without-hi",
              "zero-repeats", "negative-repeats", "empty-schemes", "empty-ratios",
-             "zero-n", "negative-n", "one-point-grid"],
+             "zero-n", "negative-n", "one-point-grid", "negative-seed"],
     )
     def test_bad_benchmark_config(self, tmp_path, capsys, doc, named):
         # each used to run the default sweep, truncate 2.7 to 2, split a

@@ -143,6 +143,10 @@ class TestMix:
         assert data.labels.sum() == 10
         assert ((data.points[:, 0] < 0) == (data.labels == 1)).all()
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            generate("uniform", 10, 0.3, seed=-1)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="two-dimensional, got a 3-D box"):
             generate("uniform", 10, 0.3, seed=0, box=BOX3)

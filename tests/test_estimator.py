@@ -107,6 +107,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="exceeds sample size"):
             fit(np.random.default_rng(0).random((100, 2)), EstimatorConfig(m=101))
 
+    def test_negative_seed_named(self, tmp_path):
+        # numpy's "expected non-negative integer" named no seed, and a model
+        # file edited to a negative seed loaded, to fail in its Monte Carlo
+        # integral check
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            EstimatorConfig(m=1, seed=-1)
+        model = fit(np.random.default_rng(0).random((40, 2)), EstimatorConfig(
+            m=10, trees=2, depth=2, seed=0, quadrature=Quadrature.parse("mc:50")))
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -2$"):
+            dataclasses.replace(model, seed=-2)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["seed"] = -5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=(
+                "^malformed model file: seed must be a non-negative integer, got -5$")):
+            load_model(path)
+
     def test_quadrature_parse(self):
         assert Quadrature.parse("exact").method == "exact-dyadic"
         assert Quadrature.parse("grid:50").grid_points == 50
@@ -973,7 +992,9 @@ class TestSumDtype:
 
     @pytest.mark.parametrize("trees, m", [NARROW_EDGE[0], NARROW_EDGE[-1], WIDE_EDGE[0],
                                           WIDE_EDGE[-1]])
-    def test_summed_counts_read_only(self, tmp_path, trees, m):
+    def test_summed_counts_read_only(self, tmp_path, monkeypatch, trees, m):
+        # only a model past the table budget (set to 0) keeps the sums' array
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
         model = edge_model(trees, m, seed=1)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -1122,19 +1143,19 @@ class TestCellPath:
             if chunk:
                 mp.setattr(estimator, "_QUAD_CHUNK", chunk)
             mp.setattr(geometry, "_lattice", lattice_spy)
+            sums = dtype_spy(mp)
             model = make_model(forest, valid_counts(trees, 2**p, s, m, seed), m, 0.75)
         # the model's one table walks every cell's codes, unless the
         # forest's id table is as deep as its trees
         assert sum(walked) == (cells if forest._leaf_table.shape[1] < cells else 0)
-        summed = model._sum_counts
-        assert summed.dtype == (np.int32 if wide else np.uint16)
+        assert set(sums) == {np.dtype(np.int32 if wide else np.uint16)}
         with pytest.MonkeyPatch.context() as mp:
             seen = cell_path_spy(mp)
             for n in (1, cells - 1, cells, cells + 1):
                 if n < 1:
                     continue
                 pts = mesh_points(box, p, n, seed)
-                oracle = walked_medians(forest, summed, m, pts) / 0.75
+                oracle = walked_medians(forest, model.leaf_counts, m, pts) / 0.75
                 seen.clear()
                 batch = evaluate_batch(model, pts)
                 assert seen == [n]
@@ -1207,13 +1228,13 @@ class TestCellPath:
 
     def test_exact_normalizer_sums_the_per_cell_medians(self):
         model = edge_model(3, 1000, seed=2)
-        forest, summed = model.forest, model._sum_counts
-        chunks = list(estimator._cell_medians(forest, summed, model.m))
+        forest, counts = model.forest, model.leaf_counts
+        chunks = list(estimator._cell_medians(forest, counts, model.m))
         centres = geometry._lattice([
             lo + (hi - lo) * (np.arange(8) + 0.5) / 8 for lo, hi in zip(model.box.lo,
                                                                         model.box.hi)],
             estimator._QUAD_CHUNK)
-        oracle = np.concatenate([walked_medians(forest, summed, model.m, c) for c in centres])
+        oracle = np.concatenate([walked_medians(forest, counts, model.m, c) for c in centres])
         assert np.concatenate(chunks).tobytes() == oracle.tobytes()
         z, table = estimator._compute_normalizer(forest, model.leaf_counts, model.m,
                                                  model.quadrature, 0)
@@ -1349,6 +1370,13 @@ class TestBorderedLookup:
             oracle[inside].tolist())
         assert ((axes[~inside] == 0) | (axes[~inside] == side - 1)).any(axis=1).all()
         assert geometry._bordered_index(forest, probes[:0]).shape == (0,)
+        # the leaf walk quantizes by the same search: each in-box probe's ids
+        # are the recursive walker's, and every other probe, NaN included, raises
+        assert leaf_indices(forest, probes[inside]).tolist() == [
+            [leaf_index(row, box, x) for row in forest.labels] for x in probes[inside]]
+        for x in probes[~inside]:
+            with pytest.raises(ValueError, match="^point outside domain$"):
+                leaf_indices(forest, x)
 
         nan = np.isnan(probes).any(axis=1)
         finite = probes[~nan]
@@ -1415,7 +1443,7 @@ class TestKeptCellTable:
                             lambda *args: builds.append(args) or refinement(*args))
         model = self.fitted(spec)
         assert len(builds) == 1
-        table = estimator._cell_table(model.forest, model._sum_counts, model.m)
+        table = estimator._cell_table(model.forest, model.leaf_counts, model.m)
         assert table_cells(model).tobytes() == (table / model.normalizer).tobytes()
         builds.clear()
         monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
@@ -1423,6 +1451,31 @@ class TestKeptCellTable:
         assert past._cells is None
         assert len(builds) == (past.quadrature.method == "exact-dyadic")
         assert past.normalizer == model.normalizer
+
+    def test_a_model_holds_one_query_structure(self, tmp_path, monkeypatch):
+        # within the budget the cell table alone, and a fit that hands its
+        # table over sums its counts' type once, in its normalizer; past the
+        # budget (set to 0) the summed counts alone, narrow exactly when
+        # T * m < 2**16.  Fitted, loaded and replaced models alike
+        calls, summed_counts = [], estimator._summed_counts
+        monkeypatch.setattr(estimator, "_summed_counts",
+                            lambda *args: calls.append(args) or summed_counts(*args))
+        path = tmp_path / "model.json"
+        for spec in ("exact", "grid:9", "mc:63"):
+            calls.clear()
+            model = self.fitted(spec)
+            assert len(calls) == 1
+            save_model(model, path)
+            for each in (model, load_model(path), dataclasses.replace(model)):
+                assert each._sum_counts is None and each._cells is not None
+        monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
+        for model in (self.fitted("grid:9"), edge_model(*NARROW_EDGE[-1], seed=3),
+                      edge_model(*WIDE_EDGE[0], seed=3)):
+            narrow = model.n_trees * model.m < 2**16
+            save_model(model, path)
+            for each in (model, load_model(path), dataclasses.replace(model)):
+                assert each._cells is None
+                assert each._sum_counts.dtype == (np.uint16 if narrow else np.int32)
 
     def test_table_is_read_only(self):
         model = self.fitted("grid:9")
@@ -1448,7 +1501,7 @@ class TestKeptCellTable:
         again = dataclasses.replace(model)
         assert again._cells is not model._cells
         assert again._cells.tobytes() == model._cells.tobytes()
-        table = estimator._cell_table(model.forest, model._sum_counts, model.m)
+        table = estimator._cell_table(model.forest, model.leaf_counts, model.m)
         assert table_cells(dataclasses.replace(model, normalizer=0.5)).tobytes() == (
             table / 0.5).tobytes()
 
@@ -1519,18 +1572,26 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="^1 query row"):
             evaluate(model, (np.nan, np.nan))
 
-    def test_in_box_batch_equals_mixed_batch(self):
+    def test_in_box_batch_equals_mixed_batch(self, monkeypatch):
         # rows in the box, corners included, get the same bytes whether or
-        # not the batch also holds a row outside
-        model = fit(np.random.default_rng(1).random((60, 2)),
-                    EstimatorConfig(m=20, trees=3, depth=3, seed=1, box=UNIT2))
+        # not the batch also holds a row outside, looked up or, past the
+        # table budget (set to 0), walked; both give the same bytes
         pts = np.vstack([np.random.default_rng(2).random((40, 2)),
                          [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)]])
-        inside = evaluate_batch(model, pts)
-        mixed = evaluate_batch(model, np.vstack([pts, [(1.5, 0.5)]]))
-        assert inside.tobytes() == mixed[:-1].tobytes()
-        assert mixed[-1] == 0.0
-        assert [evaluate(model, p) for p in pts] == inside.tolist()
+        results = set()
+        for walk in (False, True):
+            if walk:
+                monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
+            model = fit(np.random.default_rng(1).random((60, 2)),
+                        EstimatorConfig(m=20, trees=3, depth=3, seed=1, box=UNIT2))
+            assert (model._cells is None) == walk
+            inside = evaluate_batch(model, pts)
+            mixed = evaluate_batch(model, np.vstack([pts, [(1.5, 0.5)]]))
+            assert inside.tobytes() == mixed[:-1].tobytes()
+            assert mixed[-1] == 0.0
+            assert [evaluate(model, p) for p in pts] == inside.tolist()
+            results.add(mixed.tobytes())
+        assert len(results) == 1
 
     def test_queries_do_not_call_contains_batch(self, monkeypatch):
         # evaluate and evaluate_batch have normalized the rows already

@@ -109,6 +109,8 @@ class TestBuildTree:
             build_forest(UNIT2, -1, 2, seed=0)
         with pytest.raises(ValueError, match="tree count"):
             build_forest(UNIT2, 3, 0, seed=0)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+            build_forest(UNIT2, 3, 2, seed=-3)
 
     def test_rows_are_per_tree_substream_draws(self):
         box = Box((0.0,) * 3, (1.0,) * 3)
