@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"mfrde: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"mfrde: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -24,17 +24,17 @@ through its ``T`` leaf ids.  :func:`_cell_medians` takes it once per cell
 of the forest's common refinement, whose corners and their ids
 :func:`~mfrde.geometry._refinement` gives.  A model whose bordered table,
 ``(2**p + 2)**d`` entries, is at most ``_TABLE_CELLS`` holds every cell's
-normalized density in it, built once when the model is: :func:`fit`
-hands over the cell values its normalizer filled, and :func:`load_model`
-and :func:`dataclasses.replace` rebuild them from the counts.  The
-table's border holds 0, so every query of such a model is one NaN test
-and one read of the table at its edge searches
-(:func:`~mfrde.geometry._lookup`), in the box or out of it; NaN is
-tested on its own because its searches would land on the border and
-read 0.  The table is read-only, so concurrent readers stay safe.  Only
-past the budget (``d >= 3`` at ``p = 8``) does a query test the box and
-walk its in-box points' leaves to take their median.  Both give the same
-floats: a point's leaf ids are those of its cell.
+normalized density in it, built from the counts once, when the model
+is.  A model built without a normalizer, as :func:`fit` builds one,
+derives it from those same cell values; :func:`load_model` and
+:func:`dataclasses.replace` pass theirs.  The table's border holds 0, so
+every query of such a model is one NaN test and one read of the table
+at its edge searches (:func:`~mfrde.geometry._lookup`), in the box or
+out of it; NaN is tested on its own because its searches would land on
+the border and read 0.  The table is read-only, so concurrent readers
+stay safe.  Only past the budget (``d >= 3`` at ``p = 8``) does a query
+test the box and walk its in-box points' leaves to take their median.
+Both give the same floats: a point's leaf ids are those of its cell.
 
 Every size is fixed before anything is drawn, allocated or decoded:
 :func:`fit`, :func:`load_model` (on a file's header) and every
@@ -61,8 +61,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -182,14 +183,26 @@ class Quadrature:
         raise ValueError(f"cannot parse quadrature spec {text!r}")
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int by ``operator.index``, so a numpy integer
+    passes; a bool, float or string raises ``ValueError`` naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Fit-time choices: block size, forest shape, seed, domain, quadrature.
 
     ``m`` is the block size; :func:`fit` raises ``ValueError`` when it
     exceeds the sample size.  ``box=None`` means the tight bounding box of
-    the data expanded by ``box_margin`` relative to its extent.  A
-    negative ``seed`` raises ``ValueError``.
+    the data expanded by ``box_margin`` relative to its extent.  ``m``,
+    ``trees``, ``depth`` and ``seed`` are stored as Python ints (see
+    :func:`_as_int`), and a negative ``seed`` raises ``ValueError``.
     """
 
     m: int
@@ -201,6 +214,8 @@ class EstimatorConfig:
     box_margin: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("m", "trees", "depth", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.m < 1:
             raise ValueError("block size must be at least 1")
         if self.trees < 1:
@@ -303,8 +318,16 @@ class FittedMFRDE:
     An array that already is C-contiguous int32 is kept, not copied, and
     made read-only.  ``n`` lies in ``[S * m, S * m + m)``; :attr:`dropped` is the rest.
     ``seed`` is the fit's seed, non-negative, which Monte Carlo quadrature
-    draws from.
+    draws from.  ``n``, ``m`` and ``seed`` are stored as Python ints (see
+    :func:`_as_int`).
     ``quadrature`` is the resolved method: ``auto`` raises ``ValueError``.
+
+    ``normalizer`` is the integral of the unnormalized median over the box
+    with ``quadrature``; ``None``, which is how :func:`fit` builds a model,
+    derives it here (:func:`_compute_normalizer`).  A given one, as
+    :func:`load_model` and :func:`dataclasses.replace` pass it, must be
+    finite and positive, is checked before any table is built, and is then
+    trusted.
 
     A model holds exactly one query structure.  One whose bordered cell
     table has at most ``_TABLE_CELLS`` entries holds that table, read-only
@@ -313,16 +336,12 @@ class FittedMFRDE:
     density inside a border of 0.0 that every point outside the box reads.
     Every query reads its point's entry, after a NaN test: NaN would read
     the border too.  As nothing writes the table later, concurrent readers
-    stay safe.  ``_table`` is :func:`fit`'s hand-over, the unnormalized
-    ``(2**(p*d),)`` :func:`_cell_table` its normalizer filled, which is
-    divided by ``normalizer`` as it is written into the table; any other
-    shape raises ``ValueError``.  Without it, which is how
-    :func:`load_model` and :func:`dataclasses.replace` build a model, the
-    cell values are taken from the counts, summed in the type
-    :func:`_summed_counts` picks, and that array is dropped once the table
-    is built.  A model past the budget holds no table, refuses a
-    ``_table``, and keeps the summed counts instead, which each query's
-    walk of its leaves reads.  The model file holds neither.
+    stay safe.  Its cell values are taken from the counts, summed in the
+    type :func:`_summed_counts` picks, and a derived normalizer sums or
+    looks up those same values; that array is dropped once the table is
+    built.  A model past the budget holds no table and keeps the summed
+    counts instead, which each query's walk of its leaves reads.  The
+    model file holds neither.
     """
 
     seed: int
@@ -330,9 +349,8 @@ class FittedMFRDE:
     n: int
     m: int
     leaf_counts: np.ndarray
-    normalizer: float
     quadrature: Quadrature  # resolved method actually used for the normalizer
-    _table: InitVar[np.ndarray | None] = None
+    normalizer: float | None = None
     # Past the table budget, the read-only array each walked query sums,
     # derived from ``leaf_counts`` (:func:`_summed_counts`); None within it.
     _sum_counts: np.ndarray | None = field(init=False, repr=False)
@@ -340,7 +358,9 @@ class FittedMFRDE:
     # bordered layout of ``geometry``, read-only; None past it.
     _cells: np.ndarray | None = field(init=False, repr=False)
 
-    def __post_init__(self, _table: np.ndarray | None) -> None:
+    def __post_init__(self) -> None:
+        for name in ("n", "m", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         counts = np.asarray(self.leaf_counts)
         t, leaves, s = counts.shape
         if t != self.forest.n_trees or leaves != 2**self.forest.depth:
@@ -364,30 +384,27 @@ class FittedMFRDE:
         # Each counted point lies in one leaf of every tree.
         if (totals != totals[0]).any():
             raise ValueError("a block's count total differs between trees")
-        if not (self.normalizer > 0 and math.isfinite(self.normalizer)):
+        if self.normalizer is not None and not (
+                self.normalizer > 0 and math.isfinite(self.normalizer)):
             raise ValueError("normalizer must be finite and strictly positive")
         _density_denom(self.forest, self.m)  # raises if it overflows
         leaf_counts = np.ascontiguousarray(counts, dtype=np.int32)
         leaf_counts.setflags(write=False)
         object.__setattr__(self, "leaf_counts", leaf_counts)
-        cells = 2 ** (self.depth * self.box.d)
-        tabulated = _tabulated(self.forest)
-        if _table is not None and (not tabulated or np.shape(_table) != (cells,)):
-            raise ValueError(f"cell table shape {np.shape(_table)} does not match the "
-                             f"{cells if tabulated else 0} cells the model tabulates")
+        summed = _summed_counts(leaf_counts, t, self.m)
+        cells = _cell_table(self.forest, summed, self.m) if _tabulated(self.forest) else None
+        if self.normalizer is None:
+            object.__setattr__(self, "normalizer", _compute_normalizer(
+                self.forest, summed, self.m, self.quadrature, self.seed, cells))
         # One query structure: the cell table, or past its budget the
         # counts each walk sums.
-        table = summed = None
-        if tabulated:
-            if _table is None:
-                _table = _cell_table(self.forest, _summed_counts(leaf_counts, t, self.m), self.m)
+        if cells is not None:
+            summed = None
             # The division each query's median took before: the same bits.
-            table = _bordered(self.forest, _table, self.normalizer)
-            table.setflags(write=False)
-        else:
-            summed = _summed_counts(leaf_counts, t, self.m)
+            cells = _bordered(self.forest, cells, self.normalizer)
+            cells.setflags(write=False)
         object.__setattr__(self, "_sum_counts", summed)
-        object.__setattr__(self, "_cells", table)
+        object.__setattr__(self, "_cells", cells)
 
     @property
     def counts(self) -> np.ndarray:
@@ -486,30 +503,31 @@ def _median_values(
 def _cell_table(forest: Forest, leaf_major: np.ndarray, m: int) -> np.ndarray:
     """The ``(2**(p*d),)`` lower medians of :func:`_cell_medians`, in one array."""
     table = np.empty(2 ** (forest.depth * forest.box.d))
-    for _ in _cell_medians(forest, leaf_major, m, table):
-        pass
+    start = 0
+    for corners, rows in _cell_medians(forest, leaf_major, m):
+        corners.take(rows, out=table[start : start + rows.size])
+        start += rows.size
+        # Freed before the next chunk's medians exist, not when they replace it.
+        del corners
     return table
 
 
 def _cell_medians(
-    forest: Forest, leaf_major: np.ndarray, m: int, out: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
+    forest: Forest, leaf_major: np.ndarray, m: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The lower median on every depth-``p`` dyadic cell, ``_QUAD_CHUNK`` cells at a time.
 
-    Yields each chunk's values, cells in C order; with ``out``, a
-    ``(2**(p*d),)`` array, each chunk is a view of it, and otherwise a
-    fresh array.  :func:`_kth_densities` runs only on the chunk's corners
-    in the forest's common refinement (:func:`~mfrde.geometry._refinement`),
-    and every other cell copies its corner's value: the same ``T`` ids give
-    the same integer sums, the same k-th sum and the same division, so each
-    value has the bits of the cell's own median.
+    Yields, per chunk of cells in C order, the median at the chunk's
+    corners in the forest's common refinement
+    (:func:`~mfrde.geometry._refinement`) and each cell's corner row:
+    ``corners.take(rows)`` holds the chunk's values, which the caller
+    writes where it keeps them.  :func:`_kth_densities` runs only on the
+    corners, and every other cell copies its corner's value: the same
+    ``T`` ids give the same integer sums, the same k-th sum and the same
+    division, so each value has the bits of the cell's own median.
     """
-    start = 0
-    for ids, corner_row in _refinement(forest, _QUAD_CHUNK):
-        part = np.empty(corner_row.size) if out is None else out[start : start + corner_row.size]
-        _kth_densities(forest, leaf_major, m, ids, np.empty(len(ids))).take(corner_row, out=part)
-        start += corner_row.size
-        yield part
+    for ids, rows in _refinement(forest, _QUAD_CHUNK):
+        yield _kth_densities(forest, leaf_major, m, ids, np.empty(len(ids))), rows
 
 
 def _kth_densities(
@@ -620,48 +638,46 @@ def _integrate(
 
 
 def _compute_normalizer(
-    forest: Forest, leaf_counts: np.ndarray, m: int, quad: Quadrature, seed: int,
-) -> tuple[float, np.ndarray | None]:
-    """Integral of the unnormalized median over the box with a resolved method,
-    and the :func:`_cell_table` it filled, or ``None`` past ``_TABLE_CELLS``.
+    forest: Forest, leaf_major: np.ndarray, m: int, quad: Quadrature, seed: int,
+    cells: np.ndarray | None,
+) -> float:
+    """Integral of the unnormalized median over the box with a resolved method.
 
-    The kernel sums the array :func:`_summed_counts` gives for the int32
-    ``leaf_counts``, the rule every table build and walked query follows.
-    ``exact-dyadic`` takes each cell's leaf ids from its integer codes
-    (:func:`_cell_medians`), not from a float centre, and sums the same
-    ``_QUAD_CHUNK`` chunks in the same order as :func:`_integrate`, so the
-    value is the same float as integrating at the cell centres.  The one
-    exception is a box whose cells are narrower than a few ulps of its
-    offset, where a float centre can round into a neighbouring cell: there
-    this value is the exact sum over the cells and the centres' is not.
-    Within the budget the exact normalizer fills the table as it streams
-    its chunks, and a grid or Monte Carlo one builds it first and looks up
-    every node in it, bordered; past the budget the exact one keeps no
-    cell and the others walk every node's leaves.
+    ``leaf_major`` is the array :func:`_summed_counts` gives, and ``cells``
+    the :func:`_cell_table` built from it, or ``None`` past ``_TABLE_CELLS``.
+    ``exact-dyadic`` takes each cell's value from its leaf ids, found from
+    its integer codes (:func:`_cell_medians`), not from a float centre, and
+    sums the same ``_QUAD_CHUNK`` chunks in the same order as
+    :func:`_integrate`, so the value is the same float as integrating at
+    the cell centres.  The one exception is a box whose cells are narrower
+    than a few ulps of its offset, where a float centre can round into a
+    neighbouring cell: there this value is the exact sum over the cells and
+    the centres' is not.  Within the budget the exact normalizer sums
+    ``cells`` and a grid or Monte Carlo one looks up every node in it,
+    bordered; past the budget the exact one streams :func:`_cell_medians`
+    and the others walk every node's leaves.
     """
-    leaf_counts = _summed_counts(leaf_counts, forest.n_trees, m)
-    cells = 2 ** (forest.depth * forest.box.d)
-    tabulated = _tabulated(forest)
     if quad.method == "exact-dyadic":
-        table = np.empty(cells) if tabulated else None
-        partials = [float(np.sum(v)) for v in _cell_medians(forest, leaf_counts, m, table)]
-        z = forest.box.volume / cells * math.fsum(partials)
-    elif tabulated:
-        table = _cell_table(forest, leaf_counts, m)
+        if cells is None:
+            chunks = (corners.take(rows) for corners, rows in _cell_medians(forest, leaf_major, m))
+        else:
+            chunks = (cells[a : a + _QUAD_CHUNK] for a in range(0, cells.size, _QUAD_CHUNK))
+        partials = [float(np.sum(v)) for v in chunks]
+        z = forest.box.volume / 2 ** (forest.depth * forest.box.d) * math.fsum(partials)
+    elif cells is not None:
         # Bordered over 1.0, which divides every value exactly.
-        bordered = _bordered(forest, table, 1.0)
+        bordered = _bordered(forest, cells, 1.0)
         z = _integrate(forest.box, forest.depth, quad, seed,
                        lambda pts: _lookup(forest, bordered, pts))
     else:
-        table = None
         z = _integrate(forest.box, forest.depth, quad, seed,
-                       lambda pts: _median_values(forest, leaf_counts, m, pts))
+                       lambda pts: _median_values(forest, leaf_major, m, pts))
     if not z > 0:
         raise ValueError(
             "degenerate model: median density vanishes everywhere "
             "(all data outside the box, or every block count zero)"
         )
-    return z, table
+    return z
 
 
 def integrate_estimate(model: FittedMFRDE) -> float:
@@ -724,16 +740,13 @@ def fit(data, config: EstimatorConfig) -> FittedMFRDE:
         # Freed before the next chunk's ids exist, not when they replace it.
         del ids
 
-    z, table = _compute_normalizer(forest, leaf_counts, m, plan.quadrature, config.seed)
     return FittedMFRDE(
         seed=config.seed,
         forest=forest,
         n=n,
         m=m,
         leaf_counts=leaf_counts,
-        normalizer=z,
         quadrature=plan.quadrature,
-        _table=table,
     )
 
 
@@ -967,6 +980,14 @@ def _model_from_doc(doc, counts_span: bytes | None) -> FittedMFRDE:
         grid_points=_typed(params.get("points_per_axis", 100), "points_per_axis"),
         mc_draws=_typed(params.get("draws", 100_000), "draws"),
     ))
+    # Both follow from the header's S, n and m.  A model needs S = n // m,
+    # so a header with another S fails later, on its counts' shape or
+    # sizes, as it always has.
+    if s == plan.blocks:
+        if rank != _median_rank(s):
+            raise ValueError("median rank must be ceil(S/2)")
+        if dropped != n - s * m:
+            raise ValueError("dropped must be n - S*m")
     if not all(type(v) is int for row in doc["trees"] for v in row):
         raise ValueError("split labels must be integers")
     # A ragged list, or a label past int64, raises here.
@@ -976,17 +997,12 @@ def _model_from_doc(doc, counts_span: bytes | None) -> FittedMFRDE:
     if doc["counts"] is not None or counts_span is None:
         raise ValueError("counts must be one list of S lists of T lists of 2**p counts")
     counts = _decode_counts(counts_span, s, t, 2**p)
-    model = FittedMFRDE(
+    return FittedMFRDE(
         seed=seed,
         forest=forest,
         n=n,
         m=m,
         leaf_counts=counts,
-        normalizer=float(_typed(doc["normalizer"], "normalizer", (int, float))),
         quadrature=plan.quadrature,
+        normalizer=float(_typed(doc["normalizer"], "normalizer", (int, float))),
     )
-    if rank != model.median_rank:
-        raise ValueError("median rank must be ceil(S/2)")
-    if dropped != model.dropped:
-        raise ValueError("dropped must be n - S*m")
-    return model

@@ -36,6 +36,24 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert done.stdout == "[]\n"
 
 
+def test_out_of_memory_is_a_runtime_error(tmp_path):
+    # numpy's _ArrayMemoryError escaped with a traceback and exit code 1,
+    # the usage-error code.  10**15 points need 7.1 PiB, past a 47-bit
+    # address space, so the allocation is refused on any host before
+    # anything is written
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "F"
+    done = subprocess.run(
+        [sys.executable, "-m", "mfrde.cli", "generate", "--scheme", "uniform",
+         "--n", "1000000000000000", "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("mfrde: error: Unable to allocate")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 class TestParams:
     def test_derived_values(self, capsys):
         code, out, _ = run(

@@ -126,6 +126,36 @@ class TestConfig:
                 "^malformed model file: seed must be a non-negative integer, got -5$")):
             load_model(path)
 
+    def test_numpy_integers_are_stored_as_ints(self, tmp_path):
+        # np.int64 m and seed used to fit, and then save_model raised
+        # "Object of type int64 is not JSON serializable"
+        data = np.random.default_rng(0).random((40, 2))
+        files = []
+        for m, seed in ((10, 3), (np.int64(10), np.int64(3))):
+            model = fit(data, EstimatorConfig(m=m, trees=np.int16(2), depth=np.uint8(2),
+                                              seed=seed))
+            assert [type(v) for v in (model.n, model.m, model.seed)] == [int] * 3
+            files.append(tmp_path / f"{type(m).__name__}.json")
+            save_model(model, files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes()
+        again = dataclasses.replace(model, n=np.int64(40), m=np.int32(10), seed=np.uint64(3))
+        assert [type(v) for v in (again.n, again.m, again.seed)] == [int] * 3
+
+    @pytest.mark.parametrize("value", [10.5, 2.0, True, "10", np.float64(3.0)])
+    def test_non_integer_fields_refused(self, value):
+        # each escaped as numpy's own TypeError, from a draw or a slice, or
+        # (a bool) was taken as 0 or 1
+        model = fit(np.random.default_rng(0).random((40, 2)),
+                    EstimatorConfig(m=10, trees=2, depth=2))
+        for field in ("m", "trees", "depth", "seed"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, not "
+                                                 f"{re.escape(repr(value))}$"):
+                EstimatorConfig(**{"m": 10, field: value})
+        for field in ("n", "m", "seed"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, not "
+                                                 f"{re.escape(repr(value))}$"):
+                dataclasses.replace(model, **{field: value})
+
     def test_quadrature_parse(self):
         assert Quadrature.parse("exact").method == "exact-dyadic"
         assert Quadrature.parse("grid:50").grid_points == 50
@@ -888,15 +918,31 @@ def dtype_spy(monkeypatch) -> list:
     return seen
 
 
+def model_normalizer(forest, counts, m, quad, seed):
+    """``_compute_normalizer`` as a model calls it, and the cell table it is handed.
+
+    The counts are summed in the type ``_summed_counts`` picks and, when the
+    forest is tabulated, the table is built from them first; handed that
+    table, the normalizer takes no median and walks no refinement itself.
+    """
+    summed = estimator._summed_counts(counts, forest.n_trees, m)
+    cells = estimator._cell_table(forest, summed, m) if estimator._tabulated(forest) else None
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_refinement", "_cell_medians") if cells is not None else ():
+            mp.setattr(estimator, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        return estimator._compute_normalizer(forest, summed, m, quad, seed, cells), cells
+
+
 class TestCodePathNormalizer:
     """The exact-dyadic normalizer from cell codes against the float-centre oracle.
 
     The oracle is the quadrature of the naive median at the float cell
     centres, each through its own ``leaf_indices`` walk
     (``conftest.walked_medians``, never the per-cell table), with int64
-    sums; the table the normalizer fills holds its values.  Cells here are at
-    least ``1e-3 / 2**12`` wide at offsets up to ``1e6``, far above a few
-    ulps, so both sides see the same cells and must agree bit for bit.
+    sums; the cell table the normalizer is handed holds its values.  Cells
+    here are at least ``1e-3 / 2**12`` wide at offsets up to ``1e6``, far
+    above a few ulps, so both sides see the same cells and must agree bit
+    for bit.
     """
 
     @pytest.mark.parametrize("regime", list(REGIMES))
@@ -926,9 +972,9 @@ class TestCodePathNormalizer:
                 lambda q: centres.append(walked_medians(forest, counts, m, q)) or centres[-1],
             )
             seen = dtype_spy(mp)
-            z, table = estimator._compute_normalizer(forest, counts, m, quad, 0)
+            z, cells = model_normalizer(forest, counts, m, quad, 0)
         assert z == oracle
-        assert table.tobytes() == np.concatenate(centres).tobytes()
+        assert cells.tobytes() == np.concatenate(centres).tobytes()
         assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
 
     @pytest.mark.parametrize("spec", ["exact", "grid:9", "mc:3000"])
@@ -942,7 +988,7 @@ class TestCodePathNormalizer:
             box, 3, quad, 11, lambda q: walked_medians(forest, counts, m, q)
         )
         seen = dtype_spy(monkeypatch)
-        assert estimator._compute_normalizer(forest, counts, m, quad, 11)[0] == oracle
+        assert model_normalizer(forest, counts, m, quad, 11)[0] == oracle
         assert set(seen) == {np.dtype(np.uint16 if trees * m < 2**16 else np.int32)}
 
 
@@ -1172,7 +1218,8 @@ class TestCellPath:
         # whether it has more nodes than cells or fewer.  A 20-node chunk
         # splits grid:5 into chunks of 20 and 5 nodes, and 6-node chunks are
         # all smaller than the cell count.  With the budget one entry short,
-        # every node walks its leaves
+        # every node walks its leaves.  The table is the model's, built
+        # before the normalizer runs
         box = Box((0.0, -3.0), (5.0, 4.0))
         forest = build_forest(box, 2, trees, seed=5)
         counts = edge_counts(trees, 4, 3, m, seed=6)
@@ -1192,13 +1239,12 @@ class TestCellPath:
             monkeypatch.setattr(estimator, "_TABLE_CELLS", budget)
             seen.clear()
             tables.clear()
-            z, table = estimator._compute_normalizer(forest, counts, m, quad, 11)
+            z, cells = model_normalizer(forest, counts, m, quad, 11)
             assert z == oracle
             assert seen == ([min(step, nodes - a) for a in range(0, nodes, step)]
                             if tabulated else [])
             assert len(tables) == tabulated
-            # the table it built comes back, for the fitted model to keep
-            assert (table is not None) == tabulated
+            assert (cells is not None) == tabulated
 
     @pytest.mark.parametrize("d, p, trees, seed, chunk, share", [
         # the served forest shape: about an eighth of the 65 536 cells are corners
@@ -1229,17 +1275,17 @@ class TestCellPath:
     def test_exact_normalizer_sums_the_per_cell_medians(self):
         model = edge_model(3, 1000, seed=2)
         forest, counts = model.forest, model.leaf_counts
-        chunks = list(estimator._cell_medians(forest, counts, model.m))
+        chunks = [corners.take(rows)
+                  for corners, rows in estimator._cell_medians(forest, counts, model.m)]
         centres = geometry._lattice([
             lo + (hi - lo) * (np.arange(8) + 0.5) / 8 for lo, hi in zip(model.box.lo,
                                                                         model.box.hi)],
             estimator._QUAD_CHUNK)
         oracle = np.concatenate([walked_medians(forest, counts, model.m, c) for c in centres])
         assert np.concatenate(chunks).tobytes() == oracle.tobytes()
-        z, table = estimator._compute_normalizer(forest, model.leaf_counts, model.m,
-                                                 model.quadrature, 0)
-        # it fills the table it streams, and the model's is that over its normalizer
-        assert table.tobytes() == oracle.tobytes()
+        z, cells = model_normalizer(forest, model.leaf_counts, model.m, model.quadrature, 0)
+        # it sums the cell table, and the model's is that over its normalizer
+        assert cells.tobytes() == oracle.tobytes()
         assert table_cells(model).tobytes() == (oracle / model.normalizer).tobytes()
         assert z == model.box.volume / 64 * math.fsum(float(np.sum(c)) for c in chunks)
 
@@ -1394,9 +1440,10 @@ class TestBorderedLookup:
 
 
 class TestKeptCellTable:
-    """Every model within the table budget holds one normalized cell table: a
-    fit keeps the one its normalizer filled, a loaded or replaced model builds
-    it from the counts, and all give the same bytes."""
+    """Every model within the table budget holds one normalized cell table,
+    built from its counts once: a fitted model derives its normalizer from
+    the same cell values, a loaded or replaced one keeps the normalizer it
+    is given, and all give the same bytes."""
 
     BOX = Box((-1.0, 2.0), (4.0, 2.5))
     CELLS = 64  # depth 3 on 2 axes
@@ -1434,10 +1481,10 @@ class TestKeptCellTable:
 
     @pytest.mark.parametrize("spec", ["exact", "auto", "grid:7", "mc:63"])
     def test_no_table_unless_the_normalizer_built_it(self, monkeypatch, spec):
-        # every method fills the table in its normalizer, once, and the
-        # model keeps that one.  Past the budget (set to 0) the exact
-        # normalizer still streams its cells, the others walk their nodes,
-        # and no model holds a table
+        # every method's model builds the table once, and its normalizer
+        # sums it or looks its nodes up in it.  Past the budget (set to 0)
+        # the exact normalizer still streams its cells, the others walk
+        # their nodes, and no model holds a table
         builds, refinement = [], estimator._refinement
         monkeypatch.setattr(estimator, "_refinement",
                             lambda *args: builds.append(args) or refinement(*args))
@@ -1453,20 +1500,27 @@ class TestKeptCellTable:
         assert past.normalizer == model.normalizer
 
     def test_a_model_holds_one_query_structure(self, tmp_path, monkeypatch):
-        # within the budget the cell table alone, and a fit that hands its
-        # table over sums its counts' type once, in its normalizer; past the
-        # budget (set to 0) the summed counts alone, narrow exactly when
+        # within the budget the cell table alone, which every model builds
+        # once, from its counts summed in their type once; only the fitted
+        # model, built without a normalizer, integrates.  Past the budget
+        # (set to 0) the summed counts alone, narrow exactly when
         # T * m < 2**16.  Fitted, loaded and replaced models alike
-        calls, summed_counts = [], estimator._summed_counts
-        monkeypatch.setattr(estimator, "_summed_counts",
-                            lambda *args: calls.append(args) or summed_counts(*args))
+        calls = []
+        for name in ("_summed_counts", "_cell_table", "_compute_normalizer"):
+            original = getattr(estimator, name)
+            monkeypatch.setattr(estimator, name, lambda *args, name=name, original=original: (
+                calls.append(name) or original(*args)))
         path = tmp_path / "model.json"
         for spec in ("exact", "grid:9", "mc:63"):
             calls.clear()
             model = self.fitted(spec)
-            assert len(calls) == 1
+            assert sorted(calls) == ["_cell_table", "_compute_normalizer", "_summed_counts"]
+            assert model._sum_counts is None and model._cells is not None
             save_model(model, path)
-            for each in (model, load_model(path), dataclasses.replace(model)):
+            for build in (lambda: load_model(path), lambda: dataclasses.replace(model)):
+                calls.clear()
+                each = build()
+                assert sorted(calls) == ["_cell_table", "_summed_counts"]
                 assert each._sum_counts is None and each._cells is not None
         monkeypatch.setattr(estimator, "_TABLE_CELLS", 0)
         for model in (self.fitted("grid:9"), edge_model(*NARROW_EDGE[-1], seed=3),
@@ -1482,18 +1536,34 @@ class TestKeptCellTable:
         with pytest.raises(ValueError):
             model._cells[0] = 1.0
 
-    @pytest.mark.parametrize("shape", [(63,), (65,), (64, 1), ()])
-    def test_wrong_table_shape_refused(self, shape):
-        model = self.fitted("grid:9")
-        with pytest.raises(ValueError, match="cell table shape"):
-            dataclasses.replace(model, _table=np.zeros(shape))
+    @pytest.mark.parametrize("budget", [None, 0])
+    @pytest.mark.parametrize("spec", ["exact", "grid:9", "mc:63"])
+    def test_a_model_without_a_normalizer_derives_fits(self, tmp_path, monkeypatch, budget,
+                                                       spec):
+        # fit builds its model with no normalizer: the same fields build the
+        # same model, and so does a replace that drops the normalizer, within
+        # the table budget or past it (set to 0)
+        if budget is not None:
+            monkeypatch.setattr(estimator, "_TABLE_CELLS", budget)
+        model = self.fitted(spec)
+        rebuilt = FittedMFRDE(seed=model.seed, forest=model.forest, n=model.n, m=model.m,
+                              leaf_counts=model.leaf_counts, quadrature=model.quadrature)
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_model(model, path)
+        for each in (rebuilt, dataclasses.replace(model, normalizer=None)):
+            assert each.normalizer.hex() == model.normalizer.hex()
+            assert (each._cells is None) == (budget == 0)
+            if budget is None:
+                assert table_cells(each).tobytes() == table_cells(model).tobytes()
+            save_model(each, again)
+            assert again.read_bytes() == path.read_bytes()
 
-    def test_table_past_the_budget_refused(self, monkeypatch):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_normalizer_refused_before_the_table(self, monkeypatch, bad):
         model = self.fitted("grid:9")
-        monkeypatch.setattr(estimator, "_TABLE_CELLS", self.ENTRIES - 1)
-        with pytest.raises(ValueError, match=re.escape(
-                "cell table shape (64,) does not match the 0 cells the model tabulates")):
-            dataclasses.replace(model, _table=np.zeros(self.CELLS))
+        monkeypatch.setattr(estimator, "_cell_table", lambda *args: pytest.fail("table built"))
+        with pytest.raises(ValueError, match="^normalizer must be finite and strictly positive$"):
+            dataclasses.replace(model, normalizer=bad)
 
     def test_replace_rebuilds_the_table(self):
         # the table belongs to the counts and the normalizer it was built from
@@ -1927,6 +1997,24 @@ class TestSerialization:
             load_model(path)
         path.write_text(json.dumps(dict(self.VALID_DOC, n=11, dropped=2)))
         assert load_model(path).dropped == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("median_rank", 3, "median rank must be ceil(S/2)"),
+        ("dropped", 1, "dropped must be n - S*m"),
+    ])
+    def test_derived_header_fields_checked_first(self, tmp_path, monkeypatch, field, value,
+                                                 message):
+        # both follow from the header's S, n and m, yet were checked only
+        # after the counts were decoded, the forest built and the cell
+        # table filled
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(self.VALID_DOC, **{field: value})))
+        ran = []
+        for name in ("_decode_counts", "Forest", "_cell_table"):
+            monkeypatch.setattr(estimator, name, lambda *args, name=name, **kw: ran.append(name))
+        with pytest.raises(ValueError, match=f"^malformed model file: {re.escape(message)}$"):
+            load_model(path)
+        assert ran == []
 
     @pytest.mark.parametrize(
         "spec, field, value",

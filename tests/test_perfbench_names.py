@@ -180,13 +180,13 @@ def test_benchmark_fits_stay_far_below_the_byte_budget(monkeypatch):
 
 def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
     # Every model perfbench builds has at most 65 536 cells and holds its
-    # bordered cell table.  Each sweep fit's grid:100 normalizer builds the
-    # table once and looks up its 10 000 nodes in it; the fitted model
-    # keeps it, so the MAE grid and the AUC's 500 data points look it up
-    # too.  The served model's exact normalizer fills its table as it
-    # streams, so its score (20 000 rows, out-of-box ones included) and
-    # eval-grid (22 500 points) are lookups that build no table, take no
-    # median and walk no leaf.  This pins routing, not values.
+    # bordered cell table, built once when the model is.  Each sweep fit's
+    # grid:100 normalizer looks up its 10 000 nodes in that table, and so
+    # do the MAE grid and the AUC's 500 data points.  The served model's
+    # exact normalizer sums the table's cells, so its score (20 000 rows,
+    # out-of-box ones included) and eval-grid (22 500 points) are lookups
+    # that build no table, take no median and walk no leaf.  This pins
+    # routing, not values.
     import mfrde
     from mfrde import estimator, evaluation, geometry
 
@@ -221,9 +221,9 @@ def test_which_perfbench_evaluations_take_the_cell_path(monkeypatch):
             seen.clear()
         evaluation.benchmark(evaluation.BenchmarkConfig.from_dict(dict(wl.sweep, seed=1)))
         # 6 fits: the 3 schemes and their single-block baselines.  Each
-        # builds one table, in its normalizer, and walks its data once, in
-        # its leaf counts; the quadrature nodes, the MAE grid and the data
-        # points are all looked up
+        # model builds one table and walks its data once, in its leaf
+        # counts; the quadrature nodes, the MAE grid and the data points
+        # are all looked up
         assert tables == [4096] * 6
         assert len(walks) == 6 and max(walks) <= 500
         assert medians == []
